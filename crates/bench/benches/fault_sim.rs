@@ -8,14 +8,22 @@
 //! deterministic fault-chunk workers, and `plan_coverage/*` measures the
 //! end-to-end `measure_plan_coverage` entry point the pipeline's coverage
 //! stage calls.
+//!
+//! `session/scalar/*` vs `session/packed/*` pair the scalar reference of the
+//! two-session signature self-test with the packed impulse-response session
+//! the pipeline's `bist` stage runs, and `optimize_batch/*` measures the
+//! candidate-batched plan optimizer.  Both run on bbara and on a tbk-shaped
+//! planted machine (64 inputs, the `bist_heavy` perfbench pool's generator
+//! parameters) at that workload's 32 patterns per session.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_bist::{
-    fault_list, lfsr_patterns, measure_plan_coverage, simulate_faults, simulate_faults_packed,
+    fault_list, lfsr_patterns, measure_plan_coverage, optimize_plan, pipeline_self_test,
+    pipeline_self_test_scalar, simulate_faults, simulate_faults_packed, OptimizeOptions,
 };
 use stc_encoding::{EncodedMachine, EncodedPipeline, EncodingStrategy};
-use stc_fsm::benchmarks;
-use stc_logic::{synthesize_controller, synthesize_pipeline, Netlist, SynthOptions};
+use stc_fsm::{benchmarks, planted_decomposable, Mealy, PlantedSpec};
+use stc_logic::{synthesize_controller, synthesize_pipeline, Netlist, PipelineLogic, SynthOptions};
 use stc_synth::solve;
 
 /// The monolithic controller netlist of a benchmark machine — the biggest
@@ -26,6 +34,29 @@ fn controller_netlist(name: &str) -> Netlist {
     synthesize_controller(&encoded, SynthOptions::default())
         .block
         .netlist
+}
+
+/// The synthesised two-block pipeline of a machine.
+fn pipeline_logic(machine: &Mealy) -> PipelineLogic {
+    let realization = solve(machine).best.realize(machine);
+    let encoded = EncodedPipeline::new(machine, &realization, EncodingStrategy::Binary);
+    synthesize_pipeline(&encoded, SynthOptions::default())
+}
+
+/// The first machine of the `bist_heavy` perfbench pool: tbk's 64 inputs
+/// and two shared map pairs on a 24-state planted grid.
+fn tbk_shaped() -> Mealy {
+    let spec = PlantedSpec {
+        rows: 6,
+        cols: 6,
+        states: 24,
+        inputs: 64,
+        outputs: 3,
+        map_pairs: 2,
+        seed: 143_542,
+        max_attempts: 2000,
+    };
+    planted_decomposable("tbk_shaped", spec).0
 }
 
 fn fault_sim(c: &mut Criterion) {
@@ -74,6 +105,40 @@ fn fault_sim(c: &mut Criterion) {
             &pipeline,
             |b, p| {
                 b.iter(|| measure_plan_coverage(p, 256, 1));
+            },
+        );
+    }
+
+    // The signature self-test and the plan optimizer at `bist_heavy`'s
+    // 32 patterns per session (a 64-pattern optimizer budget).
+    let bbara = benchmarks::by_name("bbara")
+        .expect("benchmark exists")
+        .machine;
+    let options = OptimizeOptions {
+        max_total_length: 64,
+        ..OptimizeOptions::default()
+    };
+    for (name, machine) in [("bbara", bbara), ("tbk_shaped", tbk_shaped())] {
+        let pipeline = pipeline_logic(&machine);
+        group.bench_with_input(
+            BenchmarkId::new("session/scalar", name),
+            &pipeline,
+            |b, p| {
+                b.iter(|| pipeline_self_test_scalar(p, 32));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("session/packed", name),
+            &pipeline,
+            |b, p| {
+                b.iter(|| pipeline_self_test(p, 32));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("optimize_batch", name),
+            &pipeline,
+            |b, p| {
+                b.iter(|| optimize_plan(p, &options, 1));
             },
         );
     }

@@ -168,6 +168,15 @@ impl Bilbo {
         }
     }
 
+    /// One signature-analysis clock with the parallel input given as a word
+    /// (bit `width - 1 - i` carries input `i`, as in [`Self::clock`]),
+    /// independent of the current mode and without building the output
+    /// vector.  The step is linear over GF(2) in `(state, word)`, which the
+    /// packed session simulation relies on.
+    pub(crate) fn absorb_word(&mut self, word: u64) {
+        self.lfsr_step(word);
+    }
+
     fn lfsr_step(&mut self, inject: u64) {
         let feedback = self
             .taps

@@ -631,23 +631,23 @@ mod tests {
         let wide = packed.wide_block(0);
         let masks = packed.wide_lane_masks(0);
         assert_eq!(wide.len(), 3);
-        for i in 0..3 {
-            for w in 0..PACKED_WORDS {
+        for (i, group) in wide.iter().enumerate() {
+            for (w, &word) in group.iter().enumerate() {
                 let expect = if w < packed.num_blocks() {
                     packed.block(w)[i]
                 } else {
                     0
                 };
-                assert_eq!(wide[i][w], expect, "input {i} word {w}");
+                assert_eq!(word, expect, "input {i} word {w}");
             }
         }
-        for w in 0..PACKED_WORDS {
+        for (w, &mask) in masks.iter().enumerate() {
             let expect = if w < packed.num_blocks() {
                 packed.lane_mask(w)
             } else {
                 0
             };
-            assert_eq!(masks[w], expect, "mask word {w}");
+            assert_eq!(mask, expect, "mask word {w}");
         }
         // 5 blocks → 2 superblocks.
         let packed = PackedPatterns::pack(2, &lfsr_patterns(2, 64 * 4 + 1, 3));
@@ -673,31 +673,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::test_support::arb_cover;
     use proptest::prelude::*;
-    use stc_logic::{Cover, Cube, Literal};
-
-    fn arb_cover(num_vars: usize, max_cubes: usize) -> impl Strategy<Value = Cover> {
-        proptest::collection::vec(proptest::collection::vec(0u8..3, num_vars), 0..=max_cubes)
-            .prop_map(move |cubes| {
-                Cover::from_cubes(
-                    num_vars,
-                    cubes
-                        .into_iter()
-                        .map(|lits| {
-                            Cube::from_literals(
-                                lits.into_iter()
-                                    .map(|l| match l {
-                                        0 => Literal::Zero,
-                                        1 => Literal::One,
-                                        _ => Literal::DontCare,
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

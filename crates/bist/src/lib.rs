@@ -10,10 +10,17 @@
 //!   structures of Figs. 1–4 (flip-flops, gates, literals, logic depth,
 //!   achievable fault coverage, untestable feedback-line faults);
 //! * [`pipeline_self_test`] — the two-session self-test of the pipeline
-//!   structure with signature-based fault detection;
+//!   structure with signature-based fault detection, simulated bit-parallel
+//!   from per-session impulse responses (exact by linearity of the MISR);
 //! * [`simulate_faults_packed`] / [`measure_plan_coverage`] — the
 //!   bit-parallel (PP-SFP) fault simulator and the exact single-stuck-at
-//!   coverage of the two-session plan it enables.
+//!   coverage of the two-session plan it enables;
+//! * [`optimize_plan`] — the coverage-driven plan search, simulating four
+//!   pattern-source candidates per wide netlist sweep.
+//!
+//! The scalar `simulate_faults` and the doc-hidden
+//! `pipeline_self_test_scalar` are the references the packed paths are
+//! property-tested against.
 //!
 //! # Example
 //!
@@ -41,6 +48,8 @@ mod misr;
 mod optimize;
 mod session;
 mod stage;
+#[cfg(test)]
+mod test_support;
 
 #[allow(deprecated)]
 pub use stage::BistStage;
@@ -61,6 +70,6 @@ pub use optimize::{
     PlanOptimization, SessionOptimization,
 };
 pub use session::{
-    pipeline_self_test, session_patterns, session_patterns_from, session_source_width,
-    SelfTestResult, SessionResult,
+    pipeline_self_test, pipeline_self_test_scalar, session_patterns, session_patterns_from,
+    session_source_width, SelfTestResult, SessionResult,
 };

@@ -24,8 +24,8 @@
 //!
 //! # Evaluation and termination
 //!
-//! One bit-parallel pass per candidate computes every fault's **first
-//! detecting pattern index** (the same PP-SFP word sweep as
+//! One bit-parallel pass computes every fault's **first detecting pattern
+//! index** per candidate (the same PP-SFP word sweep as
 //! [`crate::simulate_faults_packed`], with the drop point *recorded* instead
 //! of discarded).  The minimal session length reaching the target is then an
 //! order statistic of that profile — no per-length re-simulation.  Because a
@@ -34,6 +34,16 @@
 //! is simulated against at most `incumbent_length − 1` patterns, so the
 //! search gets cheaper as the incumbent improves and stops early once the
 //! minimum possible length (one pattern) is reached.
+//!
+//! Candidates are simulated [`PACKED_WORDS`] at a time: word `w` of each
+//! wide netlist sweep carries candidate `c + w`, and each candidate stops
+//! being tracked at its first detection.  A batch runs at the window in
+//! force when it starts; the candidates are then replayed in order, each
+//! profile truncated to the candidate's own window (entries at or past it
+//! become "undetected") before its incumbent bookkeeping and progress
+//! events.  By the same prefix property the truncated profile is exactly the
+//! one a simulation at that window would produce, so plans, candidate counts
+//! and [`OptimizeProgress`] events are those of a one-at-a-time search.
 //!
 //! When the target is unreachable within the length budget, the best
 //! candidate's undetected faults are reported ([`SessionOptimization::undetected`])
@@ -45,7 +55,7 @@ use crate::fault::{fault_list, simulate_faults_packed, PackedPatterns, StuckAtFa
 use crate::lfsr::{reciprocal_taps, PRIMITIVE_TAPS};
 use crate::session::{session_patterns_from, session_source_width};
 use serde::{Deserialize, Serialize};
-use stc_logic::{Netlist, NodeId, PipelineLogic, PACKED_LANES};
+use stc_logic::{Netlist, NodeId, PipelineLogic, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// Tuning of one plan-optimization run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -316,6 +326,39 @@ fn optimize_block(
     progress: &mut dyn FnMut(&OptimizeProgress<'_>),
 ) -> SessionOptimization {
     let faults = fault_list(block);
+    search_block(
+        name,
+        block,
+        &faults,
+        options,
+        PACKED_WORDS,
+        &mut |stimuli| detection_profiles(block, stimuli, &faults, jobs),
+        progress,
+    )
+}
+
+/// First-detection profiles of a batch of candidates' stimuli (all of one
+/// length), one profile per candidate.
+type Profiler<'a> = dyn FnMut(&[Vec<Vec<bool>>]) -> Vec<Vec<Option<u32>>> + 'a;
+
+/// The candidate search behind [`optimize_block`], simulating `batch`
+/// candidates per `profiler` call.
+///
+/// A batch is simulated at the window in force when it starts; the
+/// candidates are then replayed in order, each profile truncated to the
+/// candidate's own window first.  Detection at pattern `k` depends only on
+/// patterns `0..=k`, so the truncated profile is exactly what a simulation
+/// at the candidate's own window would give, and the result and the
+/// progress events are those of a one-candidate-at-a-time search.
+fn search_block(
+    name: &str,
+    block: &Netlist,
+    faults: &[StuckAtFault],
+    options: &OptimizeOptions,
+    batch: usize,
+    profiler: &mut Profiler<'_>,
+    progress: &mut dyn FnMut(&OptimizeProgress<'_>),
+) -> SessionOptimization {
     let total = faults.len();
     // Smallest detected count satisfying the target (the epsilon absorbs
     // float slop in `target * total` for exactly representable fractions).
@@ -341,46 +384,60 @@ fn optimize_block(
         };
     }
 
-    // The incumbent: best candidate reaching the target, with its profile
-    // kept so the final detected/undetected split needs no re-simulation.
-    let mut incumbent: Option<(usize, usize, Vec<Option<u32>>)> = None; // (candidate, length, profile)
-                                                                        // Fallback while no candidate reaches the target: all such candidates
-                                                                        // ran at the full budget, so their coverage values are comparable.
+    // The incumbent: best candidate reaching the target as (candidate,
+    // length, profile), the profile kept so the final detected/undetected
+    // split needs no re-simulation.
+    let mut incumbent: Option<(usize, usize, Vec<Option<u32>>)> = None;
+    // Fallback while no candidate reaches the target: all such candidates
+    // ran at the full budget, so their coverage values are comparable.
     let mut fallback: (usize, usize, Vec<Option<u32>>) = (0, 0, vec![None; total]);
     let mut evaluated = 0usize;
+    // Prefix property: a candidate can only improve on the incumbent
+    // within `incumbent_length - 1` patterns, so the simulation window
+    // shrinks as the incumbent improves.
+    let window_of = |incumbent: &Option<(usize, usize, Vec<Option<u32>>)>| {
+        incumbent
+            .as_ref()
+            .map_or(options.max_total_length, |(_, length, _)| length - 1)
+    };
 
-    for (index, (taps, seed)) in candidates.iter().enumerate() {
-        // Prefix property: a candidate can only improve on the incumbent
-        // within `incumbent_length - 1` patterns, so the simulation window
-        // shrinks as the incumbent improves.
-        let window = match &incumbent {
-            Some((_, length, _)) => length - 1,
-            None => options.max_total_length,
-        };
-        let stimuli = session_patterns_from(block, taps, *seed, window);
-        let profile = detection_profile(block, &stimuli, &faults, jobs);
-        let detected = profile.iter().flatten().count();
-        let needed = needed_length(&profile, target_count);
-        evaluated = index + 1;
-        progress(&OptimizeProgress::CandidateEvaluated {
-            block: name,
-            candidate: index,
-            length: needed,
-            coverage: coverage_fraction(detected, total),
-        });
-        if let Some(length) = needed {
-            debug_assert!(length <= window);
-            progress(&OptimizeProgress::IncumbentImproved {
+    'search: for (first, sources) in candidates.chunks(batch.max(1)).enumerate() {
+        let batch_window = window_of(&incumbent);
+        let stimuli: Vec<Vec<Vec<bool>>> = sources
+            .iter()
+            .map(|(taps, seed)| session_patterns_from(block, taps, *seed, batch_window))
+            .collect();
+        for (offset, mut profile) in profiler(&stimuli).into_iter().enumerate() {
+            let index = first * batch.max(1) + offset;
+            let window = window_of(&incumbent);
+            for entry in &mut profile {
+                if entry.is_some_and(|i| i as usize >= window) {
+                    *entry = None;
+                }
+            }
+            let detected = profile.iter().flatten().count();
+            let needed = needed_length(&profile, target_count);
+            evaluated = index + 1;
+            progress(&OptimizeProgress::CandidateEvaluated {
                 block: name,
                 candidate: index,
-                length,
+                length: needed,
+                coverage: coverage_fraction(detected, total),
             });
-            incumbent = Some((index, length, profile));
-            if length <= 1 {
-                break; // one pattern is the minimum — nothing can improve
+            if let Some(length) = needed {
+                debug_assert!(length <= window);
+                progress(&OptimizeProgress::IncumbentImproved {
+                    block: name,
+                    candidate: index,
+                    length,
+                });
+                incumbent = Some((index, length, profile));
+                if length <= 1 {
+                    break 'search; // one pattern is the minimum — nothing can improve
+                }
+            } else if incumbent.is_none() && detected > fallback.1 {
+                fallback = (index, detected, profile);
             }
-        } else if incumbent.is_none() && detected > fallback.1 {
-            fallback = (index, detected, profile);
         }
     }
 
@@ -413,58 +470,92 @@ fn optimize_block(
     }
 }
 
-/// For each fault, the index of the first pattern that detects it (`None`
-/// when no pattern does): the PP-SFP word sweep of
-/// [`crate::simulate_faults_packed`] with the fault-dropping point recorded
-/// — the lowest set lane of the first differing word — instead of
-/// discarded.  Deterministic for any `jobs` value (faults are independent;
-/// chunk results are joined in fault-list order).
-fn detection_profile(
+/// For each of up to [`PACKED_WORDS`] candidates' stimuli (all of one
+/// length) and each fault, the index of the first pattern that detects
+/// the fault (`None` when no pattern does): one profile per candidate.
+///
+/// The candidates share every netlist sweep: word `w` of a wide group
+/// carries the current 64-pattern block of candidate `w`, so one
+/// [`Netlist::eval_packed_wide_into`] call advances all of them.  A
+/// candidate stops being tracked at its first detection (the lowest set
+/// lane of its first differing word), and a fault's sweep ends once every
+/// candidate has detected it.  Deterministic for any `jobs` value (faults
+/// are independent; chunk results are joined in fault-list order).
+fn detection_profiles(
     netlist: &Netlist,
-    patterns: &[Vec<bool>],
+    stimuli: &[Vec<Vec<bool>>],
     faults: &[StuckAtFault],
     jobs: usize,
-) -> Vec<Option<u32>> {
-    let packed = PackedPatterns::pack(netlist.num_inputs(), patterns);
-    let observed: Vec<NodeId> = netlist.outputs().to_vec();
+) -> Vec<Vec<Option<u32>>> {
+    assert!(stimuli.len() <= PACKED_WORDS, "one candidate per word");
+    let packed: Vec<PackedPatterns> = stimuli
+        .iter()
+        .map(|patterns| PackedPatterns::pack(netlist.num_inputs(), patterns))
+        .collect();
+    let blocks = packed.first().map_or(0, PackedPatterns::num_blocks);
+    // Block `b` of every candidate side by side, with its valid lanes;
+    // words past the last candidate stay zero and are masked out.
+    let inputs: Vec<Vec<WideWord>> = (0..blocks)
+        .map(|b| {
+            (0..netlist.num_inputs())
+                .map(|i| std::array::from_fn(|w| packed.get(w).map_or(0, |p| p.block(b)[i])))
+                .collect()
+        })
+        .collect();
+    let masks: Vec<WideWord> = (0..blocks)
+        .map(|b| std::array::from_fn(|w| packed.get(w).map_or(0, |p| p.lane_mask(b))))
+        .collect();
+    let observed: &[NodeId] = netlist.outputs();
 
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut good: Vec<Vec<u64>> = Vec::with_capacity(packed.num_blocks());
-    for b in 0..packed.num_blocks() {
-        netlist.eval_packed_into(packed.block(b), None, &mut scratch);
-        good.push(observed.iter().map(|&n| scratch[n]).collect());
-    }
+    let mut scratch: Vec<WideWord> = Vec::new();
+    let good: Vec<Vec<WideWord>> = inputs
+        .iter()
+        .map(|group| {
+            netlist.eval_packed_wide_into(group, None, &mut scratch);
+            observed.iter().map(|&n| scratch[n]).collect()
+        })
+        .collect();
 
     let jobs = jobs.max(1).min(faults.len().max(1));
     let chunk_len = faults.len().div_ceil(jobs).max(1);
     let chunks: Vec<&[StuckAtFault]> = faults.chunks(chunk_len).collect();
-    let profile_chunk = |chunk: &[StuckAtFault]| -> Vec<Option<u32>> {
-        let mut scratch: Vec<u64> = Vec::new();
+    let profile_chunk = |chunk: &[StuckAtFault]| -> Vec<[Option<u32>; PACKED_WORDS]> {
+        let mut scratch: Vec<WideWord> = Vec::new();
         chunk
             .iter()
             .map(|fault| {
-                for (b, good_words) in good.iter().enumerate() {
-                    netlist.eval_packed_into(
-                        packed.block(b),
+                let mut first = [None; PACKED_WORDS];
+                let mut live: WideWord =
+                    std::array::from_fn(|w| if w < stimuli.len() { u64::MAX } else { 0 });
+                for (b, (group, good_groups)) in inputs.iter().zip(&good).enumerate() {
+                    netlist.eval_packed_wide_into(
+                        group,
                         Some((fault.node, fault.stuck_at)),
                         &mut scratch,
                     );
-                    let mask = packed.lane_mask(b);
-                    let mut differing = 0u64;
-                    for (&n, &g) in observed.iter().zip(good_words) {
-                        differing |= (scratch[n] ^ g) & mask;
+                    let mut differing = [0u64; PACKED_WORDS];
+                    for (&n, g) in observed.iter().zip(good_groups) {
+                        for w in 0..PACKED_WORDS {
+                            differing[w] |= scratch[n][w] ^ g[w];
+                        }
                     }
-                    if differing != 0 {
-                        let lane = differing.trailing_zeros();
-                        return Some((b * PACKED_LANES) as u32 + lane);
+                    for w in 0..PACKED_WORDS {
+                        let hits = differing[w] & masks[b][w] & live[w];
+                        if hits != 0 {
+                            first[w] = Some((b * PACKED_LANES) as u32 + hits.trailing_zeros());
+                            live[w] = 0;
+                        }
+                    }
+                    if live == [0; PACKED_WORDS] {
+                        break;
                     }
                 }
-                None
+                first
             })
             .collect()
     };
 
-    let results: Vec<Vec<Option<u32>>> = if chunks.len() <= 1 {
+    let results: Vec<Vec<[Option<u32>; PACKED_WORDS]>> = if chunks.len() <= 1 {
         chunks.iter().map(|c| profile_chunk(c)).collect()
     } else {
         std::thread::scope(|scope| {
@@ -478,7 +569,52 @@ fn detection_profile(
                 .collect()
         })
     };
-    results.into_iter().flatten().collect()
+    let per_fault: Vec<[Option<u32>; PACKED_WORDS]> = results.into_iter().flatten().collect();
+    (0..stimuli.len())
+        .map(|w| per_fault.iter().map(|first| first[w]).collect())
+        .collect()
+}
+
+/// For each fault, the index of the first pattern that detects it: the
+/// one-candidate 64-lane sweep the batched [`detection_profiles`] replaced,
+/// kept as its reference.
+#[cfg(test)]
+fn detection_profile(
+    netlist: &Netlist,
+    patterns: &[Vec<bool>],
+    faults: &[StuckAtFault],
+) -> Vec<Option<u32>> {
+    let packed = PackedPatterns::pack(netlist.num_inputs(), patterns);
+    let observed: Vec<NodeId> = netlist.outputs().to_vec();
+
+    let mut scratch: Vec<u64> = Vec::new();
+    let mut good: Vec<Vec<u64>> = Vec::with_capacity(packed.num_blocks());
+    for b in 0..packed.num_blocks() {
+        netlist.eval_packed_into(packed.block(b), None, &mut scratch);
+        good.push(observed.iter().map(|&n| scratch[n]).collect());
+    }
+    faults
+        .iter()
+        .map(|fault| {
+            for (b, good_words) in good.iter().enumerate() {
+                netlist.eval_packed_into(
+                    packed.block(b),
+                    Some((fault.node, fault.stuck_at)),
+                    &mut scratch,
+                );
+                let mask = packed.lane_mask(b);
+                let mut differing = 0u64;
+                for (&n, &g) in observed.iter().zip(good_words) {
+                    differing |= (scratch[n] ^ g) & mask;
+                }
+                if differing != 0 {
+                    let lane = differing.trailing_zeros();
+                    return Some((b * PACKED_LANES) as u32 + lane);
+                }
+            }
+            None
+        })
+        .collect()
 }
 
 /// The minimal session length whose pattern prefix detects at least
@@ -594,9 +730,12 @@ mod tests {
         let block = &pipeline.c1.netlist;
         let faults = fault_list(block);
         let stimuli = crate::session_patterns(block, 12);
-        let profile = detection_profile(block, &stimuli, &faults, 1);
-        for jobs in [2, 5, 64] {
-            assert_eq!(profile, detection_profile(block, &stimuli, &faults, jobs));
+        let profile = detection_profile(block, &stimuli, &faults);
+        for jobs in [1, 2, 5, 64] {
+            assert_eq!(
+                vec![profile.clone()],
+                detection_profiles(block, std::slice::from_ref(&stimuli), &faults, jobs)
+            );
         }
         // A fault's first-detection index is the shortest prefix whose
         // scalar simulation detects it.
@@ -737,40 +876,18 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::test_support::arb_cover;
     use proptest::prelude::*;
-    use stc_logic::{Cover, Cube, Literal, SynthesizedBlock};
-
-    fn arb_cover(num_vars: usize, max_cubes: usize) -> impl Strategy<Value = Cover> {
-        proptest::collection::vec(proptest::collection::vec(0u8..3, num_vars), 0..=max_cubes)
-            .prop_map(move |cubes| {
-                Cover::from_cubes(
-                    num_vars,
-                    cubes
-                        .into_iter()
-                        .map(|lits| {
-                            Cube::from_literals(
-                                lits.into_iter()
-                                    .map(|l| match l {
-                                        0 => Literal::Zero,
-                                        1 => Literal::One,
-                                        _ => Literal::DontCare,
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-    }
+    use stc_logic::{Cover, SynthesizedBlock};
 
     /// A pipeline with two independent random blocks — the shape
     /// [`optimize_plan`] consumes; the output block and register widths are
     /// irrelevant to the per-block search.
-    fn pipeline_of(c1: Vec<Cover>, c2: Vec<Cover>) -> PipelineLogic {
+    fn pipeline_of(num_inputs: usize, c1: Vec<Cover>, c2: Vec<Cover>) -> PipelineLogic {
         let block = |name: &str, covers: Vec<Cover>| SynthesizedBlock {
             name: name.to_string(),
-            num_inputs: 4,
-            netlist: stc_logic::Netlist::from_covers(4, &covers),
+            num_inputs,
+            netlist: stc_logic::Netlist::from_covers(num_inputs, &covers),
             covers,
         };
         PipelineLogic {
@@ -800,7 +917,7 @@ mod proptests {
             max_total_length in 1usize..40,
             jobs in 1usize..4,
         ) {
-            let pipeline = pipeline_of(c1, c2);
+            let pipeline = pipeline_of(4, c1, c2);
             let options = OptimizeOptions { target, max_candidates, max_total_length };
             let plan = optimize_plan(&pipeline, &options, jobs);
             let measured = measure_optimized_plan(&pipeline, &plan, 1);
@@ -828,6 +945,50 @@ mod proptests {
                 }
             }
             prop_assert_eq!(plan.total_length(), plan.session1.length + plan.session2.length);
+        }
+
+        /// Batching is invisible: the candidate-batched search returns the
+        /// same plan and emits the same progress events as the
+        /// one-candidate-at-a-time search over the reference profile.
+        #[test]
+        fn batched_search_equals_the_one_candidate_reference(
+            (num_inputs, c1, c2) in (3usize..=8).prop_flat_map(|n| (
+                Just(n),
+                proptest::collection::vec(arb_cover(n, 3), 1..=3),
+                proptest::collection::vec(arb_cover(n, 3), 1..=3),
+            )),
+            target in (3u32..=10).prop_map(|tenths| f64::from(tenths) / 10.0),
+            max_candidates in 1usize..=17,
+            max_total_length in 1usize..300,
+            jobs in 1usize..=4,
+        ) {
+            let pipeline = pipeline_of(num_inputs, c1, c2);
+            let options = OptimizeOptions { target, max_candidates, max_total_length };
+            let mut batched_events = Vec::new();
+            let batched = optimize_plan_with(&pipeline, &options, jobs, &mut |p| {
+                batched_events.push(format!("{p:?}"));
+            });
+            let mut reference_events = Vec::new();
+            let mut session = |name: &str, block: &Netlist| {
+                let faults = fault_list(block);
+                search_block(
+                    name,
+                    block,
+                    &faults,
+                    &options,
+                    1,
+                    &mut |stimuli| vec![detection_profile(block, &stimuli[0], &faults)],
+                    &mut |p| reference_events.push(format!("{p:?}")),
+                )
+            };
+            let reference = PlanOptimization {
+                session1: session("C1", &pipeline.c1.netlist),
+                session2: session("C2", &pipeline.c2.netlist),
+                target,
+                max_total_length,
+            };
+            prop_assert_eq!(batched, reference);
+            prop_assert_eq!(batched_events, reference_events);
         }
     }
 }

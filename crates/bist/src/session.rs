@@ -7,12 +7,30 @@
 //! bypass mode is needed, and all lines between the registers and the blocks
 //! are exercised — the structural argument of the paper for complete fault
 //! coverage.
+//!
+//! # Simulation
+//!
+//! The analysing register starts at zero and its signature-analysis step is
+//! linear over GF(2), so the final signature is the XOR, over every set
+//! response bit, of that bit's *impulse response*: the signature a lone 1 on
+//! output `i` at pattern `k` leaves after the remaining patterns.  A session
+//! tabulates the register's impulse responses for up to one 64-pattern
+//! block of clocks once, evaluates the good and each faulty block
+//! bit-parallel over the packed [`session_patterns`] stimuli, and folds the
+//! responses block by block: the signature so far advances by one block,
+//! and each set response bit adds one table entry.  A fault's signature is
+//! the good one XOR the signature of its error stream (good ⊕ faulty
+//! responses), so a fault is detected exactly when that error signature is
+//! non-zero — aliasing stays exact, and a fault with an all-zero error
+//! stream never touches the table.  The scalar per-pattern MISR model
+//! ([`pipeline_self_test_scalar`]) is kept as the reference the packed
+//! session is property-tested against.
 
 use crate::bilbo::{Bilbo, BilboMode};
-use crate::fault::fault_list;
+use crate::fault::{fault_list, PackedPatterns};
 use crate::lfsr::Lfsr;
 use serde::{Deserialize, Serialize};
-use stc_logic::{Netlist, PipelineLogic};
+use stc_logic::{Netlist, NodeId, PipelineLogic, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// The result of one self-test session (one block under test).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,22 +82,55 @@ impl SelfTestResult {
 /// Faults are detected by signature comparison: a fault counts as detected if
 /// the signature collected in the analysing register differs from the
 /// fault-free signature (so aliasing, while astronomically unlikely, is
-/// modelled faithfully).
+/// modelled faithfully).  The sessions are simulated bit-parallel and exactly
+/// (see the module docs); the result equals the scalar per-pattern model bit
+/// for bit.
 #[must_use]
 pub fn pipeline_self_test(pipeline: &PipelineLogic, patterns_per_session: usize) -> SelfTestResult {
-    let session1 = run_session(
-        "C1",
-        &pipeline.c1.netlist,
-        pipeline.r2_bits,
-        patterns_per_session,
-    );
-    let session2 = run_session(
-        "C2",
-        &pipeline.c2.netlist,
-        pipeline.r1_bits,
-        patterns_per_session,
-    );
-    SelfTestResult { session1, session2 }
+    self_test_with(pipeline, patterns_per_session, run_session)
+}
+
+/// The scalar reference of [`pipeline_self_test`]: every (fault, pattern)
+/// pair is evaluated with [`Netlist::evaluate_with_fault`] and clocked into
+/// a [`Bilbo`] one pattern at a time.  Kept as the specification the packed
+/// session is property-tested against, and for the `fault_sim/session/*`
+/// bench pair.
+#[doc(hidden)]
+#[must_use]
+pub fn pipeline_self_test_scalar(
+    pipeline: &PipelineLogic,
+    patterns_per_session: usize,
+) -> SelfTestResult {
+    self_test_with(pipeline, patterns_per_session, run_session_scalar)
+}
+
+/// A session simulator: `(block name, block, analyser width, patterns)`.
+type SessionFn = fn(&str, &Netlist, u32, usize) -> SessionResult;
+
+fn self_test_with(pipeline: &PipelineLogic, patterns: usize, session: SessionFn) -> SelfTestResult {
+    SelfTestResult {
+        session1: session(
+            "C1",
+            &pipeline.c1.netlist,
+            analyser_width(pipeline.r2_bits),
+            patterns,
+        ),
+        session2: session(
+            "C2",
+            &pipeline.c2.netlist,
+            analyser_width(pipeline.r1_bits),
+            patterns,
+        ),
+    }
+}
+
+/// The width of the analysing register of a session whose receiving state
+/// register has `ana_bits` bits.  The analyser comprises that register plus
+/// the output-observation stages; it is modelled as at least 16 bits so the
+/// aliasing probability (~2^-width) is negligible, as it is in real BIST
+/// hardware, and at most 24 (the tabulated polynomials).
+fn analyser_width(ana_bits: u32) -> u32 {
+    ana_bits.max(16).clamp(1, 24)
 }
 
 /// The pattern sequence a self-test session applies to a block under test,
@@ -157,14 +208,182 @@ pub fn session_patterns_from(
         .collect()
 }
 
-/// Runs one session: the analysing register spans `ana_bits`, and the block
-/// under test is driven across its whole input cone by the
-/// [`session_patterns`] stimuli.
-fn run_session(name: &str, block: &Netlist, ana_bits: u32, patterns: usize) -> SessionResult {
-    // The analysing register comprises the receiving state register plus the
-    // output-observation stages; model it as at least 16 bits so the aliasing
-    // probability (~2^-width) is negligible, as it is in real BIST hardware.
-    let ana_width = ana_bits.max(16).clamp(1, 24);
+/// Runs one session bit-parallel: the block under test is driven across
+/// its whole input cone by the [`session_patterns`] stimuli and its
+/// responses are compacted by a `ana_width`-bit analyser starting at zero.
+///
+/// Output `i` feeds analyser bit `ana_width - 1 - i`; outputs beyond the
+/// analyser width are not observed (the scalar model truncates them).  By
+/// linearity the signature is the XOR of the impulse responses of the set
+/// response bits, and a fault's signature differs from the good one exactly
+/// when the signature of its error stream is non-zero.
+fn run_session(name: &str, block: &Netlist, ana_width: u32, patterns: usize) -> SessionResult {
+    let stimuli = PackedPatterns::pack(block.num_inputs(), &session_patterns(block, patterns));
+    let observed = &block.outputs()[..block.num_outputs().min(ana_width as usize)];
+    let impulses = Impulses::new(ana_width, patterns.min(PACKED_LANES));
+    let mut responses = SessionResponses::new(block, &stimuli, observed);
+
+    let good = responses.eval(None).to_vec();
+    let good_signature = impulses.signature_of(&good, patterns);
+    let faults = fault_list(block);
+    let detected = faults
+        .iter()
+        .filter(|f| {
+            let error = responses.eval(Some((f.node, f.stuck_at)));
+            let mut any = false;
+            for (e, g) in error.iter_mut().zip(&good) {
+                *e ^= g;
+                any |= *e != 0;
+            }
+            // An all-zero error stream never touches the analyser.
+            any && impulses.signature_of(error, patterns) != 0
+        })
+        .count();
+    SessionResult {
+        block: name.to_string(),
+        patterns,
+        good_signature,
+        total_faults: faults.len(),
+        detected_faults: detected,
+    }
+}
+
+/// Impulse responses of the analysing register: `after(d, bit)` is the
+/// contents a lone 1 absorbed into `bit` leaves `d` zero-input clocks later,
+/// for `d` up to one block of [`PACKED_LANES`].  Linearity turns these into
+/// the signature of any packed response stream (see
+/// [`Impulses::signature_of`]); the table is at most `65 × width` words
+/// whatever the session length.
+struct Impulses {
+    width: usize,
+    table: Vec<u64>,
+}
+
+impl Impulses {
+    fn new(width: u32, max_clocks: usize) -> Self {
+        let width = width as usize;
+        let mut table = vec![0u64; (max_clocks + 1) * width];
+        for bit in 0..width {
+            let mut analyser = Bilbo::new(width as u32, 1 << bit);
+            for d in 0..=max_clocks {
+                table[d * width + bit] = analyser.contents_word();
+                analyser.absorb_word(0);
+            }
+        }
+        Self { width, table }
+    }
+
+    fn after(&self, d: usize, bit: usize) -> u64 {
+        self.table[d * self.width + bit]
+    }
+
+    /// `state` advanced by `d` zero-input clocks: the XOR of the impulse
+    /// responses of its set bits.
+    fn advance(&self, state: u64, d: usize) -> u64 {
+        let mut bits = state;
+        let mut out = 0;
+        while bits != 0 {
+            out ^= self.after(d, bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+        out
+    }
+
+    /// The signature of a packed response stream of `patterns` patterns
+    /// (`words[i * blocks + b]`: output `i`, pattern block `b`, unused lanes
+    /// zero), block by block: the signature so far advances by the block's
+    /// lane count, and each set bit at lane `j` of a block with `n` lanes
+    /// adds the impulse response of output `i`'s bit after `n - 1 - j`
+    /// clocks.
+    fn signature_of(&self, words: &[u64], patterns: usize) -> u64 {
+        let blocks = patterns.div_ceil(PACKED_LANES);
+        let mut signature = 0;
+        for b in 0..blocks {
+            let lanes = (patterns - b * PACKED_LANES).min(PACKED_LANES);
+            signature = self.advance(signature, lanes);
+            for (i, row) in words.chunks(blocks).enumerate() {
+                let bit = self.width - 1 - i;
+                let mut set = row[b];
+                while set != 0 {
+                    signature ^= self.after(lanes - 1 - set.trailing_zeros() as usize, bit);
+                    set &= set - 1;
+                }
+            }
+        }
+        signature
+    }
+}
+
+/// Packed evaluation of a session's observed outputs over its stimuli,
+/// with reusable scratch.  A single-block session uses the narrow 64-lane
+/// kernel (a wide superblock would be three quarters padding); longer
+/// sessions use [`PACKED_WORDS`]-wide superblocks.
+struct SessionResponses<'a> {
+    block: &'a Netlist,
+    stimuli: &'a PackedPatterns,
+    observed: &'a [NodeId],
+    wide_inputs: Vec<Vec<WideWord>>,
+    narrow: Vec<u64>,
+    wide: Vec<WideWord>,
+    /// `out[i * blocks + b]`: output `i`, pattern block `b`, lane-masked.
+    out: Vec<u64>,
+}
+
+impl<'a> SessionResponses<'a> {
+    fn new(block: &'a Netlist, stimuli: &'a PackedPatterns, observed: &'a [NodeId]) -> Self {
+        let wide_inputs = if stimuli.num_blocks() > 1 {
+            (0..stimuli.num_superblocks())
+                .map(|s| stimuli.wide_block(s))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            block,
+            stimuli,
+            observed,
+            wide_inputs,
+            narrow: Vec::new(),
+            wide: Vec::new(),
+            out: vec![0; observed.len() * stimuli.num_blocks()],
+        }
+    }
+
+    fn eval(&mut self, fault: Option<(NodeId, bool)>) -> &mut [u64] {
+        let blocks = self.stimuli.num_blocks();
+        if blocks == 1 {
+            self.block
+                .eval_packed_into(self.stimuli.block(0), fault, &mut self.narrow);
+            let mask = self.stimuli.lane_mask(0);
+            for (slot, &n) in self.out.iter_mut().zip(self.observed) {
+                *slot = self.narrow[n] & mask;
+            }
+        } else {
+            for (s, inputs) in self.wide_inputs.iter().enumerate() {
+                self.block
+                    .eval_packed_wide_into(inputs, fault, &mut self.wide);
+                for (i, &n) in self.observed.iter().enumerate() {
+                    for (w, &word) in self.wide[n].iter().enumerate() {
+                        let b = s * PACKED_WORDS + w;
+                        if b < blocks {
+                            self.out[i * blocks + b] = word & self.stimuli.lane_mask(b);
+                        }
+                    }
+                }
+            }
+        }
+        &mut self.out
+    }
+}
+
+/// The scalar reference session: one [`Netlist::evaluate_with_fault`] per
+/// (fault, pattern) pair, clocked into a [`Bilbo`] pattern by pattern.
+fn run_session_scalar(
+    name: &str,
+    block: &Netlist,
+    ana_width: u32,
+    patterns: usize,
+) -> SessionResult {
     let stimuli = session_patterns(block, patterns);
 
     let signature_of = |fault: Option<(usize, bool)>| -> u64 {
@@ -272,5 +491,81 @@ mod tests {
         let b = pipeline_self_test(&pipeline, 32);
         assert_eq!(a.session1.good_signature, b.session1.good_signature);
         assert_eq!(a.session2.good_signature, b.session2.good_signature);
+    }
+
+    #[test]
+    fn packed_sessions_equal_the_scalar_reference_on_the_example() {
+        let pipeline = example_pipeline();
+        for patterns in [0, 1, 3, 64, 65, 200, 256] {
+            assert_eq!(
+                pipeline_self_test(&pipeline, patterns),
+                pipeline_self_test_scalar(&pipeline, patterns),
+                "{patterns} patterns"
+            );
+        }
+    }
+
+    #[test]
+    fn impulse_signatures_reproduce_clocked_signatures() {
+        // A lone 1 on output `i` at pattern `k` of a 70-pattern stream (a
+        // full block and a partial one), against the clocked analyser.
+        let (width, patterns) = (5u32, 70);
+        let impulses = Impulses::new(width, 64);
+        assert_eq!(impulses.after(0, 4), 0b10000);
+        assert_eq!(impulses.after(0, 3), 0b01000);
+        assert_eq!(impulses.after(1, 3), 0b10000);
+        for i in 0..2 {
+            for k in [0, 1, 63, 64, 69] {
+                let mut words = vec![0u64; 2 * 2];
+                words[i * 2 + k / 64] = 1 << (k % 64);
+                let mut analyser = Bilbo::new(width, 0);
+                analyser.set_mode(BilboMode::SignatureAnalysis);
+                for pattern in 0..patterns {
+                    let mut input = vec![false; width as usize];
+                    input[i] = pattern == k;
+                    analyser.clock(&input);
+                }
+                assert_eq!(
+                    impulses.signature_of(&words, patterns),
+                    analyser.contents_word(),
+                    "output {i} pattern {k}"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::test_support::arb_cover;
+    use proptest::prelude::*;
+
+    /// Pattern counts around the 64-lane block and 256-lane superblock
+    /// boundaries, plus the empty session.
+    const PATTERN_COUNTS: [usize; 8] = [0, 1, 63, 64, 65, 257, 300, 513];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The packed session is exact: same good signature and same
+        /// detected count as the scalar per-pattern MISR model, for every
+        /// analyser width, including blocks with more outputs than the
+        /// analyser observes.
+        #[test]
+        fn packed_session_equals_the_scalar_reference_on_random_netlists(
+            (num_inputs, covers) in (1usize..=5).prop_flat_map(|n| {
+                (Just(n), proptest::collection::vec(arb_cover(n, 3), 1..=28))
+            }),
+            ana_width in 1u32..=24,
+            pattern_index in 0usize..PATTERN_COUNTS.len(),
+        ) {
+            let block = Netlist::from_covers(num_inputs, &covers);
+            let patterns = PATTERN_COUNTS[pattern_index];
+            prop_assert_eq!(
+                run_session("C1", &block, ana_width, patterns),
+                run_session_scalar("C1", &block, ana_width, patterns)
+            );
+        }
     }
 }

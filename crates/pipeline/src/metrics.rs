@@ -24,13 +24,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The stage names aggregated by [`ServeMetrics`], in flow order.
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 8] = [
     stage_names::SOLVE,
     stage_names::ENCODE,
     stage_names::LOGIC,
     stage_names::BIST,
     stage_names::COVERAGE,
+    stage_names::OPTIMIZE,
     stage_names::ANALYZE,
+    stage_names::EMIT,
 ];
 
 #[derive(Debug, Default)]
@@ -58,7 +60,7 @@ pub struct ServeMetrics {
     connections_rejected: AtomicU64,
     request_count: AtomicU64,
     request_total_ns: AtomicU64,
-    stages: [StageCounter; 6],
+    stages: [StageCounter; STAGES.len()],
 }
 
 impl ServeMetrics {
@@ -428,6 +430,27 @@ mod tests {
             Some(0)
         );
         assert!(!timer.should_cancel());
+    }
+
+    #[test]
+    fn every_flow_stage_is_counted_in_flow_order() {
+        let metrics = ServeMetrics::shared();
+        for stage in [stage_names::OPTIMIZE, stage_names::EMIT, stage_names::EMIT] {
+            metrics.stage_finished(stage, 3_000_000);
+        }
+        let snapshot = metrics.snapshot(None);
+        let Some(Json::Object(stages)) = snapshot.get("stages") else {
+            panic!("stages is an object");
+        };
+        let names: Vec<&str> = stages.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["solve", "encode", "logic", "bist", "coverage", "optimize", "analyze", "emit"]
+        );
+        let stage = |name: &str| snapshot.get("stages").unwrap().get(name).unwrap();
+        assert_eq!(stage("optimize").get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(stage("emit").get("count").unwrap().as_u64(), Some(2));
+        assert_eq!(stage("emit").get("mean_ms").unwrap().as_f64(), Some(3.0));
     }
 
     #[test]
