@@ -112,7 +112,11 @@ fn narrow_packed(
                 &mut scratch,
             );
             let mask = packed.lane_mask(b);
-            if observed.iter().zip(gw).any(|(&n, &g)| (scratch[n] ^ g) & mask != 0) {
+            if observed
+                .iter()
+                .zip(gw)
+                .any(|(&n, &g)| (scratch[n] ^ g) & mask != 0)
+            {
                 detected += 1;
                 continue 'faults;
             }
@@ -164,15 +168,27 @@ fn fault_scale(c: &mut Criterion) {
             "{}: fault-stride workers changed the report",
             tier.name
         );
-        group.bench_with_input(BenchmarkId::new("packed_narrow", tier.name), &netlist, |b, n| {
-            b.iter(|| narrow_packed(n, &patterns, &faults));
-        });
-        group.bench_with_input(BenchmarkId::new("packed_wide", tier.name), &netlist, |b, n| {
-            b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 1));
-        });
-        group.bench_with_input(BenchmarkId::new("packed_ws4", tier.name), &netlist, |b, n| {
-            b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 4));
-        });
+        group.bench_with_input(
+            BenchmarkId::new("packed_narrow", tier.name),
+            &netlist,
+            |b, n| {
+                b.iter(|| narrow_packed(n, &patterns, &faults));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("packed_wide", tier.name),
+            &netlist,
+            |b, n| {
+                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 1));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("packed_ws4", tier.name),
+            &netlist,
+            |b, n| {
+                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 4));
+            },
+        );
     }
     group.finish();
 }

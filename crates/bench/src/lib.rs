@@ -17,7 +17,6 @@
 
 pub mod scale;
 
-use serde::Serialize;
 use stc_bist::{evaluate_architectures, ArchitectureOptions, ArchitectureReport};
 use stc_fsm::benchmarks::{Benchmark, PaperTable1Row, PaperTable2Row};
 use stc_fsm::ceil_log2;
@@ -26,7 +25,7 @@ use std::time::Duration;
 
 /// The result of running the OSTR solver on one benchmark machine, together
 /// with the paper-reported reference values.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OstrExperiment {
     /// Benchmark name.
     pub name: String,
@@ -172,7 +171,7 @@ pub fn format_table2(rows: &[OstrExperiment]) -> String {
 }
 
 /// One row of the architecture comparison (Figs. 1–4) for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchitectureExperiment {
     /// Benchmark name.
     pub name: String,

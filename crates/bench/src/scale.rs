@@ -198,7 +198,11 @@ mod tests {
             .collect();
         assert_eq!(
             shapes,
-            vec![("scale_s", 107, 33), ("scale_m", 109, 35), ("scale_l", 92, 57)]
+            vec![
+                ("scale_s", 107, 33),
+                ("scale_m", 109, 35),
+                ("scale_l", 92, 57)
+            ]
         );
     }
 

@@ -3,14 +3,13 @@
 
 use crate::coverage::coverage_fraction;
 use crate::fault::{fault_list, lfsr_patterns, simulate_faults_packed, StuckAtFault};
-use serde::{Deserialize, Serialize};
 use stc_encoding::{EncodedMachine, EncodedPipeline, EncodingStrategy};
 use stc_fsm::Mealy;
 use stc_logic::{synthesize_controller, synthesize_pipeline, Gate, Netlist, SynthOptions};
 use stc_synth::{OstrSolver, Realization, SolverConfig};
 
 /// The controller structures compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Fig. 1: conventional synthesis, no self-test hardware.
     Conventional,
@@ -48,7 +47,7 @@ impl Architecture {
 }
 
 /// Quantitative comparison data for one architecture on one machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureReport {
     /// Which architecture the row describes.
     pub architecture: Architecture,
@@ -70,7 +69,7 @@ pub struct ArchitectureReport {
 }
 
 /// Options for the architecture evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchitectureOptions {
     /// Number of pseudo-random patterns applied per self-test session.
     pub patterns_per_session: usize,

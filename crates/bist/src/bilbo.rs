@@ -10,10 +10,9 @@
 //! paper's arguments for the structure.
 
 use crate::lfsr::{width_mask, PRIMITIVE_TAPS};
-use serde::{Deserialize, Serialize};
 
 /// Operating mode of a [`Bilbo`] register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BilboMode {
     /// Plain parallel-load system register.
     System,
@@ -44,7 +43,7 @@ pub enum BilboMode {
 /// let loaded = reg.clock(&[true, false, false, true]);
 /// assert_eq!(loaded, vec![true, false, false, true]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bilbo {
     width: u32,
     taps: Vec<u32>,

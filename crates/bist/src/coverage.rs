@@ -20,11 +20,10 @@
 
 use crate::fault::{fault_list, simulate_faults_packed, FaultSimReport, StuckAtFault};
 use crate::session::session_patterns;
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, PipelineLogic};
 
 /// Exact coverage of one self-test session (one block under test).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockCoverage {
     /// Name of the block under test (`C1` or `C2`).
     pub block: String,
@@ -58,7 +57,7 @@ impl BlockCoverage {
 }
 
 /// Exact single-stuck-at coverage of the complete two-session plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCoverage {
     /// Session 1: `C1` under test.
     pub session1: BlockCoverage,

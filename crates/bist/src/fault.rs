@@ -19,11 +19,10 @@
 //!   shorter than [`MIN_PARALLEL_FAULTS`] run serially regardless of the
 //!   requested job count — thread spawn/join overhead dominates such lists.
 
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, NodeId, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// A single stuck-at fault: one netlist node permanently forced to a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StuckAtFault {
     /// The faulty node.
     pub node: NodeId,
@@ -68,7 +67,7 @@ pub fn fault_list(netlist: &Netlist) -> Vec<StuckAtFault> {
 }
 
 /// The result of simulating a pattern set against a fault list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSimReport {
     /// Total number of faults simulated.
     pub total_faults: usize,
@@ -287,7 +286,7 @@ pub fn effective_fault_jobs(fault_count: usize, jobs: usize) -> usize {
 /// across workers instead of clustering in one contiguous chunk.  Faults
 /// are independent of each other and undetected faults are merged back in
 /// fault-list order, so the report is byte-identical for any worker count.
-/// The worker count actually used is [`effective_fault_jobs`]`(faults.len(),
+/// The worker count actually used is `effective_fault_jobs(faults.len(),
 /// jobs)`: short fault lists fall back to serial.
 ///
 /// # Panics

@@ -1,8 +1,6 @@
 //! Linear feedback shift registers (LFSRs) for pseudo-random test-pattern
 //! generation.
 
-use serde::{Deserialize, Serialize};
-
 /// Primitive polynomial feedback taps for LFSR widths 1..=24.
 ///
 /// Entry `PRIMITIVE_TAPS[w]` lists the tap positions (1-based, as in the usual
@@ -66,7 +64,7 @@ pub fn width_mask(width: u32) -> u64 {
 /// assert_eq!(lfsr.state(), first, "period of a primitive degree-4 LFSR is 15");
 /// assert_eq!(patterns.iter().collect::<std::collections::HashSet<_>>().len(), 15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
     width: u32,
     taps: Vec<u32>,

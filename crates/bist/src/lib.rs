@@ -47,12 +47,8 @@ mod lfsr;
 mod misr;
 mod optimize;
 mod session;
-mod stage;
 #[cfg(test)]
 mod test_support;
-
-#[allow(deprecated)]
-pub use stage::BistStage;
 
 pub use architecture::{
     evaluate_architectures, Architecture, ArchitectureOptions, ArchitectureReport,

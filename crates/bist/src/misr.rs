@@ -1,7 +1,6 @@
 //! Multiple-input signature registers (MISRs) for test-response compaction.
 
 use crate::lfsr::{width_mask, PRIMITIVE_TAPS};
-use serde::{Deserialize, Serialize};
 
 /// A multiple-input signature register.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_ne!(good.signature(), faulty.signature());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Misr {
     width: u32,
     taps: Vec<u32>,

@@ -54,7 +54,6 @@ use crate::coverage::{coverage_fraction, BlockCoverage, PlanCoverage};
 use crate::fault::{fault_list, simulate_faults_packed, PackedPatterns, StuckAtFault};
 use crate::lfsr::{reciprocal_taps, PRIMITIVE_TAPS};
 use crate::session::{session_patterns_from, session_source_width};
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, NodeId, PipelineLogic, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// Tuning of one plan-optimization run.
@@ -82,7 +81,7 @@ impl Default for OptimizeOptions {
 }
 
 /// The optimized test of one session (one block under test).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptimization {
     /// Name of the block under test (`C1` or `C2`).
     pub block: String,
@@ -115,7 +114,7 @@ impl SessionOptimization {
 }
 
 /// The outcome of optimizing the complete two-session plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanOptimization {
     /// Session 1: `C1` under test.
     pub session1: SessionOptimization,

@@ -29,11 +29,10 @@
 use crate::bilbo::{Bilbo, BilboMode};
 use crate::fault::{fault_list, PackedPatterns};
 use crate::lfsr::Lfsr;
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, NodeId, PipelineLogic, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// The result of one self-test session (one block under test).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionResult {
     /// Name of the block under test (`C1` or `C2`).
     pub block: String,
@@ -57,7 +56,7 @@ impl SessionResult {
 }
 
 /// The result of the complete two-session self-test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelfTestResult {
     /// Session 1: `R1` generates, `R2` analyses, `C1` is tested.
     pub session1: SessionResult,

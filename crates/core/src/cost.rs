@@ -11,7 +11,6 @@
 //! [`Cost`] captures this lexicographic objective exactly, using integer
 //! cross-multiplication for the balance term so no floating point is involved.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -42,7 +41,7 @@ fn ceil_log2(x: usize) -> u32 {
 /// // Equal bit totals are ranked by balance.
 /// assert!(Cost::new(4, 4) < Cost::new(8, 2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cost {
     s1: usize,
     s2: usize,

@@ -627,7 +627,14 @@ fn search_child_segment(
             }
         }
         stats.nodes = 1;
-        let meets = eval_candidate(p, &tail[0], &mut ws.scratch, &mut ws.best, &mut stats, &mut lb_hit);
+        let meets = eval_candidate(
+            p,
+            &tail[0],
+            &mut ws.scratch,
+            &mut ws.best,
+            &mut stats,
+            &mut lb_hit,
+        );
         if cfg.lemma1_pruning && !meets {
             stats.pruned += 1;
             break 'segment;
@@ -951,7 +958,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Pops the next task: own deque front first, then up to `jobs` random
 /// steal attempts from victims' backs.
 fn next_task(st: &StealState<'_, '_>, me: usize, rng: &mut u64) -> Option<Task> {
-    if let Some(t) = st.deques[me].lock().expect("no panics under lock").pop_front() {
+    if let Some(t) = st.deques[me]
+        .lock()
+        .expect("no panics under lock")
+        .pop_front()
+    {
         return Some(t);
     }
     let n = st.deques.len();
@@ -976,11 +987,10 @@ fn next_task(st: &StealState<'_, '_>, me: usize, rng: &mut u64) -> Option<Task> 
 fn worker(st: &StealState<'_, '_>, me: usize) {
     let total = st.p.basis.len();
     let mut ws = Workspace::new(st.p.n);
-    let mut rng = st
-        .p
-        .config
-        .steal_seed
-        .wrapping_add((me as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+    let mut rng =
+        st.p.config
+            .steal_seed
+            .wrapping_add((me as u64).wrapping_mul(0xa076_1d64_78bd_642f));
     let mut idle = false;
     while st.tops_done.load(Ordering::Acquire) < total {
         let Some(task) = next_task(st, me, &mut rng) else {
@@ -1114,8 +1124,8 @@ fn cooperative_subtree(
                 && p.basis.len() - k1 >= MIN_SPLIT_CHILDREN
                 && st.idle.load(Ordering::Relaxed) > 0
             {
-                let created = st.boards[k0]
-                    .get_or_init(|| Board::new(k1, p.basis.len() - k1, entry));
+                let created =
+                    st.boards[k0].get_or_init(|| Board::new(k1, p.basis.len() - k1, entry));
                 {
                     let mut dq = st.deques[me].lock().expect("no panics under lock");
                     for c in k1..p.basis.len() {

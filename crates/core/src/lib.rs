@@ -43,7 +43,6 @@ mod naive;
 mod observe;
 mod realization;
 mod solver;
-mod stage;
 
 pub use cost::Cost;
 pub use error::SynthError;
@@ -53,9 +52,6 @@ pub use realization::{FactorTables, Realization, RealizationViolation};
 pub use solver::{
     solve, OstrOutcome, OstrSolution, OstrSolver, PreparedOstr, SearchStats, SolverConfig,
 };
-#[allow(deprecated)]
-pub use stage::SolveStage;
-pub use stage::Solved;
 
 #[cfg(test)]
 mod proptests;

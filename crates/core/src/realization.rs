@@ -2,7 +2,6 @@
 //! pipeline realization.
 
 use crate::error::SynthError;
-use serde::{Deserialize, Serialize};
 use stc_fsm::{state_equivalence, Mealy};
 use stc_partition::{is_symmetric_pair, Partition};
 
@@ -13,7 +12,7 @@ use stc_partition::{is_symmetric_pair, Partition};
 /// The output table stores `None` for product states `(B1, B2)` whose blocks
 /// have an empty intersection; the output there is arbitrary (the paper's
 /// `o*`) and such product states are unreachable images of original states.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorTables {
     /// `delta1[b1][i]` — the τ-block reached from π-block `b1` under input `i`.
     pub delta1: Vec<Vec<usize>>,
@@ -57,7 +56,7 @@ impl FactorTables {
 /// A self-testable realization `M*` of a machine `M`, produced by the
 /// Theorem 1 construction from a symmetric partition pair `(π, τ)` with
 /// `π ∩ τ ⊆ ε`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Realization {
     /// The first partition `π` (defines `S1 = S/π`).
     pub pi: Partition,
@@ -245,7 +244,7 @@ impl Realization {
 }
 
 /// A violation found by [`Realization::verify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RealizationViolation {
     /// `δ*(α(s), i) ≠ α(δ(s, i))`.
     Transition {

@@ -25,13 +25,12 @@ use crate::cost::Cost;
 use crate::engine;
 use crate::observe::{NullSearchObserver, SearchObserver};
 use crate::realization::Realization;
-use serde::{Deserialize, Serialize};
 use stc_fsm::{state_equivalence, Mealy};
 use stc_partition::{symmetric_basis, Partition};
 use std::time::{Duration, Instant};
 
 /// Configuration of the OSTR search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Maximum number of search-tree nodes to investigate before giving up
     /// and returning the best solution found so far (the paper's time limit
@@ -89,7 +88,7 @@ impl Default for SolverConfig {
 }
 
 /// Statistics gathered during the search (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Size of the basis `|𝔐|`; the full search tree has `2^|𝔐|` nodes.
     pub basis_size: usize,
@@ -126,7 +125,7 @@ impl SearchStats {
 
 /// A solution of problem OSTR: a symmetric partition pair with
 /// `π ∩ τ ⊆ ε`, its cost, and the Theorem 1 realization built from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OstrSolution {
     /// The first partition `π` (`S1 = S/π`).
     pub pi: Partition,
@@ -151,7 +150,7 @@ impl OstrSolution {
 }
 
 /// The result of an OSTR search: the best solution found plus statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OstrOutcome {
     /// The best (lowest-cost) solution found.  Always present: the trivial
     /// doubling solution is a valid fallback.

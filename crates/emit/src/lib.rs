@@ -33,7 +33,6 @@ mod verilog;
 pub use rust::emit_rust;
 pub use verilog::emit_verilog;
 
-use serde::{Deserialize, Serialize};
 use stc_bist::{
     session_patterns_from, session_source_width, Bilbo, BilboMode, PlanOptimization,
     SelfTestResult, PRIMITIVE_TAPS,
@@ -41,7 +40,7 @@ use stc_bist::{
 use stc_logic::{Netlist, PipelineLogic};
 
 /// Code-generation target of one emit run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EmitTarget {
     /// Allocation-free `#![no_std]` Rust module with an embedded self-test.
     #[default]
@@ -73,7 +72,7 @@ impl EmitTarget {
 }
 
 /// One generated source module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmittedModule {
     /// The module name (sanitized, valid as a Rust and Verilog identifier).
     pub module: String,
@@ -84,7 +83,7 @@ pub struct EmittedModule {
 }
 
 /// The pattern source and expected signature of one self-test session.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSpec {
     /// Feedback taps (1-based) of the de Bruijn pattern source.
     pub taps: Vec<u32>,
@@ -98,7 +97,7 @@ pub struct SessionSpec {
 
 /// The complete emit-time self-test contract: both sessions of the paper's
 /// two-session BIST, with their pattern sources and fault-free signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfTestSpec {
     /// Session 1: `R1` generates, `R2` analyses, `C1` is tested.
     pub session1: SessionSpec,

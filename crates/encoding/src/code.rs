@@ -1,6 +1,5 @@
 //! State-code assignment strategies.
 
-use serde::{Deserialize, Serialize};
 use stc_fsm::Mealy;
 use std::collections::HashMap;
 
@@ -20,7 +19,7 @@ use std::collections::HashMap;
 /// assert_eq!(enc.code_of(4), 0b100);
 /// assert_eq!(enc.decode(0b100), Some(4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Encoding {
     width: u32,
     codes: Vec<u64>,
@@ -28,7 +27,7 @@ pub struct Encoding {
 }
 
 /// The available code-assignment strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum EncodingStrategy {
     /// Item `i` gets code `i` in `⌈log2 n⌉` bits.

@@ -9,13 +9,12 @@
 //! self-testable structure (Fig. 4).
 
 use crate::code::{Encoding, EncodingStrategy};
-use serde::{Deserialize, Serialize};
 use stc_fsm::Mealy;
 use stc_synth::Realization;
 
 /// One row of an encoded transition table: fully specified input bits mapping
 /// to fully specified output bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedRow {
     /// Input bits (most significant first): primary inputs followed by the
     /// present-state code.
@@ -27,7 +26,7 @@ pub struct EncodedRow {
 
 /// A bit-level view of a monolithic controller: the combinational function
 /// `C : (inputs, state) → (next state, outputs)` of Fig. 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedMachine {
     /// Machine name.
     pub name: String,
@@ -93,7 +92,7 @@ impl EncodedMachine {
 /// A bit-level view of a pipeline realization: the two combinational blocks
 /// `C1 : (inputs, R1) → R2` and `C2 : (inputs, R2) → R1` plus the output
 /// logic `λ : (inputs, R1, R2) → outputs` of Fig. 4.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedPipeline {
     /// Machine name.
     pub name: String,

@@ -34,12 +34,9 @@
 
 mod code;
 mod encoded;
-mod stage;
 
 pub use code::{Encoding, EncodingStrategy};
 pub use encoded::{EncodedMachine, EncodedPipeline, EncodedRow};
-#[allow(deprecated)]
-pub use stage::EncodeStage;
 
 /// Minimum number of bits needed to give `items` symbols distinct codes:
 /// `⌈log2(items)⌉`, with `min_width(0) = min_width(1) = 0`.

@@ -70,7 +70,7 @@ pub fn restrict_to_reachable(machine: &Mealy) -> Mealy {
 }
 
 /// Simple structural statistics of a machine, used by reports and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineStats {
     /// Number of states.
     pub states: usize,

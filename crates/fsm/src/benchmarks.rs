@@ -25,10 +25,9 @@
 use crate::kiss2;
 use crate::machine::Mealy;
 use crate::random::{planted_decomposable, random_machine, PlantedInfo, PlantedSpec};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1 of the paper (paper-reported values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperTable1Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -51,7 +50,7 @@ pub struct PaperTable1Row {
 ///
 /// Entries that are illegible in the archival scan are `None`; the harness
 /// reports them as "n/a" and compares only the measured values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperTable2Row {
     /// Benchmark name.
     pub name: &'static str,
@@ -78,7 +77,7 @@ pub struct Benchmark {
 }
 
 /// How a benchmark stand-in was constructed (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Functionally reconstructed from the benchmark's known behaviour.
     Functional,

@@ -1,7 +1,6 @@
 //! The Mealy machine type and its builder.
 
 use crate::error::FsmError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully specified Mealy-type finite state machine `M = (S, I, O, δ, λ)`
@@ -29,7 +28,7 @@ use std::fmt;
 /// assert_eq!(fsm.output(1, 0), 1);
 /// # Ok::<(), stc_fsm::FsmError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mealy {
     name: String,
     num_states: usize,

@@ -18,7 +18,6 @@
 use crate::machine::Mealy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Generates a fully specified random machine with `states` states, `inputs`
 /// input symbols and `outputs` output symbols.
@@ -82,7 +81,7 @@ pub fn random_machine(
 }
 
 /// Specification for [`planted_decomposable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlantedSpec {
     /// Number of blocks of the planted first factor (grid rows).
     pub rows: usize,
@@ -105,7 +104,7 @@ pub struct PlantedSpec {
 }
 
 /// Description of the structure actually planted by [`planted_decomposable`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlantedInfo {
     /// Number of grid rows actually used (upper bound on the optimal `|S1|`).
     pub rows_used: usize,

@@ -2,7 +2,6 @@
 //! minimiser.
 
 use crate::cube::{Cube, Literal};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cover: a set of cubes whose union (sum of products) defines a single
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(minimized.literal_count(), 1);
 /// # Ok::<(), stc_logic::LogicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cover {
     num_vars: usize,
     cubes: Vec<Cube>,

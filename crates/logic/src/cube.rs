@@ -1,10 +1,9 @@
 //! Cubes: products of literals over a fixed set of Boolean variables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The value a cube assigns to one variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Literal {
     /// The variable must be 0 (negative literal).
     Zero,
@@ -40,7 +39,7 @@ impl Literal {
 /// assert_eq!(cube.literal_count(), 2);
 /// # Ok::<(), stc_logic::LogicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cube {
     literals: Vec<Literal>,
 }

@@ -38,15 +38,12 @@ mod cover;
 mod cube;
 mod error;
 mod netlist;
-mod stage;
 mod synth;
 
 pub use cover::Cover;
 pub use cube::{Cube, Literal};
 pub use error::LogicError;
 pub use netlist::{Gate, Netlist, NodeId, WideWord, PACKED_LANES, PACKED_WORDS};
-#[allow(deprecated)]
-pub use stage::LogicStage;
 pub use synth::{
     synthesize_controller, synthesize_pipeline, ControllerLogic, PipelineLogic, SynthOptions,
     SynthesizedBlock,

@@ -3,7 +3,6 @@
 
 use crate::cover::Cover;
 use crate::cube::Literal;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (gate) inside a [`Netlist`].
 pub type NodeId = usize;
@@ -28,7 +27,7 @@ pub const PACKED_WORDS: usize = 4;
 pub type WideWord = [u64; PACKED_WORDS];
 
 /// A combinational gate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Gate {
     /// Primary input with the given index.
     Input(usize),
@@ -80,7 +79,7 @@ impl Gate {
 /// assert!(netlist.depth() >= 2);
 /// # Ok::<(), stc_logic::LogicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     num_inputs: usize,
     gates: Vec<Gate>,

@@ -4,11 +4,10 @@
 use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::netlist::Netlist;
-use serde::{Deserialize, Serialize};
 use stc_encoding::{EncodedMachine, EncodedPipeline, EncodedRow};
 
 /// Options controlling logic synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthOptions {
     /// Run the two-level minimiser on every output cover.  Disable for very
     /// large machines where the raw minterm covers are good enough for the
@@ -30,7 +29,7 @@ impl Default for SynthOptions {
 
 /// A synthesised combinational block: one minimised cover per output bit plus
 /// the two-level netlist implementing them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthesizedBlock {
     /// Human-readable block name (`C`, `C1`, `C2`, `lambda`, …).
     pub name: String,
@@ -89,7 +88,7 @@ impl SynthesizedBlock {
 
 /// The synthesised logic of a monolithic controller (Fig. 1): a single block
 /// `C : (inputs, state) → (next state, outputs)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerLogic {
     /// The combinational block `C`.
     pub block: SynthesizedBlock,
@@ -103,7 +102,7 @@ pub struct ControllerLogic {
 
 /// The synthesised logic of a pipeline controller (Fig. 4): the two crossed
 /// blocks `C1`, `C2` and the output logic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineLogic {
     /// `C1 : (inputs, R1) → R2`.
     pub c1: SynthesizedBlock,

@@ -10,7 +10,6 @@
 use crate::dsu::DisjointSets;
 use crate::pairs::{big_m_operator, is_symmetric_pair, m_operator, pair_identifying, Transitions};
 use crate::partition::Partition;
-use serde::{Deserialize, Serialize};
 
 /// An *Mm-pair* `(π, τ)`: a partition pair satisfying `M(τ) = π` and
 /// `m(π) = τ`.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// partition pair `(π', τ')` is "sandwiched" by an Mm-pair with a larger first
 /// and a smaller second component, so enumerating Mm-pairs suffices to decide
 /// the existence of useful symmetric pairs (Theorem 2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MmPair {
     /// The first (coarse, `M`) component `π`.
     pub pi: Partition,

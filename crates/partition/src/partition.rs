@@ -4,7 +4,6 @@
 
 use crate::dsu::DisjointSets;
 use crate::error::PartitionError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -35,7 +34,7 @@ pub type BlockId = usize;
 /// assert!(pi.refines(&Partition::universal(4)));
 /// # Ok::<(), stc_partition::PartitionError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Partition {
     /// Size of the ground set.
     n: usize,

@@ -137,7 +137,9 @@ fn speedup_group(name: &str) -> Option<(&str, &str, &str, &str)> {
 /// Worker count encoded in a function name's trailing digits (`ws4` → 4,
 /// `packed_ws8` → 8); `None` for undecorated names like `packed_wide`.
 fn worker_count(func: &str) -> Option<usize> {
-    let start = func.rfind(|c: char| !c.is_ascii_digit()).map_or(0, |i| i + 1);
+    let start = func
+        .rfind(|c: char| !c.is_ascii_digit())
+        .map_or(0, |i| i + 1);
     func[start..].parse().ok()
 }
 
@@ -413,10 +415,10 @@ pub fn format_speedup_table(measurements: &[BenchMeasurement]) -> String {
         };
         out.push_str(&format!("| {param} | {} |", fmt_time(m.mean_ns)));
         for workers in [2, 4, 8] {
-            let cell = find(format!("ostr_solver_scale/ws{workers}/{param}"))
-                .map_or_else(|| "n/a".to_string(), |ns| {
-                    format!("{:.2}x", speedup(m.mean_ns, ns))
-                });
+            let cell = find(format!("ostr_solver_scale/ws{workers}/{param}")).map_or_else(
+                || "n/a".to_string(),
+                |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
+            );
             out.push_str(&format!(" {cell} |"));
         }
         out.push('\n');
@@ -430,10 +432,10 @@ pub fn format_speedup_table(measurements: &[BenchMeasurement]) -> String {
         };
         out.push_str(&format!("| {param} | {} |", fmt_time(m.mean_ns)));
         for func in ["packed_wide", "packed_ws4"] {
-            let cell = find(format!("fault_sim_scale/{func}/{param}"))
-                .map_or_else(|| "n/a".to_string(), |ns| {
-                    format!("{:.2}x", speedup(m.mean_ns, ns))
-                });
+            let cell = find(format!("fault_sim_scale/{func}/{param}")).map_or_else(
+                || "n/a".to_string(),
+                |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
+            );
             out.push_str(&format!(" {cell} |"));
         }
         out.push('\n');
@@ -522,7 +524,10 @@ mod tests {
             m("ostr_solver_scale/ws4/scale_s", 500.0),
         ];
         let check = compare_benchmarks_with_cores(&baseline, &faster_runner, 0.30, 8);
-        assert!(check.compared.is_empty(), "no absolute comparison for scale entries");
+        assert!(
+            check.compared.is_empty(),
+            "no absolute comparison for scale entries"
+        );
         assert_eq!(check.speedups.len(), 1);
         assert_eq!(check.speedups[0].workers, Some(4));
         assert!(check.passed());

@@ -11,8 +11,8 @@
 //! * the machine half is [`stc_fsm::Mealy::stable_hash`] — a platform- and
 //!   release-stable FNV-1a content hash;
 //! * the config half is [`config_fingerprint`] — FNV-1a over a canonical
-//!   rendering of the effective configuration with the result-neutral worker
-//!   counts (`jobs`, `solver.jobs`) normalised out.
+//!   rendering of the effective configuration's result-relevant projection
+//!   ([`StcConfig::result_relevant`], the same projection reports echo).
 //!
 //! A hit skips the solver entirely and replays the stored fragments, so the
 //! response is **byte-identical** to what a cold synthesis would have
@@ -240,23 +240,18 @@ pub fn cacheable(config: &StcConfig) -> bool {
         && config.pipeline.solver.time_limit.is_none()
 }
 
-/// A stable fingerprint of the *result-relevant* part of a configuration.
+/// A stable fingerprint of the *result-relevant* part of a configuration
+/// ([`StcConfig::result_relevant`]).
 ///
-/// Worker counts (`jobs`, `solver.jobs`) and the work-stealing schedule
-/// seed (`solver.steal_seed`) cannot influence any result, so they are
-/// normalised to zero before hashing: a server restarted with a
-/// different `--jobs` still hits entries persisted under the old one (and
-/// two requests differing only in worker counts share an entry).  The
-/// remaining fields are hashed through their canonical `Debug` rendering —
-/// every field of [`StcConfig`] derives `Debug`, so a new knob automatically
-/// extends the fingerprint and safely misses old entries.
+/// Worker counts and the work-stealing schedule seed cannot influence any
+/// result, so two requests differing only in them share an entry (and a
+/// server restarted with a different `--jobs` still hits).  The projection
+/// is hashed through its canonical `Debug` rendering — every field of
+/// [`StcConfig`] derives `Debug`, so a new knob automatically extends the
+/// fingerprint and safely misses old entries.
 #[must_use]
 pub fn config_fingerprint(config: &StcConfig) -> u64 {
-    let mut canonical = config.clone();
-    canonical.jobs = 0;
-    canonical.pipeline.solver.parallel_subtrees = 0;
-    canonical.pipeline.solver.steal_seed = 0;
-    fnv1a(format!("{canonical:?}").as_bytes())
+    fnv1a(format!("{:?}", config.result_relevant()).as_bytes())
 }
 
 /// FNV-1a, 64-bit — the same published algorithm as
@@ -368,17 +363,42 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_worker_counts_but_not_results_relevant_knobs() {
+        // One decision, two consumers: the report echo (the projection a
+        // suite report carries and serve responses render) and the cache
+        // fingerprint must agree on every knob.
         let base = StcConfig::default();
-        let mut jobs_differ = base.clone();
-        jobs_differ.set("jobs", "8").unwrap();
-        jobs_differ.set("solver.jobs", "4").unwrap();
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&jobs_differ));
-        let mut patterns_differ = base.clone();
-        patterns_differ.set("bist.patterns", "99").unwrap();
-        assert_ne!(
-            config_fingerprint(&base),
-            config_fingerprint(&patterns_differ)
-        );
+        let with = |key: &str, value: &str| {
+            let mut config = base.clone();
+            config.set(key, value).unwrap();
+            config
+        };
+        for (key, value) in [
+            ("jobs", "8"),
+            ("solver.jobs", "4"),
+            ("solver.steal_seed", "7"),
+        ] {
+            let changed = with(key, value);
+            assert_ne!(changed, base, "{key}");
+            assert_eq!(changed.result_relevant(), base.result_relevant(), "{key}");
+            assert_eq!(
+                config_fingerprint(&changed),
+                config_fingerprint(&base),
+                "{key}"
+            );
+        }
+        for (key, value) in [
+            ("bist.patterns", "99"),
+            ("encoding", "gray"),
+            ("coverage.optimize.target", "0.5"),
+        ] {
+            let changed = with(key, value);
+            assert_ne!(changed.result_relevant(), base.result_relevant(), "{key}");
+            assert_ne!(
+                config_fingerprint(&changed),
+                config_fingerprint(&base),
+                "{key}"
+            );
+        }
     }
 
     #[test]

@@ -11,22 +11,21 @@
 //!    pairs, the exact mechanism behind CLI flags and the per-request
 //!    `overrides` object of the `stc serve` protocol.
 //!
-//! The *effective* configuration — after all layers — is what the session
-//! echoes into its reports (the `config` section of a
-//! [`crate::SuiteReport`]), so a report pins the settings that produced it
-//! regardless of which layer supplied them.  Two families of knobs are
-//! deliberately left out of the echo: worker counts (`jobs`,
-//! `solver.jobs`), which cannot influence any result, and the wall-clock
-//! bounds (`machine_timeout_secs`, `stage_deadline_secs`,
-//! `solver.time_limit_secs`), which depend on machine speed and whose
-//! effect — when one fires — already shows in the report (`status`,
-//! `budget_exhausted`).  Both omissions keep reports machine-independent.
-//! The coverage knobs (`coverage.enabled`, `coverage.max_patterns`) are
-//! echoed only when coverage is *enabled*: an additive feature must leave
-//! coverage-free golden reports byte-identical.
+//! Which knobs can influence a result is decided in one place,
+//! [`StcConfig::result_relevant`]: worker counts (`jobs`, `solver.jobs`) and
+//! the work-stealing schedule seed cannot, and the wall-clock bounds
+//! (`machine_timeout_secs`, `stage_deadline_secs`, `solver.time_limit_secs`)
+//! depend on machine speed and show their effect — when one fires — in the
+//! report itself (`status`, `budget_exhausted`).  That projection is what a
+//! suite report and a serve response echo ([`StcConfig::to_json`]) and what
+//! the serve cache fingerprints, so reports stay machine-independent.  The
+//! optional stages' knobs are echoed only when their stage is *enabled*: an
+//! additive feature must leave stage-free golden reports byte-identical.
 
-use crate::runner::PipelineConfig;
+use crate::json::Json;
 use stc_encoding::EncodingStrategy;
+use stc_logic::SynthOptions;
+use stc_synth::SolverConfig;
 use std::time::Duration;
 
 /// An error raised while layering configuration: an unknown key, a malformed
@@ -127,6 +126,147 @@ pub const CONFIG_KEYS: &[(&str, &str)] = &[
     ),
 ];
 
+/// Size limits above which the gate-level stages (encode, logic, BIST) are
+/// skipped and a machine gets a `solve-only` report — mirroring the paper,
+/// which reports gate-level numbers only for tractable machines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateLevelLimits {
+    /// Maximum `|S|` for gate-level synthesis.
+    pub max_states: usize,
+    /// Maximum input-alphabet size for gate-level synthesis.
+    pub max_inputs: usize,
+}
+
+impl Default for GateLevelLimits {
+    fn default() -> Self {
+        Self {
+            max_states: 10,
+            max_inputs: 16,
+        }
+    }
+}
+
+/// Configuration of the exact fault-coverage measurement of the BIST plan
+/// (the `coverage` stage).  Disabled by default: with `enabled == false` no
+/// coverage stage runs and reports are byte-identical to pre-coverage
+/// reports, so existing golden files are unaffected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CoverageConfig {
+    /// Whether to measure exact single-stuck-at coverage of the two-session
+    /// BIST plan (bit-parallel fault simulation of the plan's own stimuli).
+    pub enabled: bool,
+    /// Cap on the patterns applied per session by the measurement.  `0`
+    /// (the default) means no cap: exactly the plan's
+    /// `patterns_per_session` stimuli are simulated.
+    pub max_patterns: usize,
+}
+
+impl CoverageConfig {
+    /// The number of patterns the measurement applies per session for a
+    /// plan with the given pattern budget.
+    #[must_use]
+    pub fn applied_patterns(&self, patterns_per_session: usize) -> usize {
+        if self.max_patterns == 0 {
+            patterns_per_session
+        } else {
+            patterns_per_session.min(self.max_patterns)
+        }
+    }
+}
+
+/// Configuration of the coverage-driven BIST plan optimization (the
+/// `optimize` stage).  Disabled by default: with `enabled == false` no
+/// optimize stage runs and reports are byte-identical to pre-optimizer
+/// reports, so existing golden files are unaffected.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OptimizeConfig {
+    /// Whether to search LFSR seed/polynomial candidates and the
+    /// per-session length split for the shortest plan reaching the target
+    /// coverage.
+    pub enabled: bool,
+    /// Coverage each session must reach, as a fraction in `(0, 1]`.
+    pub target: f64,
+    /// Candidate pattern sources evaluated per session.
+    pub max_candidates: usize,
+    /// Total-pattern budget for the optimized plan.  `0` (the default)
+    /// means *the fixed plan's budget*: `2 × patterns_per_session`.
+    pub max_total_length: usize,
+}
+
+impl Default for OptimizeConfig {
+    fn default() -> Self {
+        Self {
+            enabled: false,
+            target: 1.0,
+            max_candidates: 16,
+            max_total_length: 0,
+        }
+    }
+}
+
+impl OptimizeConfig {
+    /// The effective total-length budget for a plan with the given
+    /// per-session pattern budget (`0` resolves to `2 ×
+    /// patterns_per_session`, floored at one pattern).
+    #[must_use]
+    pub fn resolved_max_total_length(&self, patterns_per_session: usize) -> usize {
+        if self.max_total_length == 0 {
+            (2 * patterns_per_session).max(1)
+        } else {
+            self.max_total_length
+        }
+    }
+}
+
+/// The per-stage knobs of the flow that fit in a `Copy` struct: solver,
+/// encoding, minimisation, BIST, gate-level limits and the optional
+/// coverage and optimize stages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PipelineConfig {
+    /// OSTR solver configuration.  The default is *deterministic*: a node
+    /// budget with no wall-clock limit, so `nodes_investigated` and
+    /// `budget_exhausted` are pure functions of the machine.
+    pub solver: SolverConfig,
+    /// State-assignment strategy.
+    pub encoding: EncodingStrategy,
+    /// Two-level minimisation options.
+    pub synth: SynthOptions,
+    /// BIST patterns per self-test session.
+    pub patterns_per_session: usize,
+    /// Gate-level stage limits.
+    pub gate_level: GateLevelLimits,
+    /// Exact fault-coverage measurement of the BIST plan.
+    pub coverage: CoverageConfig,
+    /// Coverage-driven optimization of the BIST plan.
+    pub optimize: OptimizeConfig,
+    /// Optional per-machine wall-clock timeout, checked between stages.
+    /// `None` (the default) keeps the run fully deterministic.
+    pub machine_timeout: Option<Duration>,
+}
+
+impl Default for PipelineConfig {
+    fn default() -> Self {
+        Self {
+            solver: SolverConfig {
+                max_nodes: 100_000,
+                time_limit: None,
+                lemma1_pruning: true,
+                stop_at_lower_bound: true,
+                branch_and_bound: true,
+                parallel_subtrees: 1,
+                steal_seed: 0,
+            },
+            encoding: EncodingStrategy::Binary,
+            synth: SynthOptions::default(),
+            patterns_per_session: 256,
+            gate_level: GateLevelLimits::default(),
+            coverage: CoverageConfig::default(),
+            optimize: OptimizeConfig::default(),
+            machine_timeout: None,
+        }
+    }
+}
+
 /// Settings of the optional static-analysis stage (`stc-analyze`).
 ///
 /// Lives on [`StcConfig`] rather than [`PipelineConfig`] because the deny
@@ -162,7 +302,7 @@ pub struct EmitSettings {
 /// The complete, layered configuration of a [`crate::Synthesis`] session.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StcConfig {
-    /// The composed per-stage configuration (echoed into reports).
+    /// The `Copy` per-stage knobs.
     pub pipeline: PipelineConfig,
     /// The static-analysis stage (disabled by default; additive in reports).
     pub analysis: AnalysisSettings,
@@ -182,18 +322,106 @@ pub struct StcConfig {
 }
 
 impl StcConfig {
-    /// Wraps a composed per-stage configuration with `jobs` workers and no
-    /// per-stage deadline — the bridge from the pre-session
-    /// [`PipelineConfig`] surface used by the deprecated shims and tests.
+    /// The result-relevant projection of this configuration: a copy with
+    /// the worker counts (`jobs`, `solver.jobs`), the work-stealing schedule
+    /// seed (`solver.steal_seed`) and every wall-clock bound
+    /// (`solver.time_limit_secs`, `machine_timeout_secs`,
+    /// `stage_deadline_secs`) zeroed.  Two configurations with equal
+    /// projections produce the same report bytes for any machine (unless a
+    /// wall-clock bound fires).  Suite reports carry it as their `config`,
+    /// serve responses echo it and the serve cache fingerprints it.
     #[must_use]
-    pub fn from_pipeline(pipeline: PipelineConfig, jobs: usize) -> Self {
-        Self {
-            pipeline,
-            analysis: AnalysisSettings::default(),
-            emit: EmitSettings::default(),
-            jobs,
-            stage_deadline: None,
+    pub fn result_relevant(&self) -> StcConfig {
+        let mut projection = self.clone();
+        projection.jobs = 0;
+        projection.stage_deadline = None;
+        let p = &mut projection.pipeline;
+        p.solver.parallel_subtrees = 0;
+        p.solver.steal_seed = 0;
+        p.solver.time_limit = None;
+        p.machine_timeout = None;
+        projection
+    }
+
+    /// The configuration echo embedded in suite reports and serve responses:
+    /// the result-relevant knobs only (see [`Self::result_relevant`]), with
+    /// each optional stage's knobs present only when that stage is enabled.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let p = &self.pipeline;
+        let mut entries = vec![
+            ("max_nodes".into(), Json::from_u64(p.solver.max_nodes)),
+            ("lemma1_pruning".into(), Json::Bool(p.solver.lemma1_pruning)),
+            (
+                "stop_at_lower_bound".into(),
+                Json::Bool(p.solver.stop_at_lower_bound),
+            ),
+            (
+                "branch_and_bound".into(),
+                Json::Bool(p.solver.branch_and_bound),
+            ),
+            (
+                "encoding".into(),
+                Json::String(format!("{:?}", p.encoding).to_ascii_lowercase()),
+            ),
+            ("minimize".into(), Json::Bool(p.synth.minimize)),
+            (
+                "patterns_per_session".into(),
+                Json::from_usize(p.patterns_per_session),
+            ),
+            (
+                "gate_level_max_states".into(),
+                Json::from_usize(p.gate_level.max_states),
+            ),
+            (
+                "gate_level_max_inputs".into(),
+                Json::from_usize(p.gate_level.max_inputs),
+            ),
+        ];
+        if p.coverage.enabled {
+            entries.push(("coverage_enabled".into(), Json::Bool(true)));
+            entries.push((
+                "coverage_max_patterns".into(),
+                Json::from_usize(p.coverage.max_patterns),
+            ));
         }
+        if p.optimize.enabled {
+            entries.push(("optimize_enabled".into(), Json::Bool(true)));
+            entries.push(("optimize_target".into(), Json::Number(p.optimize.target)));
+            entries.push((
+                "optimize_max_candidates".into(),
+                Json::from_usize(p.optimize.max_candidates),
+            ));
+            entries.push((
+                "optimize_max_total_length".into(),
+                Json::from_usize(p.optimize.max_total_length),
+            ));
+        }
+        if self.analysis.enabled {
+            entries.push(("analysis_enabled".into(), Json::Bool(true)));
+            entries.push((
+                "analysis_deny".into(),
+                Json::Array(
+                    self.analysis
+                        .deny
+                        .iter()
+                        .map(|code| Json::String(code.clone()))
+                        .collect(),
+                ),
+            ));
+        }
+        if self.emit.enabled {
+            entries.push(("emit_enabled".into(), Json::Bool(true)));
+            entries.push((
+                "emit_target".into(),
+                Json::String(self.emit.target.as_str().to_string()),
+            ));
+            entries.push((
+                "emit_module_name".into(),
+                Json::String(self.emit.module_name.clone()),
+            ));
+        }
+        Json::Object(entries)
     }
 
     /// Applies a profile text: TOML-style `[section]` headers, `key = value`
@@ -243,9 +471,7 @@ impl StcConfig {
             "solver.lemma1_pruning" => p.solver.lemma1_pruning = parse_bool(key, value)?,
             "solver.stop_at_lower_bound" => p.solver.stop_at_lower_bound = parse_bool(key, value)?,
             "solver.branch_and_bound" => p.solver.branch_and_bound = parse_bool(key, value)?,
-            "solver.jobs" | "solver.parallel_subtrees" => {
-                p.solver.parallel_subtrees = parse(key, value)?;
-            }
+            "solver.jobs" => p.solver.parallel_subtrees = parse(key, value)?,
             "solver.steal_seed" => p.solver.steal_seed = parse(key, value)?,
             "encoding" => {
                 p.encoding = match value {
@@ -265,9 +491,7 @@ impl StcConfig {
                 };
             }
             "synth.minimize" => p.synth.minimize = parse_bool(key, value)?,
-            "bist.patterns" | "patterns_per_session" => {
-                p.patterns_per_session = parse(key, value)?;
-            }
+            "bist.patterns" => p.patterns_per_session = parse(key, value)?,
             "coverage.enabled" => p.coverage.enabled = parse_bool(key, value)?,
             "coverage.max_patterns" => p.coverage.max_patterns = parse(key, value)?,
             "coverage.optimize.enabled" => p.optimize.enabled = parse_bool(key, value)?,
@@ -415,7 +639,7 @@ mod tests {
         // Untouched keys keep their defaults.
         assert_eq!(
             config.pipeline.gate_level.max_inputs,
-            crate::runner::GateLevelLimits::default().max_inputs
+            GateLevelLimits::default().max_inputs
         );
     }
 
@@ -472,9 +696,18 @@ mod tests {
     #[test]
     fn errors_name_the_key_and_list_known_keys() {
         let mut config = StcConfig::default();
-        let err = config.set("solver.max_nodez", "1").unwrap_err();
-        assert!(err.to_string().contains("solver.max_nodez"));
-        assert!(err.to_string().contains("solver.max_nodes"));
+        // A typo, and two field names that are not keys: only the names in
+        // CONFIG_KEYS are accepted.
+        for unknown in [
+            "solver.max_nodez",
+            "solver.parallel_subtrees",
+            "patterns_per_session",
+        ] {
+            let err = config.set(unknown, "1").unwrap_err();
+            assert!(err.to_string().contains(unknown), "{err}");
+            assert!(err.to_string().contains("solver.max_nodes"), "{err}");
+        }
+        assert_eq!(config, StcConfig::default());
         let err = config.set("jobs", "many").unwrap_err();
         assert!(err.to_string().contains("invalid value"));
         let err = config.apply_profile("[solver\nmax_nodes = 1").unwrap_err();

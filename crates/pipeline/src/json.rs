@@ -1,12 +1,11 @@
 //! A minimal JSON value type with a deterministic writer and a small
 //! recursive-descent parser.
 //!
-//! The build environment has no crates.io access and the vendored `serde` is
-//! a no-op marker crate, so the pipeline ships its own JSON support.  The
-//! writer preserves object-key insertion order and formats numbers with
-//! Rust's shortest-roundtrip float formatting, which makes the emitted text a
-//! pure function of the value — the property behind the byte-identical
-//! serial/parallel reports and the golden-file CI diff.
+//! The workspace has no serialisation dependency, so the pipeline ships its
+//! own JSON support.  The writer preserves object-key insertion order and
+//! formats numbers with Rust's shortest-roundtrip float formatting, which
+//! makes the emitted text a pure function of the value — the property behind
+//! the byte-identical serial/parallel reports and the golden-file CI diff.
 
 use std::fmt::Write as _;
 

@@ -24,11 +24,9 @@
 //! * [`SuiteReport`] — the deterministic report and its JSON serialisation;
 //! * [`compare_benchmarks`] — the perf-baseline comparison behind the
 //!   `stc bench-check` CI gate;
-//! * [`Json`] — the minimal JSON value type used for emission and parsing
-//!   (the vendored `serde` is a no-op marker crate);
-//! * [`run_corpus`] / [`run_machine`] and the [`Stage`] trait — the
-//!   pre-session surface, deprecated and kept as thin shims over the
-//!   session (byte-identical reports).
+//! * [`Json`] — the minimal JSON value type used for emission and parsing;
+//! * [`Stage`] — the ordered table of flow stages behind observer events,
+//!   serve metrics and the `stc` commands.
 //!
 //! # Example
 //!
@@ -57,7 +55,6 @@ mod metrics;
 mod net;
 mod observe;
 mod report;
-mod runner;
 mod serve;
 mod session;
 
@@ -67,7 +64,8 @@ pub use bench_compare::{
 };
 pub use cache::{ArtifactCache, CacheCounters, CacheLimits};
 pub use config::{
-    resolve_jobs, AnalysisSettings, ConfigError, EmitSettings, StcConfig, CONFIG_KEYS,
+    resolve_jobs, AnalysisSettings, ConfigError, CoverageConfig, EmitSettings, GateLevelLimits,
+    OptimizeConfig, PipelineConfig, StcConfig, CONFIG_KEYS,
 };
 pub use corpus::{embedded_corpus, filter_by_names, kiss2_corpus, CorpusEntry};
 pub use error::PipelineError;
@@ -77,159 +75,13 @@ pub use net::{NetOptions, NetServer, ServerHandle};
 pub use observe::{CancelFlag, Event, NullObserver, Observer};
 pub use report::{
     coverage_json, emit_json, format_summary_table, lint_json, optimize_json, search_stats_json,
-    AnalysisReport, BistReport, ConfigEcho, EmitModuleDigest, EmitReport, LogicReport,
-    MachineReport, MachineStatus, OptimizeReport, OptimizeSessionReport, SessionReport,
-    SolveReport, SuiteReport, SuiteSummary, TestPointSuggestion, REPORT_SCHEMA_VERSION,
-};
-#[allow(deprecated)]
-pub use runner::{run_corpus, run_machine};
-pub use runner::{
-    CoverageConfig, GateLevelLimits, MachineTiming, OptimizeConfig, PipelineConfig, SuiteRun,
+    AnalysisReport, BistReport, EmitModuleDigest, EmitReport, LogicReport, MachineReport,
+    MachineStatus, OptimizeReport, OptimizeSessionReport, SessionReport, SolveReport, SuiteReport,
+    SuiteSummary, TestPointSuggestion, REPORT_SCHEMA_VERSION,
 };
 pub use serve::{serve, serve_with, ServeOptions, ServeStats};
 pub use session::{
-    stage_names, BistPlan, CoverageReport, Decomposition, EmittedCode, Encoded, Netlist,
-    OptimizedPlan, SessionError, Synthesis, SynthesisBuilder,
+    BistPlan, CoverageReport, Decomposition, EmittedCode, Encoded, MachineTiming, Netlist,
+    OptimizedPlan, SessionError, Stage, SuiteRun, Synthesis, SynthesisBuilder,
 };
 pub use stc_emit::{EmitTarget, EmittedModule};
-
-#[allow(deprecated)]
-use stc_bist::BistStage;
-use stc_bist::SelfTestResult;
-#[allow(deprecated)]
-use stc_encoding::EncodeStage;
-use stc_encoding::EncodedPipeline;
-use stc_fsm::Mealy;
-#[allow(deprecated)]
-use stc_logic::LogicStage;
-use stc_logic::PipelineLogic;
-#[allow(deprecated)]
-use stc_synth::SolveStage;
-use stc_synth::{Realization, Solved};
-
-/// A pipeline stage: a configured transformation from one flow artefact to
-/// the next.
-///
-/// The concrete stages live in their home crates (the solver stage in
-/// `stc-synth`, the encoder in `stc-encoding`, and so on) as plain structs
-/// with an `apply` method, so each crate stays independently usable; this
-/// trait unifies them for generic composition.  The input is a type
-/// parameter rather than an associated type so a stage can consume borrowed
-/// inputs of any lifetime.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Synthesis` session API and its typed artifacts; the stage structs and \
-            this composition trait are kept only so pre-session code keeps compiling"
-)]
-pub trait Stage<In> {
-    /// The stage's output artefact.
-    type Out;
-
-    /// The stage's name in reports and logs.
-    fn name(&self) -> &'static str;
-
-    /// Applies the stage.
-    fn run(&self, input: In) -> Self::Out;
-}
-
-#[allow(deprecated)]
-impl<'a> Stage<&'a Mealy> for SolveStage {
-    type Out = Solved;
-
-    fn name(&self) -> &'static str {
-        SolveStage::NAME
-    }
-
-    fn run(&self, machine: &'a Mealy) -> Solved {
-        self.apply(machine)
-    }
-}
-
-#[allow(deprecated)]
-impl<'a> Stage<(&'a Mealy, &'a Realization)> for EncodeStage {
-    type Out = EncodedPipeline;
-
-    fn name(&self) -> &'static str {
-        EncodeStage::NAME
-    }
-
-    fn run(&self, (machine, realization): (&'a Mealy, &'a Realization)) -> EncodedPipeline {
-        self.apply(machine, realization)
-    }
-}
-
-#[allow(deprecated)]
-impl<'a> Stage<&'a EncodedPipeline> for LogicStage {
-    type Out = PipelineLogic;
-
-    fn name(&self) -> &'static str {
-        LogicStage::NAME
-    }
-
-    fn run(&self, encoded: &'a EncodedPipeline) -> PipelineLogic {
-        self.apply(encoded)
-    }
-}
-
-#[allow(deprecated)]
-impl<'a> Stage<&'a PipelineLogic> for BistStage {
-    type Out = SelfTestResult;
-
-    fn name(&self) -> &'static str {
-        BistStage::NAME
-    }
-
-    fn run(&self, pipeline: &'a PipelineLogic) -> SelfTestResult {
-        self.apply(pipeline)
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated stage shims' behaviour
-mod tests {
-    use super::*;
-    use stc_fsm::paper_example;
-
-    /// Generic driver proving the stages compose through the [`Stage`] trait.
-    fn drive<S1, S2, S3, S4>(machine: &Mealy, s1: &S1, s2: &S2, s3: &S3, s4: &S4) -> SelfTestResult
-    where
-        S1: for<'a> Stage<&'a Mealy, Out = Solved>,
-        S2: for<'a> Stage<(&'a Mealy, &'a Realization), Out = EncodedPipeline>,
-        S3: for<'a> Stage<&'a EncodedPipeline, Out = PipelineLogic>,
-        S4: for<'a> Stage<&'a PipelineLogic, Out = SelfTestResult>,
-    {
-        let solved = s1.run(machine);
-        let encoded = s2.run((machine, &solved.realization));
-        let logic = s3.run(&encoded);
-        s4.run(&logic)
-    }
-
-    #[test]
-    fn stages_compose_generically() {
-        let machine = paper_example();
-        let result = drive(
-            &machine,
-            &SolveStage::default(),
-            &EncodeStage::default(),
-            &LogicStage::default(),
-            &BistStage::new(64),
-        );
-        assert_eq!(result.session1.patterns, 64);
-        assert!(result.overall_coverage() > 0.5);
-    }
-
-    #[test]
-    fn stage_names_are_distinct() {
-        let names = [
-            Stage::<&Mealy>::name(&SolveStage::default()),
-            Stage::<(&Mealy, &Realization)>::name(&EncodeStage::default()),
-            Stage::<&EncodedPipeline>::name(&LogicStage::default()),
-            Stage::<&PipelineLogic>::name(&BistStage::default()),
-        ];
-        for (i, a) in names.iter().enumerate() {
-            for b in &names[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-    }
-}

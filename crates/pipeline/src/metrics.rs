@@ -18,22 +18,10 @@
 use crate::cache::ArtifactCache;
 use crate::json::Json;
 use crate::observe::{Event, Observer};
-use crate::session::stage_names;
+use crate::session::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// The stage names aggregated by [`ServeMetrics`], in flow order.
-const STAGES: [&str; 8] = [
-    stage_names::SOLVE,
-    stage_names::ENCODE,
-    stage_names::LOGIC,
-    stage_names::BIST,
-    stage_names::COVERAGE,
-    stage_names::OPTIMIZE,
-    stage_names::ANALYZE,
-    stage_names::EMIT,
-];
 
 #[derive(Debug, Default)]
 struct StageCounter {
@@ -60,7 +48,8 @@ pub struct ServeMetrics {
     connections_rejected: AtomicU64,
     request_count: AtomicU64,
     request_total_ns: AtomicU64,
-    stages: [StageCounter; STAGES.len()],
+    /// One counter per [`Stage::ALL`] row.
+    stages: [StageCounter; Stage::ALL.len()],
 }
 
 impl ServeMetrics {
@@ -139,7 +128,7 @@ impl ServeMetrics {
 
     /// Records one completed pipeline stage.
     pub fn stage_finished(&self, stage: &str, elapsed_ns: u64) {
-        if let Some(i) = STAGES.iter().position(|s| *s == stage) {
+        if let Some(i) = Stage::ALL.iter().position(|s| s.name() == stage) {
             self.stages[i].count.fetch_add(1, Ordering::Relaxed);
             self.stages[i]
                 .total_ns
@@ -206,14 +195,14 @@ impl ServeMetrics {
             }
         };
         let stages_section = Json::Object(
-            STAGES
+            Stage::ALL
                 .iter()
                 .zip(&self.stages)
-                .map(|(name, counter)| {
+                .map(|(stage, counter)| {
                     let count = counter.count.load(Ordering::Relaxed);
                     let total_ns = counter.total_ns.load(Ordering::Relaxed);
                     (
-                        (*name).to_string(),
+                        stage.name().to_string(),
                         Json::Object(vec![
                             ("count".into(), Json::from_u64(count)),
                             ("mean_ms".into(), Json::Number(mean_ms(total_ns, count))),
@@ -435,8 +424,8 @@ mod tests {
     #[test]
     fn every_flow_stage_is_counted_in_flow_order() {
         let metrics = ServeMetrics::shared();
-        for stage in [stage_names::OPTIMIZE, stage_names::EMIT, stage_names::EMIT] {
-            metrics.stage_finished(stage, 3_000_000);
+        for stage in [Stage::Optimize, Stage::Emit, Stage::Emit] {
+            metrics.stage_finished(stage.name(), 3_000_000);
         }
         let snapshot = metrics.snapshot(None);
         let Some(Json::Object(stages)) = snapshot.get("stages") else {

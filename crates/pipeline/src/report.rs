@@ -1,12 +1,14 @@
 //! Machine-readable pipeline reports.
 //!
 //! A [`SuiteReport`] is a pure function of the corpus and the
-//! [`crate::PipelineConfig`]: it contains no wall-clock measurements, no
-//! host-dependent values and no hash-ordered collections, so serial and
-//! parallel runs of the same corpus serialise to byte-identical JSON and CI
-//! can diff the output against a committed golden file.  Wall-clock timings
+//! [`crate::StcConfig::result_relevant`] configuration: it contains no
+//! wall-clock measurements, no host-dependent values and no hash-ordered
+//! collections, so serial and parallel runs of the same corpus serialise to
+//! byte-identical JSON and CI can diff the output against a committed
+//! golden file.  Wall-clock timings
 //! are reported separately (see [`crate::SuiteRun`]).
 
+use crate::config::StcConfig;
 use crate::json::Json;
 use stc_analyze::{BlockAnalysis, Diagnostic, Severity};
 use stc_fsm::benchmarks::{PaperTable1Row, PaperTable2Row};
@@ -326,68 +328,14 @@ pub struct SuiteSummary {
     pub pipeline_ff_total: u64,
 }
 
-/// The deterministic configuration echo embedded in the report, so a golden
-/// file pins both the results and the settings that produced them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigEcho {
-    /// Solver node budget.
-    pub max_nodes: u64,
-    /// Whether the Lemma 1 pruning was enabled.
-    pub lemma1_pruning: bool,
-    /// Whether the search stopped at the information-theoretic lower bound.
-    pub stop_at_lower_bound: bool,
-    /// Whether the branch-and-bound pruning layer was enabled.
-    pub branch_and_bound: bool,
-    /// Encoding strategy name.
-    pub encoding: String,
-    /// Whether two-level minimisation was enabled.
-    pub minimize: bool,
-    /// BIST patterns per session.
-    pub patterns_per_session: usize,
-    /// Gate-level stage state-count limit.
-    pub gate_level_max_states: usize,
-    /// Gate-level stage input-count limit.
-    pub gate_level_max_inputs: usize,
-    /// Whether the exact coverage stage ran.  Echoed into the JSON (along
-    /// with `coverage_max_patterns`) only when `true`, so coverage-free
-    /// reports keep their pre-coverage byte layout.
-    pub coverage_enabled: bool,
-    /// Pattern cap of the coverage measurement (`0` = the plan budget).
-    pub coverage_max_patterns: usize,
-    /// Whether the plan-optimization stage ran.  Echoed into the JSON
-    /// (along with the three optimizer knobs) only when `true` — same
-    /// additive contract as the coverage echo.
-    pub optimize_enabled: bool,
-    /// Coverage target of the plan optimizer.
-    pub optimize_target: f64,
-    /// Candidate pattern sources per session.
-    pub optimize_max_candidates: usize,
-    /// Total-pattern budget of the optimized plan (`0` = `2 ×
-    /// patterns_per_session`).
-    pub optimize_max_total_length: usize,
-    /// Whether the static-analysis stage ran.  Echoed into the JSON (along
-    /// with `analysis_deny`) only when `true` — same additive contract as
-    /// the coverage echo.
-    pub analysis_enabled: bool,
-    /// Diagnostic codes promoted to error severity.
-    pub analysis_deny: Vec<String>,
-    /// Whether the code-emission stage ran.  Echoed into the JSON (along
-    /// with the target and module-name override) only when `true` — same
-    /// additive contract as the coverage echo.
-    pub emit_enabled: bool,
-    /// The codegen backend (`rust` or `verilog`).
-    pub emit_target: String,
-    /// Module-name override (empty = derive from the machine name).
-    pub emit_module_name: String,
-}
-
 /// The complete report of one corpus run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteReport {
     /// Corpus label (`embedded`, a directory name, …).
     pub suite: String,
-    /// The configuration that produced the report.
-    pub config: ConfigEcho,
+    /// The configuration that produced the report, projected onto its
+    /// result-relevant knobs ([`StcConfig::result_relevant`]).
+    pub config: StcConfig,
     /// One report per machine, in corpus order.
     pub machines: Vec<MachineReport>,
     /// Aggregate counters.
@@ -410,13 +358,24 @@ impl SuiteReport {
                 Json::from_u64(REPORT_SCHEMA_VERSION),
             ),
             ("suite".into(), Json::String(self.suite.clone())),
-            ("config".into(), config_json(&self.config)),
+            ("config".into(), self.config.to_json()),
             (
                 "machines".into(),
                 Json::Array(self.machines.iter().map(machine_json).collect()),
             ),
             ("summary".into(), summary_json(&self.summary)),
         ])
+    }
+
+    /// Counts static-analysis findings at or above `severity` over every
+    /// machine (machines without an analysis section count zero).
+    #[must_use]
+    pub fn count_findings(&self, severity: Severity) -> usize {
+        self.machines
+            .iter()
+            .filter_map(|m| m.analysis.as_ref())
+            .map(|a| a.count_at_least(severity))
+            .sum()
     }
 }
 
@@ -428,84 +387,6 @@ impl MachineReport {
     pub fn to_json(&self) -> Json {
         machine_json(self)
     }
-}
-
-impl ConfigEcho {
-    /// The configuration echo as a [`Json`] value — embedded in suite
-    /// reports and `stc serve` responses so every result pins the effective
-    /// *deterministic* configuration that produced it (worker counts and
-    /// wall-clock bounds are deliberately not echoed; see the
-    /// `stc_pipeline::config` module docs).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        config_json(self)
-    }
-}
-
-fn config_json(c: &ConfigEcho) -> Json {
-    let mut entries = vec![
-        ("max_nodes".into(), Json::from_u64(c.max_nodes)),
-        ("lemma1_pruning".into(), Json::Bool(c.lemma1_pruning)),
-        (
-            "stop_at_lower_bound".into(),
-            Json::Bool(c.stop_at_lower_bound),
-        ),
-        ("branch_and_bound".into(), Json::Bool(c.branch_and_bound)),
-        ("encoding".into(), Json::String(c.encoding.clone())),
-        ("minimize".into(), Json::Bool(c.minimize)),
-        (
-            "patterns_per_session".into(),
-            Json::from_usize(c.patterns_per_session),
-        ),
-        (
-            "gate_level_max_states".into(),
-            Json::from_usize(c.gate_level_max_states),
-        ),
-        (
-            "gate_level_max_inputs".into(),
-            Json::from_usize(c.gate_level_max_inputs),
-        ),
-    ];
-    if c.coverage_enabled {
-        entries.push(("coverage_enabled".into(), Json::Bool(true)));
-        entries.push((
-            "coverage_max_patterns".into(),
-            Json::from_usize(c.coverage_max_patterns),
-        ));
-    }
-    if c.optimize_enabled {
-        entries.push(("optimize_enabled".into(), Json::Bool(true)));
-        entries.push(("optimize_target".into(), Json::Number(c.optimize_target)));
-        entries.push((
-            "optimize_max_candidates".into(),
-            Json::from_usize(c.optimize_max_candidates),
-        ));
-        entries.push((
-            "optimize_max_total_length".into(),
-            Json::from_usize(c.optimize_max_total_length),
-        ));
-    }
-    if c.analysis_enabled {
-        entries.push(("analysis_enabled".into(), Json::Bool(true)));
-        entries.push((
-            "analysis_deny".into(),
-            Json::Array(
-                c.analysis_deny
-                    .iter()
-                    .map(|code| Json::String(code.clone()))
-                    .collect(),
-            ),
-        ));
-    }
-    if c.emit_enabled {
-        entries.push(("emit_enabled".into(), Json::Bool(true)));
-        entries.push(("emit_target".into(), Json::String(c.emit_target.clone())));
-        entries.push((
-            "emit_module_name".into(),
-            Json::String(c.emit_module_name.clone()),
-        ));
-    }
-    Json::Object(entries)
 }
 
 fn machine_json(m: &MachineReport) -> Json {
@@ -823,6 +704,44 @@ fn summary_json(s: &SuiteSummary) -> Json {
     Json::Object(entries)
 }
 
+/// The envelope shared by the focused per-machine projections of a suite
+/// report: `schema_version`, `suite` and one `machines` entry per machine,
+/// each led by its `name` (and `status`, when `with_status`).  `fields`
+/// returns the machine's projected fields, or `None` when the machine has no
+/// such section — it is then reported as `section: null`, so a disappearing
+/// machine also fails a diff against the document.  The returned top-level
+/// entries are open for a trailing summary.
+fn per_machine(
+    report: &SuiteReport,
+    with_status: bool,
+    section: &str,
+    fields: impl Fn(&MachineReport) -> Option<Vec<(String, Json)>>,
+) -> Vec<(String, Json)> {
+    let machines = report
+        .machines
+        .iter()
+        .map(|m| {
+            let mut entries = vec![("name".into(), Json::String(m.name.clone()))];
+            if with_status {
+                entries.push((
+                    "status".into(),
+                    Json::String(m.status.as_json_str().to_string()),
+                ));
+            }
+            entries.extend(fields(m).unwrap_or_else(|| vec![(section.into(), Json::Null)]));
+            Json::Object(entries)
+        })
+        .collect();
+    vec![
+        (
+            "schema_version".into(),
+            Json::from_u64(REPORT_SCHEMA_VERSION),
+        ),
+        ("suite".into(), Json::String(report.suite.clone())),
+        ("machines".into(), Json::Array(machines)),
+    ]
+}
+
 /// Extracts the per-machine search-effort statistics of a suite report as a
 /// compact, deterministic JSON document — the artefact behind the CI
 /// `search-stats` regression gate (`stc run --stats-out`, diffed against
@@ -830,231 +749,116 @@ fn summary_json(s: &SuiteSummary) -> Json {
 ///
 /// Wall-clock noise can hide a pruning regression from the perf gate; these
 /// counters cannot.  Machines without a solve section (timed out before the
-/// solver finished) are reported with a `null` entry so a disappearing
-/// machine also fails the diff.
+/// solver finished) are reported with a `null` entry.
 #[must_use]
 pub fn search_stats_json(report: &SuiteReport) -> Json {
-    let machines: Vec<Json> = report
-        .machines
-        .iter()
-        .map(|m| {
-            let mut entries = vec![("name".into(), Json::String(m.name.clone()))];
-            match &m.solve {
-                Some(s) => {
-                    entries.push(("basis_size".into(), Json::from_usize(s.basis_size)));
-                    entries.push((
-                        "nodes_investigated".into(),
-                        Json::from_u64(s.nodes_investigated),
-                    ));
-                    entries.push(("subtrees_pruned".into(), Json::from_u64(s.subtrees_pruned)));
-                    entries.push((
-                        "subtrees_bound_pruned".into(),
-                        Json::from_u64(s.subtrees_bound_pruned),
-                    ));
-                    entries.push(("budget_exhausted".into(), Json::Bool(s.budget_exhausted)));
-                }
-                None => entries.push(("solve".into(), Json::Null)),
-            }
-            Json::Object(entries)
+    Json::Object(per_machine(report, false, "solve", |m| {
+        m.solve.as_ref().map(|s| {
+            vec![
+                ("basis_size".into(), Json::from_usize(s.basis_size)),
+                (
+                    "nodes_investigated".into(),
+                    Json::from_u64(s.nodes_investigated),
+                ),
+                ("subtrees_pruned".into(), Json::from_u64(s.subtrees_pruned)),
+                (
+                    "subtrees_bound_pruned".into(),
+                    Json::from_u64(s.subtrees_bound_pruned),
+                ),
+                ("budget_exhausted".into(), Json::Bool(s.budget_exhausted)),
+            ]
         })
-        .collect();
-    Json::Object(vec![
-        (
-            "schema_version".into(),
-            Json::from_u64(REPORT_SCHEMA_VERSION),
-        ),
-        ("suite".into(), Json::String(report.suite.clone())),
-        ("machines".into(), Json::Array(machines)),
-    ])
+    }))
 }
 
 /// Extracts the per-machine *measured* fault-coverage results of a suite
 /// report as a compact, deterministic JSON document — the focused artefact
 /// `stc coverage` emits (the CI `coverage-gate` diffs the full report
-/// instead, via `stc run --coverage`).
-///
-/// Machines without a measured coverage section (gate-level stages skipped,
-/// timed out, or coverage disabled) are reported with a `null` entry so a
-/// disappearing machine also fails a diff against this document.
+/// instead, via `stc run --coverage`).  Machines without a measured
+/// coverage section (gate-level stages skipped, timed out, or coverage
+/// disabled) are reported with a `null` entry.
 #[must_use]
 pub fn coverage_json(report: &SuiteReport) -> Json {
-    let machines: Vec<Json> = report
-        .machines
-        .iter()
-        .map(|m| {
-            let mut entries = vec![
-                ("name".into(), Json::String(m.name.clone())),
-                (
-                    "status".into(),
-                    Json::String(m.status.as_json_str().to_string()),
-                ),
-            ];
-            match &m.bist {
-                Some(b) if b.measured_coverage.is_some() => {
-                    entries.push((
-                        "total_faults".into(),
-                        Json::from_usize(b.session1.total_faults + b.session2.total_faults),
-                    ));
-                    entries.push((
-                        "measured_coverage".into(),
-                        Json::Number(b.measured_coverage.unwrap_or(0.0)),
-                    ));
-                    entries.push((
-                        "undetected_faults".into(),
-                        Json::from_usize(b.undetected_faults.unwrap_or(0)),
-                    ));
-                }
-                _ => entries.push(("coverage".into(), Json::Null)),
-            }
-            Json::Object(entries)
-        })
-        .collect();
-    Json::Object(vec![
-        (
-            "schema_version".into(),
-            Json::from_u64(REPORT_SCHEMA_VERSION),
-        ),
-        ("suite".into(), Json::String(report.suite.clone())),
-        ("machines".into(), Json::Array(machines)),
-    ])
+    Json::Object(per_machine(report, true, "coverage", |m| {
+        let b = m.bist.as_ref()?;
+        Some(vec![
+            (
+                "total_faults".into(),
+                Json::from_usize(b.session1.total_faults + b.session2.total_faults),
+            ),
+            (
+                "measured_coverage".into(),
+                Json::Number(b.measured_coverage?),
+            ),
+            (
+                "undetected_faults".into(),
+                Json::from_usize(b.undetected_faults?),
+            ),
+        ])
+    }))
 }
 
 /// Extracts the per-machine plan-optimization results of a suite report as
 /// a compact, deterministic JSON document — the focused artefact
 /// `stc optimize` emits and the CI `optimize-gate` diffs against
-/// `tests/golden/optimize.json`.
-///
-/// Machines without an optimize section (gate-level stages skipped, timed
-/// out, or the stage disabled) are reported with a `null` entry so a
-/// disappearing machine also fails a diff against this document.
+/// `tests/golden/optimize.json`.  Machines without an optimize section are
+/// reported with a `null` entry.
 #[must_use]
 pub fn optimize_json(report: &SuiteReport) -> Json {
-    let machines: Vec<Json> = report
-        .machines
-        .iter()
-        .map(|m| {
-            let mut entries = vec![
-                ("name".into(), Json::String(m.name.clone())),
-                (
-                    "status".into(),
-                    Json::String(m.status.as_json_str().to_string()),
-                ),
-            ];
-            match &m.optimize {
-                Some(o) => entries.push(("optimize".into(), optimize_report_json(o))),
-                None => entries.push(("optimize".into(), Json::Null)),
-            }
-            Json::Object(entries)
-        })
-        .collect();
-    Json::Object(vec![
-        (
-            "schema_version".into(),
-            Json::from_u64(REPORT_SCHEMA_VERSION),
-        ),
-        ("suite".into(), Json::String(report.suite.clone())),
-        ("machines".into(), Json::Array(machines)),
-    ])
+    Json::Object(per_machine(report, true, "optimize", |m| {
+        let o = m.optimize.as_ref()?;
+        Some(vec![("optimize".into(), optimize_report_json(o))])
+    }))
 }
 
 /// Extracts the per-machine static-analysis results of a suite report as a
 /// compact, deterministic JSON document — the focused artefact `stc lint`
-/// emits and the CI `lint-gate` diffs against `tests/golden/lint.json`.
-///
-/// Machines without an analysis section (the stage was disabled) are
-/// reported with a `null` entry so a disappearing machine also fails a diff
-/// against this document.
+/// emits and the CI `lint-gate` diffs against `tests/golden/lint.json` —
+/// followed by a suite-wide finding summary.  Machines without an analysis
+/// section (the stage was disabled) are reported with a `null` entry.
 #[must_use]
 pub fn lint_json(report: &SuiteReport) -> Json {
-    let machines: Vec<Json> = report
-        .machines
-        .iter()
-        .map(|m| {
-            let mut entries = vec![("name".into(), Json::String(m.name.clone()))];
-            match &m.analysis {
-                Some(a) => {
-                    entries.push((
-                        "diagnostics".into(),
-                        Json::Array(a.diagnostics.iter().map(diagnostic_json).collect()),
-                    ));
-                    entries.push((
-                        "blocks".into(),
-                        Json::Array(a.blocks.iter().map(block_analysis_json).collect()),
-                    ));
-                }
-                None => entries.push(("analysis".into(), Json::Null)),
-            }
-            Json::Object(entries)
-        })
-        .collect();
-    let total_at_least = |severity: Severity| {
-        report
-            .machines
-            .iter()
-            .filter_map(|m| m.analysis.as_ref())
-            .map(|a| a.count_at_least(severity))
-            .sum::<usize>()
-    };
-    let errors = total_at_least(Severity::Error);
-    Json::Object(vec![
-        (
-            "schema_version".into(),
-            Json::from_u64(REPORT_SCHEMA_VERSION),
-        ),
-        ("suite".into(), Json::String(report.suite.clone())),
-        ("machines".into(), Json::Array(machines)),
-        (
-            "summary".into(),
-            Json::Object(vec![
-                ("errors".into(), Json::from_usize(errors)),
-                (
-                    "warnings".into(),
-                    Json::from_usize(total_at_least(Severity::Warning) - errors),
-                ),
-                (
-                    "findings".into(),
-                    Json::from_usize(total_at_least(Severity::Info)),
-                ),
-            ]),
-        ),
-    ])
+    let mut entries = per_machine(report, false, "analysis", |m| {
+        let a = m.analysis.as_ref()?;
+        Some(vec![
+            (
+                "diagnostics".into(),
+                Json::Array(a.diagnostics.iter().map(diagnostic_json).collect()),
+            ),
+            (
+                "blocks".into(),
+                Json::Array(a.blocks.iter().map(block_analysis_json).collect()),
+            ),
+        ])
+    });
+    let errors = report.count_findings(Severity::Error);
+    entries.push((
+        "summary".into(),
+        Json::Object(vec![
+            ("errors".into(), Json::from_usize(errors)),
+            (
+                "warnings".into(),
+                Json::from_usize(report.count_findings(Severity::Warning) - errors),
+            ),
+            (
+                "findings".into(),
+                Json::from_usize(report.count_findings(Severity::Info)),
+            ),
+        ]),
+    ));
+    Json::Object(entries)
 }
 
 /// Extracts the per-machine code-emission digests of a suite report as a
 /// compact, deterministic JSON document — the focused artefact `stc emit`
 /// emits and the CI `emit-gate` diffs against `tests/golden/emit.json`.
-///
-/// Machines without an emit section (gate-level stages skipped, timed out,
-/// or the stage disabled) are reported with a `null` entry so a
-/// disappearing machine also fails a diff against this document.
+/// Machines without an emit section are reported with a `null` entry.
 #[must_use]
 pub fn emit_json(report: &SuiteReport) -> Json {
-    let machines: Vec<Json> = report
-        .machines
-        .iter()
-        .map(|m| {
-            let mut entries = vec![
-                ("name".into(), Json::String(m.name.clone())),
-                (
-                    "status".into(),
-                    Json::String(m.status.as_json_str().to_string()),
-                ),
-            ];
-            match &m.emit {
-                Some(e) => entries.push(("emit".into(), emit_report_json(e))),
-                None => entries.push(("emit".into(), Json::Null)),
-            }
-            Json::Object(entries)
-        })
-        .collect();
-    Json::Object(vec![
-        (
-            "schema_version".into(),
-            Json::from_u64(REPORT_SCHEMA_VERSION),
-        ),
-        ("suite".into(), Json::String(report.suite.clone())),
-        ("machines".into(), Json::Array(machines)),
-    ])
+    Json::Object(per_machine(report, true, "emit", |m| {
+        let e = m.emit.as_ref()?;
+        Some(vec![("emit".into(), emit_report_json(e))])
+    }))
 }
 
 /// Formats a compact fixed-width paper-vs-measured table (the Table 1 shape)

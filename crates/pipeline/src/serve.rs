@@ -56,7 +56,7 @@ use crate::config::StcConfig;
 use crate::corpus::{embedded_corpus, CorpusEntry};
 use crate::json::Json;
 use crate::metrics::{ServeMetrics, StageTimer};
-use crate::session::{echo_config, Synthesis};
+use crate::session::Synthesis;
 use crate::CacheLimits;
 use std::io::{BufRead, Write};
 use std::sync::{mpsc, Arc, Mutex};
@@ -219,7 +219,7 @@ impl ServeContext {
         let report = session.run(&entry);
         let rendered = CachedSynthesis {
             machine_name: report.name.clone(),
-            config_json: echo_config(session.config()).to_json().to_compact(),
+            config_json: session.config().result_relevant().to_json().to_compact(),
             report_json: report.to_json().to_compact(),
         };
         let line = splice_ok(
@@ -497,136 +497,96 @@ mod tests {
         );
     }
 
+    /// A per-request override switches an optional stage on for that
+    /// request only: its report section and config echo appear in that
+    /// response and in no other.
     #[test]
-    fn per_request_coverage_override_adds_measured_fields() {
-        let (responses, stats) = serve_lines(
-            "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"coverage.enabled\": true}}\n\
-             {\"id\": 2, \"machine\": \"tav\"}\n",
-            1,
-        );
-        assert_eq!(stats.errors, 0);
-        for r in &responses {
-            let id = r.get("id").unwrap().as_u64().unwrap();
-            let bist = r.get("report").unwrap().get("bist").unwrap();
-            let config = r.get("config").unwrap();
-            if id == 1 {
-                // tav's plan is exhaustive for its 2-bit cones: complete.
-                assert_eq!(
-                    bist.get("measured_coverage"),
-                    Some(&Json::Number(1.0)),
-                    "{r:?}"
-                );
-                assert_eq!(bist.get("undetected_faults").unwrap().as_u64(), Some(0));
-                assert_eq!(config.get("coverage_enabled"), Some(&Json::Bool(true)));
-            } else {
-                assert_eq!(bist.get("measured_coverage"), None);
-                assert_eq!(config.get("coverage_enabled"), None);
-            }
-        }
-    }
-
-    #[test]
-    fn per_request_optimize_override_adds_the_optimize_section() {
-        let (responses, stats) = serve_lines(
-            "{\"id\": 1, \"machine\": \"tav\", \"overrides\": \
-             {\"coverage.optimize.enabled\": true, \"coverage.optimize.max_candidates\": \"4\"}}\n\
-             {\"id\": 2, \"machine\": \"tav\"}\n",
-            1,
-        );
-        assert_eq!(stats.errors, 0);
-        for r in &responses {
-            let id = r.get("id").unwrap().as_u64().unwrap();
-            let report = r.get("report").unwrap();
-            let config = r.get("config").unwrap();
-            if id == 1 {
-                let optimize = report.get("optimize").unwrap();
-                assert_eq!(
-                    optimize.get("target_reached"),
-                    Some(&Json::Bool(true)),
-                    "{r:?}"
-                );
-                // tav's cones are small: the optimized plan is strictly
-                // shorter than the fixed two-session baseline.
-                let total = optimize.get("total_length").unwrap().as_u64().unwrap();
-                let baseline = optimize.get("baseline_length").unwrap().as_u64().unwrap();
-                assert!(total < baseline, "{r:?}");
-                assert_eq!(config.get("optimize_enabled"), Some(&Json::Bool(true)));
-                assert_eq!(
-                    config.get("optimize_max_candidates").unwrap().as_u64(),
-                    Some(4)
-                );
-            } else {
-                assert_eq!(report.get("optimize"), None);
-                assert_eq!(config.get("optimize_enabled"), None);
-            }
-        }
-    }
-
-    #[test]
-    fn per_request_emit_override_adds_the_digest_section() {
-        let (responses, stats) = serve_lines(
-            "{\"id\": 1, \"machine\": \"tav\", \"overrides\": \
-             {\"emit.enabled\": true, \"emit.target\": \"verilog\"}}\n\
-             {\"id\": 2, \"machine\": \"tav\"}\n",
-            1,
-        );
-        assert_eq!(stats.errors, 0);
-        for r in &responses {
-            let id = r.get("id").unwrap().as_u64().unwrap();
-            let report = r.get("report").unwrap();
-            let config = r.get("config").unwrap();
-            if id == 1 {
-                let emit = report.get("emit").expect("emit section present");
-                assert_eq!(emit.get("target").unwrap().as_str(), Some("verilog"));
-                let modules = emit.get("modules").unwrap().as_array().unwrap();
-                assert_eq!(modules.len(), 1);
-                assert_eq!(modules[0].get("file").unwrap().as_str(), Some("tav.v"));
-                assert!(modules[0].get("bytes").unwrap().as_u64().unwrap() > 0);
-                assert_eq!(config.get("emit_enabled"), Some(&Json::Bool(true)));
-                assert_eq!(config.get("emit_target").unwrap().as_str(), Some("verilog"));
-            } else {
-                assert_eq!(report.get("emit"), None);
-                assert_eq!(config.get("emit_enabled"), None);
-            }
-        }
-    }
-
-    #[test]
-    fn per_request_analysis_override_adds_the_lint_section() {
-        let (responses, stats) = serve_lines(
-            "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"analysis.enabled\": true, \
-             \"analysis.deny\": \"net-unused-input\"}}\n\
-             {\"id\": 2, \"machine\": \"tav\"}\n",
-            1,
-        );
-        assert_eq!(stats.errors, 0);
-        for r in &responses {
-            let id = r.get("id").unwrap().as_u64().unwrap();
-            let report = r.get("report").unwrap();
-            let config = r.get("config").unwrap();
-            if id == 1 {
-                let analysis = report.get("analysis").expect("analysis section present");
-                let blocks = analysis.get("blocks").unwrap().as_array().unwrap();
-                assert_eq!(blocks.len(), 3, "C1, C2 and the output block");
-                assert_eq!(config.get("analysis_enabled"), Some(&Json::Bool(true)));
-                let deny = config.get("analysis_deny").unwrap().as_array().unwrap();
-                assert_eq!(deny.len(), 1);
-                // tav's unused block inputs are promoted by the deny list.
-                let promoted = blocks.iter().any(|b| {
-                    b.get("diagnostics")
-                        .unwrap()
-                        .as_array()
-                        .unwrap()
-                        .iter()
-                        .any(|d| {
+    fn per_request_stage_overrides_add_their_sections() {
+        type Check = fn(&Json, &Json);
+        let cases: [(&str, &[&str], &str, Check); 4] = [
+            (
+                r#"{"coverage.enabled": true}"#,
+                &["bist", "measured_coverage"],
+                "coverage_enabled",
+                |report, _| {
+                    // tav's plan is exhaustive for its 2-bit cones: complete.
+                    let bist = report.get("bist").unwrap();
+                    assert_eq!(bist.get("measured_coverage"), Some(&Json::Number(1.0)));
+                    assert_eq!(bist.get("undetected_faults").unwrap().as_u64(), Some(0));
+                },
+            ),
+            (
+                r#"{"coverage.optimize.enabled": true, "coverage.optimize.max_candidates": "4"}"#,
+                &["optimize"],
+                "optimize_enabled",
+                |report, config| {
+                    let optimize = report.get("optimize").unwrap();
+                    assert_eq!(optimize.get("target_reached"), Some(&Json::Bool(true)));
+                    // tav's cones are small: the optimized plan is strictly
+                    // shorter than the fixed two-session baseline.
+                    let total = optimize.get("total_length").unwrap().as_u64().unwrap();
+                    let baseline = optimize.get("baseline_length").unwrap().as_u64().unwrap();
+                    assert!(total < baseline);
+                    let candidates = config.get("optimize_max_candidates").unwrap();
+                    assert_eq!(candidates.as_u64(), Some(4));
+                },
+            ),
+            (
+                r#"{"emit.enabled": true, "emit.target": "verilog"}"#,
+                &["emit"],
+                "emit_enabled",
+                |report, config| {
+                    let emit = report.get("emit").unwrap();
+                    assert_eq!(emit.get("target").unwrap().as_str(), Some("verilog"));
+                    let modules = emit.get("modules").unwrap().as_array().unwrap();
+                    assert_eq!(modules.len(), 1);
+                    assert_eq!(modules[0].get("file").unwrap().as_str(), Some("tav.v"));
+                    assert!(modules[0].get("bytes").unwrap().as_u64().unwrap() > 0);
+                    assert_eq!(config.get("emit_target").unwrap().as_str(), Some("verilog"));
+                },
+            ),
+            (
+                r#"{"analysis.enabled": true, "analysis.deny": "net-unused-input"}"#,
+                &["analysis"],
+                "analysis_enabled",
+                |report, config| {
+                    let analysis = report.get("analysis").unwrap();
+                    let blocks = analysis.get("blocks").unwrap().as_array().unwrap();
+                    assert_eq!(blocks.len(), 3, "C1, C2 and the output block");
+                    let deny = config.get("analysis_deny").unwrap().as_array().unwrap();
+                    assert_eq!(deny.len(), 1);
+                    // tav's unused block inputs are promoted by the deny list.
+                    let promoted = blocks.iter().any(|b| {
+                        let diagnostics = b.get("diagnostics").unwrap().as_array().unwrap();
+                        diagnostics.iter().any(|d| {
                             d.get("code").unwrap().as_str() == Some("net-unused-input")
                                 && d.get("severity").unwrap().as_str() == Some("error")
                         })
-                });
-                assert!(promoted, "{blocks:?}");
-            } else {
-                assert_eq!(report.get("analysis"), None);
-                assert_eq!(config.get("analysis_enabled"), None);
+                    });
+                    assert!(promoted, "{blocks:?}");
+                },
+            ),
+        ];
+        for (overrides, section, echo, check) in cases {
+            let (responses, stats) = serve_lines(
+                &format!(
+                    "{{\"id\": 1, \"machine\": \"tav\", \"overrides\": {overrides}}}\n\
+                     {{\"id\": 2, \"machine\": \"tav\"}}\n"
+                ),
+                1,
+            );
+            assert_eq!(stats.errors, 0, "{overrides}");
+            for r in &responses {
+                let on = r.get("id").unwrap().as_u64() == Some(1);
+                let report = r.get("report").unwrap();
+                let config = r.get("config").unwrap();
+                let found = section.iter().try_fold(report, |json, key| json.get(key));
+                assert_eq!(found.is_some(), on, "{overrides}: {r:?}");
+                assert_eq!(config.get(echo).is_some(), on, "{overrides}: {r:?}");
+                if on {
+                    assert_eq!(config.get(echo), Some(&Json::Bool(true)));
+                    check(report, config);
+                }
             }
         }
     }

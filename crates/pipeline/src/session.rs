@@ -16,16 +16,15 @@
 //! ([`Synthesis::encode`], [`Synthesis::synthesize_logic`],
 //! [`Synthesis::plan_bist`] each pick up where the artifact left off).
 //! [`Synthesis::run`] and [`Synthesis::run_suite`] assemble the classic
-//! [`MachineReport`] / [`crate::SuiteReport`] from the same artifacts — the
-//! deprecated [`crate::run_machine`] / [`crate::run_corpus`] free functions
-//! are thin shims over them and produce byte-identical JSON.
+//! [`MachineReport`] / [`crate::SuiteReport`] from the same artifacts.
+//! Every stage, in flow order, is a row of the [`Stage`] table.
 //!
 //! An [`Observer`] attached at build time receives stage and solver events
 //! and can request cooperative cancellation; events are side-channel only
 //! (see `DESIGN.md` §6 for the determinism argument), so an observer that
 //! never cancels leaves every report byte-identical.
 
-use crate::config::StcConfig;
+use crate::config::{GateLevelLimits, StcConfig};
 use crate::corpus::CorpusEntry;
 use crate::observe::{Event, NullObserver, Observer};
 use crate::report::{
@@ -33,7 +32,6 @@ use crate::report::{
     MachineStatus, OptimizeReport, OptimizeSessionReport, SessionReport, SolveReport, SuiteReport,
     SuiteSummary, TestPointSuggestion,
 };
-use crate::runner::{GateLevelLimits, MachineTiming, SuiteRun};
 use stc_bist::{
     measure_plan_coverage, optimize_plan_with, pipeline_self_test, OptimizeOptions,
     OptimizeProgress, PlanCoverage, PlanOptimization, SelfTestResult, SessionOptimization,
@@ -49,26 +47,84 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Stage names, shared by events, reports and logs.
-pub mod stage_names {
+/// The stages of the flow.  [`Stage::ALL`] is the one ordered table of
+/// them: observer events, serve metrics and the `stc` commands all derive
+/// from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
     /// The OSTR decomposition stage.
-    pub const SOLVE: &str = "solve";
+    Solve,
     /// The state-assignment stage.
-    pub const ENCODE: &str = "encode";
+    Encode,
     /// The two-level logic-synthesis stage.
-    pub const LOGIC: &str = "logic";
+    Logic,
     /// The BIST session-planning stage.
-    pub const BIST: &str = "bist";
+    Bist,
     /// The exact fault-coverage measurement stage (optional).
-    pub const COVERAGE: &str = "coverage";
+    Coverage,
     /// The coverage-driven plan-optimization stage (optional).
-    pub const OPTIMIZE: &str = "optimize";
+    Optimize,
     /// The static-analysis stage (optional): FSM lints, netlist structure
     /// checks and SCOAP testability metrics.
-    pub const ANALYZE: &str = "analyze";
+    Analyze,
     /// The code-generation stage (optional): compiles the decomposition and
     /// BIST plan into a deployable self-testable controller module.
-    pub const EMIT: &str = "emit";
+    Emit,
+}
+
+impl Stage {
+    /// Every stage, in flow order.
+    pub const ALL: [Stage; 8] = [
+        Stage::Solve,
+        Stage::Encode,
+        Stage::Logic,
+        Stage::Bist,
+        Stage::Coverage,
+        Stage::Optimize,
+        Stage::Analyze,
+        Stage::Emit,
+    ];
+
+    /// The stage's name in observer events, serve metrics and logs.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Stage::Solve => "solve",
+            Stage::Encode => "encode",
+            Stage::Logic => "logic",
+            Stage::Bist => "bist",
+            Stage::Coverage => "coverage",
+            Stage::Optimize => "optimize",
+            Stage::Analyze => "analyze",
+            Stage::Emit => "emit",
+        }
+    }
+
+    /// Whether a full flow ([`Synthesis::run`]) under `config` runs this
+    /// stage (the gate-level limits aside).
+    #[must_use]
+    pub fn enabled(self, config: &StcConfig) -> bool {
+        match self {
+            Stage::Solve | Stage::Encode | Stage::Logic | Stage::Bist => true,
+            Stage::Coverage => config.pipeline.coverage.enabled,
+            Stage::Optimize => config.pipeline.optimize.enabled,
+            Stage::Analyze => config.analysis.enabled,
+            Stage::Emit => config.emit.enabled,
+        }
+    }
+
+    /// The config key switching an optional stage on; `None` for the four
+    /// stages every full run goes through.
+    #[must_use]
+    pub const fn enable_key(self) -> Option<&'static str> {
+        match self {
+            Stage::Solve | Stage::Encode | Stage::Logic | Stage::Bist => None,
+            Stage::Coverage => Some("coverage.enabled"),
+            Stage::Optimize => Some("coverage.optimize.enabled"),
+            Stage::Analyze => Some("analysis.enabled"),
+            Stage::Emit => Some("emit.enabled"),
+        }
+    }
 }
 
 /// Hard-to-test nets reported per block by the analysis stage: enough to
@@ -707,6 +763,21 @@ impl Synthesis {
         self.observer.on_event(&event);
     }
 
+    /// Runs `body` as `stage` of `machine`, bracketed by the stage's
+    /// started/finished events.
+    fn in_stage<T>(&self, machine: &str, stage: Stage, body: impl FnOnce() -> T) -> T {
+        self.emit(Event::StageStarted {
+            machine,
+            stage: stage.name(),
+        });
+        let out = body();
+        self.emit(Event::StageFinished {
+            machine,
+            stage: stage.name(),
+        });
+        out
+    }
+
     fn stage_deadline(&self) -> Option<Instant> {
         self.config.stage_deadline.map(|d| Instant::now() + d)
     }
@@ -727,34 +798,27 @@ impl Synthesis {
     /// the per-stage deadline (as opposed to the observer) — [`Self::run`]
     /// needs the distinction to report `timeout` vs `cancelled` correctly.
     fn decompose_tracked(&self, machine: &Mealy) -> (Decomposition, bool) {
-        self.emit(Event::StageStarted {
-            machine: machine.name(),
-            stage: stage_names::SOLVE,
-        });
-        let adapter = SolveAdapter {
-            machine: machine.name(),
-            observer: self.observer.as_ref(),
-            deadline: self.stage_deadline(),
-            deadline_hit: AtomicBool::new(false),
-        };
-        let outcome =
-            OstrSolver::new(self.config.pipeline.solver).solve_observed(machine, &adapter);
-        let realization = outcome.best.realize(machine);
-        let verified = realization.verify(machine).is_none();
-        self.emit(Event::StageFinished {
-            machine: machine.name(),
-            stage: stage_names::SOLVE,
-        });
-        let deadline_hit = adapter.deadline_hit.load(Ordering::Relaxed);
-        (
-            Decomposition {
-                machine: machine.clone(),
-                outcome,
-                realization,
-                verified,
-            },
-            deadline_hit,
-        )
+        self.in_stage(machine.name(), Stage::Solve, || {
+            let adapter = SolveAdapter {
+                machine: machine.name(),
+                observer: self.observer.as_ref(),
+                deadline: self.stage_deadline(),
+                deadline_hit: AtomicBool::new(false),
+            };
+            let outcome =
+                OstrSolver::new(self.config.pipeline.solver).solve_observed(machine, &adapter);
+            let realization = outcome.best.realize(machine);
+            let verified = realization.verify(machine).is_none();
+            (
+                Decomposition {
+                    machine: machine.clone(),
+                    outcome,
+                    realization,
+                    verified,
+                },
+                adapter.deadline_hit.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Resumes a flow from a [`Decomposition`]: runs the state-assignment
@@ -778,15 +842,9 @@ impl Synthesis {
                 limits,
             });
         }
-        self.emit(Event::StageStarted {
-            machine: machine.name(),
-            stage: stage_names::ENCODE,
-        });
         let strategy = self.config.pipeline.encoding;
-        let pipeline = EncodedPipeline::new(machine, &decomposition.realization, strategy);
-        self.emit(Event::StageFinished {
-            machine: machine.name(),
-            stage: stage_names::ENCODE,
+        let pipeline = self.in_stage(machine.name(), Stage::Encode, || {
+            EncodedPipeline::new(machine, &decomposition.realization, strategy)
         });
         Ok(Encoded {
             name: machine.name().to_string(),
@@ -799,14 +857,8 @@ impl Synthesis {
     /// and netlist construction for `C1`, `C2` and the output logic.
     #[must_use]
     pub fn synthesize_logic(&self, encoded: &Encoded) -> Netlist {
-        self.emit(Event::StageStarted {
-            machine: &encoded.name,
-            stage: stage_names::LOGIC,
-        });
-        let logic = synthesize_pipeline(&encoded.pipeline, self.config.pipeline.synth);
-        self.emit(Event::StageFinished {
-            machine: &encoded.name,
-            stage: stage_names::LOGIC,
+        let logic = self.in_stage(&encoded.name, Stage::Logic, || {
+            synthesize_pipeline(&encoded.pipeline, self.config.pipeline.synth)
         });
         Netlist {
             name: encoded.name.clone(),
@@ -818,17 +870,11 @@ impl Synthesis {
     /// and estimates signature-based fault coverage.
     #[must_use]
     pub fn plan_bist(&self, netlist: &Netlist) -> BistPlan {
-        self.emit(Event::StageStarted {
-            machine: &netlist.name,
-            stage: stage_names::BIST,
-        });
-        let result = pipeline_self_test(
-            netlist.logic.as_ref(),
-            self.config.pipeline.patterns_per_session,
-        );
-        self.emit(Event::StageFinished {
-            machine: &netlist.name,
-            stage: stage_names::BIST,
+        let result = self.in_stage(&netlist.name, Stage::Bist, || {
+            pipeline_self_test(
+                netlist.logic.as_ref(),
+                self.config.pipeline.patterns_per_session,
+            )
         });
         BistPlan {
             name: netlist.name.clone(),
@@ -856,18 +902,12 @@ impl Synthesis {
     /// lives at the machine level already, and nesting thread pools would
     /// oversubscribe without changing any byte of the result.
     fn measure_coverage_with_jobs(&self, plan: &BistPlan, jobs: usize) -> CoverageReport {
-        self.emit(Event::StageStarted {
-            machine: &plan.name,
-            stage: stage_names::COVERAGE,
-        });
         let config = &self.config.pipeline;
         let patterns = config
             .coverage
             .applied_patterns(config.patterns_per_session);
-        let coverage = measure_plan_coverage(plan.logic.as_ref(), patterns, jobs);
-        self.emit(Event::StageFinished {
-            machine: &plan.name,
-            stage: stage_names::COVERAGE,
+        let coverage = self.in_stage(&plan.name, Stage::Coverage, || {
+            measure_plan_coverage(plan.logic.as_ref(), patterns, jobs)
         });
         CoverageReport {
             name: plan.name.clone(),
@@ -896,10 +936,6 @@ impl Synthesis {
     /// [`Self::run`] passes 1 for the same reason as the coverage stage:
     /// corpus runs parallelise over machines already.
     fn optimize_plan_with_jobs(&self, plan: &BistPlan, jobs: usize) -> OptimizedPlan {
-        self.emit(Event::StageStarted {
-            machine: &plan.name,
-            stage: stage_names::OPTIMIZE,
-        });
         let config = &self.config.pipeline;
         let options = OptimizeOptions {
             target: config.optimize.target,
@@ -908,36 +944,36 @@ impl Synthesis {
                 .optimize
                 .resolved_max_total_length(config.patterns_per_session),
         };
-        let result = optimize_plan_with(plan.logic.as_ref(), &options, jobs, &mut |progress| {
-            self.emit(match progress {
-                OptimizeProgress::CandidateEvaluated {
-                    block,
-                    candidate,
-                    length,
-                    coverage,
-                } => Event::OptimizeCandidate {
-                    machine: &plan.name,
-                    block,
-                    candidate: *candidate,
-                    length: *length,
-                    coverage: *coverage,
-                },
-                OptimizeProgress::IncumbentImproved {
-                    block,
-                    candidate,
-                    length,
-                } => Event::OptimizeIncumbent {
-                    machine: &plan.name,
-                    block,
-                    candidate: *candidate,
-                    length: *length,
-                },
+        let (result, test_points) = self.in_stage(&plan.name, Stage::Optimize, || {
+            let logic = plan.logic.as_ref();
+            let result = optimize_plan_with(logic, &options, jobs, &mut |progress| {
+                self.emit(match progress {
+                    OptimizeProgress::CandidateEvaluated {
+                        block,
+                        candidate,
+                        length,
+                        coverage,
+                    } => Event::OptimizeCandidate {
+                        machine: &plan.name,
+                        block,
+                        candidate: *candidate,
+                        length: *length,
+                        coverage: *coverage,
+                    },
+                    OptimizeProgress::IncumbentImproved {
+                        block,
+                        candidate,
+                        length,
+                    } => Event::OptimizeIncumbent {
+                        machine: &plan.name,
+                        block,
+                        candidate: *candidate,
+                        length: *length,
+                    },
+                });
             });
-        });
-        let test_points = rank_test_points(plan.logic.as_ref(), &result);
-        self.emit(Event::StageFinished {
-            machine: &plan.name,
-            stage: stage_names::OPTIMIZE,
+            let test_points = rank_test_points(logic, &result);
+            (result, test_points)
         });
         OptimizedPlan {
             name: plan.name.clone(),
@@ -960,27 +996,22 @@ impl Synthesis {
     /// `emit.module_name` overrides it (intended for single-machine runs).
     #[must_use]
     pub fn emit_code(&self, plan: &BistPlan, optimized: Option<&OptimizedPlan>) -> EmittedCode {
-        self.emit(Event::StageStarted {
-            machine: &plan.name,
-            stage: stage_names::EMIT,
-        });
-        let spec = match optimized {
-            Some(opt) => SelfTestSpec::from_optimized(plan.logic.as_ref(), &opt.result),
-            None => SelfTestSpec::from_plan(plan.logic.as_ref(), &plan.result),
-        };
-        let module_name = if self.config.emit.module_name.is_empty() {
-            sanitize_module_name(&plan.name)
-        } else {
-            sanitize_module_name(&self.config.emit.module_name)
-        };
         let target = self.config.emit.target;
-        let module = match target {
-            EmitTarget::Rust => emit_rust(&module_name, plan.logic.as_ref(), &spec),
-            EmitTarget::Verilog => emit_verilog(&module_name, plan.logic.as_ref(), &spec),
-        };
-        self.emit(Event::StageFinished {
-            machine: &plan.name,
-            stage: stage_names::EMIT,
+        let module = self.in_stage(&plan.name, Stage::Emit, || {
+            let logic = plan.logic.as_ref();
+            let spec = match optimized {
+                Some(opt) => SelfTestSpec::from_optimized(logic, &opt.result),
+                None => SelfTestSpec::from_plan(logic, &plan.result),
+            };
+            let module_name = if self.config.emit.module_name.is_empty() {
+                sanitize_module_name(&plan.name)
+            } else {
+                sanitize_module_name(&self.config.emit.module_name)
+            };
+            match target {
+                EmitTarget::Rust => emit_rust(&module_name, logic, &spec),
+                EmitTarget::Verilog => emit_verilog(&module_name, logic, &spec),
+            }
         });
         EmittedCode {
             name: plan.name.clone(),
@@ -999,11 +1030,8 @@ impl Synthesis {
         let encoded = self.encode(&decomposition)?;
         let netlist = self.synthesize_logic(&encoded);
         let plan = self.plan_bist(&netlist);
-        let optimized = self
-            .config
-            .pipeline
-            .optimize
-            .enabled
+        let optimized = Stage::Optimize
+            .enabled(&self.config)
             .then(|| self.optimize_plan_with_jobs(&plan, 1));
         Ok(self.emit_code(&plan, optimized.as_ref()))
     }
@@ -1016,17 +1044,11 @@ impl Synthesis {
     /// whether [`Self::run`] attaches an `analysis` section automatically.
     #[must_use]
     pub fn lint_machine(&self, machine: &Mealy) -> Vec<stc_analyze::Diagnostic> {
-        self.emit(Event::StageStarted {
-            machine: machine.name(),
-            stage: stage_names::ANALYZE,
-        });
-        let mut diagnostics = stc_analyze::lint_machine(machine);
-        self.promote_denied(&mut diagnostics);
-        self.emit(Event::StageFinished {
-            machine: machine.name(),
-            stage: stage_names::ANALYZE,
-        });
-        diagnostics
+        self.in_stage(machine.name(), Stage::Analyze, || {
+            let mut diagnostics = stc_analyze::lint_machine(machine);
+            self.promote_denied(&mut diagnostics);
+            diagnostics
+        })
     }
 
     /// Runs the structural and SCOAP analysis of each combinational block of
@@ -1034,25 +1056,18 @@ impl Synthesis {
     /// the session's `analysis.deny` list applied.
     #[must_use]
     pub fn analyze_netlist(&self, netlist: &Netlist) -> Vec<stc_analyze::BlockAnalysis> {
-        self.emit(Event::StageStarted {
-            machine: &netlist.name,
-            stage: stage_names::ANALYZE,
-        });
-        let logic = netlist.logic.as_ref();
-        let blocks = [&logic.c1, &logic.c2, &logic.output]
-            .into_iter()
-            .map(|block| {
-                let mut analysis =
-                    stc_analyze::analyze_block(&block.name, &block.netlist, HARD_NETS_REPORTED);
-                self.promote_denied(&mut analysis.diagnostics);
-                analysis
-            })
-            .collect();
-        self.emit(Event::StageFinished {
-            machine: &netlist.name,
-            stage: stage_names::ANALYZE,
-        });
-        blocks
+        self.in_stage(&netlist.name, Stage::Analyze, || {
+            let logic = netlist.logic.as_ref();
+            [&logic.c1, &logic.c2, &logic.output]
+                .into_iter()
+                .map(|block| {
+                    let mut analysis =
+                        stc_analyze::analyze_block(&block.name, &block.netlist, HARD_NETS_REPORTED);
+                    self.promote_denied(&mut analysis.diagnostics);
+                    analysis
+                })
+                .collect()
+        })
     }
 
     /// Promotes diagnostics whose code is on the `analysis.deny` list to
@@ -1068,28 +1083,13 @@ impl Synthesis {
     // -- full flows --------------------------------------------------------
 
     /// Drives one corpus entry through the full flow and assembles its
-    /// [`MachineReport`] — byte-identical to the reports of the deprecated
-    /// [`crate::run_machine`] for observer-free sessions.
+    /// [`MachineReport`].
     #[must_use]
     pub fn run(&self, entry: &CorpusEntry) -> MachineReport {
         let config = &self.config.pipeline;
         let machine_deadline = config.machine_timeout.map(|t| Instant::now() + t);
         let machine = &entry.machine;
-        let mut report = MachineReport {
-            name: machine.name().to_string(),
-            status: MachineStatus::Full,
-            states: machine.num_states(),
-            inputs: machine.num_inputs(),
-            outputs: machine.num_outputs(),
-            solve: None,
-            paper_table1: entry.table1,
-            paper_table2: entry.table2,
-            logic: None,
-            bist: None,
-            optimize: None,
-            analysis: None,
-            emit: None,
-        };
+        let mut report = blank_report(entry, MachineStatus::Full);
         let finish = |mut report: MachineReport, status: MachineStatus| {
             report.status = status;
             self.emit(Event::MachineFinished {
@@ -1102,7 +1102,7 @@ impl Synthesis {
         // Stage 0 (optional): machine-level static lints.  Purely static, so
         // it runs before any solver time is spent; the netlist blocks are
         // analysed after stage 3 produces them.
-        if self.config.analysis.enabled {
+        if Stage::Analyze.enabled(&self.config) {
             report.analysis = Some(AnalysisReport {
                 diagnostics: self.lint_machine(machine),
                 blocks: Vec::new(),
@@ -1178,8 +1178,8 @@ impl Synthesis {
 
         // Stage 4: two-session self-test planning and coverage estimation.
         // The machine-level timeout is deliberately not checked after the
-        // last stage (matching the pre-session runner); the stage deadline
-        // is, since a blown window is a per-stage fact.
+        // last core stage (its sections are all in by then); the stage
+        // deadline is, since a blown window is a per-stage fact.
         let stage = self.stage_deadline();
         let plan = self.plan_bist(&netlist);
         report.bist = Some(plan.bist_report());
@@ -1187,52 +1187,37 @@ impl Synthesis {
             return finish(report, MachineStatus::TimedOut);
         }
 
-        // Stage 5 (optional): exact fault coverage of the plan.  Serial
-        // fault-chunk workers here — corpus runs parallelise over machines
-        // — and its own stage-deadline window like the other late stages.
-        if config.coverage.enabled {
+        // Stages 5-7 (optional): exact fault coverage of the plan,
+        // coverage-driven plan optimization and code generation, in table
+        // order.  Each polls for cancellation first and gets its own
+        // stage-deadline window.  Fault simulation uses serial fault-chunk
+        // workers here: corpus runs parallelise over machines already.  The
+        // optimized plan is kept so the emit stage can bake its pattern
+        // sources in; reports carry emitted-code digests only.
+        let mut optimized: Option<OptimizedPlan> = None;
+        for stage in [Stage::Coverage, Stage::Optimize, Stage::Emit] {
+            if !stage.enabled(&self.config) {
+                continue;
+            }
             if self.observer.should_cancel() {
                 return finish(report, MachineStatus::Cancelled);
             }
-            let stage = self.stage_deadline();
-            let coverage = self.measure_coverage_with_jobs(&plan, 1);
-            if let Some(bist) = report.bist.as_mut() {
-                coverage.annotate(bist);
+            let window = self.stage_deadline();
+            match stage {
+                Stage::Coverage => {
+                    let coverage = self.measure_coverage_with_jobs(&plan, 1);
+                    if let Some(bist) = report.bist.as_mut() {
+                        coverage.annotate(bist);
+                    }
+                }
+                Stage::Optimize => {
+                    let plan = self.optimize_plan_with_jobs(&plan, 1);
+                    report.optimize = Some(plan.optimize_report());
+                    optimized = Some(plan);
+                }
+                _ => report.emit = Some(self.emit_code(&plan, optimized.as_ref()).emit_report()),
             }
-            if past(stage) {
-                return finish(report, MachineStatus::TimedOut);
-            }
-        }
-
-        // Stage 6 (optional): coverage-driven plan optimization.  Serial
-        // fault-chunk workers for the same reason as the coverage stage,
-        // and its own stage-deadline window.  The artifact is kept so that
-        // the emit stage can bake the optimized pattern sources in.
-        let mut optimized_plan: Option<OptimizedPlan> = None;
-        if config.optimize.enabled {
-            if self.observer.should_cancel() {
-                return finish(report, MachineStatus::Cancelled);
-            }
-            let stage = self.stage_deadline();
-            let optimized = self.optimize_plan_with_jobs(&plan, 1);
-            report.optimize = Some(optimized.optimize_report());
-            optimized_plan = Some(optimized);
-            if past(stage) {
-                return finish(report, MachineStatus::TimedOut);
-            }
-        }
-
-        // Stage 7 (optional): code generation.  Reports carry digests only
-        // (byte length plus FNV-1a hash per module), so the section stays
-        // compact and golden-diffable; `stc emit` returns the source text.
-        if self.config.emit.enabled {
-            if self.observer.should_cancel() {
-                return finish(report, MachineStatus::Cancelled);
-            }
-            let stage = self.stage_deadline();
-            let emitted = self.emit_code(&plan, optimized_plan.as_ref());
-            report.emit = Some(emitted.emit_report());
-            if past(stage) {
+            if past(window) {
                 return finish(report, MachineStatus::TimedOut);
             }
         }
@@ -1266,25 +1251,11 @@ impl Synthesis {
             ..SuiteSummary::default()
         };
         for (entry, result) in entries.iter().zip(results) {
+            // Never started: a cancelled placeholder keeps the report
+            // corpus-shaped.
             let (report, elapsed) = result.unwrap_or_else(|| {
-                // Never started: a cancelled placeholder keeps the report
-                // corpus-shaped.
                 (
-                    MachineReport {
-                        name: entry.machine.name().to_string(),
-                        status: MachineStatus::Cancelled,
-                        states: entry.machine.num_states(),
-                        inputs: entry.machine.num_inputs(),
-                        outputs: entry.machine.num_outputs(),
-                        solve: None,
-                        paper_table1: entry.table1,
-                        paper_table2: entry.table2,
-                        logic: None,
-                        bist: None,
-                        optimize: None,
-                        analysis: None,
-                        emit: None,
-                    },
+                    blank_report(entry, MachineStatus::Cancelled),
                     Duration::ZERO,
                 )
             });
@@ -1310,7 +1281,7 @@ impl Synthesis {
         SuiteRun {
             report: SuiteReport {
                 suite: suite_name.to_string(),
-                config: echo_config(&self.config),
+                config: self.config.result_relevant(),
                 machines,
                 summary,
             },
@@ -1359,35 +1330,44 @@ impl Synthesis {
     }
 }
 
-/// The deterministic configuration echo of a report — the *effective*
-/// configuration after all [`StcConfig`] layers.
-///
-/// `jobs` and `solver.parallel_subtrees` are deliberately *not* echoed: both
-/// are byte-invisible in results, and echoing them would make golden reports
-/// machine-dependent.
-pub(crate) fn echo_config(config: &StcConfig) -> crate::report::ConfigEcho {
-    let p = &config.pipeline;
-    crate::report::ConfigEcho {
-        max_nodes: p.solver.max_nodes,
-        lemma1_pruning: p.solver.lemma1_pruning,
-        stop_at_lower_bound: p.solver.stop_at_lower_bound,
-        branch_and_bound: p.solver.branch_and_bound,
-        encoding: format!("{:?}", p.encoding).to_ascii_lowercase(),
-        minimize: p.synth.minimize,
-        patterns_per_session: p.patterns_per_session,
-        gate_level_max_states: p.gate_level.max_states,
-        gate_level_max_inputs: p.gate_level.max_inputs,
-        coverage_enabled: p.coverage.enabled,
-        coverage_max_patterns: p.coverage.max_patterns,
-        optimize_enabled: p.optimize.enabled,
-        optimize_target: p.optimize.target,
-        optimize_max_candidates: p.optimize.max_candidates,
-        optimize_max_total_length: p.optimize.max_total_length,
-        analysis_enabled: config.analysis.enabled,
-        analysis_deny: config.analysis.deny.clone(),
-        emit_enabled: config.emit.enabled,
-        emit_target: config.emit.target.as_str().to_string(),
-        emit_module_name: config.emit.module_name.clone(),
+/// Wall-clock timing of one machine, reported alongside (never inside) the
+/// deterministic report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MachineTiming {
+    /// Machine name.
+    pub name: String,
+    /// Wall-clock time of the machine's flow.
+    pub elapsed: Duration,
+}
+
+/// The outcome of [`Synthesis::run_suite`]: the deterministic report plus
+/// the non-deterministic timing side channel.
+#[derive(Debug, Clone)]
+pub struct SuiteRun {
+    /// The deterministic, machine-readable report.
+    pub report: SuiteReport,
+    /// Per-machine wall-clock timings, in corpus order.
+    pub timings: Vec<MachineTiming>,
+}
+
+/// A machine's report before any stage ran: the machine's shape and paper
+/// rows, no stage sections.
+fn blank_report(entry: &CorpusEntry, status: MachineStatus) -> MachineReport {
+    let machine = &entry.machine;
+    MachineReport {
+        name: machine.name().to_string(),
+        status,
+        states: machine.num_states(),
+        inputs: machine.num_inputs(),
+        outputs: machine.num_outputs(),
+        solve: None,
+        paper_table1: entry.table1,
+        paper_table2: entry.table2,
+        logic: None,
+        bist: None,
+        optimize: None,
+        analysis: None,
+        emit: None,
     }
 }
 
@@ -1480,94 +1460,87 @@ mod tests {
         assert_eq!(report.undetected_faults, Some(0));
     }
 
+    /// Every optional stage is additive: off, neither its report section
+    /// nor its config echo appears; on, both do, and the core sections are
+    /// unchanged.
     #[test]
-    fn coverage_fields_appear_in_reports_only_when_enabled() {
+    fn optional_stages_add_their_sections_only_when_enabled() {
         let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
         let off = small_session().run_suite(&corpus, "test");
         let off_json = off.report.to_json_string();
-        assert!(!off_json.contains("measured_coverage"));
-        assert!(!off_json.contains("coverage_enabled"));
-
-        let on = Synthesis::builder()
-            .max_nodes(10_000)
-            .patterns_per_session(32)
-            .coverage(true)
-            .jobs(1)
-            .build()
-            .run_suite(&corpus, "test");
-        let on_json = on.report.to_json_string();
-        assert!(on_json.contains("\"measured_coverage\""));
-        assert!(on_json.contains("\"undetected_faults\""));
-        assert!(on_json.contains("\"coverage_enabled\": true"));
-        assert!(on_json.contains("\"coverage_max_patterns\": 0"));
-        // The coverage stage is additive: stripped of the new fields, both
-        // reports describe the same synthesis.
-        let on_bist = on.report.machines[0].bist.as_ref().unwrap();
-        let off_bist = off.report.machines[0].bist.as_ref().unwrap();
-        assert_eq!(on_bist.session1, off_bist.session1);
-        assert_eq!(on_bist.overall_coverage, off_bist.overall_coverage);
-    }
-
-    #[test]
-    fn optimize_fields_appear_in_reports_only_when_enabled() {
-        let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
-        let off = small_session().run_suite(&corpus, "test");
-        let off_json = off.report.to_json_string();
-        assert!(!off_json.contains("\"optimize\""));
-        assert!(!off_json.contains("optimize_enabled"));
-
-        let on = Synthesis::builder()
-            .max_nodes(10_000)
-            .patterns_per_session(32)
-            .optimize(true)
-            .jobs(1)
-            .build()
-            .run_suite(&corpus, "test");
-        let on_json = on.report.to_json_string();
-        assert!(on_json.contains("\"optimize\""));
-        assert!(on_json.contains("\"optimize_enabled\": true"));
-        let optimize = on.report.machines[0].optimize.as_ref().unwrap();
-        // tav's cones are 2-bit: the optimizer reaches full coverage far
-        // below the fixed 2 × 32 budget, with no test points needed.
-        assert!(optimize.target_reached);
-        assert!(optimize.total_length <= optimize.baseline_length);
-        assert_eq!(optimize.baseline_length, 64);
-        assert!((optimize.coverage - 1.0).abs() < 1e-12);
-        assert!(optimize.test_points.is_empty());
-        // The optimize stage is additive: every pre-existing section is
-        // unchanged.
-        assert_eq!(on.report.machines[0].solve, off.report.machines[0].solve);
-        assert_eq!(on.report.machines[0].bist, off.report.machines[0].bist);
-    }
-
-    #[test]
-    fn emit_fields_appear_in_reports_only_when_enabled() {
-        let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
-        let off = small_session().run_suite(&corpus, "test");
-        let off_json = off.report.to_json_string();
-        assert!(!off_json.contains("\"emit\""));
-        assert!(!off_json.contains("emit_enabled"));
-
-        let on = Synthesis::builder()
-            .max_nodes(10_000)
-            .patterns_per_session(32)
-            .emit(true)
-            .jobs(1)
-            .build()
-            .run_suite(&corpus, "test");
-        let on_json = on.report.to_json_string();
-        assert!(on_json.contains("\"emit_enabled\": true"));
-        assert!(on_json.contains("\"emit_target\": \"rust\""));
-        let emit = on.report.machines[0].emit.as_ref().unwrap();
-        assert_eq!(emit.target, "rust");
-        assert_eq!(emit.modules.len(), 1);
-        assert_eq!(emit.modules[0].module, "tav");
-        assert_eq!(emit.modules[0].file, "tav.rs");
-        assert!(emit.modules[0].bytes > 0);
-        // The emit stage is additive: every pre-existing section is
-        // unchanged.
-        assert_eq!(on.report.machines[0].solve, off.report.machines[0].solve);
-        assert_eq!(on.report.machines[0].bist, off.report.machines[0].bist);
+        let off = &off.report.machines[0];
+        for (stage, section, echo) in [
+            (
+                Stage::Coverage,
+                "\"measured_coverage\"",
+                "\"coverage_enabled\": true",
+            ),
+            (
+                Stage::Optimize,
+                "\"optimize\"",
+                "\"optimize_enabled\": true",
+            ),
+            (Stage::Analyze, "\"analysis\"", "\"analysis_enabled\": true"),
+            (Stage::Emit, "\"emit\"", "\"emit_enabled\": true"),
+        ] {
+            assert!(!off_json.contains(section), "{stage:?}");
+            assert!(!off_json.contains(echo), "{stage:?}");
+            let run = Synthesis::builder()
+                .max_nodes(10_000)
+                .patterns_per_session(32)
+                .set(stage.enable_key().unwrap(), "true")
+                .unwrap()
+                .jobs(1)
+                .build()
+                .run_suite(&corpus, "test");
+            let json = run.report.to_json_string();
+            assert!(json.contains(section), "{stage:?}");
+            assert!(json.contains(echo), "{stage:?}");
+            let on = &run.report.machines[0];
+            assert_eq!(on.solve, off.solve, "{stage:?}");
+            assert_eq!(on.logic, off.logic, "{stage:?}");
+            let (on_bist, off_bist) = (on.bist.as_ref().unwrap(), off.bist.as_ref().unwrap());
+            assert_eq!(on_bist.session1, off_bist.session1, "{stage:?}");
+            assert_eq!(on_bist.overall_coverage, off_bist.overall_coverage);
+            match stage {
+                Stage::Coverage => {
+                    assert!(json.contains("\"undetected_faults\""));
+                    assert!(json.contains("\"coverage_max_patterns\": 0"));
+                }
+                Stage::Optimize => {
+                    // tav's cones are 2-bit: the optimizer reaches full
+                    // coverage far below the fixed 2 × 32 budget, with no
+                    // test points needed.
+                    let optimize = on.optimize.as_ref().unwrap();
+                    assert!(optimize.target_reached);
+                    assert!(optimize.total_length <= optimize.baseline_length);
+                    assert_eq!(optimize.baseline_length, 64);
+                    assert!((optimize.coverage - 1.0).abs() < 1e-12);
+                    assert!(optimize.test_points.is_empty());
+                }
+                Stage::Analyze => {
+                    assert!(json.contains("\"hard_nets\""));
+                    let analysis = on.analysis.as_ref().unwrap();
+                    assert_eq!(analysis.blocks.len(), 3, "C1, C2 and the output logic");
+                    assert!(analysis
+                        .blocks
+                        .iter()
+                        .all(|b| b.hard_nets.len() <= HARD_NETS_REPORTED));
+                }
+                _ => {
+                    assert!(json.contains("\"emit_target\": \"rust\""));
+                    let emit = on.emit.as_ref().unwrap();
+                    assert_eq!(emit.target, "rust");
+                    assert_eq!(emit.modules.len(), 1);
+                    assert_eq!(emit.modules[0].module, "tav");
+                    assert_eq!(emit.modules[0].file, "tav.rs");
+                    assert!(emit.modules[0].bytes > 0);
+                }
+            }
+            if stage != Stage::Coverage {
+                assert_eq!(on.bist, off.bist, "{stage:?}");
+            }
+        }
     }
 
     #[test]
@@ -1610,41 +1583,6 @@ mod tests {
         let json = run.report.to_json_string();
         assert!(json.contains("\"test_points\""));
         assert!(json.contains("\"stuck_at\""));
-    }
-
-    #[test]
-    fn analysis_fields_appear_in_reports_only_when_enabled() {
-        let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
-        let off = small_session().run_suite(&corpus, "test");
-        let off_json = off.report.to_json_string();
-        assert!(!off_json.contains("\"analysis\""));
-        assert!(!off_json.contains("analysis_enabled"));
-
-        let on = Synthesis::builder()
-            .max_nodes(10_000)
-            .set("solver.stop_at_lower_bound", "true")
-            .unwrap()
-            .patterns_per_session(32)
-            .set("analysis.enabled", "true")
-            .unwrap()
-            .jobs(1)
-            .build()
-            .run_suite(&corpus, "test");
-        let on_json = on.report.to_json_string();
-        assert!(on_json.contains("\"analysis\""));
-        assert!(on_json.contains("\"analysis_enabled\": true"));
-        assert!(on_json.contains("\"hard_nets\""));
-        let analysis = on.report.machines[0].analysis.as_ref().unwrap();
-        assert_eq!(analysis.blocks.len(), 3, "C1, C2 and the output logic");
-        assert!(analysis
-            .blocks
-            .iter()
-            .all(|b| b.hard_nets.len() <= HARD_NETS_REPORTED));
-        // The analysis stage is additive: every pre-existing section is
-        // unchanged.
-        assert_eq!(on.report.machines[0].solve, off.report.machines[0].solve);
-        assert_eq!(on.report.machines[0].logic, off.report.machines[0].logic);
-        assert_eq!(on.report.machines[0].bist, off.report.machines[0].bist);
     }
 
     #[test]

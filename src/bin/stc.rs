@@ -42,11 +42,11 @@ use stc::analyze::Severity;
 use stc::pipeline::{
     compare_benchmarks, coverage_json, embedded_corpus, emit_json, filter_by_names,
     format_speedup_table, format_summary_table, kiss2_corpus, lint_json, load_baseline_dir,
-    optimize_json, parse_baseline,
-    search_stats_json, serve_with, BenchMeasurement, CacheLimits, CorpusEntry, Event, NetOptions,
-    NetServer, Observer, PipelineError, ServeOptions, StcConfig, SuiteRun, Synthesis,
+    optimize_json, parse_baseline, search_stats_json, serve_with, BenchMeasurement, CacheLimits,
+    CorpusEntry, Event, Json, NetOptions, NetServer, Observer, PipelineError, ServeOptions, Stage,
+    StcConfig, SuiteReport, SuiteRun, Synthesis,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -204,25 +204,23 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
-    let result = match command.as_str() {
-        "run" => cmd_run(rest),
-        "coverage" => cmd_coverage(rest),
-        "optimize" => cmd_optimize(rest),
-        "lint" => cmd_lint(rest),
-        "emit" => cmd_emit(rest),
-        "serve" => cmd_serve(rest),
-        "list" => cmd_list(rest),
-        "bench-check" => cmd_bench_check(rest),
-        "scale-table" => cmd_scale_table(rest),
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        other => {
-            eprintln!("unknown command '{other}'\n");
-            eprint!("{}", usage());
-            return ExitCode::from(2);
-        }
+    let result = match FLOW_COMMANDS.iter().find(|c| c.name == command) {
+        Some(flow) => cmd_flow(flow, rest),
+        None => match command.as_str() {
+            "serve" => cmd_serve(rest),
+            "list" => cmd_list(rest),
+            "bench-check" => cmd_bench_check(rest),
+            "scale-table" => cmd_scale_table(rest),
+            "help" | "--help" | "-h" => {
+                print!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
+            other => {
+                eprintln!("unknown command '{other}'\n");
+                eprint!("{}", usage());
+                return ExitCode::from(2);
+            }
+        },
     };
     match result {
         Ok(code) => code,
@@ -437,12 +435,101 @@ impl Observer for ProgressObserver {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+/// A flow command: a suite run that prints one projection of its report.
+/// `stc run` and the four stage commands are the rows of [`FLOW_COMMANDS`]
+/// and share [`cmd_flow`].
+struct FlowCommand {
+    /// The subcommand name; for a stage row also the `stc run --<name>`
+    /// switch enabling its stage.
+    name: &'static str,
+    /// The optional stage the command forces on; `None` for `stc run`.
+    stage: Option<Stage>,
+    /// Command flags taking a value, each layered onto its config key in
+    /// command-line order (like `--set`).
+    flags: &'static [(&'static str, &'static str)],
+    /// A repeatable flag whose values are comma-joined onto its config key
+    /// after every other layer.
+    joined: Option<(&'static str, &'static str)>,
+    /// The document printed on stdout (or written to `--out FILE`).
+    project: fn(&SuiteReport) -> Json,
+    /// What happens after the run besides printing the projection.
+    epilogue: Epilogue,
+}
+
+/// The command-specific tail of [`cmd_flow`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Epilogue {
+    /// The summary table on stderr; `stc run` adds the cpu-time line and
+    /// `--stats-out`.
+    Summary,
+    /// The finding counts on stderr; exit 1 when any finding reaches error
+    /// severity.
+    LintGate,
+    /// The summary table on stderr; `--out DIR` receives the generated
+    /// sources while the digest JSON always goes to stdout.
+    WriteSources,
+}
+
+const FLOW_COMMANDS: [FlowCommand; 5] = [
+    FlowCommand {
+        name: "run",
+        stage: None,
+        flags: &[],
+        joined: None,
+        project: SuiteReport::to_json,
+        epilogue: Epilogue::Summary,
+    },
+    FlowCommand {
+        name: "coverage",
+        stage: Some(Stage::Coverage),
+        flags: &[("--max-patterns", "coverage.max_patterns")],
+        joined: None,
+        project: coverage_json,
+        epilogue: Epilogue::Summary,
+    },
+    FlowCommand {
+        name: "optimize",
+        stage: Some(Stage::Optimize),
+        flags: &[
+            ("--target", "coverage.optimize.target"),
+            ("--max-candidates", "coverage.optimize.max_candidates"),
+            ("--max-total-length", "coverage.optimize.max_total_length"),
+        ],
+        joined: None,
+        project: optimize_json,
+        epilogue: Epilogue::Summary,
+    },
+    FlowCommand {
+        name: "lint",
+        stage: Some(Stage::Analyze),
+        flags: &[],
+        joined: Some(("--deny", "analysis.deny")),
+        project: lint_json,
+        epilogue: Epilogue::LintGate,
+    },
+    FlowCommand {
+        name: "emit",
+        stage: Some(Stage::Emit),
+        flags: &[
+            ("--target", "emit.target"),
+            ("--module-name", "emit.module_name"),
+        ],
+        joined: None,
+        project: emit_json,
+        epilogue: Epilogue::WriteSources,
+    },
+];
+
+/// Runs one [`FLOW_COMMANDS`] row: parse its flags, layer the config, run
+/// the suite, print the projection and finish with the row's epilogue.
+fn cmd_flow(command: &FlowCommand, args: &[String]) -> Result<ExitCode, String> {
     let mut corpus_args = CorpusArgs::new();
     let mut config_args = ConfigArgs::new();
+    let mut joined: Vec<String> = Vec::new();
     let mut out: Option<PathBuf> = None;
     let mut stats_out: Option<PathBuf> = None;
     let mut progress = false;
+    let unknown = |flag: &str| format!("unknown flag '{flag}' for 'stc {}'", command.name);
 
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -451,26 +538,38 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         {
             continue;
         }
-        match flag.as_str() {
-            "--coverage" => config_args
-                .overrides
-                .push(("coverage.enabled".into(), "true".into())),
-            "--optimize" => config_args
-                .overrides
-                .push(("coverage.optimize.enabled".into(), "true".into())),
-            "--lint" => config_args
-                .overrides
-                .push(("analysis.enabled".into(), "true".into())),
-            "--emit" => config_args
-                .overrides
-                .push(("emit.enabled".into(), "true".into())),
-            "--progress" => progress = true,
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--stats-out" => stats_out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            other => return Err(format!("unknown flag '{other}' for 'stc run'")),
+        if flag == "--out" {
+            out = Some(PathBuf::from(take_value(flag, &mut iter)?));
+        } else if let Some((_, key)) = command.flags.iter().find(|(f, _)| f == flag) {
+            let value = take_value(flag, &mut iter)?.clone();
+            config_args.overrides.push(((*key).to_string(), value));
+        } else if command.joined.is_some_and(|(f, _)| f == flag) {
+            joined.push(take_value(flag, &mut iter)?.clone());
+        } else if command.stage.is_some() {
+            return Err(unknown(flag));
+        } else if flag == "--progress" {
+            progress = true;
+        } else if flag == "--stats-out" {
+            stats_out = Some(PathBuf::from(take_value(flag, &mut iter)?));
+        } else {
+            // `stc run --<stage command>` enables that command's stage.
+            let key = FLOW_COMMANDS
+                .iter()
+                .find(|c| flag.strip_prefix("--") == Some(c.name))
+                .and_then(|c| c.stage?.enable_key())
+                .ok_or_else(|| unknown(flag))?;
+            config_args.overrides.push((key.into(), "true".into()));
         }
     }
-    let config = config_args.build()?;
+    let mut config = config_args.build()?;
+    if let Some(key) = command.stage.and_then(Stage::enable_key) {
+        config.set(key, "true").map_err(|e| e.to_string())?;
+    }
+    if let Some((_, key)) = command.joined.filter(|_| !joined.is_empty()) {
+        config
+            .set(key, &joined.join(","))
+            .map_err(|e| e.to_string())?;
+    }
     let jobs = config.resolve_jobs();
 
     let (label, corpus) = corpus_args.load()?;
@@ -479,7 +578,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     }
     // The resolved worker count is logged, never echoed into the report.
     eprintln!(
-        "stc run: {} machines from '{label}', {jobs} worker(s){}",
+        "stc {}: {} machines from '{label}', {jobs} worker(s){}",
+        command.name,
         corpus.len(),
         if config.jobs == 0 { " [auto]" } else { "" }
     );
@@ -491,295 +591,69 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let session = builder.build();
     let SuiteRun { report, timings } = session.run_suite(&corpus, &label);
 
-    eprint!("{}", format_summary_table(&report));
-    let total: std::time::Duration = timings.iter().map(|t| t.elapsed).sum();
-    let slowest = timings.iter().max_by_key(|t| t.elapsed);
-    if let Some(slowest) = slowest {
-        eprintln!(
-            "cpu time {:.1}s total, slowest machine '{}' at {:.1}s",
-            total.as_secs_f64(),
-            slowest.name,
-            slowest.elapsed.as_secs_f64()
-        );
-    }
-
-    if let Some(path) = stats_out {
-        let stats = search_stats_json(&report).to_pretty();
-        std::fs::write(&path, stats)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    let json = report.to_json_string();
-    match out {
-        Some(path) => std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{json}"),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `stc coverage`: the pipeline with the exact fault-coverage stage forced
-/// on, emitting the focused per-machine coverage JSON (the full report —
-/// which the CI `coverage-gate` diffs — comes from `stc run --coverage`).
-fn cmd_coverage(args: &[String]) -> Result<ExitCode, String> {
-    let mut corpus_args = CorpusArgs::new();
-    let mut config_args = ConfigArgs::new();
-    let mut out: Option<PathBuf> = None;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        if parse_corpus_flag(flag, &mut iter, &mut corpus_args)?
-            || config_args.parse_flag(flag, &mut iter)?
-        {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--max-patterns" => config_args.overrides.push((
-                "coverage.max_patterns".into(),
-                take_value(flag, &mut iter)?.clone(),
-            )),
-            other => return Err(format!("unknown flag '{other}' for 'stc coverage'")),
-        }
-    }
-    let mut config = config_args.build()?;
-    config
-        .set("coverage.enabled", "true")
-        .map_err(|e| e.to_string())?;
-    let jobs = config.resolve_jobs();
-
-    let (label, corpus) = corpus_args.load()?;
-    if corpus.is_empty() {
-        return Err(PipelineError::EmptyCorpus(label).to_string());
-    }
-    eprintln!(
-        "stc coverage: {} machines from '{label}', {jobs} worker(s){}",
-        corpus.len(),
-        if config.jobs == 0 { " [auto]" } else { "" }
-    );
-
-    let session = Synthesis::builder().config(config).build();
-    let SuiteRun { report, .. } = session.run_suite(&corpus, &label);
-    eprint!("{}", format_summary_table(&report));
-
-    let json = coverage_json(&report).to_pretty();
-    match out {
-        Some(path) => std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{json}"),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `stc optimize`: the pipeline with the BIST plan optimizer forced on,
-/// emitting the focused per-machine optimized-plan JSON (the full report —
-/// which the CI `optimize-gate` diffs — comes from `stc run --optimize`).
-fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
-    let mut corpus_args = CorpusArgs::new();
-    let mut config_args = ConfigArgs::new();
-    let mut out: Option<PathBuf> = None;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        if parse_corpus_flag(flag, &mut iter, &mut corpus_args)?
-            || config_args.parse_flag(flag, &mut iter)?
-        {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--target" => config_args.overrides.push((
-                "coverage.optimize.target".into(),
-                take_value(flag, &mut iter)?.clone(),
-            )),
-            "--max-candidates" => config_args.overrides.push((
-                "coverage.optimize.max_candidates".into(),
-                take_value(flag, &mut iter)?.clone(),
-            )),
-            "--max-total-length" => config_args.overrides.push((
-                "coverage.optimize.max_total_length".into(),
-                take_value(flag, &mut iter)?.clone(),
-            )),
-            other => return Err(format!("unknown flag '{other}' for 'stc optimize'")),
-        }
-    }
-    let mut config = config_args.build()?;
-    config
-        .set("coverage.optimize.enabled", "true")
-        .map_err(|e| e.to_string())?;
-    let jobs = config.resolve_jobs();
-
-    let (label, corpus) = corpus_args.load()?;
-    if corpus.is_empty() {
-        return Err(PipelineError::EmptyCorpus(label).to_string());
-    }
-    eprintln!(
-        "stc optimize: {} machines from '{label}', {jobs} worker(s){}",
-        corpus.len(),
-        if config.jobs == 0 { " [auto]" } else { "" }
-    );
-
-    let session = Synthesis::builder().config(config).build();
-    let SuiteRun { report, .. } = session.run_suite(&corpus, &label);
-    eprint!("{}", format_summary_table(&report));
-
-    let json = optimize_json(&report).to_pretty();
-    match out {
-        Some(path) => std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{json}"),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `stc lint`: the pipeline with the static-analysis stage forced on,
-/// emitting the focused per-machine lint/testability JSON (the full report —
-/// with the same analysis sections inline — comes from `stc run --lint`).
-/// Exits non-zero when any finding reaches error severity, so CI can gate on
-/// it directly; `--deny` promotes codes for stricter gates.
-fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
-    let mut corpus_args = CorpusArgs::new();
-    let mut config_args = ConfigArgs::new();
-    let mut out: Option<PathBuf> = None;
-    let mut deny: Vec<String> = Vec::new();
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        if parse_corpus_flag(flag, &mut iter, &mut corpus_args)?
-            || config_args.parse_flag(flag, &mut iter)?
-        {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--deny" => deny.push(take_value(flag, &mut iter)?.clone()),
-            other => return Err(format!("unknown flag '{other}' for 'stc lint'")),
-        }
-    }
-    let mut config = config_args.build()?;
-    config
-        .set("analysis.enabled", "true")
-        .map_err(|e| e.to_string())?;
-    if !deny.is_empty() {
-        config
-            .set("analysis.deny", &deny.join(","))
-            .map_err(|e| e.to_string())?;
-    }
-    let jobs = config.resolve_jobs();
-
-    let (label, corpus) = corpus_args.load()?;
-    if corpus.is_empty() {
-        return Err(PipelineError::EmptyCorpus(label).to_string());
-    }
-    eprintln!(
-        "stc lint: {} machines from '{label}', {jobs} worker(s){}",
-        corpus.len(),
-        if config.jobs == 0 { " [auto]" } else { "" }
-    );
-
-    let session = Synthesis::builder().config(config).build();
-    let SuiteRun { report, .. } = session.run_suite(&corpus, &label);
-
-    let errors: usize = report
-        .machines
-        .iter()
-        .filter_map(|m| m.analysis.as_ref())
-        .map(|a| a.count_at_least(Severity::Error))
-        .sum();
-    let warnings: usize = report
-        .machines
-        .iter()
-        .filter_map(|m| m.analysis.as_ref())
-        .map(|a| a.count_at_least(Severity::Warning))
-        .sum::<usize>()
-        - errors;
-    eprintln!("stc lint: {errors} error(s), {warnings} warning(s)");
-
-    let json = lint_json(&report).to_pretty();
-    match out {
-        Some(path) => std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{json}"),
-    }
-    Ok(if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
-}
-
-/// `stc emit`: the pipeline with the code-emission stage forced on, emitting
-/// the focused per-machine module-digest JSON (which the CI `emit-gate`
-/// diffs against `tests/golden/emit.json`) and — with `--out DIR` — the
-/// generated source files themselves.
-fn cmd_emit(args: &[String]) -> Result<ExitCode, String> {
-    let mut corpus_args = CorpusArgs::new();
-    let mut config_args = ConfigArgs::new();
-    let mut out_dir: Option<PathBuf> = None;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        if parse_corpus_flag(flag, &mut iter, &mut corpus_args)?
-            || config_args.parse_flag(flag, &mut iter)?
-        {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out_dir = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--target" => config_args
-                .overrides
-                .push(("emit.target".into(), take_value(flag, &mut iter)?.clone())),
-            "--module-name" => config_args.overrides.push((
-                "emit.module_name".into(),
-                take_value(flag, &mut iter)?.clone(),
-            )),
-            other => return Err(format!("unknown flag '{other}' for 'stc emit'")),
-        }
-    }
-    let mut config = config_args.build()?;
-    config
-        .set("emit.enabled", "true")
-        .map_err(|e| e.to_string())?;
-    let jobs = config.resolve_jobs();
-
-    let (label, corpus) = corpus_args.load()?;
-    if corpus.is_empty() {
-        return Err(PipelineError::EmptyCorpus(label).to_string());
-    }
-    eprintln!(
-        "stc emit: {} machines from '{label}', {jobs} worker(s){}",
-        corpus.len(),
-        if config.jobs == 0 { " [auto]" } else { "" }
-    );
-
-    let session = Synthesis::builder().config(config).build();
-    let SuiteRun { report, .. } = session.run_suite(&corpus, &label);
-    eprint!("{}", format_summary_table(&report));
-
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let mut written = 0usize;
-        for entry in &corpus {
-            match session.emit_machine(entry) {
-                Ok(code) => {
-                    for module in &code.modules {
-                        let path = dir.join(&module.file_name);
-                        std::fs::write(&path, &module.source)
-                            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                        written += 1;
-                    }
-                }
-                // Machines beyond the gate-level limits have no netlist to
-                // compile; their report rows already say solve-only.
-                Err(e) => eprintln!("stc emit: {}: skipped ({e})", entry.name()),
+    let mut code = ExitCode::SUCCESS;
+    match command.epilogue {
+        Epilogue::Summary | Epilogue::WriteSources => eprint!("{}", format_summary_table(&report)),
+        Epilogue::LintGate => {
+            let errors = report.count_findings(Severity::Error);
+            let warnings = report.count_findings(Severity::Warning) - errors;
+            eprintln!("stc lint: {errors} error(s), {warnings} warning(s)");
+            if errors > 0 {
+                code = ExitCode::FAILURE;
             }
         }
-        eprintln!("stc emit: wrote {written} module(s) to {}", dir.display());
     }
+    if command.stage.is_none() {
+        let total: std::time::Duration = timings.iter().map(|t| t.elapsed).sum();
+        if let Some(slowest) = timings.iter().max_by_key(|t| t.elapsed) {
+            eprintln!(
+                "cpu time {:.1}s total, slowest machine '{}' at {:.1}s",
+                total.as_secs_f64(),
+                slowest.name,
+                slowest.elapsed.as_secs_f64()
+            );
+        }
+    }
+    if let Some(path) = stats_out {
+        write_file(&path, &search_stats_json(&report).to_pretty())?;
+    }
+    if command.epilogue == Epilogue::WriteSources {
+        if let Some(dir) = out.take() {
+            write_sources(&session, &corpus, &dir)?;
+        }
+    }
+    let json = (command.project)(&report).to_pretty();
+    match out {
+        Some(path) => write_file(&path, &json)?,
+        None => print!("{json}"),
+    }
+    Ok(code)
+}
 
-    let json = emit_json(&report).to_pretty();
-    print!("{json}");
-    Ok(ExitCode::SUCCESS)
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// `stc emit --out DIR`: writes each gate-level machine's generated modules
+/// into `dir`.
+fn write_sources(session: &Synthesis, corpus: &[CorpusEntry], dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let mut written = 0usize;
+    for entry in corpus {
+        match session.emit_machine(entry) {
+            Ok(code) => {
+                for module in &code.modules {
+                    write_file(&dir.join(&module.file_name), &module.source)?;
+                    written += 1;
+                }
+            }
+            // Machines beyond the gate-level limits have no netlist to
+            // compile; their report rows already say solve-only.
+            Err(e) => eprintln!("stc emit: {}: skipped ({e})", entry.name()),
+        }
+    }
+    eprintln!("stc emit: wrote {written} module(s) to {}", dir.display());
+    Ok(())
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {

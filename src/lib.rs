@@ -37,8 +37,7 @@
 //! (`src/bin/stc.rs`) exposes the same flow as `stc run` (batch),
 //! `stc coverage` (measured fault coverage), `stc optimize` (the plan
 //! optimizer), `stc serve` (a JSON-lines request loop) and the
-//! perf-regression gate; see the README for flags, the report schema and
-//! the old-API migration table.
+//! perf-regression gate; see the README for flags and the report schema.
 //!
 //! # Quickstart
 //!
@@ -141,7 +140,7 @@
 //!
 //! An [`Observer`] attached via [`SynthesisBuilder::observer`] receives
 //! the full event vocabulary of [`Event`]: `StageStarted` /
-//! `StageFinished` (stage names from [`pipeline::stage_names`]),
+//! `StageFinished` (stage names from the [`pipeline::Stage`] table),
 //! `SolverProgress`, `IncumbentImproved`, `BudgetExhausted`,
 //! `OptimizeCandidate` / `OptimizeIncumbent` (the plan optimizer's search
 //! progress) and
@@ -172,8 +171,8 @@
 //! .unwrap();
 //! session.run(&corpus[0]);
 //! let stages = trace.0.lock().unwrap().clone();
-//! assert!(stages.contains(&stc::pipeline::stage_names::SOLVE));
-//! assert!(stages.contains(&stc::pipeline::stage_names::BIST));
+//! assert!(stages.contains(&stc::pipeline::Stage::Solve.name()));
+//! assert!(stages.contains(&stc::pipeline::Stage::Bist.name()));
 //! ```
 //!
 //! # The service layer
@@ -250,18 +249,12 @@ pub use stc_pipeline::{
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use stc_analyze::{analyze_block, lint_kiss2, lint_machine, Diagnostic, Scoap, Severity};
-    #[allow(deprecated)]
-    pub use stc_bist::BistStage;
     pub use stc_bist::{
         evaluate_architectures, pipeline_self_test, Architecture, ArchitectureOptions, Bilbo,
         BilboMode, Lfsr, Misr,
     };
-    #[allow(deprecated)]
-    pub use stc_encoding::EncodeStage;
     pub use stc_encoding::{EncodedMachine, EncodedPipeline, Encoding, EncodingStrategy};
     pub use stc_fsm::{kiss2, state_equivalence, Mealy, MealyBuilder};
-    #[allow(deprecated)]
-    pub use stc_logic::LogicStage;
     pub use stc_logic::{synthesize_controller, synthesize_pipeline, Netlist, SynthOptions};
     pub use stc_partition::{is_symmetric_pair, Partition};
     pub use stc_pipeline::{
@@ -269,9 +262,5 @@ pub mod prelude {
         OptimizedPlan, PipelineConfig, StcConfig, SuiteReport, SuiteRun, Synthesis,
         SynthesisBuilder,
     };
-    #[allow(deprecated)]
-    pub use stc_pipeline::{run_corpus, Stage};
-    #[allow(deprecated)]
-    pub use stc_synth::SolveStage;
     pub use stc_synth::{solve, Cost, OstrSolver, PreparedOstr, Realization, SolverConfig};
 }

@@ -2,43 +2,23 @@
 //! parallel run must produce byte-identical JSON reports, and a machine's
 //! report must not depend on the worker count it happened to run under.
 
-use stc::pipeline::{
-    embedded_corpus, filter_by_names, CorpusEntry, GateLevelLimits, PipelineConfig,
-};
+use stc::pipeline::{embedded_corpus, filter_by_names, CorpusEntry, GateLevelLimits};
 use stc::prelude::*;
 
-/// A reduced-budget configuration so the full embedded suite stays fast in
-/// debug-mode test runs; determinism must hold for every configuration.
-fn test_config() -> PipelineConfig {
-    PipelineConfig {
-        solver: SolverConfig {
-            max_nodes: 5_000,
-            time_limit: None,
-            lemma1_pruning: true,
-            stop_at_lower_bound: true,
-            branch_and_bound: true,
-            parallel_subtrees: 1,
-            steal_seed: 0,
-        },
-        patterns_per_session: 32,
-        gate_level: GateLevelLimits {
+/// Runs `corpus` on a reduced-budget session (so the full embedded suite
+/// stays fast in debug-mode test runs) with `jobs` corpus workers and
+/// `solver_jobs` subtree workers; determinism must hold for every
+/// configuration.
+fn run_suite(corpus: &[CorpusEntry], jobs: usize, solver_jobs: usize, name: &str) -> SuiteRun {
+    Synthesis::builder()
+        .max_nodes(5_000)
+        .patterns_per_session(32)
+        .gate_level(GateLevelLimits {
             max_states: 8,
             max_inputs: 8,
-        },
-        ..PipelineConfig::default()
-    }
-}
-
-/// The session-API equivalent of the old `run_corpus(corpus, config, jobs,
-/// name)` call shape the tests below exercise.
-fn run_corpus(
-    corpus: &[CorpusEntry],
-    config: &PipelineConfig,
-    jobs: usize,
-    name: &str,
-) -> SuiteRun {
-    Synthesis::builder()
-        .config(StcConfig::from_pipeline(*config, jobs))
+        })
+        .jobs(jobs)
+        .solver_jobs(solver_jobs)
         .build()
         .run_suite(corpus, name)
 }
@@ -46,11 +26,10 @@ fn run_corpus(
 #[test]
 fn parallel_report_is_byte_identical_to_the_serial_fallback() {
     let corpus = embedded_corpus();
-    let config = test_config();
-    let serial = run_corpus(&corpus, &config, 1, "embedded");
+    let serial = run_suite(&corpus, 1, 1, "embedded");
     let serial_json = serial.report.to_json_string();
     for jobs in [2, 4, 13, 32] {
-        let parallel = run_corpus(&corpus, &config, jobs, "embedded");
+        let parallel = run_suite(&corpus, jobs, 1, "embedded");
         assert_eq!(serial.report, parallel.report, "jobs = {jobs}");
         assert_eq!(
             serial_json,
@@ -71,9 +50,8 @@ fn report_is_deterministic_across_repeated_runs() {
         &["tav".to_string(), "shiftreg".to_string()],
     )
     .unwrap();
-    let config = test_config();
-    let first = run_corpus(&corpus, &config, 2, "subset");
-    let second = run_corpus(&corpus, &config, 2, "subset");
+    let first = run_suite(&corpus, 2, 1, "subset");
+    let second = run_suite(&corpus, 2, 1, "subset");
     assert_eq!(
         first.report.to_json_string(),
         second.report.to_json_string()
@@ -90,12 +68,9 @@ fn report_is_independent_of_solver_parallelism() {
         &["bbara".to_string(), "dk27".to_string(), "tbk".to_string()],
     )
     .unwrap();
-    let config = test_config();
-    let serial = run_corpus(&corpus, &config, 1, "subset");
+    let serial = run_suite(&corpus, 1, 1, "subset");
     for solver_jobs in [2, 4, 16] {
-        let mut parallel_config = test_config();
-        parallel_config.solver.parallel_subtrees = solver_jobs;
-        let parallel = run_corpus(&corpus, &parallel_config, 1, "subset");
+        let parallel = run_suite(&corpus, 1, solver_jobs, "subset");
         assert_eq!(
             serial.report.to_json_string(),
             parallel.report.to_json_string(),
@@ -123,12 +98,10 @@ proptest::proptest! {
         let start = start.min(small.len() - 1);
         let end = (start + len).min(small.len());
         let slice = &small[start..end];
-        let config = test_config();
-
-        let parallel = run_corpus(slice, &config, jobs, "slice");
+        let parallel = run_suite(slice, jobs, 1, "slice");
         proptest::prop_assert_eq!(parallel.report.machines.len(), slice.len());
         for (entry, from_parallel) in slice.iter().zip(&parallel.report.machines) {
-            let alone = run_corpus(std::slice::from_ref(entry), &config, 1, "slice");
+            let alone = run_suite(std::slice::from_ref(entry), 1, 1, "slice");
             proptest::prop_assert_eq!(
                 &alone.report.machines[0],
                 from_parallel,

@@ -4,8 +4,8 @@
 //! accepted re-baseline, regenerate the README block with
 //! `cargo run --release --bin stc -- scale-table`.
 
-use std::path::Path;
 use stc_pipeline::{format_speedup_table, parse_baseline};
+use std::path::Path;
 
 #[test]
 fn readme_scale_tables_match_the_committed_baseline() {

@@ -14,30 +14,25 @@
 //!
 //! and review the stats diff like any other code change.
 
-use stc::pipeline::{
-    embedded_corpus, search_stats_json, GateLevelLimits, PipelineConfig, StcConfig, Synthesis,
-};
+use stc::pipeline::{embedded_corpus, search_stats_json, StcConfig, Synthesis};
 
 #[test]
 fn embedded_search_stats_match_the_committed_golden() {
     // Skip the gate-level stages: the search statistics depend only on the
-    // solver configuration, which must stay the pipeline default.
-    let config = PipelineConfig {
-        gate_level: GateLevelLimits {
-            max_states: 0,
-            max_inputs: 0,
-        },
-        ..PipelineConfig::default()
-    };
+    // solver configuration, which must stay the default.
+    let session = Synthesis::builder()
+        .set("gate_level.max_states", "0")
+        .unwrap()
+        .set("gate_level.max_inputs", "0")
+        .unwrap()
+        .jobs(2)
+        .build();
     assert_eq!(
-        config.solver,
-        PipelineConfig::default().solver,
+        session.config().pipeline.solver,
+        StcConfig::default().pipeline.solver,
         "the gate must measure the default solver configuration"
     );
-    let run = Synthesis::builder()
-        .config(StcConfig::from_pipeline(config, 2))
-        .build()
-        .run_suite(&embedded_corpus(), "embedded");
+    let run = session.run_suite(&embedded_corpus(), "embedded");
     let fresh = search_stats_json(&run.report).to_pretty();
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),

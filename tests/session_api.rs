@@ -1,11 +1,12 @@
 //! Integration tests of the `Synthesis` session API: typed partial flows,
-//! cooperative cancellation, event ordering, and byte-identity of the
-//! deprecated shims.
+//! cooperative cancellation, early-stop statuses, event ordering and the
+//! configuration echo.
 
-use stc::pipeline::{embedded_corpus, filter_by_names, MachineStatus};
+use stc::pipeline::{embedded_corpus, filter_by_names, GateLevelLimits, MachineStatus};
 use stc::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn by_name(name: &str) -> Mealy {
     stc::fsm::benchmarks::by_name(name).unwrap().machine
@@ -112,8 +113,8 @@ impl Observer for CancelOnce {
 }
 
 /// A cancellation whose observer has stopped requesting by the time the
-/// solve stage returns must still be reported `cancelled` — not mistaken
-/// for a timeout (no deadline is configured here at all).
+/// solve stage returns is still reported `cancelled` — not mistaken for a
+/// timeout (no deadline is configured here at all).
 #[test]
 fn a_non_latching_cancel_is_reported_cancelled_not_timed_out() {
     let corpus = filter_by_names(embedded_corpus(), &["tbk".to_string()]).unwrap();
@@ -125,6 +126,56 @@ fn a_non_latching_cancel_is_reported_cancelled_not_timed_out() {
     let tbk = &run.report.machines[0];
     assert_eq!(tbk.status, MachineStatus::Cancelled);
     assert!(tbk.solve.is_some());
+}
+
+/// The flow's other early stops keep the solve section too and name their
+/// own cause in the status:
+///
+/// * a zero per-machine timeout fires at the first check after the solve
+///   stage: `timeout`, with the solve section present;
+/// * a machine beyond the gate-level limits is `solve-only`, with no
+///   gate-level sections and the suite summary counting it.
+#[test]
+fn early_stops_keep_the_solve_section_and_report_their_cause() {
+    let small = || {
+        Synthesis::builder()
+            .max_nodes(10_000)
+            .patterns_per_session(32)
+            .jobs(1)
+    };
+    let cases = [
+        (
+            "tav",
+            small().machine_timeout(Some(Duration::ZERO)).build(),
+            MachineStatus::TimedOut,
+        ),
+        (
+            "shiftreg",
+            small().machine_timeout(Some(Duration::ZERO)).build(),
+            MachineStatus::TimedOut,
+        ),
+        (
+            "bbara",
+            small()
+                .gate_level(GateLevelLimits {
+                    max_states: 4,
+                    max_inputs: 4,
+                })
+                .build(),
+            MachineStatus::SolveOnly,
+        ),
+    ];
+    for (name, session, status) in cases {
+        let corpus = filter_by_names(embedded_corpus(), &[name.to_string()]).unwrap();
+        let run = session.run_suite(&corpus, "early-stop");
+        let machine = &run.report.machines[0];
+        assert_eq!(machine.status, status, "{name}");
+        assert!(machine.solve.is_some(), "{name}: the solve section is kept");
+        if status == MachineStatus::SolveOnly {
+            assert!(machine.logic.is_none() && machine.bist.is_none(), "{name}");
+            assert_eq!(run.report.summary.solve_only, 1, "{name}");
+        }
+    }
 }
 
 /// Under parallel subtree exploration a one-shot cancel can be consumed by
@@ -294,26 +345,6 @@ fn observers_never_change_the_report() {
     );
 }
 
-/// The deprecated free functions are thin shims over the session: their
-/// reports must be byte-identical.
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_shims_are_byte_identical_to_the_session() {
-    let corpus =
-        filter_by_names(embedded_corpus(), &["tav".to_string(), "dk27".to_string()]).unwrap();
-    let config = PipelineConfig::default();
-    let shim = run_corpus(&corpus, &config, 2, "shim");
-    let session = Synthesis::builder()
-        .config(StcConfig::from_pipeline(config, 2))
-        .build()
-        .run_suite(&corpus, "shim");
-    assert_eq!(shim.report, session.report);
-    assert_eq!(
-        shim.report.to_json_string(),
-        session.report.to_json_string()
-    );
-}
-
 #[test]
 fn builder_layers_defaults_profile_and_overrides() {
     let session = Synthesis::builder()
@@ -326,9 +357,11 @@ fn builder_layers_defaults_profile_and_overrides() {
     assert_eq!(session.config().pipeline.solver.max_nodes, 22222);
     // …which wins over the defaults.
     assert_eq!(session.config().pipeline.patterns_per_session, 8);
-    // The effective config is what reports echo.
+    // The effective config's result-relevant projection is what reports
+    // echo.
     let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
     let run = session.run_suite(&corpus, "layered");
-    assert_eq!(run.report.config.max_nodes, 22222);
-    assert_eq!(run.report.config.patterns_per_session, 8);
+    assert_eq!(run.report.config, session.config().result_relevant());
+    assert_eq!(run.report.config.pipeline.solver.max_nodes, 22222);
+    assert_eq!(run.report.config.pipeline.patterns_per_session, 8);
 }
