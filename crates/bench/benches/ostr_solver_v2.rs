@@ -21,7 +21,6 @@ fn engine_config(branch_and_bound: bool, jobs: usize) -> SolverConfig {
         stop_at_lower_bound: true,
         branch_and_bound,
         parallel_subtrees: jobs,
-        steal_seed: 0,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Two groups, both over the tiers of [`stc_bench::scale`]:
 //!
-//! * `ostr_solver_scale/{serial,ws2,ws4,ws8}/<tier>` — the work-stealing
+//! * `ostr_solver_scale/{serial,ws2,ws4,ws8}/<tier>` — the parallel-subtree
 //!   OSTR search at 1/2/4/8 workers on a shared [`PreparedOstr`] (basis
 //!   construction is serial and identical in every configuration, so it is
 //!   excluded from the timed region);
@@ -282,7 +282,7 @@ fn run_smoke(test_mode: bool) {
     );
     assert!(
         speedup >= 1.5,
-        "work-stealing speedup gate: expected >= 1.5x at 4 workers on {cores} cores, \
+        "parallel-subtree speedup gate: expected >= 1.5x at 4 workers on {cores} cores, \
          measured {speedup:.2}x"
     );
 }

@@ -16,7 +16,7 @@
 //!
 //! * **Solver tiers** ([`scale_tiers`]) are ordered by *search size* (0.47M,
 //!   1.8M and 43.5M investigated nodes), not state count.  Every tier's
-//!   search **completes** within its node budget — the work-stealing
+//!   search **completes** within its node budget — the parallel
 //!   reduction only accepts a speculative subtree result that finished
 //!   naturally inside the serial remainder, so a budget-exhausted workload
 //!   rejects all speculation and parallelism cannot pay on it
@@ -174,7 +174,6 @@ pub fn scale_solver_config(tier: &ScaleTier, jobs: usize) -> SolverConfig {
         stop_at_lower_bound: false,
         branch_and_bound: true,
         parallel_subtrees: jobs,
-        steal_seed: 0,
     }
 }
 

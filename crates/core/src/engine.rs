@@ -25,32 +25,25 @@
 //!   top-level candidates, never from a concurrently discovered result — so
 //!   a subtree's outcome is a pure function of `(machine, config, index,
 //!   node budget)`.
-//! * **Work-stealing parallel exploration**
-//!   (`SolverConfig::parallel_subtrees`).  Top-level subtrees are dealt
-//!   round-robin onto per-worker deques; an idle worker steals from the back
-//!   of a random victim's deque (seeded by `SolverConfig::steal_seed`, which
-//!   affects scheduling only).  A worker that owns a large subtree publishes
-//!   its remaining top-frame *child segments* for stealing and folds
-//!   owner-searched and thief-published segments in serial order, accepting a
-//!   stolen result only when it is provably the one the serial walk would
-//!   have produced (same boundary state, finished strictly inside the
-//!   remaining budget).  Workers share the incumbent through an atomic
-//!   best-cost word used for work-skipping and cancellation only.  The
-//!   deterministic reduction in [`merge_subtrees`] replays the serial
+//! * **Parallel subtree exploration** (`SolverConfig::parallel_subtrees`).
+//!   Workers claim top-level subtree indices from one atomic counter, search
+//!   each whole subtree speculatively with the full node budget and publish
+//!   the outcome into a per-index slot.  Workers share the incumbent through
+//!   an atomic best-cost word used for work-skipping and cancellation only.
+//!   The deterministic reduction in [`merge_subtrees`] replays the serial
 //!   schedule: results are folded in basis order, a subtree whose
 //!   speculative run overshot the serial node budget is re-searched with the
 //!   exact remaining budget, and anything the reduction decides to skip is
 //!   simply discarded — so the solution *and* the statistics are
-//!   byte-identical to a serial run.  See `DESIGN.md` §12 for the stealing
-//!   determinism argument.
+//!   byte-identical to a serial run.  The speedup is capped by the largest
+//!   subtree's share of the nodes; `DESIGN.md` §12 has the measurements.
 
 use crate::cost::Cost;
 use crate::observe::{SearchObserver, PROGRESS_INTERVAL};
 use crate::solver::{OstrSolution, SolverConfig};
 use stc_partition::{meets_within, PackedPair, PackedPartition, PackedScratch, Partition};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Counters produced by the search, folded into
@@ -277,13 +270,8 @@ struct CancelState {
     /// subtrees with larger indices will be discarded by the reduction.
     lb_floor: AtomicUsize,
     /// Best solution register-bit count found by any worker so far (the
-    /// shared incumbent, updated eagerly: owners on fold, thieves on
-    /// publishing an improving segment).
+    /// shared incumbent).
     best_bits: AtomicU32,
-    /// Set once every top-level subtree has been folded or skipped; any
-    /// still-running speculative segment search is then pointless and
-    /// aborts so the thread scope can join promptly.
-    done: AtomicBool,
 }
 
 impl CancelState {
@@ -291,14 +279,41 @@ impl CancelState {
         Self {
             lb_floor: AtomicUsize::new(usize::MAX),
             best_bits: AtomicU32::new(Cost::trivial(n.max(1)).register_bits()),
-            done: AtomicBool::new(false),
         }
     }
 
     /// `true` when a speculative pass over subtree `k0` should abandon its
-    /// work because the reduction can no longer use the result.
+    /// work because the reduction will discard it past the lower-bound stop.
     fn discards(&self, k0: usize) -> bool {
-        self.lb_floor.load(Ordering::Relaxed) < k0 || self.done.load(Ordering::Relaxed)
+        self.lb_floor.load(Ordering::Relaxed) < k0
+    }
+
+    /// `true` when a speculative pass over subtree `k0` should not start:
+    /// the reduction discards it, or — shared-incumbent work skipping — even
+    /// the subtree root's bound cannot beat the best register-bit count any
+    /// worker has published, so the reduction will almost surely prune it.
+    /// Skipping is always safe because the reduction re-searches on demand.
+    fn skips(&self, p: &SearchProblem<'_>, k0: usize) -> bool {
+        self.discards(k0)
+            || p.bound.as_ref().is_some_and(|bound| {
+                let pair = &p.basis[k0];
+                bound
+                    .lower(pair.pi.num_blocks(), pair.tau.num_blocks())
+                    .is_none_or(|lb| lb.register_bits() > self.best_bits.load(Ordering::Relaxed))
+            })
+    }
+
+    /// Shares a finished speculative pass over subtree `k0` with the other
+    /// workers: its incumbent and, if it reached the lower bound, the floor
+    /// past which the reduction discards everything.
+    fn publish(&self, p: &SearchProblem<'_>, k0: usize, outcome: &SubtreeOutcome) {
+        if let Some((cost, _, _)) = &outcome.best {
+            self.best_bits
+                .fetch_min(cost.register_bits(), Ordering::Relaxed);
+        }
+        if outcome.lb_hit && p.config.stop_at_lower_bound {
+            self.lb_floor.fetch_min(k0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -443,50 +458,6 @@ fn search_subtree(
         });
     }
 
-    if !dfs_frames(
-        p,
-        ws,
-        &mut out.stats,
-        &mut out.lb_hit,
-        prune_seed,
-        budget,
-        cancel,
-        k0,
-        &mut progress_mark,
-    ) {
-        return None;
-    }
-
-    flush_progress(p, out.stats.nodes, progress_mark);
-    if ws.best.has {
-        out.best = Some((
-            ws.best.cost,
-            ws.best.pi.to_partition(),
-            ws.best.tau.to_partition(),
-        ));
-    }
-    Some(out)
-}
-
-/// The explicit-stack DFS driver shared by whole-subtree and child-segment
-/// searches: pops frames until the stack drains, the budget / deadline /
-/// observer stops the walk, or `cancel` abandons it (returning `false` —
-/// only possible when `cancel` is present).  All counters are relative to
-/// the caller's `stats`, so the same loop serves both a subtree counted
-/// from its root and a segment counted from its boundary.
-#[allow(clippy::too_many_arguments)]
-fn dfs_frames(
-    p: &SearchProblem<'_>,
-    ws: &mut Workspace,
-    stats: &mut EngineStats,
-    lb_hit: &mut bool,
-    prune_seed: Cost,
-    budget: u64,
-    cancel: Option<&CancelState>,
-    cancel_k0: usize,
-    progress_mark: &mut u64,
-) -> bool {
-    let cfg = &p.config;
     let b_len = p.basis.len() as u32;
     while !ws.frames.is_empty() {
         let (depth, k) = {
@@ -499,12 +470,12 @@ fn dfs_frames(
             frame.next += 1;
             (frame.depth as usize, k as usize)
         };
-        if out_of_budget(p, stats, budget, progress_mark) {
+        if out_of_budget(p, &mut out.stats, budget, &mut progress_mark) {
             break;
         }
         if let Some(cancel) = cancel {
-            if stats.nodes.is_multiple_of(1024) && cancel.discards(cancel_k0) {
-                return false; // this work will be discarded — stop early
+            if out.stats.nodes.is_multiple_of(1024) && cancel.discards(k0) {
+                return None; // this subtree will be discarded — stop early
             }
         }
         let child = depth + 1;
@@ -526,17 +497,24 @@ fn dfs_frames(
                 .lower(child_pair.pi.num_blocks(), child_pair.tau.num_blocks())
                 .is_some_and(|lb| lb < incumbent);
             if !beatable {
-                stats.bound_pruned += 1;
+                out.stats.bound_pruned += 1;
                 continue;
             }
         }
-        stats.nodes += 1;
-        let meets = eval_candidate(p, &tail[0], &mut ws.scratch, &mut ws.best, stats, lb_hit);
+        out.stats.nodes += 1;
+        let meets = eval_candidate(
+            p,
+            &tail[0],
+            &mut ws.scratch,
+            &mut ws.best,
+            &mut out.stats,
+            &mut out.lb_hit,
+        );
         if cfg.lemma1_pruning && !meets {
-            stats.pruned += 1;
+            out.stats.pruned += 1;
             continue;
         }
-        if *lb_hit && cfg.stop_at_lower_bound {
+        if out.lb_hit && cfg.stop_at_lower_bound {
             continue;
         }
         ws.frames.push(Frame {
@@ -544,142 +522,16 @@ fn dfs_frames(
             next: (k + 1) as u32,
         });
     }
-    true
-}
 
-/// The DFS state of a subtree search at a *top-frame child boundary* — the
-/// instant the serial walk pops `(depth 0, k1)` from the frame stack.
-/// Everything a child segment's outcome can depend on besides
-/// `(machine, config, k0, k1, remaining budget)` is captured here, so two
-/// segment searches entered with equal boundary states and budgets produce
-/// identical outcomes.  This is the unit of speculation of the
-/// work-stealing layer (`DESIGN.md` §12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SegEntry {
-    /// The subtree's incumbent cost at the boundary.
-    best_cost: Cost,
-    /// Whether the incumbent was found inside this subtree (only then does
-    /// it tighten bound pruning past the subtree's prefix seed).
-    best_has: bool,
-    /// Whether the lower-bound early stop has fired inside this subtree.
-    lb_hit: bool,
-}
-
-/// The outcome of one child segment: the statistics delta, the boundary
-/// state at the segment's exit, and the improved incumbent if the segment
-/// found one.
-#[derive(Debug, Clone)]
-struct ChildOutcome {
-    stats: EngineStats,
-    exit: SegEntry,
-    improved: Option<(Cost, Partition, Partition)>,
-}
-
-/// Searches the segment of subtree `k0` spanned by its top-frame child
-/// `k1`: exactly the iterations the serial subtree walk performs from
-/// popping `(depth 0, k1)` until the stack returns to the top frame,
-/// starting from boundary state `entry` with `budget` nodes left.
-/// Returns `None` only when `cancel` signalled that the result will be
-/// discarded.
-fn search_child_segment(
-    p: &SearchProblem<'_>,
-    ws: &mut Workspace,
-    k0: usize,
-    k1: usize,
-    entry: SegEntry,
-    budget: u64,
-    cancel: Option<&CancelState>,
-) -> Option<ChildOutcome> {
-    let cfg = &p.config;
-    let mut stats = EngineStats::default();
-    let mut lb_hit = entry.lb_hit;
-    let mut progress_mark = 0u64;
-    ws.frames.clear();
-    ws.best.cost = entry.best_cost;
-    ws.best.has = entry.best_has;
-    let prune_seed = if p.bound.is_some() {
-        p.seeds[k0]
-    } else {
-        Cost::trivial(p.n)
-    };
-
-    'segment: {
-        ws.ensure_depth(1, p.n);
-        ws.arena[0].copy_from(&p.basis[k0]);
-        let (head, tail) = ws.arena.split_at_mut(1);
-        let child_pair = &mut tail[0];
-        child_pair.copy_from(&head[0]);
-        if !child_pair.join_assign(&p.basis[k1], &mut ws.scratch) {
-            break 'segment; // duplicate join: the serial walk skips it uncounted
-        }
-        if let Some(bound) = &p.bound {
-            let incumbent = if ws.best.has && ws.best.cost < prune_seed {
-                ws.best.cost
-            } else {
-                prune_seed
-            };
-            let beatable = bound
-                .lower(child_pair.pi.num_blocks(), child_pair.tau.num_blocks())
-                .is_some_and(|lb| lb < incumbent);
-            if !beatable {
-                stats.bound_pruned += 1;
-                break 'segment;
-            }
-        }
-        stats.nodes = 1;
-        let meets = eval_candidate(
-            p,
-            &tail[0],
-            &mut ws.scratch,
-            &mut ws.best,
-            &mut stats,
-            &mut lb_hit,
-        );
-        if cfg.lemma1_pruning && !meets {
-            stats.pruned += 1;
-            break 'segment;
-        }
-        if lb_hit && cfg.stop_at_lower_bound {
-            break 'segment;
-        }
-        ws.frames.push(Frame {
-            depth: 1,
-            next: (k1 + 1) as u32,
-        });
-        if !dfs_frames(
-            p,
-            ws,
-            &mut stats,
-            &mut lb_hit,
-            prune_seed,
-            budget,
-            cancel,
-            k0,
-            &mut progress_mark,
-        ) {
-            return None;
-        }
-    }
-
-    flush_progress(p, stats.nodes, progress_mark);
-    // Any acceptance strictly lowers the incumbent cost, so a strict drop
-    // against the entry cost detects exactly the segments that improved.
-    let improved = (ws.best.cost < entry.best_cost).then(|| {
-        (
+    flush_progress(p, out.stats.nodes, progress_mark);
+    if ws.best.has {
+        out.best = Some((
             ws.best.cost,
             ws.best.pi.to_partition(),
             ws.best.tau.to_partition(),
-        )
-    });
-    Some(ChildOutcome {
-        stats,
-        exit: SegEntry {
-            best_cost: ws.best.cost,
-            best_has: ws.best.has,
-            lb_hit,
-        },
-        improved,
-    })
+        ));
+    }
+    Some(out)
 }
 
 /// The deterministic reduction: folds subtree outcomes in basis order,
@@ -833,16 +685,34 @@ fn run_search_inner(p: &SearchProblem<'_>) -> (OstrSolution, EngineStats) {
         });
     }
 
-    let st = StealState::new(p, jobs);
+    let slots: Vec<Mutex<Option<SubtreeOutcome>>> =
+        p.basis.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let cancel = CancelState::new(p.n);
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let st = &st;
-            scope.spawn(move || worker(st, w));
+        for _ in 0..jobs {
+            scope.spawn(|| {
+                let mut ws = Workspace::new(p.n);
+                loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= p.basis.len() {
+                        break;
+                    }
+                    if cancel.skips(p, k) {
+                        continue;
+                    }
+                    let outcome = search_subtree(p, &mut ws, k, p.config.max_nodes, Some(&cancel));
+                    if let Some(outcome) = outcome {
+                        cancel.publish(p, k, &outcome);
+                        *slots[k].lock().expect("no panics while holding lock") = Some(outcome);
+                    }
+                }
+            });
         }
     });
 
     merge_subtrees(p, &mut ws, |k, budget, ws| {
-        let cached = st.slots[k].lock().expect("worker threads joined").take();
+        let cached = slots[k].lock().expect("worker threads joined").take();
         match cached {
             // A speculative full-budget result is equivalent to the serial
             // one iff it finished naturally strictly inside the serial
@@ -853,374 +723,4 @@ fn run_search_inner(p: &SearchProblem<'_>) -> (OstrSolution, EngineStats) {
                 .expect("reduction searches are never cancelled"),
         }
     })
-}
-
-/// One unit of schedulable work in the work-stealing runner.
-#[derive(Debug, Clone, Copy)]
-enum Task {
-    /// A whole top-level subtree, rooted at the root's child `basis[k0]`.
-    Top(u32),
-    /// One top-frame child segment of subtree `k0`, offered for stealing
-    /// while the subtree's owner folds earlier segments.
-    Child { k0: u32, k1: u32 },
-}
-
-/// A speculative segment result published by a thief: usable by the
-/// owner's fold iff the boundary state the thief assumed is the one the
-/// fold actually reaches (and the segment stayed inside the remaining
-/// budget — checked at fold time).
-struct SpecResult {
-    assumed: SegEntry,
-    outcome: ChildOutcome,
-}
-
-/// The per-subtree bulletin board through which a subtree's owner and its
-/// thieves coordinate.  Created by the owner when it decides to offer the
-/// subtree's remaining child segments for stealing.
-struct Board {
-    /// The `k1` of slot 0; slot `i` covers child `base + i`.
-    base: usize,
-    /// The owner's current boundary state — the thieves' speculation guess.
-    cursor: Mutex<SegEntry>,
-    /// Claim flags (owner or thief), one per offered child.
-    claimed: Vec<AtomicBool>,
-    /// Published speculative results, one per offered child.
-    published: Vec<Mutex<Option<SpecResult>>>,
-}
-
-impl Board {
-    fn new(base: usize, len: usize, entry: SegEntry) -> Self {
-        Self {
-            base,
-            cursor: Mutex::new(entry),
-            claimed: (0..len).map(|_| AtomicBool::new(false)).collect(),
-            published: (0..len).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-}
-
-/// Only split a subtree whose unexplored top-frame children number at
-/// least this many: below it the per-segment coordination overhead cannot
-/// pay for itself.
-const MIN_SPLIT_CHILDREN: usize = 4;
-
-/// The shared state of the work-stealing runner.
-struct StealState<'p, 'a> {
-    p: &'p SearchProblem<'a>,
-    /// Per-worker task deques: a worker pops from the front of its own
-    /// deque and steals from the back of a random victim's.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Lazily created per-subtree boards, indexed by `k0`.
-    boards: Vec<OnceLock<Board>>,
-    /// Finished subtree outcomes, consumed by the reduction.
-    slots: Vec<Mutex<Option<SubtreeOutcome>>>,
-    /// Top-level subtrees finished or skipped; workers exit when this
-    /// reaches `basis.len()`.
-    tops_done: AtomicUsize,
-    /// Workers currently idle (found nothing to pop or steal).  Owners
-    /// consult it so they only pay for publishing segments when somebody
-    /// could actually steal one.
-    idle: AtomicUsize,
-    cancel: CancelState,
-}
-
-impl<'p, 'a> StealState<'p, 'a> {
-    fn new(p: &'p SearchProblem<'a>, jobs: usize) -> Self {
-        let mut deques: Vec<VecDeque<Task>> = (0..jobs).map(|_| VecDeque::new()).collect();
-        // Deal the top-level subtrees round-robin so the early (usually
-        // largest) subtrees start immediately on distinct workers.
-        for k0 in 0..p.basis.len() {
-            deques[k0 % jobs].push_back(Task::Top(k0 as u32));
-        }
-        Self {
-            p,
-            deques: deques.into_iter().map(Mutex::new).collect(),
-            boards: p.basis.iter().map(|_| OnceLock::new()).collect(),
-            slots: p.basis.iter().map(|_| Mutex::new(None)).collect(),
-            tops_done: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-            cancel: CancelState::new(p.n),
-        }
-    }
-}
-
-/// `splitmix64` — the classic 64-bit mixer; drives the victim-selection
-/// streams.  Statistical quality is irrelevant here (any schedule yields
-/// the same result); it only needs to spread workers apart cheaply.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Pops the next task: own deque front first, then up to `jobs` random
-/// steal attempts from victims' backs.
-fn next_task(st: &StealState<'_, '_>, me: usize, rng: &mut u64) -> Option<Task> {
-    if let Some(t) = st.deques[me]
-        .lock()
-        .expect("no panics under lock")
-        .pop_front()
-    {
-        return Some(t);
-    }
-    let n = st.deques.len();
-    for _ in 0..n {
-        let victim = (splitmix64(rng) % n as u64) as usize;
-        if victim == me {
-            continue;
-        }
-        if let Some(t) = st.deques[victim]
-            .lock()
-            .expect("no panics under lock")
-            .pop_back()
-        {
-            return Some(t);
-        }
-    }
-    None
-}
-
-/// The work-stealing worker loop: drain own deque, steal when empty, exit
-/// once every top-level subtree has been folded or skipped.
-fn worker(st: &StealState<'_, '_>, me: usize) {
-    let total = st.p.basis.len();
-    let mut ws = Workspace::new(st.p.n);
-    let mut rng =
-        st.p.config
-            .steal_seed
-            .wrapping_add((me as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-    let mut idle = false;
-    while st.tops_done.load(Ordering::Acquire) < total {
-        let Some(task) = next_task(st, me, &mut rng) else {
-            if !idle {
-                idle = true;
-                st.idle.fetch_add(1, Ordering::Relaxed);
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        if idle {
-            idle = false;
-            st.idle.fetch_sub(1, Ordering::Relaxed);
-        }
-        match task {
-            Task::Top(k0) => run_top(st, &mut ws, me, k0 as usize),
-            Task::Child { k0, k1 } => run_stolen_child(st, &mut ws, k0 as usize, k1 as usize),
-        }
-    }
-    if idle {
-        st.idle.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Processes one top-level subtree: skip if the reduction provably cannot
-/// use it, otherwise search it cooperatively and publish the outcome.
-fn run_top(st: &StealState<'_, '_>, ws: &mut Workspace, me: usize, k0: usize) {
-    let p = st.p;
-    let skip = k0 > st.cancel.lb_floor.load(Ordering::Relaxed)
-        || p.bound.as_ref().is_some_and(|bound| {
-            // Shared-incumbent work skipping: if even the subtree root's
-            // bound cannot beat the best register-bit count any worker has
-            // published, the reduction will almost surely prune it;
-            // skipping is safe because the reduction re-searches on demand.
-            let pair = &p.basis[k0];
-            bound
-                .lower(pair.pi.num_blocks(), pair.tau.num_blocks())
-                .is_none_or(|lb| lb.register_bits() > st.cancel.best_bits.load(Ordering::Relaxed))
-        });
-    if !skip {
-        if let Some(outcome) = cooperative_subtree(st, ws, me, k0) {
-            if let Some((cost, _, _)) = &outcome.best {
-                st.cancel
-                    .best_bits
-                    .fetch_min(cost.register_bits(), Ordering::Relaxed);
-            }
-            if outcome.lb_hit && p.config.stop_at_lower_bound {
-                st.cancel.lb_floor.fetch_min(k0, Ordering::Relaxed);
-            }
-            *st.slots[k0].lock().expect("no panics under lock") = Some(outcome);
-        }
-    }
-    let done = st.tops_done.fetch_add(1, Ordering::AcqRel) + 1;
-    if done == p.basis.len() {
-        st.cancel.done.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Searches subtree `k0` with the full speculative budget, possibly with
-/// help: once idle workers exist, the subtree's remaining top-frame child
-/// segments are published for stealing and the owner folds owner-searched
-/// and thief-published segments *in serial order*, validating every stolen
-/// result against the boundary state the serial walk actually reaches.
-/// The outcome is therefore identical to
-/// `search_subtree(p, ws, k0, max_nodes, …)` — the segment decomposition
-/// argument is spelled out in `DESIGN.md` §12.
-fn cooperative_subtree(
-    st: &StealState<'_, '_>,
-    ws: &mut Workspace,
-    me: usize,
-    k0: usize,
-) -> Option<SubtreeOutcome> {
-    let p = st.p;
-    let cfg = &p.config;
-    let budget = cfg.max_nodes;
-    let mut out = SubtreeOutcome::default();
-    ws.reset(p.n);
-    if budget == 0 {
-        out.stats.exhausted = true;
-        return Some(out);
-    }
-    ws.ensure_depth(0, p.n);
-    ws.arena[0].copy_from(&p.basis[k0]);
-    out.stats.nodes = 1;
-    let meets = eval_candidate(
-        p,
-        &ws.arena[0],
-        &mut ws.scratch,
-        &mut ws.best,
-        &mut out.stats,
-        &mut out.lb_hit,
-    );
-    let expand = if cfg.lemma1_pruning && !meets {
-        out.stats.pruned += 1;
-        false
-    } else {
-        !(out.lb_hit && cfg.stop_at_lower_bound)
-    };
-    let mut best = ws.best.has.then(|| {
-        (
-            ws.best.cost,
-            ws.best.pi.to_partition(),
-            ws.best.tau.to_partition(),
-        )
-    });
-
-    if expand {
-        let mut entry = SegEntry {
-            best_cost: ws.best.cost,
-            best_has: ws.best.has,
-            lb_hit: out.lb_hit,
-        };
-        let mut board: Option<&Board> = None;
-        for k1 in (k0 + 1)..p.basis.len() {
-            // The serial walk's per-pop checks at the top-frame boundary.
-            if out.stats.nodes >= budget {
-                out.stats.exhausted = true;
-                break;
-            }
-            if st.cancel.discards(k0) {
-                return None; // the reduction will discard this subtree
-            }
-            if let Some(d) = p.deadline {
-                if Instant::now() >= d {
-                    out.stats.exhausted = true;
-                    break;
-                }
-            }
-            // Publish the remaining segments the moment somebody is idle.
-            if board.is_none()
-                && p.basis.len() - k1 >= MIN_SPLIT_CHILDREN
-                && st.idle.load(Ordering::Relaxed) > 0
-            {
-                let created =
-                    st.boards[k0].get_or_init(|| Board::new(k1, p.basis.len() - k1, entry));
-                {
-                    let mut dq = st.deques[me].lock().expect("no panics under lock");
-                    for c in k1..p.basis.len() {
-                        dq.push_back(Task::Child {
-                            k0: k0 as u32,
-                            k1: c as u32,
-                        });
-                    }
-                }
-                board = Some(created);
-            }
-            let mut spec: Option<ChildOutcome> = None;
-            if let Some(b) = board {
-                *b.cursor.lock().expect("no panics under lock") = entry;
-                let i = k1 - b.base;
-                if b.claimed[i].swap(true, Ordering::AcqRel) {
-                    // A thief claimed this segment.  Its result replaces the
-                    // owner's search iff it assumed the boundary state the
-                    // fold actually reached and finished naturally strictly
-                    // inside the remaining budget — the same equivalence
-                    // rule the top-level reduction applies to subtrees.
-                    if let Some(sr) = b.published[i].lock().expect("no panics under lock").take() {
-                        if sr.assumed == entry
-                            && !sr.outcome.stats.exhausted
-                            && sr.outcome.stats.nodes < budget - out.stats.nodes
-                        {
-                            spec = Some(sr.outcome);
-                        }
-                    }
-                }
-            }
-            let child = match spec {
-                Some(c) => c,
-                None => search_child_segment(
-                    p,
-                    ws,
-                    k0,
-                    k1,
-                    entry,
-                    budget - out.stats.nodes,
-                    Some(&st.cancel),
-                )?,
-            };
-            out.stats.nodes += child.stats.nodes;
-            out.stats.pruned += child.stats.pruned;
-            out.stats.bound_pruned += child.stats.bound_pruned;
-            out.stats.solutions += child.stats.solutions;
-            out.stats.cancelled |= child.stats.cancelled;
-            if let Some(imp) = child.improved {
-                st.cancel
-                    .best_bits
-                    .fetch_min(imp.0.register_bits(), Ordering::Relaxed);
-                best = Some(imp);
-            }
-            out.lb_hit = child.exit.lb_hit;
-            entry = child.exit;
-            if child.stats.exhausted {
-                out.stats.exhausted = true;
-                break;
-            }
-        }
-    }
-    // The segments flushed their own nodes; account for the subtree root.
-    flush_progress(p, 1, 0);
-    out.best = best;
-    Some(out)
-}
-
-/// A thief's side of the bargain: claim an offered segment, search it
-/// under the owner's current boundary state as the speculation guess, and
-/// publish the result for the owner's fold to validate.
-fn run_stolen_child(st: &StealState<'_, '_>, ws: &mut Workspace, k0: usize, k1: usize) {
-    let p = st.p;
-    if st.cancel.discards(k0) {
-        return; // the whole subtree will be discarded
-    }
-    let Some(b) = st.boards[k0].get() else {
-        return; // board not published yet (only possible for stale tasks)
-    };
-    let i = k1 - b.base;
-    if b.claimed[i].swap(true, Ordering::AcqRel) {
-        return; // the owner or another thief already has it
-    }
-    let assumed = *b.cursor.lock().expect("no panics under lock");
-    let Some(outcome) =
-        search_child_segment(p, ws, k0, k1, assumed, p.config.max_nodes, Some(&st.cancel))
-    else {
-        return;
-    };
-    if let Some((cost, _, _)) = &outcome.improved {
-        // Eager incumbent sharing: other workers can start bound-skipping
-        // on this before the owner ever folds the segment.
-        st.cancel
-            .best_bits
-            .fetch_min(cost.register_bits(), Ordering::Relaxed);
-    }
-    *b.published[i].lock().expect("no panics under lock") = Some(SpecResult { assumed, outcome });
 }

@@ -32,12 +32,14 @@ pub trait SearchObserver: Sync {
         let _ = nodes;
     }
 
-    /// Called when a worker's incumbent solution improves, with the new cost.
+    /// Called when a subtree's incumbent solution improves, with the new cost.
     ///
-    /// Under parallel subtree exploration this reports *subtree-local*
-    /// improvements, so a cost may be reported more than once and not in
-    /// monotonically improving order; the final solution is the one in the
-    /// returned [`crate::OstrOutcome`].
+    /// Every top-level subtree is searched with subtree-local state, so this
+    /// reports *subtree-local* improvements: a cost may be reported more than
+    /// once and not in monotonically improving order — on the serial path
+    /// too, and from concurrent workers under parallel subtree exploration.
+    /// Callers that want a monotone stream keep a running minimum; the final
+    /// solution is the one in the returned [`crate::OstrOutcome`].
     fn on_incumbent(&self, cost: Cost) {
         let _ = cost;
     }

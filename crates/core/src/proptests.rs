@@ -121,40 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn work_stealing_schedule_is_unobservable(
-        machine in arb_machine(),
-        jobs in 2usize..9,
-        steal_seed in any::<u64>(),
-        bnb in any::<bool>(),
-        stop in any::<bool>(),
-        budget_choice in 0usize..4,
-    ) {
-        let max_nodes = [3u64, 40, 1_000, 50_000][budget_choice];
-        // The steal seed picks different victim-selection streams, hence
-        // different schedules, different steals and different speculation
-        // hits — none of which may reach the solution or the statistics.
-        let config = SolverConfig {
-            max_nodes,
-            time_limit: None,
-            stop_at_lower_bound: stop,
-            branch_and_bound: bnb,
-            ..SolverConfig::default()
-        };
-        let serial = OstrSolver::new(config).solve(&machine);
-        let stolen = OstrSolver::new(SolverConfig {
-            parallel_subtrees: jobs,
-            steal_seed,
-            ..config
-        })
-        .solve(&machine);
-        prop_assert_eq!(&serial.best, &stolen.best);
-        let (mut s, mut p) = (serial.stats, stolen.stats);
-        s.elapsed_micros = 0;
-        p.elapsed_micros = 0;
-        prop_assert_eq!(s, p);
-    }
-
-    #[test]
     fn trivial_realization_always_verifies(machine in arb_machine()) {
         let n = machine.num_states();
         let id = Partition::identity(n);

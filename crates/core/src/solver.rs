@@ -60,17 +60,12 @@ pub struct SolverConfig {
     /// combination too (see `DESIGN.md` §5).
     pub branch_and_bound: bool,
     /// Number of worker threads for exploring the root's subtrees
-    /// (`<= 1` selects the serial path).  The parallel reduction is
-    /// deterministic: solution and statistics are byte-identical to a
-    /// serial run with the same configuration.
+    /// (`<= 1` selects the serial path).  Workers claim whole top-level
+    /// subtrees from an atomic counter, so the speedup is capped by the
+    /// largest subtree's share of the nodes (`DESIGN.md` §12).  The
+    /// parallel reduction is deterministic: solution and statistics are
+    /// byte-identical to a serial run with the same configuration.
     pub parallel_subtrees: usize,
-    /// Seed of the work-stealing victim-selection streams used when
-    /// `parallel_subtrees > 1`.  Scheduling-only: *any* seed produces the
-    /// same solution and statistics, because stolen work is validated
-    /// against the serial schedule before it is accepted (`DESIGN.md`
-    /// §12); the knob exists so the determinism claim is testable across
-    /// schedules.
-    pub steal_seed: u64,
 }
 
 impl Default for SolverConfig {
@@ -82,7 +77,6 @@ impl Default for SolverConfig {
             stop_at_lower_bound: false,
             branch_and_bound: true,
             parallel_subtrees: 1,
-            steal_seed: 0,
         }
     }
 }
@@ -280,7 +274,7 @@ impl OstrSolver {
 /// setup of [`OstrSolver::solve`] — computed once and reused across solves.
 ///
 /// Solving the same machine under several configurations (different budgets,
-/// worker counts, steal seeds) repays the basis construction only once;
+/// worker counts) repays the basis construction only once;
 /// [`OstrSolver::solve_prepared`] is byte-identical to [`OstrSolver::solve`]
 /// per call.  The scale benches use this to measure the parallel *search* in
 /// isolation: the basis is identical serial work in every configuration and
@@ -481,7 +475,6 @@ mod tests {
                 stop_at_lower_bound: true,
                 branch_and_bound: false,
                 parallel_subtrees: 1,
-                steal_seed: 0,
             })
             .solve(&m);
             assert_eq!(outcome.stats.basis_size, basis, "{name}");

@@ -243,12 +243,12 @@ pub fn cacheable(config: &StcConfig) -> bool {
 /// A stable fingerprint of the *result-relevant* part of a configuration
 /// ([`StcConfig::result_relevant`]).
 ///
-/// Worker counts and the work-stealing schedule seed cannot influence any
-/// result, so two requests differing only in them share an entry (and a
-/// server restarted with a different `--jobs` still hits).  The projection
-/// is hashed through its canonical `Debug` rendering — every field of
-/// [`StcConfig`] derives `Debug`, so a new knob automatically extends the
-/// fingerprint and safely misses old entries.
+/// Worker counts cannot influence any result, so two requests differing
+/// only in them share an entry (and a server restarted with a different
+/// `--jobs` still hits).  The projection is hashed through its canonical
+/// `Debug` rendering — every field of [`StcConfig`] derives `Debug`, so a
+/// new knob automatically extends the fingerprint and safely misses old
+/// entries.
 #[must_use]
 pub fn config_fingerprint(config: &StcConfig) -> u64 {
     fnv1a(format!("{:?}", config.result_relevant()).as_bytes())
@@ -372,11 +372,10 @@ mod tests {
             config.set(key, value).unwrap();
             config
         };
-        for (key, value) in [
-            ("jobs", "8"),
-            ("solver.jobs", "4"),
-            ("solver.steal_seed", "7"),
-        ] {
+        // The retired steal seed is still validated, then dropped.
+        assert_eq!(with("solver.steal_seed", "7"), base);
+        assert!(base.clone().set("solver.steal_seed", "x").is_err());
+        for (key, value) in [("jobs", "8"), ("solver.jobs", "4")] {
             let changed = with(key, value);
             assert_ne!(changed, base, "{key}");
             assert_eq!(changed.result_relevant(), base.result_relevant(), "{key}");

@@ -12,13 +12,13 @@
 //!    `overrides` object of the `stc serve` protocol.
 //!
 //! Which knobs can influence a result is decided in one place,
-//! [`StcConfig::result_relevant`]: worker counts (`jobs`, `solver.jobs`) and
-//! the work-stealing schedule seed cannot, and the wall-clock bounds
-//! (`machine_timeout_secs`, `stage_deadline_secs`, `solver.time_limit_secs`)
-//! depend on machine speed and show their effect — when one fires — in the
-//! report itself (`status`, `budget_exhausted`).  That projection is what a
-//! suite report and a serve response echo ([`StcConfig::to_json`]) and what
-//! the serve cache fingerprints, so reports stay machine-independent.  The
+//! [`StcConfig::result_relevant`]: worker counts (`jobs`, `solver.jobs`)
+//! cannot, and the wall-clock bounds (`machine_timeout_secs`,
+//! `stage_deadline_secs`, `solver.time_limit_secs`) depend on machine speed
+//! and show their effect — when one fires — in the report itself (`status`,
+//! `budget_exhausted`).  That projection is what a suite report and a serve
+//! response echo ([`StcConfig::to_json`]) and what the serve cache
+//! fingerprints, so reports stay machine-independent.  The
 //! optional stages' knobs are echoed only when their stage is *enabled*: an
 //! additive feature must leave stage-free golden reports byte-identical.
 
@@ -65,7 +65,7 @@ pub const CONFIG_KEYS: &[(&str, &str)] = &[
     ("solver.jobs", "threads for parallel subtree exploration"),
     (
         "solver.steal_seed",
-        "work-stealing schedule seed (scheduling-only, results identical for any value)",
+        "accepted for compatibility; has no effect",
     ),
     ("encoding", "binary | gray | one-hot | adjacency-greedy"),
     ("synth.minimize", "true/false"),
@@ -254,7 +254,6 @@ impl Default for PipelineConfig {
                 stop_at_lower_bound: true,
                 branch_and_bound: true,
                 parallel_subtrees: 1,
-                steal_seed: 0,
             },
             encoding: EncodingStrategy::Binary,
             synth: SynthOptions::default(),
@@ -323,8 +322,7 @@ pub struct StcConfig {
 
 impl StcConfig {
     /// The result-relevant projection of this configuration: a copy with
-    /// the worker counts (`jobs`, `solver.jobs`), the work-stealing schedule
-    /// seed (`solver.steal_seed`) and every wall-clock bound
+    /// the worker counts (`jobs`, `solver.jobs`) and every wall-clock bound
     /// (`solver.time_limit_secs`, `machine_timeout_secs`,
     /// `stage_deadline_secs`) zeroed.  Two configurations with equal
     /// projections produce the same report bytes for any machine (unless a
@@ -337,7 +335,6 @@ impl StcConfig {
         projection.stage_deadline = None;
         let p = &mut projection.pipeline;
         p.solver.parallel_subtrees = 0;
-        p.solver.steal_seed = 0;
         p.solver.time_limit = None;
         p.machine_timeout = None;
         projection
@@ -472,7 +469,11 @@ impl StcConfig {
             "solver.stop_at_lower_bound" => p.solver.stop_at_lower_bound = parse_bool(key, value)?,
             "solver.branch_and_bound" => p.solver.branch_and_bound = parse_bool(key, value)?,
             "solver.jobs" => p.solver.parallel_subtrees = parse(key, value)?,
-            "solver.steal_seed" => p.solver.steal_seed = parse(key, value)?,
+            // No effect; still validated so existing profiles and requests
+            // keep parsing.
+            "solver.steal_seed" => {
+                parse::<u64>(key, value)?;
+            }
             "encoding" => {
                 p.encoding = match value {
                     "binary" => EncodingStrategy::Binary,

@@ -45,7 +45,9 @@ pub enum Event<'a> {
         /// Approximate nodes investigated so far on this machine.
         nodes: u64,
     },
-    /// The solver's incumbent solution improved.
+    /// The solver found a solution with fewer register bits than any
+    /// reported before for this machine: per solve, these events are
+    /// strictly decreasing in `register_bits`, also under parallel search.
     IncumbentImproved {
         /// Machine name.
         machine: &'a str,

@@ -43,7 +43,7 @@ use stc_encoding::{EncodedPipeline, EncodingStrategy};
 use stc_fsm::{ceil_log2, Mealy};
 use stc_logic::{synthesize_pipeline, PipelineLogic};
 use stc_synth::{Cost, OstrOutcome, OstrSolver, Realization, SearchObserver};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -705,6 +705,10 @@ struct SolveAdapter<'a> {
     observer: &'a dyn Observer,
     deadline: Option<Instant>,
     deadline_hit: AtomicBool,
+    /// Register bits of the best incumbent reported so far.  The engine
+    /// reports subtree-local improvements, which repeat and regress; only a
+    /// strict drop below this becomes an event.
+    best_bits: AtomicU32,
 }
 
 impl SearchObserver for SolveAdapter<'_> {
@@ -716,10 +720,13 @@ impl SearchObserver for SolveAdapter<'_> {
     }
 
     fn on_incumbent(&self, cost: Cost) {
-        self.observer.on_event(&Event::IncumbentImproved {
-            machine: self.machine,
-            register_bits: cost.register_bits(),
-        });
+        let register_bits = cost.register_bits();
+        if self.best_bits.fetch_min(register_bits, Ordering::Relaxed) > register_bits {
+            self.observer.on_event(&Event::IncumbentImproved {
+                machine: self.machine,
+                register_bits,
+            });
+        }
     }
 
     fn on_budget_exhausted(&self) {
@@ -804,6 +811,7 @@ impl Synthesis {
                 observer: self.observer.as_ref(),
                 deadline: self.stage_deadline(),
                 deadline_hit: AtomicBool::new(false),
+                best_bits: AtomicU32::new(u32::MAX),
             };
             let outcome =
                 OstrSolver::new(self.config.pipeline.solver).solve_observed(machine, &adapter);

@@ -84,7 +84,7 @@
 //!         "solver.stop_at_lower_bound", // stop at the proven lower bound
 //!         "solver.branch_and_bound",    // cost-bound pruning
 //!         "solver.jobs",                // parallel subtree exploration
-//!         "solver.steal_seed",          // work-stealing schedule seed (results identical)
+//!         "solver.steal_seed",          // accepted for compatibility; has no effect
 //!         "encoding",                   // binary | gray | one-hot | adjacency-greedy
 //!         "synth.minimize",             // two-level minimisation
 //!         "bist.patterns",              // patterns per self-test session

@@ -250,6 +250,39 @@ fn solver_progress_counts_track_the_true_node_count() {
     );
 }
 
+/// The engine reports subtree-local incumbents, which repeat and regress;
+/// the session forwards only strict improvements, so each solve's events
+/// count down to the solution it returns.
+#[test]
+fn incumbent_events_strictly_decrease_to_the_solution() {
+    #[derive(Default)]
+    struct Incumbents(Mutex<Vec<u32>>);
+    impl Observer for Incumbents {
+        fn on_event(&self, event: &Event<'_>) {
+            if let Event::IncumbentImproved { register_bits, .. } = event {
+                self.0.lock().unwrap().push(*register_bits);
+            }
+        }
+    }
+    for entry in embedded_corpus() {
+        let observer = Arc::new(Incumbents::default());
+        let session = Synthesis::builder()
+            .solver_jobs(1)
+            .observer(observer.clone())
+            .build();
+        let best = session.decompose_only(&entry.machine).outcome.best;
+        let bits = observer.0.lock().unwrap().clone();
+        let name = entry.name();
+        assert!(
+            bits.windows(2).all(|w| w[0] > w[1]),
+            "{name}: incumbent events {bits:?} are not strictly decreasing"
+        );
+        if !best.is_trivial() {
+            assert_eq!(bits.last(), Some(&best.cost.register_bits()), "{name}");
+        }
+    }
+}
+
 #[test]
 fn a_cancelled_corpus_run_reports_every_machine() {
     let corpus = filter_by_names(

@@ -86,13 +86,13 @@ fn deep_basis_search_is_identical_serial_and_parallel() {
     assert_eq!(s, p, "parallel subtree exploration must be byte-identical");
 }
 
-/// The work-stealing runner on the 460-element basis, driven from a
-/// minimal-stack thread: worker counts and steal seeds pick different
-/// schedules (and different segment-speculation hits), none of which may
-/// reach the solution or the statistics — and the cooperative fold must
-/// keep every frame on the heap just like the serial engine.
+/// The parallel runner on the 460-element basis, driven from a
+/// minimal-stack thread: each worker count claims the subtrees in a
+/// different interleaving (and discards different speculative passes),
+/// none of which may reach the solution or the statistics — and the
+/// reduction must keep every frame on the heap just like the serial engine.
 #[test]
-fn deep_basis_work_stealing_is_deterministic_across_seeds() {
+fn deep_basis_parallel_search_is_deterministic_across_worker_counts() {
     let machine = stress_machine();
     let config = SolverConfig {
         max_nodes: 5_000,
@@ -101,31 +101,28 @@ fn deep_basis_work_stealing_is_deterministic_across_seeds() {
         ..SolverConfig::default()
     };
     let serial = OstrSolver::new(config).solve(&machine);
-    for jobs in [2usize, 4, 8] {
-        for steal_seed in [0u64, 1, 0xdead_beef_0bad_f00d] {
-            let machine = machine.clone();
-            let serial_best = serial.best.clone();
-            let serial_stats = serial.stats;
-            let handle = std::thread::Builder::new()
-                .name(format!("ostr-steal-{jobs}-{steal_seed:x}"))
-                .stack_size(64 * 1024)
-                .spawn(move || {
-                    let stolen = OstrSolver::new(SolverConfig {
-                        parallel_subtrees: jobs,
-                        steal_seed,
-                        ..config
-                    })
-                    .solve(&machine);
-                    assert_eq!(serial_best, stolen.best, "jobs={jobs} seed={steal_seed:#x}");
-                    let (mut s, mut p) = (serial_stats, stolen.stats);
-                    s.elapsed_micros = 0;
-                    p.elapsed_micros = 0;
-                    assert_eq!(s, p, "jobs={jobs} seed={steal_seed:#x}");
+    for jobs in [2usize, 3, 4, 8] {
+        let machine = machine.clone();
+        let serial_best = serial.best.clone();
+        let serial_stats = serial.stats;
+        let handle = std::thread::Builder::new()
+            .name(format!("ostr-parallel-{jobs}"))
+            .stack_size(64 * 1024)
+            .spawn(move || {
+                let parallel = OstrSolver::new(SolverConfig {
+                    parallel_subtrees: jobs,
+                    ..config
                 })
-                .expect("spawning a 64 KiB stack thread succeeds");
-            handle
-                .join()
-                .expect("the work-stealing fold must not overflow a 64 KiB stack");
-        }
+                .solve(&machine);
+                assert_eq!(serial_best, parallel.best, "jobs={jobs}");
+                let (mut s, mut p) = (serial_stats, parallel.stats);
+                s.elapsed_micros = 0;
+                p.elapsed_micros = 0;
+                assert_eq!(s, p, "jobs={jobs}");
+            })
+            .expect("spawning a 64 KiB stack thread succeeds");
+        handle
+            .join()
+            .expect("the parallel reduction must not overflow a 64 KiB stack");
     }
 }
