@@ -1,7 +1,15 @@
 //! Covers (sums of products) and a compact Espresso-style two-level
-//! minimiser.
+//! minimiser over positional cubes.
+//!
+//! Every decision of the minimiser is the boolean answer of an exact
+//! containment query ("does this set of cubes cover that cube?"), asked in
+//! a fixed order.  Queries are answered by cofactoring the cubes against the
+//! queried cube into a reused scratch stack and running the unate-recursive
+//! tautology check on the result (Brayton et al., *Logic Minimization
+//! Algorithms for VLSI Synthesis*, 1984); see DESIGN.md, "Positional cubes".
 
 use crate::cube::{Cube, Literal};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// A cover: a set of cubes whose union (sum of products) defines a single
@@ -103,20 +111,12 @@ impl Cover {
     }
 
     /// Returns `true` if the cover contains (covers) the given cube entirely,
-    /// i.e. every minterm of `cube` is covered.  Decided by recursive
-    /// Shannon expansion (cofactoring), so it is exact.
+    /// i.e. every minterm of `cube` is covered.  Decided by cofactoring the
+    /// cover against the cube and checking the cofactor for tautology, so it
+    /// is exact.
     #[must_use]
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        // Cofactor the cover against the cube and check for tautology.
-        let cofactored: Vec<Cube> = self
-            .cubes
-            .iter()
-            .filter_map(|c| cofactor_against(c, cube))
-            .collect();
-        let free_vars: Vec<usize> = (0..self.num_vars)
-            .filter(|&v| matches!(cube.literal(v), Literal::DontCare))
-            .collect();
-        is_tautology(&cofactored, &free_vars)
+        cube.num_vars() == self.num_vars && contains(&self.cubes, cube, &mut Vec::new())
     }
 
     /// Returns `true` if the two covers define the same function.
@@ -125,8 +125,14 @@ impl Cover {
         if self.num_vars != other.num_vars {
             return false;
         }
-        self.cubes.iter().all(|c| other.covers_cube(c))
-            && other.cubes.iter().all(|c| self.covers_cube(c))
+        let mut stack = Vec::new();
+        self.cubes
+            .iter()
+            .all(|c| contains(&other.cubes, c, &mut stack))
+            && other
+                .cubes
+                .iter()
+                .all(|c| contains(&self.cubes, c, &mut stack))
     }
 
     /// Espresso-style minimisation of the cover, treating `dont_care` as a
@@ -148,23 +154,26 @@ impl Cover {
             return self.clone();
         }
         // The permissible area: ON ∪ DC.
-        let mut permitted = self.clone();
-        for c in dont_care.cubes() {
-            permitted.push(c.clone());
-        }
-        let mut current = self.clone();
+        let mut permitted = self.cubes.clone();
+        permitted.extend_from_slice(&dont_care.cubes);
+        let on = &self.cubes;
+        let mut stack = Vec::new();
+        let mut current = on.clone();
         let mut best_cost = (usize::MAX, usize::MAX);
         loop {
-            current = expand(&current, &permitted);
-            current = irredundant(&current, self);
-            let cost = (current.len(), current.literal_count());
+            current = expand(&current, &permitted, &mut stack);
+            current = irredundant(current, on, &mut stack);
+            let cost = (current.len(), current.iter().map(Cube::literal_count).sum());
             if cost >= best_cost {
                 break;
             }
             best_cost = cost;
-            current = reduce(&current, self);
+            current = reduce(current, on, &mut stack);
         }
-        current
+        Self {
+            num_vars: self.num_vars,
+            cubes: current,
+        }
     }
 }
 
@@ -183,142 +192,212 @@ impl fmt::Display for Cover {
     }
 }
 
-/// Cofactors `cube` against `against`: the part of `cube` that lies inside
-/// `against`, expressed over `against`'s don't-care variables.  Returns `None`
-/// if they do not intersect.
-fn cofactor_against(cube: &Cube, against: &Cube) -> Option<Cube> {
-    if !cube.intersects(against) {
-        return None;
-    }
-    let literals = (0..cube.num_vars())
-        .map(|v| match against.literal(v) {
-            Literal::DontCare => cube.literal(v),
-            _ => Literal::DontCare,
-        })
-        .collect();
-    Some(Cube::from_literals(literals))
+/// A cube of a cofactor on the scratch stack: the `care`/`value` masks of
+/// a [`Cube`] restricted to the variables still free.
+#[derive(Clone, Copy)]
+struct Term {
+    care: u64,
+    value: u64,
 }
 
-/// Tautology check restricted to `free_vars` (all other variables are already
-/// fixed / irrelevant): do the cubes cover the whole space spanned by
-/// `free_vars`?
-fn is_tautology(cubes: &[Cube], free_vars: &[usize]) -> bool {
-    if cubes.iter().any(|c| {
-        free_vars
-            .iter()
-            .all(|&v| matches!(c.literal(v), Literal::DontCare))
-    }) {
-        return true;
+/// Do `cubes` cover every minterm of `cube`?  Cofactors each cube that meets
+/// `cube` against it onto `stack` (cleared first), then decides tautology of
+/// the cofactor.  All cubes have `cube`'s width.
+fn contains<'a>(
+    cubes: impl IntoIterator<Item = &'a Cube>,
+    cube: &Cube,
+    stack: &mut Vec<Term>,
+) -> bool {
+    stack.clear();
+    for c in cubes {
+        if (c.value ^ cube.value) & c.care & cube.care != 0 {
+            continue;
+        }
+        let care = c.care & !cube.care;
+        if care == 0 {
+            return true;
+        }
+        stack.push(Term {
+            care,
+            value: c.value & care,
+        });
     }
-    let Some((&split, rest)) = free_vars.split_first() else {
-        return !cubes.is_empty();
-    };
-    for value in [Literal::Zero, Literal::One] {
-        let cofactored: Vec<Cube> = cubes
-            .iter()
-            .filter(|c| c.literal(split) == value || c.literal(split) == Literal::DontCare)
-            .cloned()
-            .collect();
-        if !is_tautology(&cofactored, rest) {
+    is_tautology(stack, 0)
+}
+
+/// Unate-recursive tautology check of the terms `stack[start..]`, which it
+/// leaves in place.  A term without literals is universal.  A cover with no
+/// binate variable is a tautology only if it has a universal term, and the
+/// terms with a literal in a unate variable can be dropped without changing
+/// the answer; otherwise the cover is a tautology iff both cofactors on a
+/// binate variable are, and each cofactor is pushed above `stack[..end]`
+/// and popped again.
+fn is_tautology(stack: &mut Vec<Term>, start: usize) -> bool {
+    let end = stack.len();
+    let (mut ones, mut zeros) = (0u64, 0u64);
+    for t in &stack[start..end] {
+        if t.care == 0 {
+            return true;
+        }
+        ones |= t.value;
+        zeros |= t.care & !t.value;
+    }
+    let binate = ones & zeros;
+    if binate == 0 {
+        return false;
+    }
+    let unate = (ones | zeros) & !binate;
+    let split = most_binate(&stack[start..end], binate);
+    for want in [0, split] {
+        let mut universal = false;
+        for i in start..end {
+            let t = stack[i];
+            if t.care & unate != 0 || (t.care & split != 0 && t.value & split != want) {
+                continue;
+            }
+            let care = t.care & !split;
+            if care == 0 {
+                universal = true;
+                break;
+            }
+            stack.push(Term {
+                care,
+                value: t.value & care,
+            });
+        }
+        let holds = universal || is_tautology(stack, end);
+        stack.truncate(end);
+        if !holds {
             return false;
         }
     }
     true
 }
 
+/// The bit of the binate variable with the most literals in `terms`
+/// (the lowest such variable on ties): the split that shrinks both
+/// cofactors most.
+fn most_binate(terms: &[Term], binate: u64) -> u64 {
+    let mut counts = [0u32; 64];
+    for t in terms {
+        let mut rest = t.care & binate;
+        while rest != 0 {
+            counts[rest.trailing_zeros() as usize] += 1;
+            rest &= rest - 1;
+        }
+    }
+    let mut best = binate.trailing_zeros() as usize;
+    let mut rest = binate;
+    while rest != 0 {
+        let v = rest.trailing_zeros() as usize;
+        if counts[v] > counts[best] {
+            best = v;
+        }
+        rest &= rest - 1;
+    }
+    1u64 << best
+}
+
 /// EXPAND: enlarge each cube literal-by-literal as long as it stays inside the
 /// permitted (ON ∪ DC) area, then drop cubes covered by other cubes.
-fn expand(cover: &Cover, permitted: &Cover) -> Cover {
-    let mut cubes = cover.cubes().to_vec();
+fn expand(cubes: &[Cube], permitted: &[Cube], stack: &mut Vec<Term>) -> Vec<Cube> {
+    let mut order = cubes.to_vec();
     // Expand larger cubes first so small ones can be absorbed.
-    cubes.sort_by_key(|c| std::cmp::Reverse(c.num_vars() - c.literal_count()));
-    let mut expanded: Vec<Cube> = Vec::with_capacity(cubes.len());
-    for cube in &cubes {
-        let mut current = cube.clone();
-        for v in 0..cover.num_vars() {
-            if matches!(current.literal(v), Literal::DontCare) {
-                continue;
+    order.sort_by_key(|c| Reverse(c.dont_cares()));
+    let expanded: Vec<Cube> = order
+        .iter()
+        .map(|&cube| {
+            let mut current = cube;
+            for v in 0..cube.num_vars() {
+                if matches!(current.literal(v), Literal::DontCare) {
+                    continue;
+                }
+                let candidate = current.with_dont_care(v);
+                if contains(permitted, &candidate, stack) {
+                    current = candidate;
+                }
             }
-            let candidate = current.with_dont_care(v);
-            if permitted.covers_cube(&candidate) {
-                current = candidate;
-            }
-        }
-        expanded.push(current);
-    }
-    // Single-cube containment removal.
-    let mut kept: Vec<Cube> = Vec::with_capacity(expanded.len());
-    for (i, cube) in expanded.iter().enumerate() {
-        let covered = expanded
-            .iter()
-            .enumerate()
-            .any(|(j, other)| j != i && other.covers(cube) && (other != cube || j < i));
-        if !covered {
-            kept.push(cube.clone());
-        }
-    }
-    Cover::from_cubes(cover.num_vars(), kept)
+            current
+        })
+        .collect();
+    // Single-cube containment removal; of equal cubes the first is kept.
+    expanded
+        .iter()
+        .enumerate()
+        .filter(|&(i, cube)| {
+            !expanded
+                .iter()
+                .enumerate()
+                .any(|(j, other)| j != i && other.covers(cube) && (other != cube || j < i))
+        })
+        .map(|(_, &cube)| cube)
+        .collect()
 }
 
 /// IRREDUNDANT: greedily drop cubes that are not needed to cover the ON-set.
-fn irredundant(cover: &Cover, on_set: &Cover) -> Cover {
-    let mut cubes = cover.cubes().to_vec();
-    // Try to remove the largest cubes last (they are most likely essential).
+///
+/// The cover covers the ON-set on entry and after every step, so dropping
+/// cube `i` can only uncover the ON cubes that meet it, and only those are
+/// checked: the answer is that of checking every ON cube.
+fn irredundant(cubes: Vec<Cube>, on_set: &[Cube], stack: &mut Vec<Term>) -> Vec<Cube> {
+    // Try to remove the smallest cubes first (the largest are most likely
+    // essential); the sort is stable, so ties keep cover order.
     let mut order: Vec<usize> = (0..cubes.len()).collect();
-    order.sort_by_key(|&i| cubes[i].num_minterms());
+    order.sort_by_key(|&i| cubes[i].dont_cares());
     let mut removed = vec![false; cubes.len()];
     for &i in &order {
         removed[i] = true;
-        let remaining = Cover::from_cubes(
-            cover.num_vars(),
-            cubes
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| !removed[*j])
-                .map(|(_, c)| c.clone())
-                .collect(),
-        );
-        let still_covered = on_set.cubes().iter().all(|c| remaining.covers_cube(c));
+        let still_covered = on_set.iter().filter(|c| c.intersects(&cubes[i])).all(|c| {
+            let remaining = cubes.iter().zip(&removed).filter(|(_, &r)| !r);
+            contains(remaining.map(|(cube, _)| cube), c, stack)
+        });
         if !still_covered {
             removed[i] = false;
         }
     }
-    let kept: Vec<Cube> = cubes
-        .drain(..)
-        .enumerate()
-        .filter(|(i, _)| !removed[*i])
-        .map(|(_, c)| c)
-        .collect();
-    Cover::from_cubes(cover.num_vars(), kept)
+    cubes
+        .into_iter()
+        .zip(removed)
+        .filter(|&(_, r)| !r)
+        .map(|(cube, _)| cube)
+        .collect()
 }
 
 /// REDUCE: shrink each cube to the smallest cube that still covers the part of
 /// the ON-set not covered by the other cubes, giving EXPAND room to find a
 /// different (hopefully better) expansion in the next iteration.
-fn reduce(cover: &Cover, on_set: &Cover) -> Cover {
-    let cubes = cover.cubes().to_vec();
-    let mut result: Vec<Cube> = cubes.clone();
-    for i in 0..result.len() {
-        let cube = result[i].clone();
-        for v in 0..cover.num_vars() {
+///
+/// As in [`irredundant`], the cover covers the ON-set throughout, so
+/// restricting a cube to one half on `v` can only uncover the ON cubes that
+/// meet the other half, and only those are checked.
+fn reduce(mut cubes: Vec<Cube>, on_set: &[Cube], stack: &mut Vec<Term>) -> Vec<Cube> {
+    for i in 0..cubes.len() {
+        let cube = cubes[i];
+        for v in 0..cube.num_vars() {
             if !matches!(cube.literal(v), Literal::DontCare) {
                 continue;
             }
-            for value in [Literal::Zero, Literal::One] {
-                let candidate = result[i].with_literal(v, value);
+            let zero = cubes[i].with_literal(v, Literal::Zero);
+            let one = cubes[i].with_literal(v, Literal::One);
+            for (candidate, given_up) in [(zero, one), (one, zero)] {
                 // The reduced cube together with the others must still cover
                 // the ON-set.
-                let mut trial = result.clone();
-                trial[i] = candidate.clone();
-                let trial_cover = Cover::from_cubes(cover.num_vars(), trial);
-                if on_set.cubes().iter().all(|c| trial_cover.covers_cube(c)) {
-                    result[i] = candidate;
+                let still_covered = on_set.iter().filter(|c| c.intersects(&given_up)).all(|c| {
+                    let trial =
+                        cubes
+                            .iter()
+                            .enumerate()
+                            .map(|(j, other)| if j == i { &candidate } else { other });
+                    contains(trial, c, stack)
+                });
+                if still_covered {
+                    cubes[i] = candidate;
                     break;
                 }
             }
         }
     }
-    Cover::from_cubes(cover.num_vars(), result)
+    cubes
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Cubes: products of literals over a fixed set of Boolean variables.
+//! Cubes: products of literals over a fixed set of Boolean variables, in
+//! positional-cube form (two bit masks per cube).
 
 use std::fmt;
 
@@ -25,7 +26,15 @@ impl Literal {
     }
 }
 
-/// A cube (product term) over `n` Boolean variables.
+/// The widest cube a [`Cube`] can hold: one bit per variable in a `u64`.
+pub const MAX_VARS: usize = 64;
+
+/// A cube (product term) over `n ≤ 64` Boolean variables.
+///
+/// Stored as a positional cube: bit `v` of `care` is set when variable `v`
+/// has a literal, and bit `v` of `value` is then the literal's polarity
+/// (`value` is zero wherever `care` is).  Containment, intersection and
+/// distance are a few mask operations, and the cube is `Copy`.
 ///
 /// # Example
 ///
@@ -39,42 +48,82 @@ impl Literal {
 /// assert_eq!(cube.literal_count(), 2);
 /// # Ok::<(), stc_logic::LogicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cube {
-    literals: Vec<Literal>,
+    pub(crate) care: u64,
+    pub(crate) value: u64,
+    num_vars: u8,
+}
+
+/// Checks a width against [`MAX_VARS`] for the panicking constructors.
+fn width(n: usize) -> u8 {
+    assert!(
+        n <= MAX_VARS,
+        "a cube has at most {MAX_VARS} variables, got {n}"
+    );
+    n as u8
+}
+
+/// The mask of bit `v`, checked against the cube width.
+fn bit(num_vars: usize, v: usize) -> u64 {
+    assert!(
+        v < num_vars,
+        "variable {v} out of range for {num_vars} variables"
+    );
+    1u64 << v
 }
 
 impl Cube {
     /// The universal cube (all don't cares) over `n` variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_VARS`].
     #[must_use]
     pub fn universal(n: usize) -> Self {
         Self {
-            literals: vec![Literal::DontCare; n],
+            care: 0,
+            value: 0,
+            num_vars: width(n),
         }
     }
 
     /// A cube matching exactly one minterm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` has more than [`MAX_VARS`] entries.
     #[must_use]
     pub fn from_minterm(bits: &[bool]) -> Self {
+        let num_vars = width(bits.len());
         Self {
-            literals: bits
-                .iter()
-                .map(|&b| if b { Literal::One } else { Literal::Zero })
-                .collect(),
+            care: mask_below(bits.len()),
+            value: pack(bits),
+            num_vars,
         }
     }
 
     /// Builds a cube from explicit literals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_VARS`] literals.
     #[must_use]
     pub fn from_literals(literals: Vec<Literal>) -> Self {
-        Self { literals }
+        let mut cube = Self::universal(literals.len());
+        for (v, literal) in literals.into_iter().enumerate() {
+            cube.set(v, literal);
+        }
+        cube
     }
 
     /// Parses a cube from a string of `0`, `1` and `-` characters.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::LogicError::ParseCube`] on any other character.
+    /// Returns [`crate::LogicError::ParseCube`] on any other character and
+    /// [`crate::LogicError::TooManyVariables`] on more than [`MAX_VARS`]
+    /// characters.
     pub fn parse(text: &str) -> Result<Self, crate::LogicError> {
         let literals = text
             .chars()
@@ -85,13 +134,18 @@ impl Cube {
                 other => Err(crate::LogicError::ParseCube { character: other }),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { literals })
+        if literals.len() > MAX_VARS {
+            return Err(crate::LogicError::TooManyVariables {
+                count: literals.len(),
+            });
+        }
+        Ok(Self::from_literals(literals))
     }
 
     /// Number of variables the cube is defined over.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.literals.len()
+        usize::from(self.num_vars)
     }
 
     /// The literal for variable `v`.
@@ -101,17 +155,21 @@ impl Cube {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn literal(&self, v: usize) -> Literal {
-        self.literals[v]
+        let b = bit(self.num_vars(), v);
+        if self.care & b == 0 {
+            Literal::DontCare
+        } else if self.value & b == 0 {
+            Literal::Zero
+        } else {
+            Literal::One
+        }
     }
 
     /// Number of non-don't-care literals (the conventional two-level cost of
     /// the product term's AND gate inputs).
     #[must_use]
     pub fn literal_count(&self) -> usize {
-        self.literals
-            .iter()
-            .filter(|l| !matches!(l, Literal::DontCare))
-            .count()
+        self.care.count_ones() as usize
     }
 
     /// Returns `true` if the given minterm satisfies the cube.
@@ -121,63 +179,45 @@ impl Cube {
     /// Panics if `minterm.len()` differs from the cube's variable count.
     #[must_use]
     pub fn contains_minterm(&self, minterm: &[bool]) -> bool {
-        assert_eq!(minterm.len(), self.literals.len());
-        self.literals
-            .iter()
-            .zip(minterm)
-            .all(|(l, &v)| l.matches(v))
+        assert_eq!(minterm.len(), self.num_vars());
+        (pack(minterm) ^ self.value) & self.care == 0
     }
 
     /// Returns `true` if every minterm of `other` is also a minterm of `self`.
     #[must_use]
     pub fn covers(&self, other: &Self) -> bool {
-        if self.num_vars() != other.num_vars() {
-            return false;
-        }
-        self.literals
-            .iter()
-            .zip(&other.literals)
-            .all(|(a, b)| matches!(a, Literal::DontCare) || a == b)
+        self.num_vars == other.num_vars
+            && self.care & !other.care == 0
+            && (self.value ^ other.value) & self.care == 0
     }
 
     /// The intersection of two cubes, or `None` if they are disjoint.
     #[must_use]
     pub fn intersect(&self, other: &Self) -> Option<Self> {
-        if self.num_vars() != other.num_vars() {
-            return None;
-        }
-        let mut literals = Vec::with_capacity(self.num_vars());
-        for (a, b) in self.literals.iter().zip(&other.literals) {
-            let merged = match (a, b) {
-                (Literal::DontCare, x) | (x, Literal::DontCare) => *x,
-                (x, y) if x == y => *x,
-                _ => return None,
-            };
-            literals.push(merged);
-        }
-        Some(Self { literals })
+        self.intersects(other).then_some(Self {
+            care: self.care | other.care,
+            value: self.value | other.value,
+            num_vars: self.num_vars,
+        })
     }
 
     /// Returns `true` if the cubes share at least one minterm.
     #[must_use]
     pub fn intersects(&self, other: &Self) -> bool {
-        self.intersect(other).is_some()
+        self.num_vars == other.num_vars && self.conflicts(other) == 0
     }
 
     /// The number of variables on which the cubes conflict (one requires 0 and
     /// the other requires 1).
     #[must_use]
     pub fn distance(&self, other: &Self) -> usize {
-        self.literals
-            .iter()
-            .zip(&other.literals)
-            .filter(|(a, b)| {
-                matches!(
-                    (a, b),
-                    (Literal::Zero, Literal::One) | (Literal::One, Literal::Zero)
-                )
-            })
-            .count()
+        self.conflicts(other).count_ones() as usize
+    }
+
+    /// The variables on which both cubes have a literal, of opposite
+    /// polarity.
+    fn conflicts(&self, other: &Self) -> u64 {
+        (self.value ^ other.value) & self.care & other.care
     }
 
     /// Expands variable `v` to don't-care.
@@ -187,9 +227,9 @@ impl Cube {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn with_dont_care(&self, v: usize) -> Self {
-        let mut literals = self.literals.clone();
-        literals[v] = Literal::DontCare;
-        Self { literals }
+        let mut cube = *self;
+        cube.set(v, Literal::DontCare);
+        cube
     }
 
     /// Restricts variable `v` to the given value.
@@ -199,47 +239,81 @@ impl Cube {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn with_literal(&self, v: usize, literal: Literal) -> Self {
-        let mut literals = self.literals.clone();
-        literals[v] = literal;
-        Self { literals }
+        let mut cube = *self;
+        cube.set(v, literal);
+        cube
     }
 
-    /// Number of minterms the cube contains (`2^(don't cares)`).
+    fn set(&mut self, v: usize, literal: Literal) {
+        let b = bit(self.num_vars(), v);
+        self.care &= !b;
+        self.value &= !b;
+        match literal {
+            Literal::DontCare => {}
+            Literal::Zero => self.care |= b,
+            Literal::One => {
+                self.care |= b;
+                self.value |= b;
+            }
+        }
+    }
+
+    /// Number of don't-care variables.
+    pub(crate) fn dont_cares(&self) -> usize {
+        self.num_vars() - self.literal_count()
+    }
+
+    /// Number of minterms the cube contains (`2^(don't cares)`), saturating
+    /// at `u64::MAX` for the universal cube over 64 variables.
     #[must_use]
     pub fn num_minterms(&self) -> u64 {
-        let dc = self.num_vars() - self.literal_count();
-        1u64 << dc
+        1u64.checked_shl(self.dont_cares() as u32)
+            .unwrap_or(u64::MAX)
     }
 
     /// Iterates over all minterms of the cube (exponential in the number of
     /// don't cares; intended for small cubes in tests and fault simulation).
     pub fn minterms(&self) -> impl Iterator<Item = Vec<bool>> + '_ {
-        let dc_positions: Vec<usize> = self
-            .literals
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l, Literal::DontCare))
-            .map(|(i, _)| i)
-            .collect();
-        let base: Vec<bool> = self
-            .literals
-            .iter()
-            .map(|l| matches!(l, Literal::One))
-            .collect();
-        (0u64..(1u64 << dc_positions.len())).map(move |mask| {
-            let mut m = base.clone();
-            for (bit, &pos) in dc_positions.iter().enumerate() {
-                m[pos] = (mask >> bit) & 1 == 1;
+        let n = self.num_vars();
+        let free = mask_below(n) & !self.care;
+        (0u64..(1u64 << free.count_ones())).map(move |index| {
+            // Deposit the bits of `index` into the free positions.
+            let mut bits = self.value;
+            let mut rest = free;
+            let mut k = 0;
+            while rest != 0 {
+                let low = rest & rest.wrapping_neg();
+                if (index >> k) & 1 == 1 {
+                    bits |= low;
+                }
+                rest &= rest - 1;
+                k += 1;
             }
-            m
+            (0..n).map(|v| (bits >> v) & 1 == 1).collect()
         })
     }
 }
 
+/// The mask of the `n` lowest bits.
+fn mask_below(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Packs a minterm into a mask: bit `v` is `bits[v]`.
+fn pack(bits: &[bool]) -> u64 {
+    bits.iter()
+        .enumerate()
+        .fold(0, |acc, (v, &b)| acc | (u64::from(b) << v))
+}
+
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for l in &self.literals {
-            let c = match l {
+        for v in 0..self.num_vars() {
+            let c = match self.literal(v) {
                 Literal::Zero => '0',
                 Literal::One => '1',
                 Literal::DontCare => '-',
@@ -247,6 +321,12 @@ impl fmt::Display for Cube {
             write!(f, "{c}")?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Cube {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Cube(\"{self}\")")
     }
 }
 

@@ -10,6 +10,12 @@ pub enum LogicError {
         /// The offending character.
         character: char,
     },
+    /// A cube string had more variables than a cube can hold
+    /// ([`crate::MAX_VARS`]).
+    TooManyVariables {
+        /// The number of variables the string described.
+        count: usize,
+    },
 }
 
 impl fmt::Display for LogicError {
@@ -18,6 +24,11 @@ impl fmt::Display for LogicError {
             LogicError::ParseCube { character } => {
                 write!(f, "invalid cube character `{character}`")
             }
+            LogicError::TooManyVariables { count } => write!(
+                f,
+                "a cube has at most {} variables, got {count}",
+                crate::MAX_VARS
+            ),
         }
     }
 }

@@ -13,8 +13,13 @@ pub struct SynthOptions {
     /// large machines where the raw minterm covers are good enough for the
     /// structural comparison (the relative area ordering is preserved).
     pub minimize: bool,
-    /// Skip minimisation automatically when a block has more than this many
-    /// rows (the minimiser is quadratic in the number of cubes).
+    /// Skip minimisation of a block whose output ON-sets hold more than this
+    /// many cubes in total, summed over the block's output bits (one cube
+    /// per row and per output bit that is 1 in it).  This is not the row
+    /// count: a 384-row block with three output bits holds up to 1152 such
+    /// cubes, so it can be skipped although it has fewer than 400 rows.
+    /// The minimiser's cost grows faster than linearly in this count: each
+    /// EXPAND step is a containment query against all of ON ∪ DC.
     pub minimize_row_limit: usize,
 }
 
@@ -52,13 +57,31 @@ impl SynthesizedBlock {
         dont_care: &Cover,
         options: SynthOptions,
     ) -> Self {
+        Self::from_covers_with(
+            name,
+            num_inputs,
+            on_sets,
+            dont_care,
+            options,
+            Cover::minimized,
+        )
+    }
+
+    fn from_covers_with(
+        name: impl Into<String>,
+        num_inputs: usize,
+        on_sets: Vec<Cover>,
+        dont_care: &Cover,
+        options: SynthOptions,
+        minimize: MinimizeFn,
+    ) -> Self {
         let total_rows: usize = on_sets.iter().map(Cover::len).sum();
         let do_minimize = options.minimize && total_rows <= options.minimize_row_limit;
         let covers: Vec<Cover> = on_sets
             .into_iter()
             .map(|c| {
                 if do_minimize {
-                    c.minimized(dont_care)
+                    minimize(&c, dont_care)
                 } else {
                     c
                 }
@@ -151,7 +174,7 @@ fn on_sets_from_rows(rows: &[EncodedRow], num_inputs: usize, num_outputs: usize)
         let cube = Cube::from_minterm(&row.inputs);
         for (bit, &value) in row.outputs.iter().enumerate() {
             if value {
-                on_sets[bit].push(cube.clone());
+                on_sets[bit].push(cube);
             }
         }
     }
@@ -201,20 +224,32 @@ pub fn synthesize_controller(encoded: &EncodedMachine, options: SynthOptions) ->
     }
 }
 
+/// A two-level minimiser: `(ON-set, DC-set) → cover`.
+pub(crate) type MinimizeFn = fn(&Cover, &Cover) -> Cover;
+
 /// Synthesises the three blocks of a pipeline controller.
 #[must_use]
 pub fn synthesize_pipeline(encoded: &EncodedPipeline, options: SynthOptions) -> PipelineLogic {
+    pipeline_with(encoded, options, Cover::minimized)
+}
+
+/// [`synthesize_pipeline`] with the given minimiser.
+pub(crate) fn pipeline_with(
+    encoded: &EncodedPipeline,
+    options: SynthOptions,
+    minimize: MinimizeFn,
+) -> PipelineLogic {
     let c1_inputs = (encoded.input_bits + encoded.r1_bits) as usize;
     let c2_inputs = (encoded.input_bits + encoded.r2_bits) as usize;
     let out_inputs = (encoded.input_bits + encoded.r1_bits + encoded.r2_bits) as usize;
 
     let c1_on = on_sets_from_rows(&encoded.c1_rows, c1_inputs, encoded.r2_bits as usize);
     let c1_dc = dont_care_from_rows(&encoded.c1_rows, c1_inputs);
-    let c1 = SynthesizedBlock::from_covers("C1", c1_inputs, c1_on, &c1_dc, options);
+    let c1 = SynthesizedBlock::from_covers_with("C1", c1_inputs, c1_on, &c1_dc, options, minimize);
 
     let c2_on = on_sets_from_rows(&encoded.c2_rows, c2_inputs, encoded.r1_bits as usize);
     let c2_dc = dont_care_from_rows(&encoded.c2_rows, c2_inputs);
-    let c2 = SynthesizedBlock::from_covers("C2", c2_inputs, c2_on, &c2_dc, options);
+    let c2 = SynthesizedBlock::from_covers_with("C2", c2_inputs, c2_on, &c2_dc, options, minimize);
 
     let out_on = on_sets_from_rows(
         &encoded.output_rows,
@@ -222,7 +257,9 @@ pub fn synthesize_pipeline(encoded: &EncodedPipeline, options: SynthOptions) -> 
         encoded.output_bits as usize,
     );
     let out_dc = dont_care_from_rows(&encoded.output_rows, out_inputs);
-    let output = SynthesizedBlock::from_covers("lambda", out_inputs, out_on, &out_dc, options);
+    let output = SynthesizedBlock::from_covers_with(
+        "lambda", out_inputs, out_on, &out_dc, options, minimize,
+    );
 
     PipelineLogic {
         c1,
@@ -328,6 +365,38 @@ mod tests {
         assert!(
             pipeline.c1.literal_count() + pipeline.c2.literal_count() <= doubled_literals,
             "pipeline next-state logic should not exceed the doubled controller"
+        );
+    }
+
+    /// tbk's blocks are over the row limit, so the flow never minimises
+    /// them; lifted, they are the largest minimiser inputs of the embedded
+    /// suite.  The reference takes about half a minute in release, so this
+    /// runs in the nightly workflow (`cargo test --release -p stc-logic --
+    /// --ignored`).
+    #[test]
+    #[ignore = "the reference minimiser takes ~30 s on tbk; run with --ignored"]
+    fn tbk_with_the_row_limit_lifted_matches_the_reference() {
+        let m = stc_fsm::benchmarks::by_name("tbk")
+            .expect("tbk is embedded")
+            .machine;
+        let realization = solve(&m).best.realize(&m);
+        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let options = SynthOptions {
+            minimize: true,
+            minimize_row_limit: usize::MAX,
+        };
+        let packed = synthesize_pipeline(&encoded, options);
+        let spec = crate::reference::synthesize_pipeline(&encoded, options);
+        for (p, r) in [
+            (&packed.c1, &spec.c1),
+            (&packed.c2, &spec.c2),
+            (&packed.output, &spec.output),
+        ] {
+            assert_eq!(p.covers, r.covers, "block {}", p.name);
+        }
+        assert!(
+            packed.c1.cube_count() < encoded.c1_rows.len(),
+            "C1 was minimised"
         );
     }
 
