@@ -15,6 +15,12 @@
 //! candidate-batched plan optimizer.  Both run on bbara and on a tbk-shaped
 //! planted machine (64 inputs, the `bist_heavy` perfbench pool's generator
 //! parameters) at that workload's 32 patterns per session.
+//!
+//! `coverage/tbk_lifted` and `optimize_batch/tbk_lifted` run the coverage
+//! measurement and the plan optimizer at the flow's defaults (256 patterns
+//! per session, a 512-pattern budget) on tbk with the gate-level limits
+//! lifted — the largest blocks of the embedded suite, where simulating
+//! each fault over its fanout cone instead of the whole netlist pays most.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_bist::{
@@ -142,6 +148,25 @@ fn fault_sim(c: &mut Criterion) {
             },
         );
     }
+
+    let tbk = benchmarks::by_name("tbk")
+        .expect("benchmark exists")
+        .machine;
+    let tbk_lifted = pipeline_logic(&tbk);
+    group.bench_with_input(
+        BenchmarkId::new("coverage", "tbk_lifted"),
+        &tbk_lifted,
+        |b, p| {
+            b.iter(|| measure_plan_coverage(p, 256, 1));
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("optimize_batch", "tbk_lifted"),
+        &tbk_lifted,
+        |b, p| {
+            b.iter(|| optimize_plan(p, &OptimizeOptions::default(), 1));
+        },
+    );
     group.finish();
 }
 

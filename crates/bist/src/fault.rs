@@ -9,16 +9,18 @@
 //! * [`simulate_faults_packed`] — the production PP-SFP (parallel-pattern
 //!   single-fault propagation) simulator: patterns are packed 64 per
 //!   machine word ([`PackedPatterns`]) and grouped [`PACKED_WORDS`] words
-//!   per SIMD-wide superblock, so one netlist sweep
-//!   ([`stc_logic::Netlist::eval_packed_wide_into`]) evaluates 256
-//!   patterns.  Each fault is re-evaluated superblock-wise with *fault
-//!   dropping* (a fault detected by an earlier superblock is never
-//!   simulated against later ones).  Fault-stride workers parallelise over
-//!   the fault list deterministically: the report is byte-identical for any
-//!   worker count, and identical to the scalar reference.  Fault lists
-//!   shorter than [`MIN_PARALLEL_FAULTS`] run serially regardless of the
-//!   requested job count — thread spawn/join overhead dominates such lists.
+//!   per SIMD-wide superblock of 256 patterns.  The good circuit is swept
+//!   once per superblock; each live fault then re-evaluates only its
+//!   fanout cone (the crate's cone-restricted kernel), and a fault that is
+//!   not excited in the superblock is skipped outright.  *Fault dropping*
+//!   removes a fault at its first detecting superblock.  Fault-stride
+//!   workers parallelise over the fault list deterministically: the report
+//!   is byte-identical for any worker count, and identical to the scalar
+//!   reference.  Fault lists shorter than [`MIN_PARALLEL_FAULTS`] run
+//!   serially regardless of the requested job count — thread spawn/join
+//!   overhead dominates such lists.
 
+use crate::cone::{ConeIndex, ConeSim};
 use stc_logic::{Netlist, NodeId, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// A single stuck-at fault: one netlist node permanently forced to a value.
@@ -274,16 +276,18 @@ pub fn effective_fault_jobs(fault_count: usize, jobs: usize) -> usize {
 
 /// Bit-parallel (PP-SFP) single-stuck-at fault simulation with fault
 /// dropping: the exact counterpart of the scalar [`simulate_faults`]
-/// reference, [`PACKED_WORDS`] × 64 patterns per netlist sweep.
+/// reference, [`PACKED_WORDS`] × 64 patterns per superblock.
 ///
 /// The good circuit is evaluated once per SIMD-wide superblock
-/// ([`PackedPatterns::wide_block`]); each fault is then re-evaluated
-/// superblock-wise and *dropped* at the first superblock in which an
+/// ([`PackedPatterns::wide_block`]); each live fault then re-evaluates its
+/// fanout cone only, and is *dropped* at the first superblock in which an
 /// observed output group differs (within the superblock's valid-lane
-/// masks).  `jobs > 1` parallelises over the fault list with a *strided*
-/// assignment — worker `w` of `n` takes faults `w, w + n, w + 2n, …` — so
-/// expensive undetected faults (which sweep every superblock) spread evenly
-/// across workers instead of clustering in one contiguous chunk.  Faults
+/// masks).  A fault whose site already carries the stuck value in every
+/// valid lane is not excited and costs no evaluation at all.  `jobs > 1`
+/// parallelises over the fault list with a *strided* assignment — worker
+/// `w` of `n` takes faults `w, w + n, w + 2n, …` — so expensive undetected
+/// faults (which reach every superblock) spread evenly across workers
+/// instead of clustering in one contiguous chunk.  Faults
 /// are independent of each other and undetected faults are merged back in
 /// fault-list order, so the report is byte-identical for any worker count.
 /// The worker count actually used is `effective_fault_jobs(faults.len(),
@@ -329,51 +333,34 @@ fn simulate_faults_packed_with_workers(
         None => netlist.outputs().to_vec(),
         Some(idx) => idx.iter().map(|&i| netlist.outputs()[i]).collect(),
     };
-
-    // Superblock inputs, valid-lane masks and good-circuit responses (one
-    // group per observed output), each computed once up front.
-    let wide_blocks: Vec<Vec<WideWord>> = (0..packed.num_superblocks())
-        .map(|s| packed.wide_block(s))
-        .collect();
-    let wide_masks: Vec<WideWord> = (0..packed.num_superblocks())
-        .map(|s| packed.wide_lane_masks(s))
-        .collect();
-    let mut scratch: Vec<WideWord> = Vec::new();
-    let mut good: Vec<Vec<WideWord>> = Vec::with_capacity(wide_blocks.len());
-    for inputs in &wide_blocks {
-        netlist.eval_packed_wide_into(inputs, None, &mut scratch);
-        good.push(observed_nodes.iter().map(|&n| scratch[n]).collect());
-    }
+    let cones = ConeIndex::new(netlist);
 
     let workers = workers.max(1).min(faults.len().max(1));
     // Strided fault assignment: a fault's verdict depends only on the fault
     // itself, so the stride is invisible in the result once undetected
     // faults are re-sorted by original index (= the serial visiting order).
     let simulate_stride = |start: usize| -> (usize, Vec<usize>) {
-        let mut scratch: Vec<WideWord> = Vec::new();
-        let mut detected = 0usize;
-        let mut undetected = Vec::new();
-        'faults: for idx in (start..faults.len()).step_by(workers) {
-            let fault = &faults[idx];
-            for ((inputs, masks), good_groups) in wide_blocks.iter().zip(&wide_masks).zip(&good) {
-                netlist.eval_packed_wide_into(
-                    inputs,
-                    Some((fault.node, fault.stuck_at)),
-                    &mut scratch,
-                );
-                let differs = observed_nodes.iter().zip(good_groups).any(|(&n, g)| {
-                    let v = &scratch[n];
-                    (0..PACKED_WORDS).any(|w| (v[w] ^ g[w]) & masks[w] != 0)
-                });
-                if differs {
-                    // Fault dropping: detected faults leave the simulation.
-                    detected += 1;
-                    continue 'faults;
-                }
+        let mut sim = ConeSim::new(netlist, &cones);
+        let mut errors = vec![[0; PACKED_WORDS]; observed_nodes.len()];
+        let mut live: Vec<usize> = (start..faults.len()).step_by(workers).collect();
+        let assigned = live.len();
+        for s in 0..packed.num_superblocks() {
+            if live.is_empty() {
+                break;
             }
-            undetected.push(idx);
+            sim.load(&packed.wide_block(s));
+            let masks = packed.wide_lane_masks(s);
+            // Fault dropping: a fault detected in this superblock leaves
+            // the simulation.
+            live.retain(|&idx| {
+                let detected = sim.errors(faults[idx], &masks, &observed_nodes, &mut errors)
+                    && errors
+                        .iter()
+                        .any(|e| (0..PACKED_WORDS).any(|w| e[w] & masks[w] != 0));
+                !detected
+            });
         }
-        (detected, undetected)
+        (assigned - live.len(), live)
     };
 
     let results: Vec<(usize, Vec<usize>)> = if workers <= 1 {
@@ -444,6 +431,49 @@ pub fn lfsr_patterns(width: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
             bits
         })
         .collect()
+}
+
+/// The full-sweep PP-SFP the cone-restricted kernel replaced: every
+/// fault re-evaluates the whole netlist per superblock, with fault
+/// dropping.
+#[cfg(test)]
+fn full_sweep_report(
+    netlist: &Netlist,
+    patterns: &[Vec<bool>],
+    faults: &[StuckAtFault],
+    observable_outputs: Option<&[usize]>,
+) -> FaultSimReport {
+    let packed = PackedPatterns::pack(netlist.num_inputs(), patterns);
+    let observed: Vec<NodeId> = match observable_outputs {
+        None => netlist.outputs().to_vec(),
+        Some(idx) => idx.iter().map(|&i| netlist.outputs()[i]).collect(),
+    };
+    let (mut good, mut bad) = (Vec::new(), Vec::new());
+    let undetected: Vec<StuckAtFault> = faults
+        .iter()
+        .filter(|fault| {
+            !(0..packed.num_superblocks()).any(|s| {
+                let inputs = packed.wide_block(s);
+                let masks = packed.wide_lane_masks(s);
+                netlist.eval_packed_wide_into(&inputs, None, &mut good);
+                netlist.eval_packed_wide_into(
+                    &inputs,
+                    Some((fault.node, fault.stuck_at)),
+                    &mut bad,
+                );
+                observed
+                    .iter()
+                    .any(|&n| (0..PACKED_WORDS).any(|w| (good[n][w] ^ bad[n][w]) & masks[w] != 0))
+            })
+        })
+        .copied()
+        .collect();
+    FaultSimReport {
+        total_faults: faults.len(),
+        detected: faults.len() - undetected.len(),
+        undetected,
+        patterns: patterns.len(),
+    }
 }
 
 #[cfg(test)]
@@ -654,6 +684,23 @@ mod tests {
         assert_eq!(packed.wide_lane_masks(1), [1, 0, 0, 0]);
     }
 
+    /// tbk with the gate-level limits lifted: the fixed plan's coverage
+    /// measurement against the full sweep.  Runs in the nightly workflow
+    /// (`cargo test --release -p stc-bist -- --ignored`).
+    #[test]
+    #[ignore = "builds lifted tbk and re-sweeps it whole; run with --ignored"]
+    fn lifted_tbk_coverage_equals_the_full_sweep() {
+        let pipeline = crate::test_support::lifted_pipeline("tbk");
+        for block in [&pipeline.c1.netlist, &pipeline.c2.netlist] {
+            let patterns = crate::session_patterns(block, 256);
+            let faults = fault_list(block);
+            assert_eq!(
+                simulate_faults_packed(block, &patterns, &faults, None, 2),
+                full_sweep_report(block, &patterns, &faults, None)
+            );
+        }
+    }
+
     #[test]
     fn empty_patterns_and_empty_fault_lists_are_handled() {
         let n = xor_netlist();
@@ -672,11 +719,44 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::test_support::arb_cover;
+    use crate::test_support::{arb_cover, arb_netlist};
     use proptest::prelude::*;
+
+    /// Pattern counts around the 64-lane block and 256-lane superblock
+    /// boundaries, plus the empty pattern set.
+    const PATTERN_COUNTS: [usize; 7] = [0, 1, 63, 64, 65, 257, 513];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The cone-restricted simulator reports exactly what the full
+        /// sweep reports, on multi-level netlists with shared products,
+        /// repeated, bare-input and constant outputs and unconnected
+        /// inputs, observing all outputs or any subset.
+        #[test]
+        fn cone_simulation_equals_the_full_sweep_on_random_netlists(
+            netlist in arb_netlist(),
+            pattern_index in 0usize..PATTERN_COUNTS.len(),
+            seed in 1u64..1000,
+            (observe_all, subset) in (any::<bool>(), any::<u8>()),
+            workers in 1usize..5,
+        ) {
+            let faults = fault_list(&netlist);
+            let patterns = lfsr_patterns(
+                netlist.num_inputs(),
+                PATTERN_COUNTS[pattern_index],
+                seed,
+            );
+            let observable: Option<Vec<usize>> = (!observe_all).then(|| {
+                (0..netlist.num_outputs()).filter(|i| subset >> i & 1 == 1).collect()
+            });
+            let observable = observable.as_deref();
+            prop_assert_eq!(
+                simulate_faults_packed_with_workers(
+                    &netlist, &patterns, &faults, observable, workers),
+                full_sweep_report(&netlist, &patterns, &faults, observable)
+            );
+        }
 
         #[test]
         fn packed_simulator_equals_scalar_reference_on_random_netlists(

@@ -16,11 +16,17 @@
 //!   bit-parallel (PP-SFP) fault simulator and the exact single-stuck-at
 //!   coverage of the two-session plan it enables;
 //! * [`optimize_plan`] — the coverage-driven plan search, simulating four
-//!   pattern-source candidates per wide netlist sweep.
+//!   pattern-source candidates per wide superblock.
 //!
-//! The scalar `simulate_faults` and the doc-hidden
-//! `pipeline_self_test_scalar` are the references the packed paths are
-//! property-tested against.
+//! All three simulate faults with one cone-restricted kernel: the good
+//! circuit is swept once per 256-pattern superblock, and each fault
+//! re-evaluates only its site's fanout cone — or nothing, when the
+//! superblock does not excite it.  The results are bit-identical to
+//! whole-netlist faulty sweeps.  The scalar `simulate_faults` and the
+//! doc-hidden `pipeline_self_test_scalar` are the references the packed
+//! paths are property-tested against, and the full faulty sweep
+//! ([`stc_logic::Netlist::eval_packed_wide_into`] with a fault) is the
+//! oracle the kernel is checked against.
 //!
 //! # Example
 //!
@@ -41,6 +47,7 @@
 
 mod architecture;
 mod bilbo;
+mod cone;
 mod coverage;
 mod fault;
 mod lfsr;

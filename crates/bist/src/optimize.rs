@@ -25,7 +25,7 @@
 //! # Evaluation and termination
 //!
 //! One bit-parallel pass computes every fault's **first detecting pattern
-//! index** per candidate (the same PP-SFP word sweep as
+//! index** per candidate (the same cone-restricted PP-SFP kernel as
 //! [`crate::simulate_faults_packed`], with the drop point *recorded* instead
 //! of discarded).  The minimal session length reaching the target is then an
 //! order statistic of that profile — no per-length re-simulation.  Because a
@@ -36,9 +36,10 @@
 //! minimum possible length (one pattern) is reached.
 //!
 //! Candidates are simulated [`PACKED_WORDS`] at a time: word `w` of each
-//! wide netlist sweep carries candidate `c + w`, and each candidate stops
-//! being tracked at its first detection.  A batch runs at the window in
-//! force when it starts; the candidates are then replayed in order, each
+//! wide superblock carries candidate `c + w`, so one good-circuit sweep and
+//! one fanout-cone re-evaluation per fault advance all of them, and each
+//! candidate stops being tracked at its first detection.  A batch runs at
+//! the window in force when it starts; the candidates are then replayed in order, each
 //! profile truncated to the candidate's own window (entries at or past it
 //! become "undetected") before its incumbent bookkeeping and progress
 //! events.  By the same prefix property the truncated profile is exactly the
@@ -50,6 +51,7 @@
 //! for downstream ranking (the pipeline ranks them by SCOAP fault
 //! difficulty as test-point suggestions).
 
+use crate::cone::{ConeIndex, ConeSim};
 use crate::coverage::{coverage_fraction, BlockCoverage, PlanCoverage};
 use crate::fault::{fault_list, simulate_faults_packed, PackedPatterns, StuckAtFault};
 use crate::lfsr::{reciprocal_taps, PRIMITIVE_TAPS};
@@ -325,13 +327,14 @@ fn optimize_block(
     progress: &mut dyn FnMut(&OptimizeProgress<'_>),
 ) -> SessionOptimization {
     let faults = fault_list(block);
+    let cones = ConeIndex::new(block);
     search_block(
         name,
         block,
         &faults,
         options,
         PACKED_WORDS,
-        &mut |stimuli| detection_profiles(block, stimuli, &faults, jobs),
+        &mut |stimuli| detection_profiles(block, &cones, stimuli, &faults, jobs),
         progress,
     )
 }
@@ -473,15 +476,18 @@ fn search_block(
 /// length) and each fault, the index of the first pattern that detects
 /// the fault (`None` when no pattern does): one profile per candidate.
 ///
-/// The candidates share every netlist sweep: word `w` of a wide group
-/// carries the current 64-pattern block of candidate `w`, so one
-/// [`Netlist::eval_packed_wide_into`] call advances all of them.  A
-/// candidate stops being tracked at its first detection (the lowest set
-/// lane of its first differing word), and a fault's sweep ends once every
-/// candidate has detected it.  Deterministic for any `jobs` value (faults
-/// are independent; chunk results are joined in fault-list order).
+/// The candidates share every superblock: word `w` of a wide group
+/// carries the current 64-pattern block of candidate `w`, so one good
+/// sweep per block and one fanout-cone re-evaluation per fault advance all
+/// of them.  A candidate stops being tracked at its first detection (the
+/// lowest set lane of its first differing word); a fault costs nothing in
+/// a block where it is not excited in any still-tracked lane, or once
+/// every candidate has detected it.  Deterministic for any `jobs` value
+/// (faults are independent; chunk results are joined in fault-list
+/// order).
 fn detection_profiles(
     netlist: &Netlist,
+    cones: &ConeIndex,
     stimuli: &[Vec<Vec<bool>>],
     faults: &[StuckAtFault],
     jobs: usize,
@@ -506,52 +512,46 @@ fn detection_profiles(
         .collect();
     let observed: &[NodeId] = netlist.outputs();
 
-    let mut scratch: Vec<WideWord> = Vec::new();
-    let good: Vec<Vec<WideWord>> = inputs
-        .iter()
-        .map(|group| {
-            netlist.eval_packed_wide_into(group, None, &mut scratch);
-            observed.iter().map(|&n| scratch[n]).collect()
-        })
-        .collect();
-
     let jobs = jobs.max(1).min(faults.len().max(1));
     let chunk_len = faults.len().div_ceil(jobs).max(1);
     let chunks: Vec<&[StuckAtFault]> = faults.chunks(chunk_len).collect();
     let profile_chunk = |chunk: &[StuckAtFault]| -> Vec<[Option<u32>; PACKED_WORDS]> {
-        let mut scratch: Vec<WideWord> = Vec::new();
-        chunk
-            .iter()
-            .map(|fault| {
-                let mut first = [None; PACKED_WORDS];
-                let mut live: WideWord =
-                    std::array::from_fn(|w| if w < stimuli.len() { u64::MAX } else { 0 });
-                for (b, (group, good_groups)) in inputs.iter().zip(&good).enumerate() {
-                    netlist.eval_packed_wide_into(
-                        group,
-                        Some((fault.node, fault.stuck_at)),
-                        &mut scratch,
-                    );
-                    let mut differing = [0u64; PACKED_WORDS];
-                    for (&n, g) in observed.iter().zip(good_groups) {
-                        for w in 0..PACKED_WORDS {
-                            differing[w] |= scratch[n][w] ^ g[w];
-                        }
-                    }
+        let mut sim = ConeSim::new(netlist, cones);
+        let mut errors = vec![[0; PACKED_WORDS]; observed.len()];
+        let mut first = vec![[None; PACKED_WORDS]; chunk.len()];
+        // The candidates each fault is still tracked for: all of them until
+        // its first detection there.
+        let mut live: Vec<WideWord> =
+            vec![
+                std::array::from_fn(|w| if w < stimuli.len() { u64::MAX } else { 0 });
+                chunk.len()
+            ];
+        for (b, (group, mask)) in inputs.iter().zip(&masks).enumerate() {
+            if live.iter().all(|l| *l == [0; PACKED_WORDS]) {
+                break;
+            }
+            sim.load(group);
+            for ((fault, first), live) in chunk.iter().zip(&mut first).zip(&mut live) {
+                let care: WideWord = std::array::from_fn(|w| mask[w] & live[w]);
+                if !sim.errors(*fault, &care, observed, &mut errors) {
+                    continue;
+                }
+                let mut differing = [0u64; PACKED_WORDS];
+                for e in &errors {
                     for w in 0..PACKED_WORDS {
-                        let hits = differing[w] & masks[b][w] & live[w];
-                        if hits != 0 {
-                            first[w] = Some((b * PACKED_LANES) as u32 + hits.trailing_zeros());
-                            live[w] = 0;
-                        }
-                    }
-                    if live == [0; PACKED_WORDS] {
-                        break;
+                        differing[w] |= e[w];
                     }
                 }
-                first
-            })
-            .collect()
+                for w in 0..PACKED_WORDS {
+                    let hits = differing[w] & care[w];
+                    if hits != 0 {
+                        first[w] = Some((b * PACKED_LANES) as u32 + hits.trailing_zeros());
+                        live[w] = 0;
+                    }
+                }
+            }
+        }
+        first
     };
 
     let results: Vec<Vec<[Option<u32>; PACKED_WORDS]>> = if chunks.len() <= 1 {
@@ -574,9 +574,10 @@ fn detection_profiles(
         .collect()
 }
 
-/// For each fault, the index of the first pattern that detects it: the
-/// one-candidate 64-lane sweep the batched [`detection_profiles`] replaced,
-/// kept as its reference.
+/// For each fault, the index of the first pattern that detects it, by
+/// whole-netlist 64-lane faulty sweeps: the one-candidate, full-sweep
+/// reference the batched, cone-restricted [`detection_profiles`] is tested
+/// against.
 #[cfg(test)]
 fn detection_profile(
     netlist: &Netlist,
@@ -733,7 +734,13 @@ mod tests {
         for jobs in [1, 2, 5, 64] {
             assert_eq!(
                 vec![profile.clone()],
-                detection_profiles(block, std::slice::from_ref(&stimuli), &faults, jobs)
+                detection_profiles(
+                    block,
+                    &ConeIndex::new(block),
+                    std::slice::from_ref(&stimuli),
+                    &faults,
+                    jobs
+                )
             );
         }
         // A fault's first-detection index is the shortest prefix whose
@@ -843,6 +850,34 @@ mod tests {
         assert!(plan.total_length() <= 512);
     }
 
+    /// tbk with the gate-level limits lifted: the cone-restricted,
+    /// candidate-batched search returns the plan of the one-candidate
+    /// full-sweep search.  Runs in the nightly workflow (`cargo test
+    /// --release -p stc-bist -- --ignored`).
+    #[test]
+    #[ignore = "builds lifted tbk and re-sweeps it whole per candidate; run with --ignored"]
+    fn lifted_tbk_optimize_equals_the_full_sweep() {
+        let pipeline = crate::test_support::lifted_pipeline("tbk");
+        let options = OptimizeOptions::default();
+        let plan = optimize_plan(&pipeline, &options, 2);
+        for (session, block) in [
+            (&plan.session1, &pipeline.c1.netlist),
+            (&plan.session2, &pipeline.c2.netlist),
+        ] {
+            let faults = fault_list(block);
+            let reference = search_block(
+                &session.block,
+                block,
+                &faults,
+                &options,
+                1,
+                &mut |stimuli| vec![detection_profile(block, &stimuli[0], &faults)],
+                &mut |_| {},
+            );
+            assert_eq!(session, &reference);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "target")]
     fn a_zero_target_is_rejected() {
@@ -878,6 +913,10 @@ mod proptests {
     use crate::test_support::arb_cover;
     use proptest::prelude::*;
     use stc_logic::{Cover, SynthesizedBlock};
+
+    /// Pattern counts around the 64-lane block and 256-lane superblock
+    /// boundaries, plus the empty pattern set.
+    const PATTERN_COUNTS: [usize; 7] = [0, 1, 63, 64, 65, 257, 513];
 
     /// A pipeline with two independent random blocks — the shape
     /// [`optimize_plan`] consumes; the output block and register widths are
@@ -944,6 +983,36 @@ mod proptests {
                 }
             }
             prop_assert_eq!(plan.total_length(), plan.session1.length + plan.session2.length);
+        }
+
+        /// Cone-restricted first-detection profiles equal the full-sweep
+        /// reference's for batches of 1–4 candidates, on multi-level
+        /// netlists with shared products, repeated, bare-input and
+        /// constant outputs and unconnected inputs.
+        #[test]
+        fn batched_cone_profiles_equal_the_full_sweep_reference(
+            netlist in crate::test_support::arb_netlist(),
+            candidates in 1usize..=PACKED_WORDS,
+            pattern_index in 0usize..PATTERN_COUNTS.len(),
+            seed in 1u64..1000,
+            jobs in 1usize..=4,
+        ) {
+            let faults = fault_list(&netlist);
+            let stimuli: Vec<Vec<Vec<bool>>> = (0..candidates as u64)
+                .map(|c| crate::lfsr_patterns(
+                    netlist.num_inputs(),
+                    PATTERN_COUNTS[pattern_index],
+                    seed + c,
+                ))
+                .collect();
+            let reference: Vec<Vec<Option<u32>>> = stimuli
+                .iter()
+                .map(|patterns| detection_profile(&netlist, patterns, &faults))
+                .collect();
+            prop_assert_eq!(
+                detection_profiles(&netlist, &ConeIndex::new(&netlist), &stimuli, &faults, jobs),
+                reference
+            );
         }
 
         /// Batching is invisible: the candidate-batched search returns the

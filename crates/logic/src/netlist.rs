@@ -55,6 +55,45 @@ impl Gate {
             Gate::And(xs) | Gate::Or(xs) => xs,
         }
     }
+
+    /// The gate's output group over one wide superblock: `inputs` carries
+    /// the primary inputs and `values` every node with a smaller id.  The
+    /// single per-gate step shared by [`Netlist::eval_packed_wide_into`]
+    /// and the fault simulators that re-evaluate only a fault's fanout
+    /// cone.  The fixed-trip-count lane loops autovectorize (see
+    /// [`PACKED_WORDS`]).
+    #[inline]
+    #[must_use]
+    pub fn eval_wide(&self, inputs: &[WideWord], values: &[WideWord]) -> WideWord {
+        match self {
+            Gate::Input(i) => inputs[*i],
+            Gate::Const(c) => [if *c { u64::MAX } else { 0 }; PACKED_WORDS],
+            Gate::Not(a) => {
+                let v = &values[*a];
+                std::array::from_fn(|w| !v[w])
+            }
+            Gate::And(xs) => {
+                let mut acc = [u64::MAX; PACKED_WORDS];
+                for &x in xs {
+                    let v = &values[x];
+                    for w in 0..PACKED_WORDS {
+                        acc[w] &= v[w];
+                    }
+                }
+                acc
+            }
+            Gate::Or(xs) => {
+                let mut acc = [0u64; PACKED_WORDS];
+                for &x in xs {
+                    let v = &values[x];
+                    for w in 0..PACKED_WORDS {
+                        acc[w] |= v[w];
+                    }
+                }
+                acc
+            }
+        }
+    }
 }
 
 /// A combinational gate-level netlist in topological order.
@@ -94,6 +133,39 @@ impl Netlist {
             num_inputs,
             gates: (0..num_inputs).map(Gate::Input).collect(),
             outputs: Vec::new(),
+        }
+    }
+
+    /// Builds a netlist from explicit gates and output nodes: the first
+    /// `num_inputs` gates must be `Input(0)`, `Input(1)`, …, no other gate
+    /// may be an input, and every fan-in and output must name an earlier
+    /// node.  Unlike [`Self::from_covers`] this admits any multi-level
+    /// structure, e.g. product terms shared between outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gates are not in that shape.
+    #[must_use]
+    pub fn from_gates(num_inputs: usize, gates: Vec<Gate>, outputs: Vec<NodeId>) -> Self {
+        for (id, gate) in gates.iter().enumerate() {
+            match gate {
+                Gate::Input(i) => assert!(id < num_inputs && *i == id, "misplaced input {id}"),
+                _ => assert!(id >= num_inputs, "node {id} must be an input"),
+            }
+            assert!(
+                gate.fanins().iter().all(|&f| f < id),
+                "node {id} references a fan-in >= its own id"
+            );
+        }
+        assert!(gates.len() >= num_inputs, "missing input nodes");
+        assert!(
+            outputs.iter().all(|&o| o < gates.len()),
+            "output node out of range"
+        );
+        Self {
+            num_inputs,
+            gates,
+            outputs,
         }
     }
 
@@ -373,34 +445,7 @@ impl Netlist {
         values.clear();
         values.resize(self.gates.len(), [0; PACKED_WORDS]);
         for (id, gate) in self.gates.iter().enumerate() {
-            let group: WideWord = match gate {
-                Gate::Input(i) => inputs[*i],
-                Gate::Const(c) => [if *c { u64::MAX } else { 0 }; PACKED_WORDS],
-                Gate::Not(a) => {
-                    let v = &values[*a];
-                    std::array::from_fn(|w| !v[w])
-                }
-                Gate::And(xs) => {
-                    let mut acc = [u64::MAX; PACKED_WORDS];
-                    for &x in xs {
-                        let v = &values[x];
-                        for w in 0..PACKED_WORDS {
-                            acc[w] &= v[w];
-                        }
-                    }
-                    acc
-                }
-                Gate::Or(xs) => {
-                    let mut acc = [0u64; PACKED_WORDS];
-                    for &x in xs {
-                        let v = &values[x];
-                        for w in 0..PACKED_WORDS {
-                            acc[w] |= v[w];
-                        }
-                    }
-                    acc
-                }
-            };
+            let group = gate.eval_wide(inputs, values);
             values[id] = match fault {
                 Some((node, stuck)) if node == id => {
                     [if stuck { u64::MAX } else { 0 }; PACKED_WORDS]
@@ -531,6 +576,35 @@ mod tests {
             n.evaluate_with_fault(&[false, true], Some((0, true))),
             vec![false]
         );
+    }
+
+    #[test]
+    fn explicit_gates_can_share_a_product_between_outputs() {
+        // f = ab + c, g = ab + !c with one shared AND.
+        let gates = vec![
+            Gate::Input(0),
+            Gate::Input(1),
+            Gate::Input(2),
+            Gate::And(vec![0, 1]),
+            Gate::Not(2),
+            Gate::Or(vec![3, 2]),
+            Gate::Or(vec![3, 4]),
+        ];
+        let n = Netlist::from_gates(3, gates, vec![5, 6]);
+        assert_eq!(n.evaluate(&[true, true, false]), vec![true, true]);
+        assert_eq!(n.evaluate(&[false, true, false]), vec![false, true]);
+        // Stuck-at-0 on the shared AND reaches both outputs.
+        assert_eq!(
+            n.evaluate_with_fault(&[true, true, false], Some((3, false))),
+            vec![false, true]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fan-in")]
+    fn explicit_gates_must_be_topological() {
+        let gates = vec![Gate::Input(0), Gate::Not(2), Gate::Const(true)];
+        let _ = Netlist::from_gates(1, gates, vec![1]);
     }
 
     #[test]
