@@ -49,8 +49,9 @@ fn ostr_solver_v2(c: &mut Criterion) {
         });
     }
     // Setup path: the symmetric-pair basis (tbk: 64 inputs sharing two
-    // transition maps).
-    for name in ["shiftreg", "tbk"] {
+    // transition maps; ex1: 512 distinct input columns, every closure
+    // universal, so the lazy closure's early return is what it measures).
+    for name in ["shiftreg", "tbk", "ex1"] {
         let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
         group.bench_with_input(BenchmarkId::new("basis", name), &machine, |b, m| {
             b.iter(|| symmetric_basis(m));

@@ -1,0 +1,93 @@
+//! Frozen OSTR search statistics for the three scale tiers.
+//!
+//! The counterpart of the root `tests/solver_equivalence.rs` for the
+//! planted scale machines: the full search statistics (wall clock aside)
+//! and a digest of the best `(π, τ)` of each tier's solver configuration,
+//! at one, two and four workers, recorded from the engine before its edge
+//! joins, pairwise Lemma 1 prefilter and lazy basis closures.  `scale_l`
+//! alone searches 43.5M nodes per run, so these tests are `#[ignore]`d and
+//! run nightly:
+//!
+//! ```text
+//! cargo test --release -p stc-bench --test solver_oracle -- --ignored
+//! ```
+
+use stc_bench::scale::{scale_machine, scale_solver_config, scale_tiers};
+use stc_synth::{OstrOutcome, OstrSolver, PreparedOstr};
+
+/// FNV-1a over the `Display` rendering `"{π}|{τ}"` of the best pair.
+fn pair_digest(outcome: &OstrOutcome) -> u64 {
+    let rendered = format!("{}|{}", outcome.best.pi, outcome.best.tau);
+    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Solves `tier` at 1, 2 and 4 workers and checks each run against the
+/// frozen `basis_size`, `nodes_investigated`, `subtrees_pruned`,
+/// `subtrees_bound_pruned` and `solutions_found`, the two flags (both
+/// clear: every tier completes within its budget), the cost and the pair
+/// digest.
+fn check(tier: &str, counts: [u64; 5], cost: (usize, usize), digest: u64) {
+    let tier = scale_tiers()
+        .into_iter()
+        .find(|t| t.name == tier)
+        .expect("tier exists");
+    let prepared = PreparedOstr::new(&scale_machine(&tier));
+    for jobs in [1, 2, 4] {
+        let outcome = OstrSolver::new(scale_solver_config(&tier, jobs)).solve_prepared(&prepared);
+        let s = outcome.stats;
+        let context = format!("{} jobs={jobs}", tier.name);
+        assert_eq!(
+            [
+                s.basis_size as u64,
+                s.nodes_investigated,
+                s.subtrees_pruned,
+                s.subtrees_bound_pruned,
+                s.solutions_found,
+            ],
+            counts,
+            "{context}"
+        );
+        assert!(!s.budget_exhausted && !s.cancelled, "{context}");
+        assert_eq!(
+            (outcome.best.cost.s1(), outcome.best.cost.s2()),
+            cost,
+            "{context}"
+        );
+        assert_eq!(pair_digest(&outcome), digest, "{context}");
+    }
+}
+
+#[test]
+#[ignore = "nightly: about a second per worker count in release"]
+fn scale_s_statistics_are_frozen() {
+    check(
+        "scale_s",
+        [33, 465_737, 229_540, 27, 236_197],
+        (12, 12),
+        0x4f39_99bd_3887_7db3,
+    );
+}
+
+#[test]
+#[ignore = "nightly: a few seconds per worker count in release"]
+fn scale_m_statistics_are_frozen() {
+    check(
+        "scale_m",
+        [35, 1_839_913, 895_124, 83, 944_789],
+        (12, 12),
+        0x2955_75e3_9f65_ad25,
+    );
+}
+
+#[test]
+#[ignore = "nightly: up to a minute per worker count in release"]
+fn scale_l_statistics_are_frozen() {
+    check(
+        "scale_l",
+        [57, 43_500_001, 22_198_607, 54, 21_301_394],
+        (12, 12),
+        0x08b5_0e6b_cbac_3e51,
+    );
+}

@@ -3,11 +3,23 @@
 //! The paper's depth-first search over subsets of the symmetric-pair basis is
 //! implemented here as an *explicit-stack* loop over an arena of packed
 //! κ-pairs (`stc_partition::PackedPair`), so the hot path performs no
-//! recursion and no per-node allocation: expanding a child copies the
-//! parent's arena slot and applies an in-place `join_assign`.
+//! recursion and no per-node allocation.  A child `κ ∨ basis[k]` is decided
+//! before any label is written: the edge join (`stc_partition::PairJoin`)
+//! unions the parent's block ids along `basis[k]`'s precomputed generator
+//! edges, so zero merges on both sides identifies a duplicate and the
+//! parent's block counts minus the merges feed the bound check.  Only a
+//! child that survives those checks and the pairwise Lemma 1 prefilter is
+//! materialised into its arena slot, in one relabelling pass per side.
 //!
-//! Three layers sit on top of the faithful Lemma 1 search:
+//! Four layers sit on top of the faithful Lemma 1 search:
 //!
+//! * **Pairwise Lemma 1 prefilter** (with `SolverConfig::lemma1_pruning`).
+//!   If `basis[j] ∨ basis[k]` already fails `π ∩ τ ⊆ ε` for some `j` on the
+//!   DFS path, or for `j = k`, the child `κ ∨ basis[k] ≥ basis[j] ∨
+//!   basis[k]` fails too — the intersection only grows under joins — so it
+//!   is counted and pruned exactly as a materialised failing child would
+//!   be, without being materialised.  [`PairVerdicts`] caches the pairwise
+//!   verdicts per worker.
 //! * **Branch and bound** (`SolverConfig::branch_and_bound`).  Joins only
 //!   coarsen, so every descendant of a node with block counts `(c1, c2)` has
 //!   component sizes `a ≤ c1`, `b ≤ c2`; a solution additionally needs
@@ -41,7 +53,9 @@
 use crate::cost::Cost;
 use crate::observe::{SearchObserver, PROGRESS_INTERVAL};
 use crate::solver::{OstrSolution, SolverConfig};
-use stc_partition::{meets_within, PackedPair, PackedPartition, PackedScratch, Partition};
+use stc_partition::{
+    meets_within, PackedPair, PackedPartition, PackedScratch, PairEdges, PairJoin, Partition,
+};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -67,6 +81,8 @@ pub(crate) struct SearchProblem<'a> {
     eps: PackedPartition,
     /// The symmetric-pair basis, packed (same order as `general_basis`).
     basis: Vec<PackedPair>,
+    /// The generator edges of each basis element (same order as `basis`).
+    edges: Vec<PairEdges>,
     /// The basis in its general representation (for reporting solutions).
     general_basis: &'a [(Partition, Partition)],
     config: SolverConfig,
@@ -175,6 +191,7 @@ impl<'a> SearchProblem<'a> {
         Self {
             n,
             eps: eps_packed,
+            edges: packed.iter().map(PairEdges::of).collect(),
             basis: packed,
             general_basis: basis,
             config,
@@ -196,12 +213,72 @@ impl<'a> SearchProblem<'a> {
     }
 }
 
-/// One explicit-stack frame: the arena depth of its κ and the next basis
-/// index to try as a child.
+/// One explicit-stack frame: the arena depth of its κ, the basis index
+/// that was joined last to reach it, and the next basis index to try as a
+/// child.  The frame stack is exactly the current DFS path, so the `elem`s
+/// of the frames are the basis elements κ is the join of.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     depth: u32,
+    elem: u32,
     next: u32,
+}
+
+/// The most entries a [`PairVerdicts`] table holds (128 KiB of `u64`s).
+const MAX_VERDICT_SLOTS: usize = 1 << 14;
+
+/// A [`PairVerdicts`] slot that holds no verdict.
+const EMPTY_VERDICT: u64 = u64::MAX;
+
+/// Per-worker cache of pairwise Lemma 1 verdicts: does `basis[j] ∨
+/// basis[k]` fail `π ∩ τ ⊆ ε`?
+///
+/// Direct-mapped on the key `j·B + k` with the full key as its tag, so a
+/// collision only costs a recompute.  The table has the next power of two
+/// at or above `B²` slots, capped at [`MAX_VERDICT_SLOTS`], and is
+/// allocated on the first lookup, so a search that never prefilters pays
+/// nothing and a small basis gets a small table.
+struct PairVerdicts {
+    /// `key << 1 | fails`, or [`EMPTY_VERDICT`].
+    slots: Vec<u64>,
+    join: PairJoin,
+    joined: PackedPair,
+}
+
+impl PairVerdicts {
+    fn new(n: usize) -> Self {
+        Self {
+            slots: Vec::new(),
+            join: PairJoin::new(),
+            joined: PackedPair::identity(n),
+        }
+    }
+
+    /// `true` iff `basis[j] ∨ basis[k]` fails `π ∩ τ ⊆ ε`.
+    fn fails(
+        &mut self,
+        p: &SearchProblem<'_>,
+        j: usize,
+        k: usize,
+        scratch: &mut PackedScratch,
+    ) -> bool {
+        let b = p.basis.len();
+        if self.slots.is_empty() {
+            let slots = (b * b).next_power_of_two().min(MAX_VERDICT_SLOTS);
+            self.slots = vec![EMPTY_VERDICT; slots];
+        }
+        let key = (j * b + k) as u64;
+        let slot = key as usize & (self.slots.len() - 1);
+        let entry = self.slots[slot];
+        if entry != EMPTY_VERDICT && entry >> 1 == key {
+            return entry & 1 == 1;
+        }
+        self.join.merge(&p.basis[j], &p.edges[k]);
+        self.join.write_into(&p.basis[j], &mut self.joined);
+        let fails = !meets_within(&self.joined.pi, &self.joined.tau, &p.eps, scratch);
+        self.slots[slot] = key << 1 | u64::from(fails);
+        fails
+    }
 }
 
 /// The best solution found so far within one subtree, kept packed so
@@ -213,11 +290,14 @@ struct BestSlot {
     tau: PackedPartition,
 }
 
-/// Per-thread reusable search state: the κ arena, the DFS frame stack and
-/// the partition scratch.  All growth is high-water-marked, so steady-state
-/// subtree searches allocate nothing.
+/// Per-thread reusable search state: the κ arena, the DFS frame stack, the
+/// child join kernel, the pairwise verdict cache and the partition scratch.
+/// All growth is high-water-marked, so steady-state subtree searches
+/// allocate nothing.
 pub(crate) struct Workspace {
     scratch: PackedScratch,
+    join: PairJoin,
+    verdicts: PairVerdicts,
     arena: Vec<PackedPair>,
     frames: Vec<Frame>,
     best: BestSlot,
@@ -227,6 +307,8 @@ impl Workspace {
     pub(crate) fn new(n: usize) -> Self {
         Self {
             scratch: PackedScratch::new(),
+            join: PairJoin::new(),
+            verdicts: PairVerdicts::new(n),
             arena: Vec::new(),
             frames: Vec::new(),
             best: BestSlot {
@@ -454,6 +536,7 @@ fn search_subtree(
     if expand {
         ws.frames.push(Frame {
             depth: 0,
+            elem: k0 as u32,
             next: (k0 + 1) as u32,
         });
     }
@@ -478,30 +561,50 @@ fn search_subtree(
                 return None; // this subtree will be discarded — stop early
             }
         }
-        let child = depth + 1;
-        ws.ensure_depth(child, p.n);
-        let (head, tail) = ws.arena.split_at_mut(child);
-        let child_pair = &mut tail[0];
-        child_pair.copy_from(&head[depth]);
-        if !child_pair.join_assign(&p.basis[k], &mut ws.scratch) {
+        let (merges_pi, merges_tau) = ws.join.merge(&ws.arena[depth], &p.edges[k]);
+        if merges_pi == 0 && merges_tau == 0 {
             // The basis element is already below κ; the child duplicates it.
             continue;
         }
+        let c1 = ws.arena[depth].pi.num_blocks() - merges_pi;
+        let c2 = ws.arena[depth].tau.num_blocks() - merges_tau;
         if let Some(bound) = &p.bound {
             let incumbent = if ws.best.has && ws.best.cost < prune_seed {
                 ws.best.cost
             } else {
                 prune_seed
             };
-            let beatable = bound
-                .lower(child_pair.pi.num_blocks(), child_pair.tau.num_blocks())
-                .is_some_and(|lb| lb < incumbent);
+            let beatable = bound.lower(c1, c2).is_some_and(|lb| lb < incumbent);
             if !beatable {
                 out.stats.bound_pruned += 1;
                 continue;
             }
         }
         out.stats.nodes += 1;
+        let child = depth + 1;
+        ws.ensure_depth(child, p.n);
+        let (head, tail) = ws.arena.split_at_mut(child);
+        if cfg.lemma1_pruning
+            && std::iter::once(k)
+                .chain(ws.frames.iter().map(|f| f.elem as usize))
+                .any(|j| ws.verdicts.fails(p, j, k, &mut ws.scratch))
+        {
+            if cfg!(debug_assertions) {
+                ws.join.write_into(&head[depth], &mut tail[0]);
+                debug_assert!(
+                    !meets_within(&tail[0].pi, &tail[0].tau, &p.eps, &mut ws.scratch),
+                    "a pairwise-prefiltered child must fail Lemma 1"
+                );
+            }
+            out.stats.pruned += 1;
+            continue;
+        }
+        ws.join.write_into(&head[depth], &mut tail[0]);
+        debug_assert_eq!(
+            (tail[0].pi.num_blocks(), tail[0].tau.num_blocks()),
+            (c1, c2),
+            "edge-derived block counts must match the materialised child"
+        );
         let meets = eval_candidate(
             p,
             &tail[0],
@@ -519,6 +622,7 @@ fn search_subtree(
         }
         ws.frames.push(Frame {
             depth: child as u32,
+            elem: k as u32,
             next: (k + 1) as u32,
         });
     }

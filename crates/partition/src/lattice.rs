@@ -1,11 +1,20 @@
-//! Mm-pairs and helpers for exploring the Mm-lattice of a machine.
+//! Mm-pairs, symmetric-pair closures and helpers for exploring the lattices
+//! of a machine.
 //!
 //! The set of all partition pairs of a machine forms a lattice whose
 //! "skeleton" is the set of *Mm-pairs*: pairs `(π, τ)` with `M(τ) = π` and
 //! `m(π) = τ` (Definition 5 of the paper, following Hartmanis & Stearns).
-//! Theorem 2 of the paper shows that the search for symmetric partition pairs
-//! can be restricted to this skeleton, which is generated by the basis
-//! relations `m(ρ_{s,t})`.
+//! Theorem 2 of the paper restricts the search for symmetric partition pairs
+//! to this skeleton, generated by the basis relations `m(ρ_{s,t})`
+//! ([`basis_partitions`], [`mm_pairs`]; kept as references for tests and the
+//! naive-vs-lattice ablation).
+//!
+//! The production OSTR search in `stc-synth` walks a different, complete
+//! basis: [`symmetric_basis`], the smallest symmetric pairs
+//! ([`symmetric_pair_closure`]) identifying one pair of states.  Each
+//! closure is a lazy congruence closure on the doubled machine that stops
+//! as soon as both sides are universal, which makes machines with many
+//! distinct input columns (`ex1`: 512) cheap.
 
 use crate::dsu::DisjointSets;
 use crate::pairs::{big_m_operator, is_symmetric_pair, m_operator, pair_identifying, Transitions};
@@ -138,8 +147,17 @@ fn closure_labels<T: Transitions + ?Sized>(
 }
 
 /// Allocation-reusing core of [`closure_labels`]: `dsu` must arrive reset to
-/// `2n` singletons and `worklist` empty; both are left ready for reuse by
-/// the caller after a reset/clear.
+/// `2n` singletons; `worklist` is cleared on entry.
+///
+/// The closure is lazy: a pair enters the worklist only when its union
+/// succeeded, and its successors are unioned when it is popped.  A union
+/// that fails relates states already joined by a chain of successful
+/// unions, whose successors are (or will be) unioned pair by pair, so the
+/// failed pair's successors end up related by transitivity.
+/// Unions never cross sides, so once `dsu` is down to two sets each side is
+/// a single block and no further union can succeed: the loop returns there.
+/// The closure is the least congruence containing the seed, independent of
+/// processing order, so the early return changes no label.
 fn closure_labels_into<T: Transitions + ?Sized>(
     delta: &T,
     s: usize,
@@ -149,13 +167,22 @@ fn closure_labels_into<T: Transitions + ?Sized>(
     worklist: &mut Vec<(usize, usize, bool)>,
 ) {
     let n = delta.num_states();
+    worklist.clear();
     // Doubled ground set: 0..n is the π side, n..2n is the τ side.
+    if !dsu.union(s, t) {
+        return;
+    }
     worklist.push((s, t, false));
     while let Some((u, v, tau_side)) = worklist.pop() {
-        let offset = if tau_side { n } else { 0 };
-        if dsu.union(u + offset, v + offset) {
-            for &i in inputs {
-                worklist.push((delta.next_state(u, i), delta.next_state(v, i), !tau_side));
+        // Successors of a π-side pair are related on the τ side and back.
+        let offset = if tau_side { 0 } else { n };
+        for &i in inputs {
+            let (a, b) = (delta.next_state(u, i), delta.next_state(v, i));
+            if dsu.union(a + offset, b + offset) {
+                if dsu.num_sets() == 2 {
+                    return;
+                }
+                worklist.push((a, b, !tau_side));
             }
         }
     }

@@ -28,9 +28,11 @@
 //!   `m(ρ_{s,t})` from which the whole Mm-lattice can be generated.
 //!
 //! For the solver hot path the crate additionally provides packed,
-//! allocation-free kernels — [`PackedPartition`], [`PackedPair`],
-//! [`PackedScratch`] and [`meets_within`] — with in-place joins and `O(n)`
-//! refinement/ε-containment checks; see the `packed` module docs.
+//! allocation-free kernels — [`PackedPartition`], [`PackedPair`], the edge
+//! join ([`JoinEdges`], [`EdgeJoin`], [`PairEdges`], [`PairJoin`]) that
+//! counts a join's merges before writing any label, and [`meets_within`]
+//! with its [`PackedScratch`] — with `O(n)` refinement/ε-containment
+//! checks; see the `packed` module docs.
 //!
 //! # Example
 //!
@@ -74,7 +76,10 @@ pub use lattice::{
     basis_partitions, enumerate_partitions, mm_pairs, symmetric_basis, symmetric_pair_closure,
     MmPair,
 };
-pub use packed::{meets_within, PackedPair, PackedPartition, PackedScratch};
+pub use packed::{
+    meets_within, EdgeJoin, JoinEdges, PackedPair, PackedPartition, PackedScratch, PairEdges,
+    PairJoin,
+};
 pub use pairs::{
     big_m_operator, is_partition_pair, is_symmetric_pair, m_operator, pair_identifying, Transitions,
 };

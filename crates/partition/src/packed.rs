@@ -13,15 +13,24 @@
 //!   element (`u32` labels, numbered in order of each block's smallest
 //!   element, exactly like [`crate::Partition`]'s block ids);
 //! * [`PackedPair`] — a partition pair `(π, τ)`, the κ of a search node;
-//! * [`PackedScratch`] — the reusable workspace (union–find arrays, `u64`-word
-//!   bitset blocks and stamped label maps) that makes every operation
-//!   allocation-free after the first call at a given ground-set size.
+//! * [`JoinEdges`] and [`EdgeJoin`] — the one join kernel.  A partition `p`
+//!   is generated by its *edges* `(first, x)`, one per non-first member `x`
+//!   of each block; `base ∨ p` is `base` with its blocks unioned along those
+//!   edges.  [`EdgeJoin::merge`] runs that union–find over `base`'s block
+//!   ids only and returns the number of merges — the join's block count is
+//!   `base.num_blocks() - merges`, and zero merges means `p` refines `base`
+//!   — without writing a label.  [`EdgeJoin::write_into`] then materialises
+//!   the join in one first-occurrence relabelling pass.  The search counts
+//!   and bound-checks a child from the merge count alone and materialises
+//!   only the children it keeps;
+//! * [`PackedScratch`] — the reusable workspace of [`meets_within`] and
+//!   [`PackedPartition::is_refinement_of`] (stamped label maps and chains).
 //!
-//! All operations are loops over flat `u32`/`u64` words — no hashing, no
-//! per-call `Vec`s — and [`PackedPartition::join_assign`] works *in place* so
-//! a search arena can reuse its slots.  The semantics are pinned to the
-//! general implementation by the property tests in `proptests.rs`
-//! (`join_assign` ⇔ [`crate::Partition::join`], [`PackedPartition::is_refinement_of`] ⇔
+//! All operations are loops over flat `u32` words — no hashing, no per-call
+//! `Vec`s — and allocation-free once their scratch has reached the
+//! ground-set size.  The semantics are pinned to the general implementation
+//! by the property tests in `proptests.rs` ([`EdgeJoin`] ⇔
+//! [`crate::Partition::join`], [`PackedPartition::is_refinement_of`] ⇔
 //! [`crate::Partition::refines`], [`meets_within`] ⇔
 //! [`crate::Partition::intersection_within`]).
 //!
@@ -30,47 +39,19 @@
 //! Unlike the bit-packed logic/BIST evaluators (which carry 64 independent
 //! patterns per word and widen further to `[u64; 4]` groups), the partition
 //! kernels chase *labels through memory*: union–find parent updates in
-//! [`PackedPartition::join_assign`] and the stamp-dedup chains in
-//! [`meets_within`] have a loop-carried data dependence (element `x`'s
-//! outcome feeds the state element `x + 1` reads), so they cannot process
-//! several elements per step.  What *can* be straightened is the read-only
-//! refinement check: [`PackedPartition::is_refinement_of`] exploits the
-//! canonical first-occurrence labelling to replace the per-element bitset
-//! probe with an integer compare and accumulates mismatches branch-free in
-//! 64-element chunks, which is the unroll-friendly form of the same test.
+//! [`EdgeJoin::merge`] and the stamp-dedup chains in [`meets_within`] have a
+//! loop-carried data dependence (one edge's or element's outcome feeds the
+//! state the next one reads), so they cannot process several elements per
+//! step.  What *can* be straightened is the read-only refinement check:
+//! [`PackedPartition::is_refinement_of`] exploits the canonical
+//! first-occurrence labelling to replace the per-element bitset probe with
+//! an integer compare and accumulates mismatches branch-free in 64-element
+//! chunks, which is the unroll-friendly form of the same test.
 
 use crate::partition::Partition;
 
-/// A fixed-capacity bitset over `u64` words, used to mark visited block ids
-/// without clearing (or allocating) one byte per id.
-#[derive(Debug, Default, Clone)]
-struct BitWords {
-    words: Vec<u64>,
-}
-
-impl BitWords {
-    /// Clears the first `len` bits (rounded up to whole words), growing the
-    /// backing storage if needed.
-    fn clear(&mut self, len: usize) {
-        let words = len.div_ceil(64);
-        if self.words.len() < words {
-            self.words.resize(words, 0);
-        }
-        for w in &mut self.words[..words] {
-            *w = 0;
-        }
-    }
-
-    /// Sets bit `i`; returns `true` if it was already set.
-    fn test_and_set(&mut self, i: usize) -> bool {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        let was = self.words[word] & bit != 0;
-        self.words[word] |= bit;
-        was
-    }
-}
-
-/// Reusable scratch space for the packed partition operations.
+/// Reusable scratch space for [`meets_within`] and
+/// [`PackedPartition::is_refinement_of`].
 ///
 /// One scratch serves any number of partitions; it grows to the largest
 /// ground set it has seen and every operation is allocation-free once the
@@ -78,16 +59,8 @@ impl BitWords {
 /// tied to a particular partition.
 #[derive(Debug, Default, Clone)]
 pub struct PackedScratch {
-    /// Union–find parent array over the left operand's block ids.
-    parent: Vec<u32>,
-    /// Current union–find root for each right-operand block id.
-    first_root: Vec<u32>,
-    /// Which right-operand block ids have been seen (`first_root` validity).
-    first_seen: BitWords,
-    /// Compact relabelling of union–find roots.
+    /// First `other`-label witnessed per block for `is_refinement_of`.
     relabel: Vec<u32>,
-    /// Which roots have been relabelled.
-    relabel_seen: BitWords,
     /// Chain heads per π-block for [`meets_within`].
     head: Vec<u32>,
     /// Chain links per element for [`meets_within`].
@@ -108,9 +81,7 @@ impl PackedScratch {
     }
 
     fn ensure(&mut self, n: usize) {
-        if self.parent.len() < n {
-            self.parent.resize(n, 0);
-            self.first_root.resize(n, 0);
+        if self.relabel.len() < n {
             self.relabel.resize(n, 0);
             self.head.resize(n, 0);
             self.next.resize(n, 0);
@@ -130,16 +101,6 @@ impl PackedScratch {
         }
         self.epoch
     }
-}
-
-/// Union–find `find` with path halving on a `u32` parent array.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        let grand = parent[parent[x as usize] as usize];
-        parent[x as usize] = grand;
-        x = grand;
-    }
-    x
 }
 
 /// A partition of `{0, …, n-1}` packed as one canonical `u32` label per
@@ -215,80 +176,12 @@ impl PackedPartition {
         self.labels.copy_from_slice(&other.labels);
     }
 
-    /// In-place join: replaces `self` with `self ∨ other` (the transitive
-    /// closure of the union of the two relations).  Returns `true` if the
-    /// partition changed — because a join only coarsens, `false` means
-    /// `other` already refines `self`.
-    ///
-    /// Allocation-free once `scratch` has reached the ground-set size.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) if the ground sets differ.
-    pub fn join_assign(&mut self, other: &Self, scratch: &mut PackedScratch) -> bool {
-        debug_assert_eq!(self.n, other.n, "ground sets must match");
-        let n = self.n as usize;
-        scratch.ensure(n);
-        let old_blocks = self.num_blocks;
-        for b in 0..old_blocks {
-            scratch.parent[b as usize] = b;
-        }
-        scratch.first_seen.clear(other.num_blocks as usize);
-        // Union the self-blocks bridged by each block of `other`.
-        for x in 0..n {
-            let ol = other.labels[x] as usize;
-            let root = find(&mut scratch.parent, self.labels[x]);
-            if scratch.first_seen.test_and_set(ol) {
-                let prev = find(&mut scratch.parent, scratch.first_root[ol]);
-                if prev != root {
-                    scratch.parent[prev as usize] = root;
-                }
-                scratch.first_root[ol] = root;
-            } else {
-                scratch.first_root[ol] = root;
-            }
-        }
-        // Compact relabelling in first-occurrence order, which preserves the
-        // canonical numbering (blocks ordered by smallest element).
-        scratch.relabel_seen.clear(old_blocks as usize);
-        let mut next_label = 0u32;
-        for x in 0..n {
-            let root = find(&mut scratch.parent, self.labels[x]);
-            if !scratch.relabel_seen.test_and_set(root as usize) {
-                scratch.relabel[root as usize] = next_label;
-                next_label += 1;
-            }
-            self.labels[x] = scratch.relabel[root as usize];
-        }
-        self.num_blocks = next_label;
-        // Canonical first-occurrence labelling: scanning left to right, every
-        // label is either one already seen or exactly the next fresh value, so
-        // blocks end up numbered by their smallest element.  Every downstream
-        // comparison (hashing κ in the search, `is_refinement_of`) relies on
-        // this to treat label equality as partition equality.
-        debug_assert!(
-            {
-                let mut fresh = 0u32;
-                self.labels.iter().all(|&l| {
-                    if l == fresh {
-                        fresh += 1;
-                        true
-                    } else {
-                        l < fresh
-                    }
-                }) && fresh == self.num_blocks
-            },
-            "join_assign must leave canonical first-occurrence labels"
-        );
-        next_label != old_blocks
-    }
-
     /// Returns `true` if `self` refines `other` (`self ≤ other`): every block
     /// of `self` lies inside a block of `other`.  Allocation-free.
     ///
     /// Every `PackedPartition` carries canonical first-occurrence labels
     /// (blocks numbered by smallest element — constructed that way and
-    /// preserved by [`Self::join_assign`]), so scanning left to right,
+    /// preserved by [`EdgeJoin::write_into`]), so scanning left to right,
     /// element `x` opens a new `self`-block iff its label equals the count
     /// of blocks seen so far.  That turns the "first sighting of this
     /// block" test into one integer compare — no bitset probe, no clearing
@@ -411,13 +304,211 @@ impl PackedPair {
         self.pi.copy_from(&other.pi);
         self.tau.copy_from(&other.tau);
     }
+}
 
-    /// In-place component-wise join with `other`.  Returns `true` if either
-    /// component changed (i.e. the joined pair differs from `self`).
-    pub fn join_assign(&mut self, other: &Self, scratch: &mut PackedScratch) -> bool {
-        let pi_changed = self.pi.join_assign(&other.pi, scratch);
-        let tau_changed = self.tau.join_assign(&other.tau, scratch);
-        pi_changed || tau_changed
+/// The generator edges of a partition `p`: for every block, `(first, x)`
+/// for each other member `x`, in ascending element order.
+///
+/// `p` is the finest partition relating the ends of every edge, so for any
+/// `base` over the same ground set, `base ∨ p` is `base` with its blocks
+/// unioned along these edges ([`EdgeJoin`]).  A partition with `b` blocks
+/// over `n` elements has `n - b` edges.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JoinEdges {
+    edges: Vec<[u32; 2]>,
+}
+
+impl JoinEdges {
+    /// The generator edges of `p`.
+    #[must_use]
+    pub fn of(p: &PackedPartition) -> Self {
+        // Canonical labels number blocks by smallest element, so element `x`
+        // opens block `l` exactly when `l` equals the blocks seen so far.
+        let mut first: Vec<u32> = Vec::with_capacity(p.num_blocks());
+        let mut edges = Vec::with_capacity(p.ground_set_size() - p.num_blocks());
+        for (x, &l) in p.labels.iter().enumerate() {
+            if l as usize == first.len() {
+                first.push(x as u32);
+            } else {
+                edges.push([first[l as usize], x as u32]);
+            }
+        }
+        Self { edges }
+    }
+}
+
+/// The join kernel: `base ∨ p` from `base`'s labels and `p`'s
+/// [`JoinEdges`], counted before it is materialised.
+///
+/// [`Self::merge`] runs a union–find over `base`'s *block ids*, initialised
+/// lazily: a block's slot is valid only when its stamp equals the current
+/// epoch, so starting a join costs one counter increment rather than a
+/// pass over the blocks.  [`Self::write_into`] then writes the canonical
+/// first-occurrence labels of the join.  Both are allocation-free once the
+/// state has grown to the largest block count seen.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeJoin {
+    /// Union–find parent per `base` block id (valid when stamped).
+    parent: Vec<u32>,
+    /// Epoch stamp per block id: validity of `parent`.
+    stamp: Vec<u32>,
+    /// Output label per union–find root (valid when `relabel_stamp`ed).
+    relabel: Vec<u32>,
+    /// Epoch stamp per root: validity of `relabel`.
+    relabel_stamp: Vec<u32>,
+    epoch: u32,
+    /// Merges of the last [`Self::merge`].
+    merges: usize,
+}
+
+impl EdgeJoin {
+    /// Creates an empty kernel; storage grows on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Unions `base`'s blocks along `edges` and returns the number of
+    /// merges: `base ∨ p` has `base.num_blocks() - merges` blocks, and zero
+    /// merges means `p` refines `base`.  Writes no labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge lies outside `base`'s ground set.
+    pub fn merge(&mut self, base: &PackedPartition, edges: &JoinEdges) -> usize {
+        self.begin(base.num_blocks());
+        // Once everything is one block no later edge can merge.
+        let max_merges = base.num_blocks().saturating_sub(1);
+        let mut merges = 0;
+        for &[a, x] in &edges.edges {
+            let (la, lx) = (base.labels[a as usize], base.labels[x as usize]);
+            if la != lx {
+                let (ra, rx) = (self.root(la), self.root(lx));
+                if ra != rx {
+                    self.parent[ra as usize] = rx;
+                    merges += 1;
+                    if merges == max_merges {
+                        break;
+                    }
+                }
+            }
+        }
+        self.merges = merges;
+        merges
+    }
+
+    /// Writes the join of the last [`Self::merge`] into `out`: the canonical
+    /// first-occurrence relabelling of `base` through the union–find, one
+    /// pass over the elements (a plain copy when nothing merged).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if `base` is not the partition of the last
+    /// `merge` or the ground sets differ.
+    pub fn write_into(&mut self, base: &PackedPartition, out: &mut PackedPartition) {
+        debug_assert_eq!(base.n, out.n, "ground sets must match");
+        if self.merges == 0 {
+            out.copy_from(base);
+            return;
+        }
+        let epoch = self.epoch;
+        let mut next = 0u32;
+        for (slot, &l) in out.labels.iter_mut().zip(&base.labels) {
+            let r = self.root(l) as usize;
+            if self.relabel_stamp[r] != epoch {
+                self.relabel_stamp[r] = epoch;
+                self.relabel[r] = next;
+                next += 1;
+            }
+            *slot = self.relabel[r];
+        }
+        out.num_blocks = next;
+    }
+
+    /// Starts a join over `blocks` block ids: a new epoch invalidates every
+    /// slot at once (stamps are cleared only when the epoch wraps).
+    fn begin(&mut self, blocks: usize) {
+        if self.parent.len() < blocks {
+            self.parent.resize(blocks, 0);
+            self.stamp.resize(blocks, 0);
+            self.relabel.resize(blocks, 0);
+            self.relabel_stamp.resize(blocks, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.relabel_stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Union–find `find` with path halving; an unstamped id is a singleton.
+    fn root(&mut self, mut b: u32) -> u32 {
+        let epoch = self.epoch;
+        loop {
+            let i = b as usize;
+            if self.stamp[i] != epoch {
+                self.stamp[i] = epoch;
+                self.parent[i] = b;
+                return b;
+            }
+            let p = self.parent[i];
+            if p == b {
+                return b;
+            }
+            // Parents are always stamped roots or interior ids of this epoch.
+            let grand = self.parent[p as usize];
+            self.parent[i] = grand;
+            b = grand;
+        }
+    }
+}
+
+/// The [`JoinEdges`] of both components of a pair.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PairEdges {
+    pi: JoinEdges,
+    tau: JoinEdges,
+}
+
+impl PairEdges {
+    /// The generator edges of both components of `pair`.
+    #[must_use]
+    pub fn of(pair: &PackedPair) -> Self {
+        Self {
+            pi: JoinEdges::of(&pair.pi),
+            tau: JoinEdges::of(&pair.tau),
+        }
+    }
+}
+
+/// The component-wise [`EdgeJoin`] of pairs.
+#[derive(Debug, Clone, Default)]
+pub struct PairJoin {
+    pi: EdgeJoin,
+    tau: EdgeJoin,
+}
+
+impl PairJoin {
+    /// Creates an empty kernel; storage grows on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`EdgeJoin::merge`] per component: the merges of `base.pi ∨ p.pi`
+    /// and `base.tau ∨ p.tau`.  `(0, 0)` means `p ≤ base`.
+    pub fn merge(&mut self, base: &PackedPair, edges: &PairEdges) -> (usize, usize) {
+        (
+            self.pi.merge(&base.pi, &edges.pi),
+            self.tau.merge(&base.tau, &edges.tau),
+        )
+    }
+
+    /// [`EdgeJoin::write_into`] per component.
+    pub fn write_into(&mut self, base: &PackedPair, out: &mut PackedPair) {
+        self.pi.write_into(&base.pi, &mut out.pi);
+        self.tau.write_into(&base.tau, &mut out.tau);
     }
 }
 
@@ -440,25 +531,40 @@ mod tests {
         assert_eq!(packed.to_partition(), p);
     }
 
-    #[test]
-    fn join_assign_matches_the_general_join() {
-        let a = parts(&[&[0, 1], &[2], &[3], &[4]], 5);
-        let b = parts(&[&[1, 2], &[0], &[3, 4]], 5);
-        let mut packed = PackedPartition::from_partition(&a);
-        let mut scratch = PackedScratch::new();
-        let changed = packed.join_assign(&PackedPartition::from_partition(&b), &mut scratch);
-        assert!(changed);
-        assert_eq!(packed.to_partition(), a.join(&b).unwrap());
+    /// `base ∨ other` through the edge kernel: (merges, joined partition).
+    fn edge_join(base: &Partition, other: &Partition) -> (usize, Partition) {
+        let base = PackedPartition::from_partition(base);
+        let edges = JoinEdges::of(&PackedPartition::from_partition(other));
+        let mut join = EdgeJoin::new();
+        let merges = join.merge(&base, &edges);
+        let mut out = PackedPartition::identity(base.ground_set_size());
+        join.write_into(&base, &mut out);
+        (merges, out.to_partition())
     }
 
     #[test]
-    fn join_assign_reports_no_change_for_refinements() {
+    fn generator_edges_link_each_member_to_its_block_head() {
+        let p = PackedPartition::from_partition(&parts(&[&[0, 2, 3], &[1, 4], &[5]], 6));
+        assert_eq!(JoinEdges::of(&p).edges, vec![[0, 2], [0, 3], [1, 4]]);
+        assert!(JoinEdges::of(&PackedPartition::identity(4))
+            .edges
+            .is_empty());
+    }
+
+    #[test]
+    fn edge_join_matches_the_general_join() {
+        let a = parts(&[&[0, 1], &[2], &[3], &[4]], 5);
+        let b = parts(&[&[1, 2], &[0], &[3, 4]], 5);
+        let (merges, joined) = edge_join(&a, &b);
+        assert_eq!(merges, 2);
+        assert_eq!(joined, a.join(&b).unwrap());
+    }
+
+    #[test]
+    fn edge_join_reports_no_merge_for_refinements() {
         let coarse = parts(&[&[0, 1, 2], &[3]], 4);
         let fine = parts(&[&[0, 1], &[2], &[3]], 4);
-        let mut packed = PackedPartition::from_partition(&coarse);
-        let mut scratch = PackedScratch::new();
-        assert!(!packed.join_assign(&PackedPartition::from_partition(&fine), &mut scratch));
-        assert_eq!(packed.to_partition(), coarse);
+        assert_eq!(edge_join(&coarse, &fine), (0, coarse));
     }
 
     #[test]
@@ -496,18 +602,16 @@ mod tests {
     }
 
     #[test]
-    fn large_ground_sets_cross_word_boundaries() {
-        // 130 elements exercises the multi-word bitset paths.
+    fn large_ground_sets_join_to_the_universal_partition() {
         let n = 130;
         let even_odd: Vec<usize> = (0..n).map(|x| x % 2).collect();
         let mod3: Vec<usize> = (0..n).map(|x| x % 3).collect();
         let a = Partition::from_labels(&even_odd);
         let b = Partition::from_labels(&mod3);
-        let mut packed = PackedPartition::from_partition(&a);
-        let mut scratch = PackedScratch::new();
-        packed.join_assign(&PackedPartition::from_partition(&b), &mut scratch);
-        assert_eq!(packed.to_partition(), a.join(&b).unwrap());
-        assert!(packed.to_partition().is_universal());
+        let (merges, joined) = edge_join(&a, &b);
+        assert_eq!(merges, 1);
+        assert_eq!(joined, a.join(&b).unwrap());
+        assert!(joined.is_universal());
     }
 
     #[test]
@@ -517,13 +621,33 @@ mod tests {
             &parts(&[&[0, 1], &[2], &[3]], n),
             &parts(&[&[2, 3], &[0], &[1]], n),
         );
-        let mut kappa = PackedPair::identity(n);
-        let mut scratch = PackedScratch::new();
-        assert!(kappa.join_assign(&b1, &mut scratch));
-        assert_eq!(kappa, b1);
-        assert!(!kappa.join_assign(&b1, &mut scratch));
+        let edges = PairEdges::of(&b1);
+        let kappa = PackedPair::identity(n);
+        let mut join = PairJoin::new();
+        assert_eq!(join.merge(&kappa, &edges), (1, 1));
+        let mut joined = PackedPair::identity(n);
+        join.write_into(&kappa, &mut joined);
+        assert_eq!(joined, b1);
+        assert_eq!(join.merge(&joined, &edges), (0, 0));
         let mut copy = PackedPair::identity(n);
-        copy.copy_from(&kappa);
-        assert_eq!(copy, kappa);
+        copy.copy_from(&joined);
+        assert_eq!(copy, joined);
+    }
+
+    #[test]
+    fn epochs_survive_wrap_around() {
+        let a = PackedPartition::from_partition(&parts(&[&[0, 1], &[2], &[3]], 4));
+        let edges = JoinEdges::of(&PackedPartition::from_partition(&parts(
+            &[&[1, 2], &[0], &[3]],
+            4,
+        )));
+        let mut join = EdgeJoin::new();
+        join.epoch = u32::MAX - 1;
+        let mut out = PackedPartition::identity(4);
+        for _ in 0..4 {
+            assert_eq!(join.merge(&a, &edges), 1);
+            join.write_into(&a, &mut out);
+            assert_eq!(out.to_partition(), parts(&[&[0, 1, 2], &[3]], 4));
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the partition lattice and the `m`/`M` operators.
 
-use crate::lattice::enumerate_partitions;
-use crate::packed::{meets_within, PackedPartition, PackedScratch};
-use crate::pairs::{big_m_operator, is_partition_pair, m_operator, Transitions};
+use crate::lattice::{enumerate_partitions, symmetric_pair_closure};
+use crate::packed::{meets_within, EdgeJoin, JoinEdges, PackedPartition, PackedScratch};
+use crate::pairs::{big_m_operator, is_partition_pair, m_operator, pair_identifying, Transitions};
 use crate::partition::Partition;
 use proptest::prelude::*;
 
@@ -30,6 +30,54 @@ impl Transitions for TableMachine {
 fn arb_machine(max_states: usize, max_inputs: usize) -> impl Strategy<Value = TableMachine> {
     (2..=max_states, 1..=max_inputs).prop_flat_map(|(n, k)| {
         proptest::collection::vec(0..n, n * k).prop_map(move |table| TableMachine { n, k, table })
+    })
+}
+
+/// A machine over `n` states whose `k` input columns are drawn from a pool
+/// of `c ≤ 3` next-state maps, so most columns are duplicates.
+fn arb_duplicate_column_machine() -> impl Strategy<Value = TableMachine> {
+    (2usize..=12, 1usize..=40, 1usize..=3).prop_flat_map(|(n, k, c)| {
+        (
+            proptest::collection::vec(0..n, n * c),
+            proptest::collection::vec(0..c, k),
+        )
+            .prop_map(move |(pool, choice)| TableMachine {
+                n,
+                k,
+                table: (0..n)
+                    .flat_map(|s| choice.iter().map(move |&col| col * n + s))
+                    .map(|at| pool[at])
+                    .collect(),
+            })
+    })
+}
+
+/// The symmetric-pair closure of `(s, t)` as a plain fixpoint of the pair
+/// conditions: start from `(ρ_{s,t}, 0)` and repeat `τ := τ ∨ m(π)`,
+/// `π := π ∨ m(τ)` until neither changes.
+fn closure_fixpoint<T: Transitions>(delta: &T, s: usize, t: usize) -> (Partition, Partition) {
+    let n = delta.num_states();
+    let mut pi = pair_identifying(n, s, t);
+    let mut tau = Partition::identity(n);
+    loop {
+        let next_tau = tau.join(&m_operator(delta, &pi)).unwrap();
+        let next_pi = pi.join(&m_operator(delta, &next_tau)).unwrap();
+        if next_pi == pi && next_tau == tau {
+            return (pi, tau);
+        }
+        pi = next_pi;
+        tau = next_tau;
+    }
+}
+
+/// Partitions of `1..=130` elements (crossing the 64-element word
+/// boundaries) with anywhere from one block to all singletons.
+fn arb_labels_pair() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+    (1usize..=130, 1usize..=130).prop_flat_map(|(n, m)| {
+        (
+            proptest::collection::vec(0..m, n),
+            proptest::collection::vec(0..m, n),
+        )
     })
 }
 
@@ -154,19 +202,41 @@ proptest! {
     }
 
     #[test]
-    fn packed_join_assign_agrees_with_the_general_join(labels_a in arb_labels(9), labels_b in arb_labels(9)) {
+    fn edge_join_agrees_with_the_general_join((labels_a, labels_b) in arb_labels_pair()) {
         let a = Partition::from_labels(&labels_a);
         let b = Partition::from_labels(&labels_b);
-        let mut packed = PackedPartition::from_partition(&a);
-        let mut scratch = PackedScratch::new();
-        let changed = packed.join_assign(&PackedPartition::from_partition(&b), &mut scratch);
-        let joined = a.join(&b).unwrap();
-        prop_assert_eq!(packed.to_partition(), joined.clone());
-        prop_assert_eq!(changed, joined != a);
-        // Canonical labels survive the in-place update.
-        for x in 0..9 {
-            prop_assert_eq!(packed.label(x) as usize, joined.block_of(x));
+        let (pa, pb) = (PackedPartition::from_partition(&a), PackedPartition::from_partition(&b));
+        // One kernel and one output buffer serve both directions, so the
+        // second join also checks that a new epoch forgets the first.
+        let mut join = EdgeJoin::new();
+        let mut out = PackedPartition::identity(a.ground_set_size());
+        for (base, other, pbase, pother) in [(&a, &b, &pa, &pb), (&b, &a, &pb, &pa)] {
+            let joined = base.join(other).unwrap();
+            let merges = join.merge(pbase, &JoinEdges::of(pother));
+            prop_assert_eq!(merges, base.num_blocks() - joined.num_blocks());
+            prop_assert_eq!(merges == 0, other.refines(base));
+            join.write_into(pbase, &mut out);
+            prop_assert_eq!(out.num_blocks(), joined.num_blocks());
+            for x in 0..joined.ground_set_size() {
+                prop_assert_eq!(out.label(x) as usize, joined.block_of(x));
+            }
         }
+    }
+
+    #[test]
+    fn symmetric_closure_is_the_pair_fixpoint(machine in arb_machine(8, 6), s in 0usize..8, t in 0usize..8) {
+        let (s, t) = (s % machine.n, t % machine.n);
+        prop_assert_eq!(symmetric_pair_closure(&machine, s, t), closure_fixpoint(&machine, s, t));
+    }
+
+    #[test]
+    fn symmetric_closure_is_the_pair_fixpoint_with_duplicate_columns(
+        machine in arb_duplicate_column_machine(),
+        s in 0usize..12,
+        t in 0usize..12,
+    ) {
+        let (s, t) = (s % machine.n, t % machine.n);
+        prop_assert_eq!(symmetric_pair_closure(&machine, s, t), closure_fixpoint(&machine, s, t));
     }
 
     #[test]
@@ -228,5 +298,28 @@ proptest! {
             joined = joined.join(&Partition::from_pairs(8, [(a, b)]).unwrap()).unwrap();
         }
         prop_assert_eq!(p, joined);
+    }
+}
+
+/// A 20-state machine with 64 pseudo-random input columns, shaped like
+/// `ex1`: every closure is universal on both sides, the case where the lazy
+/// closure returns early.
+#[test]
+fn universal_closures_match_the_fixpoint() {
+    let (n, k) = (20, 64);
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let table = (0..n * k)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        })
+        .collect();
+    let machine = TableMachine { n, k, table };
+    for (s, t) in [(0, 1), (3, 17), (18, 19)] {
+        let closure = symmetric_pair_closure(&machine, s, t);
+        assert!(closure.0.is_universal() && closure.1.is_universal());
+        assert_eq!(closure, closure_fixpoint(&machine, s, t));
     }
 }
