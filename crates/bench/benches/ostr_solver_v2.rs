@@ -4,8 +4,8 @@
 //! baseline continuity) with targeted measurements of the rebuilt search
 //! core under the deterministic pipeline configuration: branch and bound on
 //! the hardest embedded machines, the no-bound ablation, parallel subtree
-//! exploration, and the symmetric-basis construction that dominates setup
-//! for machines with many inputs.
+//! exploration, the symmetric-basis construction that dominates setup
+//! for machines with many inputs, and the realization of the best pair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_fsm::benchmarks;
@@ -56,6 +56,20 @@ fn ostr_solver_v2(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("basis", name), &machine, |b, m| {
             b.iter(|| symmetric_basis(m));
         });
+    }
+    // Theorem 1 realization plus its Definition 3 check, from a solved
+    // pair: ex1's 20 × 20 product over 512 inputs is the case the table
+    // representation exists for, tbk (11 × 11, 64 inputs) a mid-sized one.
+    for name in ["ex1", "tbk"] {
+        let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
+        let best = OstrSolver::new(engine_config(true, 1)).solve(&machine).best;
+        group.bench_with_input(
+            BenchmarkId::new("realize_verify", name),
+            &machine,
+            |b, m| {
+                b.iter(|| best.realize(m).verify(m).is_none());
+            },
+        );
     }
     group.finish();
 }

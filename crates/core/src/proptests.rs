@@ -1,7 +1,7 @@
 //! Property-based tests for the OSTR solver and the Theorem 1 construction.
 
 use crate::cost::Cost;
-use crate::realization::Realization;
+use crate::realization::{verify_composed, Realization};
 use crate::solver::{solve, OstrSolver, SolverConfig};
 use proptest::prelude::*;
 use stc_fsm::{crossed_product, random_machine, Mealy};
@@ -10,6 +10,16 @@ use stc_partition::Partition;
 fn arb_machine() -> impl Strategy<Value = Mealy> {
     (2usize..8, 1usize..4, 1usize..4, any::<u64>())
         .prop_map(|(s, i, o, seed)| random_machine("prop", s, i, o, seed))
+}
+
+/// `v` moved to a different value below `len` (chosen by `bump`), or `v`
+/// itself when there is no other value.
+fn shift(v: usize, bump: usize, len: usize) -> usize {
+    if len < 2 {
+        v
+    } else {
+        (v + 1 + bump % (len - 1)) % len
+    }
 }
 
 fn arb_toggleish(states: usize) -> impl Strategy<Value = Mealy> {
@@ -44,7 +54,7 @@ proptest! {
         let realization = outcome.best.realize(&machine);
         let (out_spec, _) = machine.run_from_reset(&word);
         let (out_real, _) = realization
-            .machine
+            .compose(&machine)
             .run(realization.alpha_index(machine.reset_state()), &word);
         prop_assert_eq!(out_spec, out_real);
     }
@@ -121,11 +131,49 @@ proptest! {
     }
 
     #[test]
+    fn table_verify_agrees_with_the_composed_machine(
+        machine in arb_machine(),
+        pick in any::<usize>(),
+        bump in any::<usize>(),
+    ) {
+        let (n, k) = (machine.num_states(), machine.num_inputs());
+        let solved = solve(&machine).best.realize(&machine);
+        let id = Partition::identity(n);
+        let trivial = Realization::from_symmetric_pair(&machine, id.clone(), id).unwrap();
+        // One δ1 entry, one δ2 entry, one λ* output changed in turn.
+        let (n1, n2) = (solved.s1_len(), solved.s2_len());
+        let mut delta1 = solved.clone();
+        let cell = &mut delta1.tables.delta1[pick % n1][pick % k];
+        *cell = shift(*cell, bump, n2);
+        let mut delta2 = solved.clone();
+        let cell = &mut delta2.tables.delta2[(pick / 3) % n2][(pick / 5) % k];
+        *cell = shift(*cell, bump, n1);
+        let mut lambda = solved.clone();
+        let rows = lambda.tables.outputs.len();
+        let cell = &mut lambda.tables.outputs[(pick / 7) % rows][(pick / 11) % k];
+        *cell = shift(*cell, bump, machine.num_outputs());
+        let cases = [
+            (&solved, &solved),
+            (&trivial, &trivial),
+            (&delta1, &solved),
+            (&delta2, &solved),
+            (&lambda, &solved),
+        ];
+        for (r, original) in cases {
+            let got = r.verify(&machine);
+            prop_assert_eq!(got, verify_composed(r, &machine));
+            // Every table entry is read by some state, so a changed one is
+            // always caught.
+            prop_assert_eq!(got.is_none(), r.tables == original.tables);
+        }
+    }
+
+    #[test]
     fn trivial_realization_always_verifies(machine in arb_machine()) {
         let n = machine.num_states();
         let id = Partition::identity(n);
         let r = Realization::from_symmetric_pair(&machine, id.clone(), id).unwrap();
         prop_assert!(r.verify(&machine).is_none());
-        prop_assert_eq!(r.machine.num_states(), n * n);
+        prop_assert_eq!(r.compose(&machine).num_states(), n * n);
     }
 }

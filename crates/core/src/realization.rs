@@ -1,5 +1,11 @@
 //! The Theorem 1 construction: turning a symmetric partition pair into a
 //! pipeline realization.
+//!
+//! A realization *is* its factor tables `δ1`, `δ2`, `λ*` plus the state map
+//! `α`: that is all the encoder reads, and Definition 3 is a relation between
+//! those tables and the specification.  The flat machine over `S1 × S2` that
+//! the tables define is never needed by the flow; [`Realization::compose`]
+//! builds it on demand for callers that want to run words through it.
 
 use crate::error::SynthError;
 use stc_fsm::{state_equivalence, Mealy};
@@ -9,18 +15,23 @@ use stc_partition::{is_symmetric_pair, Partition};
 /// output table `λ* : S/π × S/τ × I → O` of a pipeline realization
 /// (Theorem 1, items (ii) and (iii)).
 ///
-/// The output table stores `None` for product states `(B1, B2)` whose blocks
-/// have an empty intersection; the output there is arbitrary (the paper's
-/// `o*`) and such product states are unreachable images of original states.
+/// `λ*` is stored per *occupied* product state: a product state `(B1, B2)`
+/// with `B1 ∩ B2 ≠ ∅` owns one `|I|`-wide row of [`FactorTables::outputs`],
+/// and there are at most `|S|` of them.  The other product states have no
+/// row; their output is arbitrary (the paper's `o*`) and they are not images
+/// of original states.  Read the table through [`FactorTables::lambda`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorTables {
     /// `delta1[b1][i]` — the τ-block reached from π-block `b1` under input `i`.
     pub delta1: Vec<Vec<usize>>,
     /// `delta2[b2][i]` — the π-block reached from τ-block `b2` under input `i`.
     pub delta2: Vec<Vec<usize>>,
-    /// `lambda[b1][b2][i]` — the output of product state `(b1, b2)` under `i`,
-    /// or `None` if `B1 ∩ B2 = ∅`.
-    pub lambda: Vec<Vec<Vec<Option<usize>>>>,
+    /// `product_row[b1 · |S2| + b2]` — the row of `outputs` holding the
+    /// outputs of product state `(b1, b2)`, or `None` if `B1 ∩ B2 = ∅`.
+    pub product_row: Vec<Option<usize>>,
+    /// `outputs[r][i]` — the output of the `r`-th occupied product state
+    /// under input `i`.
+    pub outputs: Vec<Vec<usize>>,
 }
 
 impl FactorTables {
@@ -42,6 +53,12 @@ impl FactorTables {
         self.delta1.first().map_or(0, Vec::len)
     }
 
+    /// `λ*((b1, b2), i)`, or `None` if `B1 ∩ B2 = ∅`.
+    #[must_use]
+    pub fn lambda(&self, b1: usize, b2: usize, i: usize) -> Option<usize> {
+        self.product_row[b1 * self.s2_len() + b2].map(|r| self.outputs[r][i])
+    }
+
     /// Number of state transitions the two factor networks implement together
     /// (`|S/π| · |I| + |S/τ| · |I|`), compared with `|S| · |I|` for the
     /// original network `C` — the quantity behind the paper's claim that
@@ -56,6 +73,10 @@ impl FactorTables {
 /// A self-testable realization `M*` of a machine `M`, produced by the
 /// Theorem 1 construction from a symmetric partition pair `(π, τ)` with
 /// `π ∩ τ ⊆ ε`.
+///
+/// The realization is held as its factor tables and the state map `α`; its
+/// memory is `O((|S1| + |S2|) · |I| + |S| · |I| + |S1| · |S2|)`.  The flat
+/// machine over `S1 × S2` is available through [`Realization::compose`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Realization {
     /// The first partition `π` (defines `S1 = S/π`).
@@ -68,9 +89,6 @@ pub struct Realization {
     pub alpha: Vec<(usize, usize)>,
     /// The default output `o*` used for unreachable product states.
     pub default_output: usize,
-    /// The realization as a flat Mealy machine over `S1 × S2` (state
-    /// `(b1, b2)` has index `b1 · |S2| + b2`).
-    pub machine: Mealy,
 }
 
 impl Realization {
@@ -120,7 +138,6 @@ impl Realization {
         let k = machine.num_inputs();
         let n1 = pi.num_blocks();
         let n2 = tau.num_blocks();
-        let default_output = 0;
 
         // δ1([s]π, i) := [δ(s, i)]τ — well-defined because (π, τ) is a pair.
         let delta1: Vec<Vec<usize>> = (0..n1)
@@ -140,32 +157,39 @@ impl Realization {
                     .collect()
             })
             .collect();
-        // λ*((B1, B2), i) := λ(s, i) for s ∈ B1 ∩ B2 (unique behaviour because
-        // π ∩ τ ⊆ ε), or o* if the intersection is empty.
-        let mut lambda = vec![vec![vec![None; k]; n2]; n1];
-        for s in 0..machine.num_states() {
-            let (b1, b2) = (pi.block_of(s), tau.block_of(s));
-            for (i, slot) in lambda[b1][b2].iter_mut().enumerate() {
-                *slot = Some(machine.output(s, i));
-            }
-        }
-
-        let tables = FactorTables {
-            delta1,
-            delta2,
-            lambda,
-        };
         let alpha: Vec<(usize, usize)> = (0..machine.num_states())
             .map(|s| (pi.block_of(s), tau.block_of(s)))
             .collect();
-        let composed = compose_machine(machine, &tables, default_output, &alpha);
+        // λ*((B1, B2), i) := λ(s, i) for s ∈ B1 ∩ B2 — the first such s; all
+        // of them behave alike because π ∩ τ ⊆ ε.  Empty cells get no row.
+        let mut product_row = vec![None; n1 * n2];
+        let mut outputs: Vec<Vec<usize>> = Vec::new();
+        for (s, &(b1, b2)) in alpha.iter().enumerate() {
+            let cell = &mut product_row[b1 * n2 + b2];
+            match *cell {
+                None => {
+                    *cell = Some(outputs.len());
+                    outputs.push((0..k).map(|i| machine.output(s, i)).collect());
+                }
+                Some(r) => debug_assert!(
+                    (0..k).all(|i| outputs[r][i] == machine.output(s, i)),
+                    "state {s} shares product state ({b1}, {b2}) with a state of \
+                     different outputs: π ∩ τ ⊄ ε"
+                ),
+            }
+        }
+
         Self {
             pi,
             tau,
-            tables,
+            tables: FactorTables {
+                delta1,
+                delta2,
+                product_row,
+                outputs,
+            },
             alpha,
-            default_output,
-            machine: composed,
+            default_output: 0,
         }
     }
 
@@ -175,7 +199,8 @@ impl Realization {
         self.alpha[s]
     }
 
-    /// The flat index of `α(s)` in the realization machine.
+    /// The flat index of `α(s)`: its state in [`Realization::compose`] and
+    /// its cell in [`FactorTables::product_row`].
     #[must_use]
     pub fn alpha_index(&self, s: usize) -> usize {
         let (b1, b2) = self.alpha[s];
@@ -207,39 +232,94 @@ impl Realization {
         self.pi.is_identity() && self.tau.is_identity()
     }
 
-    /// Verifies that the realization machine realizes the specification in the
-    /// sense of Definition 3, by checking `δ*(α(s), i) = α(δ(s, i))` and
-    /// `λ*(α(s), i) = λ(s, i)` for every state and input.
+    /// Verifies that the realization realizes the specification in the sense
+    /// of Definition 3, reading the factor tables directly: for every state
+    /// `s` and input `i`, `δ*(α(s), i) = (δ2([s]τ, i), δ1([s]π, i))` must
+    /// equal `α(δ(s, i))`, and `λ*(α(s), i)` (or `o*` where it is empty) must
+    /// equal `λ(s, i)`.
     ///
-    /// Returns the first violation found, or `None` if the realization is
-    /// correct.
+    /// Returns the first violation found, in state-major, input-minor order
+    /// with the transition checked before the output, or `None` if the
+    /// realization is correct.
     #[must_use]
     pub fn verify(&self, machine: &Mealy) -> Option<RealizationViolation> {
-        let n2 = self.tables.s2_len();
+        let tables = &self.tables;
         for s in 0..machine.num_states() {
-            let idx = self.alpha_index(s);
+            let (b1, b2) = self.alpha[s];
             for i in 0..machine.num_inputs() {
-                let expected_next = self.alpha_index(machine.next_state(s, i));
-                let got_next = self.machine.next_state(idx, i);
-                if got_next != expected_next {
+                let expected = self.alpha[machine.next_state(s, i)];
+                let got = (tables.delta2[b2][i], tables.delta1[b1][i]);
+                if got != expected {
                     return Some(RealizationViolation::Transition {
                         state: s,
                         input: i,
-                        expected: (expected_next / n2, expected_next % n2),
-                        got: (got_next / n2, got_next % n2),
+                        expected,
+                        got,
                     });
                 }
-                if self.machine.output(idx, i) != machine.output(s, i) {
+                let expected = machine.output(s, i);
+                let got = tables.lambda(b1, b2, i).unwrap_or(self.default_output);
+                if got != expected {
                     return Some(RealizationViolation::Output {
                         state: s,
                         input: i,
-                        expected: machine.output(s, i),
-                        got: self.machine.output(idx, i),
+                        expected,
+                        got,
                     });
                 }
             }
         }
         None
+    }
+
+    /// The realization as a flat Mealy machine over `S1 × S2` (state
+    /// `(b1, b2)` has index `b1 · |S2| + b2`, reset state `α(reset)`), named
+    /// after `spec` and sharing its input and output names.
+    ///
+    /// This materialises `|S1| · |S2| · |I|` transitions; the synthesis flow
+    /// never needs it.  It exists to run words through the realization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` is not the machine the realization was built from
+    /// (its input count or reset state do not fit the tables).
+    #[must_use]
+    pub fn compose(&self, spec: &Mealy) -> Mealy {
+        let tables = &self.tables;
+        let n1 = tables.s1_len();
+        let n2 = tables.s2_len();
+        let k = tables.num_inputs();
+        let mut builder = Mealy::builder(
+            format!("{}_pipeline", spec.name()),
+            n1 * n2,
+            k,
+            spec.num_outputs(),
+        );
+        builder
+            .state_names((0..n1 * n2).map(|idx| format!("p{}q{}", idx / n2, idx % n2)))
+            .expect("generated names are distinct");
+        builder
+            .input_names((0..k).map(|i| spec.input_name(i).to_string()))
+            .expect("copied input names");
+        builder
+            .output_names((0..spec.num_outputs()).map(|o| spec.output_name(o).to_string()))
+            .expect("copied output names");
+        for b1 in 0..n1 {
+            for b2 in 0..n2 {
+                for i in 0..k {
+                    // δ*((B1, B2), i) = (δ2(B2, i), δ1(B1, i)).
+                    let next = tables.delta2[b2][i] * n2 + tables.delta1[b1][i];
+                    let out = tables.lambda(b1, b2, i).unwrap_or(self.default_output);
+                    builder
+                        .transition(b1 * n2 + b2, i, next, out)
+                        .expect("block indices are in range");
+                }
+            }
+        }
+        builder
+            .reset_state(self.alpha_index(spec.reset_state()))
+            .expect("reset block pair is in range");
+        builder.build().expect("fully specified by construction")
     }
 }
 
@@ -270,47 +350,36 @@ pub enum RealizationViolation {
     },
 }
 
-fn compose_machine(
-    machine: &Mealy,
-    tables: &FactorTables,
-    default_output: usize,
-    alpha: &[(usize, usize)],
-) -> Mealy {
-    let n1 = tables.s1_len();
-    let n2 = tables.s2_len();
-    let k = tables.num_inputs();
-    let mut builder = Mealy::builder(
-        format!("{}_pipeline", machine.name()),
-        n1 * n2,
-        k,
-        machine.num_outputs(),
-    );
-    builder
-        .state_names((0..n1 * n2).map(|idx| format!("p{}q{}", idx / n2, idx % n2)))
-        .expect("generated names are distinct");
-    builder
-        .input_names((0..k).map(|i| machine.input_name(i).to_string()))
-        .expect("copied input names");
-    builder
-        .output_names((0..machine.num_outputs()).map(|o| machine.output_name(o).to_string()))
-        .expect("copied output names");
-    for b1 in 0..n1 {
-        for b2 in 0..n2 {
-            for i in 0..k {
-                // δ*((B1, B2), i) = (δ2(B2, i), δ1(B1, i)).
-                let next = tables.delta2[b2][i] * n2 + tables.delta1[b1][i];
-                let out = tables.lambda[b1][b2][i].unwrap_or(default_output);
-                builder
-                    .transition(b1 * n2 + b2, i, next, out)
-                    .expect("block indices are in range");
+/// The Definition 3 check against the composed machine (the construction
+/// [`Realization::verify`] replaced): the oracle of the table-based check.
+#[cfg(test)]
+pub(crate) fn verify_composed(r: &Realization, spec: &Mealy) -> Option<RealizationViolation> {
+    let composed = r.compose(spec);
+    let n2 = r.tables.s2_len();
+    for s in 0..spec.num_states() {
+        let idx = r.alpha_index(s);
+        for i in 0..spec.num_inputs() {
+            let expected_next = r.alpha_index(spec.next_state(s, i));
+            let got_next = composed.next_state(idx, i);
+            if got_next != expected_next {
+                return Some(RealizationViolation::Transition {
+                    state: s,
+                    input: i,
+                    expected: (expected_next / n2, expected_next % n2),
+                    got: (got_next / n2, got_next % n2),
+                });
+            }
+            if composed.output(idx, i) != spec.output(s, i) {
+                return Some(RealizationViolation::Output {
+                    state: s,
+                    input: i,
+                    expected: spec.output(s, i),
+                    got: composed.output(idx, i),
+                });
             }
         }
     }
-    let (r1, r2) = alpha[machine.reset_state()];
-    builder
-        .reset_state(r1 * n2 + r2)
-        .expect("reset block pair is in range");
-    builder.build().expect("fully specified by construction")
+    None
 }
 
 #[cfg(test)]
@@ -343,14 +412,10 @@ mod tests {
         assert_eq!(r.tables.delta2[0], vec![1, 0]);
         assert_eq!(r.tables.delta2[1], vec![0, 1]);
         // Every product state corresponds to exactly one original state here,
-        // so no default outputs are needed.
-        assert!(r
-            .tables
-            .lambda
-            .iter()
-            .flatten()
-            .flatten()
-            .all(Option::is_some));
+        // so every cell owns an output row and no default outputs are needed.
+        assert!(r.tables.product_row.iter().all(Option::is_some));
+        assert_eq!(r.tables.outputs.len(), 4);
+        assert_eq!(r.tables.lambda(1, 0, 1), Some(m.output(3, 1)));
         assert_eq!(r.cost(), crate::Cost::new(2, 2));
         assert!(!r.is_trivial());
     }
@@ -361,12 +426,13 @@ mod tests {
         let (pi, tau) = paper_pair();
         let r = Realization::from_symmetric_pair(&m, pi, tau).unwrap();
         assert_eq!(r.verify(&m), None);
-        // The realization machine run from α(reset) must produce the same
+        // The composed machine run from α(reset) must produce the same
         // output word as the specification for arbitrary input words.
+        let composed = r.compose(&m);
         for w in 0..(1u32 << 10) {
             let word: Vec<usize> = (0..10).map(|b| ((w >> b) & 1) as usize).collect();
             let (out_spec, _) = m.run_from_reset(&word);
-            let (out_real, _) = r.machine.run(r.alpha_index(m.reset_state()), &word);
+            let (out_real, _) = composed.run(r.alpha_index(m.reset_state()), &word);
             assert_eq!(out_spec, out_real);
         }
     }
@@ -379,9 +445,64 @@ mod tests {
         assert!(r.is_trivial());
         assert_eq!(r.s1_len(), 4);
         assert_eq!(r.s2_len(), 4);
-        assert_eq!(r.machine.num_states(), 16);
+        assert_eq!(r.compose(&m).num_states(), 16);
+        // 16 product states, but only the 4 diagonal ones own an output row.
+        assert_eq!(r.tables.outputs.len(), 4);
         assert_eq!(r.verify(&m), None);
         assert_eq!(r.cost(), crate::Cost::trivial(4));
+    }
+
+    #[test]
+    fn a_flipped_delta1_entry_is_the_first_transition_violation() {
+        let m = paper_example();
+        let (pi, tau) = paper_pair();
+        let mut r = Realization::from_symmetric_pair(&m, pi, tau).unwrap();
+        // δ1([3]π, "0") = [2]τ becomes [1]τ.  States 0 and 1 lie in [1]π and
+        // pass; state 2 = ([3]π, [2]τ) passes input 0 and then, under input
+        // 1, must reach α(δ(2, 1)) = α(2) = (1, 1) but reaches
+        // (δ2(1, 1), δ1(1, 1)) = (1, 0).
+        assert_eq!(r.tables.delta1[1][1], 1);
+        r.tables.delta1[1][1] = 0;
+        let expected = RealizationViolation::Transition {
+            state: 2,
+            input: 1,
+            expected: (1, 1),
+            got: (1, 0),
+        };
+        assert_eq!(r.verify(&m), Some(expected));
+        assert_eq!(verify_composed(&r, &m), Some(expected));
+    }
+
+    #[test]
+    fn a_changed_output_row_is_the_first_output_violation() {
+        let m = paper_example();
+        let (pi, tau) = paper_pair();
+        let mut r = Realization::from_symmetric_pair(&m, pi, tau).unwrap();
+        // State 3 is the only state of product state ([3]π, [1]τ) = (1, 0).
+        // Flip its output under input 0: every transition still holds, and
+        // states 0..2 still pass, so the first violation is λ*(α(3), 0).
+        let row = r.tables.product_row[r.alpha_index(3)].unwrap();
+        assert_eq!(r.tables.outputs[row], vec![0, 1]);
+        r.tables.outputs[row][0] = 1;
+        let expected = RealizationViolation::Output {
+            state: 3,
+            input: 0,
+            expected: 0,
+            got: 1,
+        };
+        assert_eq!(r.verify(&m), Some(expected));
+        assert_eq!(verify_composed(&r, &m), Some(expected));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "π ∩ τ ⊄ ε")]
+    fn a_product_state_of_distinguishable_states_is_caught() {
+        // π = τ = universal puts all four states into product state (0, 0),
+        // but states 0 and 1 differ in output: the sparse λ* has no single
+        // row for that cell.
+        let uni = Partition::universal(4);
+        let _ = Realization::from_checked_pair(&paper_example(), uni.clone(), uni);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl EncodedPipeline {
         for b1 in 0..realization.s1_len() {
             for b2 in 0..realization.s2_len() {
                 for i in 0..k {
-                    let Some(out) = realization.tables.lambda[b1][b2][i] else {
+                    let Some(out) = realization.tables.lambda(b1, b2, i) else {
                         continue;
                     };
                     let mut inputs = input_encoding.bits_of(i);

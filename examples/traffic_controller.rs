@@ -110,7 +110,7 @@ fn main() {
     let trace: Vec<usize> = vec![0b00, 0b10, 0b10, 0b00, 0b01, 0b00, 0b00, 0b00, 0b00, 0b00];
     let (spec_out, _) = machine.run_from_reset(&trace);
     let (real_out, _) = realization
-        .machine
+        .compose(&machine)
         .run(realization.alpha_index(machine.reset_state()), &trace);
     assert_eq!(spec_out, real_out);
     println!(

@@ -49,11 +49,10 @@ fn kiss2_to_self_testable_controller() {
                 .collect()
         })
         .collect();
+    let composed = realization.compose(&machine);
     for word in &words {
         let (spec, _) = machine.run_from_reset(word);
-        let (real, _) = realization
-            .machine
-            .run(realization.alpha_index(machine.reset_state()), word);
+        let (real, _) = composed.run(realization.alpha_index(machine.reset_state()), word);
         assert_eq!(spec, real);
     }
 }

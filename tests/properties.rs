@@ -20,7 +20,7 @@ proptest! {
         let realization = outcome.best.realize(&machine);
         prop_assert!(realization.verify(&machine).is_none());
         let (spec, _) = machine.run_from_reset(&word);
-        let (real, _) = realization.machine.run(realization.alpha_index(machine.reset_state()), &word);
+        let (real, _) = realization.compose(&machine).run(realization.alpha_index(machine.reset_state()), &word);
         prop_assert_eq!(spec, real);
     }
 

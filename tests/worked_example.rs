@@ -28,7 +28,7 @@ fn figs_5_to_8_are_reproduced() {
 
     // Fig. 8: the realization is a pipeline machine that realizes M.
     assert!(realization.verify(&machine).is_none());
-    assert_eq!(realization.machine.num_states(), 4);
+    assert_eq!(realization.compose(&machine).num_states(), 4);
 
     // End-to-end: encode, synthesise logic, self-test.
     let encoded = EncodedPipeline::new(&machine, &realization, EncodingStrategy::Binary);
@@ -53,15 +53,14 @@ fn paper_example_smoke() {
     assert!(realization.verify(&machine).is_none());
     // The realization is a genuine pipeline: its state set is S1 × S2 and it
     // reproduces the specification's output behaviour from the reset state.
+    let composed = realization.compose(&machine);
     assert_eq!(
-        realization.machine.num_states(),
+        composed.num_states(),
         outcome.best.cost.s1() * outcome.best.cost.s2()
     );
     let word = [0, 1, 1, 0, 1, 0, 0, 1];
     let (spec_out, _) = machine.run_from_reset(&word);
-    let (real_out, _) = realization
-        .machine
-        .run(realization.alpha_index(machine.reset_state()), &word);
+    let (real_out, _) = composed.run(realization.alpha_index(machine.reset_state()), &word);
     assert_eq!(spec_out, real_out);
 }
 
