@@ -7,7 +7,7 @@
 
 use stc_analyze::Scoap;
 use stc_bist::measure_plan_coverage;
-use stc_encoding::{EncodedPipeline, EncodingStrategy};
+use stc_encoding::EncodedPipeline;
 use stc_fsm::{benchmarks, Mealy};
 use stc_logic::{synthesize_pipeline, Netlist, PipelineLogic, SynthOptions};
 use stc_synth::solve;
@@ -15,7 +15,7 @@ use stc_synth::solve;
 fn pipeline_for(machine: &Mealy) -> PipelineLogic {
     let outcome = solve(machine);
     let realization = outcome.best.realize(machine);
-    let encoded = EncodedPipeline::new(machine, &realization, EncodingStrategy::Binary);
+    let encoded = EncodedPipeline::new(machine, &realization);
     synthesize_pipeline(&encoded, SynthOptions::default())
 }
 
@@ -38,7 +38,7 @@ fn decile_hits(block: &Netlist, undetected: &[stc_bist::StuckAtFault]) -> (usize
 fn assert_escapes_concentrate(name: &str, patterns: usize) {
     let bench = benchmarks::by_name(name).expect("embedded benchmark");
     let pipeline = pipeline_for(&bench.machine);
-    let coverage = measure_plan_coverage(&pipeline, patterns, 1);
+    let coverage = measure_plan_coverage(&pipeline, patterns);
 
     let (h1, n1) = decile_hits(&pipeline.c1.netlist, &coverage.session1.undetected);
     let (h2, n2) = decile_hits(&pipeline.c2.netlist, &coverage.session2.undetected);

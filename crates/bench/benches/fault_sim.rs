@@ -4,8 +4,7 @@
 //! The `scalar/*` vs `packed/*` pairs on the same netlist and pattern set
 //! are the ≥5x-speedup evidence behind the coverage gate: the packed
 //! simulator evaluates 64 patterns per netlist sweep, so exact coverage of
-//! every PR stays cheap enough for CI.  `packed_parallel4/*` adds the
-//! deterministic fault-chunk workers, and `plan_coverage/*` measures the
+//! every PR stays cheap enough for CI.  `plan_coverage/*` measures the
 //! end-to-end `measure_plan_coverage` entry point the pipeline's coverage
 //! stage calls.
 //!
@@ -45,7 +44,7 @@ fn controller_netlist(name: &str) -> Netlist {
 /// The synthesised two-block pipeline of a machine.
 fn pipeline_logic(machine: &Mealy) -> PipelineLogic {
     let realization = solve(machine).best.realize(machine);
-    let encoded = EncodedPipeline::new(machine, &realization, EncodingStrategy::Binary);
+    let encoded = EncodedPipeline::new(machine, &realization);
     synthesize_pipeline(&encoded, SynthOptions::default())
 }
 
@@ -79,24 +78,8 @@ fn fault_sim(c: &mut Criterion) {
             b.iter(|| simulate_faults(n, &patterns, &faults, None));
         });
         group.bench_with_input(BenchmarkId::new("packed", name), &netlist, |b, n| {
-            b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 1));
+            b.iter(|| simulate_faults_packed(n, &patterns, &faults, None));
         });
-    }
-
-    // The deterministic fault-chunk workers, on the one workload big enough
-    // to amortise thread spawn (shiftreg's whole simulation is ~1µs — a
-    // parallel variant there would only measure spawn noise).
-    {
-        let netlist = controller_netlist("bbara");
-        let faults = fault_list(&netlist);
-        let patterns = lfsr_patterns(netlist.num_inputs(), 256, 1);
-        group.bench_with_input(
-            BenchmarkId::new("packed_parallel4", "bbara"),
-            &netlist,
-            |b, n| {
-                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 4));
-            },
-        );
     }
 
     // The pipeline coverage stage end to end: plan stimuli generation plus
@@ -104,13 +87,13 @@ fn fault_sim(c: &mut Criterion) {
     for name in ["shiftreg", "dk27"] {
         let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
         let realization = solve(&machine).best.realize(&machine);
-        let encoded = EncodedPipeline::new(&machine, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&machine, &realization);
         let pipeline = synthesize_pipeline(&encoded, SynthOptions::default());
         group.bench_with_input(
             BenchmarkId::new("plan_coverage", name),
             &pipeline,
             |b, p| {
-                b.iter(|| measure_plan_coverage(p, 256, 1));
+                b.iter(|| measure_plan_coverage(p, 256));
             },
         );
     }
@@ -144,7 +127,7 @@ fn fault_sim(c: &mut Criterion) {
             BenchmarkId::new("optimize_batch", name),
             &pipeline,
             |b, p| {
-                b.iter(|| optimize_plan(p, &options, 1));
+                b.iter(|| optimize_plan(p, &options));
             },
         );
     }
@@ -157,14 +140,14 @@ fn fault_sim(c: &mut Criterion) {
         BenchmarkId::new("coverage", "tbk_lifted"),
         &tbk_lifted,
         |b, p| {
-            b.iter(|| measure_plan_coverage(p, 256, 1));
+            b.iter(|| measure_plan_coverage(p, 256));
         },
     );
     group.bench_with_input(
         BenchmarkId::new("optimize_batch", "tbk_lifted"),
         &tbk_lifted,
         |b, p| {
-            b.iter(|| optimize_plan(p, &OptimizeOptions::default(), 1));
+            b.iter(|| optimize_plan(p, &OptimizeOptions::default()));
         },
     );
     group.finish();

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_bist::{optimize_plan, OptimizeOptions};
-use stc_encoding::{EncodedPipeline, EncodingStrategy};
+use stc_encoding::EncodedPipeline;
 use stc_fsm::benchmarks;
 use stc_logic::{synthesize_pipeline, PipelineLogic, SynthOptions};
 use stc_synth::solve;
@@ -21,7 +21,7 @@ use stc_synth::solve;
 fn pipeline_logic(name: &str) -> PipelineLogic {
     let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
     let realization = solve(&machine).best.realize(&machine);
-    let encoded = EncodedPipeline::new(&machine, &realization, EncodingStrategy::Binary);
+    let encoded = EncodedPipeline::new(&machine, &realization);
     synthesize_pipeline(&encoded, SynthOptions::default())
 }
 
@@ -38,7 +38,7 @@ fn plan_optimize(c: &mut Criterion) {
     for name in ["shiftreg", "dk27"] {
         let pipeline = pipeline_logic(name);
         group.bench_with_input(BenchmarkId::new("default16", name), &pipeline, |b, p| {
-            b.iter(|| optimize_plan(p, &options, 1));
+            b.iter(|| optimize_plan(p, &options));
         });
     }
     group.finish();

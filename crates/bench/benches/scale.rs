@@ -6,16 +6,15 @@
 //!   OSTR search at 1/2/4/8 workers on a shared [`PreparedOstr`] (basis
 //!   construction is serial and identical in every configuration, so it is
 //!   excluded from the timed region);
-//! * `fault_sim_scale/{packed_narrow,packed_wide,packed_ws4}/<tier>` — the
-//!   PP-SFP fault simulator on the gate-level fault tiers (decoupled from
-//!   the solver tiers; see `stc_bench::scale`): 64-pattern narrow blocks as
-//!   the reference, the 256-pattern SIMD-wide superblocks, and the wide
-//!   kernel under the deterministic fault-stride workers.
+//! * `fault_sim_scale/{packed_narrow,packed_wide}/<tier>` — the PP-SFP
+//!   fault simulator on the gate-level fault tiers (decoupled from the
+//!   solver tiers; see `stc_bench::scale`): 64-pattern narrow blocks as the
+//!   reference and the 256-pattern SIMD-wide superblocks.
 //!
 //! Every full or smoke run re-proves determinism before timing anything:
 //! solver outcomes must be byte-identical across all worker counts (stats
-//! included, modulo wall-clock), and fault-sim reports must be identical
-//! narrow-vs-wide and serial-vs-parallel.  A timing gate that passes on a
+//! included, modulo wall-clock), and fault-sim verdicts must be identical
+//! narrow-vs-wide.  A timing gate that passes on a
 //! wrong answer is worthless.
 //!
 //! Flags (after `--` under cargo): `--smoke` runs the CI scale gate — the
@@ -154,18 +153,12 @@ fn fault_scale(c: &mut Criterion) {
         let netlist = scale_netlist(tier);
         let faults = fault_list(&netlist);
         let patterns = lfsr_patterns(netlist.num_inputs(), 1024, 1);
-        let wide = simulate_faults_packed(&netlist, &patterns, &faults, None, 1);
+        let wide = simulate_faults_packed(&netlist, &patterns, &faults, None);
         let (narrow_detected, narrow_undetected) = narrow_packed(&netlist, &patterns, &faults);
         assert_eq!(
             (wide.detected, wide.undetected.len()),
             (narrow_detected, narrow_undetected),
             "{}: wide superblock verdicts differ from the narrow reference",
-            tier.name
-        );
-        let parallel = simulate_faults_packed(&netlist, &patterns, &faults, None, 4);
-        assert_eq!(
-            wide, parallel,
-            "{}: fault-stride workers changed the report",
             tier.name
         );
         group.bench_with_input(
@@ -179,14 +172,7 @@ fn fault_scale(c: &mut Criterion) {
             BenchmarkId::new("packed_wide", tier.name),
             &netlist,
             |b, n| {
-                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 1));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("packed_ws4", tier.name),
-            &netlist,
-            |b, n| {
-                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None, 4));
+                b.iter(|| simulate_faults_packed(n, &patterns, &faults, None));
             },
         );
     }
@@ -224,7 +210,7 @@ fn run_smoke(test_mode: bool) {
     let faults = fault_list(&netlist);
     let pattern_count = if test_mode { 256 } else { 1024 };
     let patterns = lfsr_patterns(netlist.num_inputs(), pattern_count, 1);
-    let wide = simulate_faults_packed(&netlist, &patterns, &faults, None, 1);
+    let wide = simulate_faults_packed(&netlist, &patterns, &faults, None);
     let (narrow_detected, narrow_undetected) = narrow_packed(&netlist, &patterns, &faults);
     assert_eq!(
         (wide.detected, wide.undetected.len()),
@@ -232,14 +218,8 @@ fn run_smoke(test_mode: bool) {
         "{}: wide superblock verdicts differ from the narrow reference",
         fault_tier.name
     );
-    let parallel = simulate_faults_packed(&netlist, &patterns, &faults, None, 4);
-    assert_eq!(
-        wide, parallel,
-        "{}: fault-stride workers changed the report",
-        fault_tier.name
-    );
     eprintln!(
-        "scale gate: {} fault-sim reports identical narrow/wide/parallel \
+        "scale gate: {} fault-sim verdicts identical narrow/wide \
          ({} faults, {} patterns, {:.1}% coverage)",
         fault_tier.name,
         faults.len(),

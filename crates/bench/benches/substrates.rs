@@ -35,7 +35,7 @@ fn heavy_00() -> Mealy {
 /// The binary-encoded pipeline of a machine's best OSTR realization.
 fn encoded_pipeline(machine: &Mealy) -> EncodedPipeline {
     let realization = solve(machine).best.realize(machine);
-    EncodedPipeline::new(machine, &realization, EncodingStrategy::Binary)
+    EncodedPipeline::new(machine, &realization)
 }
 
 fn substrates(c: &mut Criterion) {

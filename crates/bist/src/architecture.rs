@@ -123,7 +123,7 @@ pub fn evaluate_architectures(
     // inputs of C stay untested.
     let faults = fault_list(c_netlist);
     let feedback_nodes: Vec<usize> = state_input_nodes(c_netlist, encoded.input_bits as usize);
-    let report = simulate_faults_packed(c_netlist, &patterns, &faults, None, 1);
+    let report = simulate_faults_packed(c_netlist, &patterns, &faults, None);
     let untestable: Vec<StuckAtFault> = faults
         .iter()
         .copied()
@@ -159,7 +159,7 @@ pub fn evaluate_architectures(
     // Fig. 4 — the pipeline structure synthesised by the OSTR solver.
     let outcome = OstrSolver::new(options.solver).solve(machine);
     let realization: Realization = outcome.best.realize(machine);
-    let encoded_pipe = EncodedPipeline::new(machine, &realization, options.encoding);
+    let encoded_pipe = EncodedPipeline::new(machine, &realization);
     let pipeline = synthesize_pipeline(&encoded_pipe, options.synth);
     let blocks = [
         &pipeline.c1.netlist,
@@ -171,7 +171,7 @@ pub fn evaluate_architectures(
     for netlist in blocks {
         let block_faults = fault_list(netlist);
         let block_patterns = test_patterns(netlist.num_inputs(), options.patterns_per_session);
-        let block_report = simulate_faults_packed(netlist, &block_patterns, &block_faults, None, 1);
+        let block_report = simulate_faults_packed(netlist, &block_patterns, &block_faults, None);
         total_faults += block_report.total_faults;
         total_detected += block_report.detected;
     }

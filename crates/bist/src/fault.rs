@@ -13,12 +13,8 @@
 //!   once per superblock; each live fault then re-evaluates only its
 //!   fanout cone (the crate's cone-restricted kernel), and a fault that is
 //!   not excited in the superblock is skipped outright.  *Fault dropping*
-//!   removes a fault at its first detecting superblock.  Fault-stride
-//!   workers parallelise over the fault list deterministically: the report
-//!   is byte-identical for any worker count, and identical to the scalar
-//!   reference.  Fault lists shorter than [`MIN_PARALLEL_FAULTS`] run
-//!   serially regardless of the requested job count — thread spawn/join
-//!   overhead dominates such lists.
+//!   removes a fault at its first detecting superblock.  The report is
+//!   identical to the scalar reference.
 
 use crate::cone::{ConeIndex, ConeSim};
 use stc_logic::{Netlist, NodeId, WideWord, PACKED_LANES, PACKED_WORDS};
@@ -250,30 +246,6 @@ impl PackedPatterns {
     }
 }
 
-/// Fault lists shorter than this run serially no matter how many jobs were
-/// requested: with fault dropping, most faults on such lists die within a
-/// superblock or two, and thread spawn/join overhead exceeds the simulation
-/// itself (measured as the `fault_sim/packed_parallel4` regression on the
-/// small MCNC controllers).
-pub const MIN_PARALLEL_FAULTS: usize = 256;
-
-/// The worker count [`simulate_faults_packed`] actually uses for a fault
-/// list of `fault_count` faults when `jobs` workers are requested.
-///
-/// Returns 1 below [`MIN_PARALLEL_FAULTS`]; otherwise the requested count
-/// clamped to the machine's available parallelism (oversubscribing cores
-/// only adds scheduling noise) and to the fault count.  The clamp is purely
-/// a scheduling decision — the report is byte-identical for every worker
-/// count — so callers may pass any `jobs` value safely.
-#[must_use]
-pub fn effective_fault_jobs(fault_count: usize, jobs: usize) -> usize {
-    if fault_count < MIN_PARALLEL_FAULTS {
-        return 1;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    jobs.max(1).min(cores).min(fault_count)
-}
-
 /// Bit-parallel (PP-SFP) single-stuck-at fault simulation with fault
 /// dropping: the exact counterpart of the scalar [`simulate_faults`]
 /// reference, [`PACKED_WORDS`] × 64 patterns per superblock.
@@ -283,15 +255,8 @@ pub fn effective_fault_jobs(fault_count: usize, jobs: usize) -> usize {
 /// fanout cone only, and is *dropped* at the first superblock in which an
 /// observed output group differs (within the superblock's valid-lane
 /// masks).  A fault whose site already carries the stuck value in every
-/// valid lane is not excited and costs no evaluation at all.  `jobs > 1`
-/// parallelises over the fault list with a *strided* assignment — worker
-/// `w` of `n` takes faults `w, w + n, w + 2n, …` — so expensive undetected
-/// faults (which reach every superblock) spread evenly across workers
-/// instead of clustering in one contiguous chunk.  Faults
-/// are independent of each other and undetected faults are merged back in
-/// fault-list order, so the report is byte-identical for any worker count.
-/// The worker count actually used is `effective_fault_jobs(faults.len(),
-/// jobs)`: short fault lists fall back to serial.
+/// valid lane is not excited and costs no evaluation at all.  Undetected
+/// faults are reported in fault-list order.
 ///
 /// # Panics
 ///
@@ -304,28 +269,6 @@ pub fn simulate_faults_packed(
     patterns: &[Vec<bool>],
     faults: &[StuckAtFault],
     observable_outputs: Option<&[usize]>,
-    jobs: usize,
-) -> FaultSimReport {
-    simulate_faults_packed_with_workers(
-        netlist,
-        patterns,
-        faults,
-        observable_outputs,
-        effective_fault_jobs(faults.len(), jobs),
-    )
-}
-
-/// The engine behind [`simulate_faults_packed`], with the worker count
-/// taken literally (no [`effective_fault_jobs`] clamp).  Kept separate so
-/// determinism tests can exercise real multi-worker schedules even on
-/// machines (and fault lists) where the public entry point would fall back
-/// to serial.
-fn simulate_faults_packed_with_workers(
-    netlist: &Netlist,
-    patterns: &[Vec<bool>],
-    faults: &[StuckAtFault],
-    observable_outputs: Option<&[usize]>,
-    workers: usize,
 ) -> FaultSimReport {
     let packed = PackedPatterns::pack(netlist.num_inputs(), patterns);
     // The observed output *nodes*, resolved once.
@@ -334,61 +277,29 @@ fn simulate_faults_packed_with_workers(
         Some(idx) => idx.iter().map(|&i| netlist.outputs()[i]).collect(),
     };
     let cones = ConeIndex::new(netlist);
-
-    let workers = workers.max(1).min(faults.len().max(1));
-    // Strided fault assignment: a fault's verdict depends only on the fault
-    // itself, so the stride is invisible in the result once undetected
-    // faults are re-sorted by original index (= the serial visiting order).
-    let simulate_stride = |start: usize| -> (usize, Vec<usize>) {
-        let mut sim = ConeSim::new(netlist, &cones);
-        let mut errors = vec![[0; PACKED_WORDS]; observed_nodes.len()];
-        let mut live: Vec<usize> = (start..faults.len()).step_by(workers).collect();
-        let assigned = live.len();
-        for s in 0..packed.num_superblocks() {
-            if live.is_empty() {
-                break;
-            }
-            sim.load(&packed.wide_block(s));
-            let masks = packed.wide_lane_masks(s);
-            // Fault dropping: a fault detected in this superblock leaves
-            // the simulation.
-            live.retain(|&idx| {
-                let detected = sim.errors(faults[idx], &masks, &observed_nodes, &mut errors)
-                    && errors
-                        .iter()
-                        .any(|e| (0..PACKED_WORDS).any(|w| e[w] & masks[w] != 0));
-                !detected
-            });
+    let mut sim = ConeSim::new(netlist, &cones);
+    let mut errors = vec![[0; PACKED_WORDS]; observed_nodes.len()];
+    let mut live: Vec<StuckAtFault> = faults.to_vec();
+    for s in 0..packed.num_superblocks() {
+        if live.is_empty() {
+            break;
         }
-        (assigned - live.len(), live)
-    };
-
-    let results: Vec<(usize, Vec<usize>)> = if workers <= 1 {
-        vec![simulate_stride(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let simulate_stride = &simulate_stride;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || simulate_stride(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fault-stride worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut detected = 0usize;
-    let mut undetected_idx: Vec<usize> = Vec::new();
-    for (d, mut u) in results {
-        detected += d;
-        undetected_idx.append(&mut u);
+        sim.load(&packed.wide_block(s));
+        let masks = packed.wide_lane_masks(s);
+        // Fault dropping: a fault detected in this superblock leaves the
+        // simulation.
+        live.retain(|&fault| {
+            let detected = sim.errors(fault, &masks, &observed_nodes, &mut errors)
+                && errors
+                    .iter()
+                    .any(|e| (0..PACKED_WORDS).any(|w| e[w] & masks[w] != 0));
+            !detected
+        });
     }
-    undetected_idx.sort_unstable();
     FaultSimReport {
         total_faults: faults.len(),
-        detected,
-        undetected: undetected_idx.into_iter().map(|i| faults[i]).collect(),
+        detected: faults.len() - live.len(),
+        undetected: live,
         patterns: patterns.len(),
     }
 }
@@ -575,7 +486,7 @@ mod tests {
         // set (a full block plus a partial one).
         for patterns in [exhaustive_patterns(2), lfsr_patterns(2, 100, 7)] {
             let scalar = simulate_faults(&n, &patterns, &faults, None);
-            let packed = simulate_faults_packed(&n, &patterns, &faults, None, 1);
+            let packed = simulate_faults_packed(&n, &patterns, &faults, None);
             assert_eq!(scalar, packed);
         }
     }
@@ -590,63 +501,10 @@ mod tests {
         for observable in [None, Some(&[0usize][..]), Some(&[1usize][..])] {
             assert_eq!(
                 simulate_faults(&n, &patterns, &faults, observable),
-                simulate_faults_packed(&n, &patterns, &faults, observable, 1),
+                simulate_faults_packed(&n, &patterns, &faults, observable),
                 "{observable:?}"
             );
         }
-    }
-
-    #[test]
-    fn chunked_parallel_simulation_is_byte_identical_to_serial() {
-        // A netlist with enough faults to split unevenly across workers.
-        let covers: Vec<Cover> = (0..3)
-            .map(|o| {
-                Cover::from_cubes(
-                    4,
-                    vec![
-                        Cube::parse(["11--", "1-0-", "-011"][o]).unwrap(),
-                        Cube::parse(["0-01", "01-1", "1-10"][o]).unwrap(),
-                    ],
-                )
-            })
-            .collect();
-        let n = Netlist::from_covers(4, &covers);
-        let faults = fault_list(&n);
-        // Few patterns on purpose: some faults stay undetected, so the
-        // undetected *order* is exercised, not just the counts.
-        let patterns = lfsr_patterns(4, 3, 1);
-        let serial = simulate_faults_packed(&n, &patterns, &faults, None, 1);
-        assert!(
-            !serial.undetected.is_empty(),
-            "test needs undetected faults"
-        );
-        // Drive the worker engine directly: the public entry point would
-        // fall back to serial for a fault list this small (and clamp to
-        // this machine's core count), which would leave the multi-worker
-        // schedules untested.
-        for workers in [2, 3, 5, 8, 64] {
-            let parallel =
-                simulate_faults_packed_with_workers(&n, &patterns, &faults, None, workers);
-            assert_eq!(serial, parallel, "workers = {workers}");
-        }
-        assert_eq!(serial, simulate_faults(&n, &patterns, &faults, None));
-    }
-
-    #[test]
-    fn small_fault_lists_fall_back_to_a_single_worker() {
-        // The threshold is pinned: lowering it silently would reintroduce
-        // the `fault_sim/packed_parallel4` spawn-overhead regression on the
-        // small MCNC controllers.
-        assert_eq!(MIN_PARALLEL_FAULTS, 256);
-        assert_eq!(effective_fault_jobs(0, 8), 1);
-        assert_eq!(effective_fault_jobs(MIN_PARALLEL_FAULTS - 1, 64), 1);
-        assert_eq!(effective_fault_jobs(MIN_PARALLEL_FAULTS, 0), 1);
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(
-            effective_fault_jobs(MIN_PARALLEL_FAULTS, 8),
-            8.min(cores).min(MIN_PARALLEL_FAULTS)
-        );
-        assert!(effective_fault_jobs(1 << 20, usize::MAX) <= cores);
     }
 
     #[test]
@@ -695,7 +553,7 @@ mod tests {
             let patterns = crate::session_patterns(block, 256);
             let faults = fault_list(block);
             assert_eq!(
-                simulate_faults_packed(block, &patterns, &faults, None, 2),
+                simulate_faults_packed(block, &patterns, &faults, None),
                 full_sweep_report(block, &patterns, &faults, None)
             );
         }
@@ -705,10 +563,10 @@ mod tests {
     fn empty_patterns_and_empty_fault_lists_are_handled() {
         let n = xor_netlist();
         let faults = fault_list(&n);
-        let no_patterns = simulate_faults_packed(&n, &[], &faults, None, 4);
+        let no_patterns = simulate_faults_packed(&n, &[], &faults, None);
         assert_eq!(no_patterns.detected, 0);
         assert_eq!(no_patterns.undetected.len(), faults.len());
-        let no_faults = simulate_faults_packed(&n, &exhaustive_patterns(2), &[], None, 4);
+        let no_faults = simulate_faults_packed(&n, &exhaustive_patterns(2), &[], None);
         assert_eq!(no_faults.total_faults, 0);
         // The workspace-wide convention: an empty fault list is 0.0
         // coverage, not a vacuous 1.0 (or a 0/0 NaN).
@@ -739,7 +597,6 @@ mod proptests {
             pattern_index in 0usize..PATTERN_COUNTS.len(),
             seed in 1u64..1000,
             (observe_all, subset) in (any::<bool>(), any::<u8>()),
-            workers in 1usize..5,
         ) {
             let faults = fault_list(&netlist);
             let patterns = lfsr_patterns(
@@ -752,8 +609,7 @@ mod proptests {
             });
             let observable = observable.as_deref();
             prop_assert_eq!(
-                simulate_faults_packed_with_workers(
-                    &netlist, &patterns, &faults, observable, workers),
+                simulate_faults_packed(&netlist, &patterns, &faults, observable),
                 full_sweep_report(&netlist, &patterns, &faults, observable)
             );
         }
@@ -763,21 +619,13 @@ mod proptests {
             covers in proptest::collection::vec(arb_cover(4, 4), 1..=3),
             pattern_count in 0usize..80,
             seed in 1u64..1000,
-            workers in 1usize..5,
         ) {
             let netlist = Netlist::from_covers(4, &covers);
             let faults = fault_list(&netlist);
             let patterns = lfsr_patterns(4, pattern_count, seed);
-            let scalar = simulate_faults(&netlist, &patterns, &faults, None);
-            // The internal engine, so multi-worker stride schedules are
-            // exercised even though these fault lists sit below the
-            // MIN_PARALLEL_FAULTS serial-fallback threshold.
-            let packed = simulate_faults_packed_with_workers(
-                &netlist, &patterns, &faults, None, workers);
-            prop_assert_eq!(&scalar, &packed);
             prop_assert_eq!(
-                &packed,
-                &simulate_faults_packed(&netlist, &patterns, &faults, None, workers)
+                simulate_faults(&netlist, &patterns, &faults, None),
+                simulate_faults_packed(&netlist, &patterns, &faults, None)
             );
         }
     }

@@ -18,13 +18,15 @@
 //! * [`optimize_plan`] — the coverage-driven plan search, simulating four
 //!   pattern-source candidates per wide superblock.
 //!
-//! All three simulate faults with one cone-restricted kernel: the good
-//! circuit is swept once per 256-pattern superblock, and each fault
-//! re-evaluates only its site's fanout cone — or nothing, when the
-//! superblock does not excite it.  The results are bit-identical to
-//! whole-netlist faulty sweeps.  The scalar `simulate_faults` and the
-//! doc-hidden `pipeline_self_test_scalar` are the references the packed
-//! paths are property-tested against, and the full faulty sweep
+//! All three simulate faults with one cone-restricted kernel, serially on
+//! the calling thread: the good circuit is swept once per 256-pattern
+//! superblock, and each fault re-evaluates only its site's fanout cone —
+//! or nothing, when the superblock does not excite it.  The results are
+//! bit-identical to whole-netlist faulty sweeps.  The crate spawns no
+//! threads; callers parallelise across machines, not within one.  The
+//! scalar `simulate_faults` and the doc-hidden `pipeline_self_test_scalar`
+//! are the references the packed paths are property-tested against, and
+//! the full faulty sweep
 //! ([`stc_logic::Netlist::eval_packed_wide_into`] with a fault) is the
 //! oracle the kernel is checked against.
 //!

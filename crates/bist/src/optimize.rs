@@ -20,7 +20,7 @@
 //! seed `1`.  Candidate 0 is therefore exactly the fixed plan's source, so
 //! the optimized plan is never longer than the fixed plan needs to be.  The
 //! enumeration is a pure function of the block — no wall clock, no RNG
-//! state — so results are byte-identical across runs and worker counts.
+//! state — so results are byte-identical across runs.
 //!
 //! # Evaluation and termination
 //!
@@ -202,20 +202,13 @@ pub enum OptimizeProgress<'a> {
 /// searches seed/polynomial candidates and the per-session length split for
 /// the shortest plan reaching `options.target` coverage in both sessions.
 ///
-/// `jobs` parallelises each candidate's fault simulation over deterministic
-/// fault chunks — the result is byte-identical for any worker count.
-///
 /// # Panics
 ///
 /// Panics if `options.target` is outside `(0, 1]` or
 /// `options.max_total_length` is zero.
 #[must_use]
-pub fn optimize_plan(
-    pipeline: &PipelineLogic,
-    options: &OptimizeOptions,
-    jobs: usize,
-) -> PlanOptimization {
-    optimize_plan_with(pipeline, options, jobs, &mut |_| {})
+pub fn optimize_plan(pipeline: &PipelineLogic, options: &OptimizeOptions) -> PlanOptimization {
+    optimize_plan_with(pipeline, options, &mut |_| {})
 }
 
 /// [`optimize_plan`] with a progress callback receiving one
@@ -229,7 +222,6 @@ pub fn optimize_plan(
 pub fn optimize_plan_with(
     pipeline: &PipelineLogic,
     options: &OptimizeOptions,
-    jobs: usize,
     progress: &mut dyn FnMut(&OptimizeProgress<'_>),
 ) -> PlanOptimization {
     assert!(
@@ -241,8 +233,8 @@ pub fn optimize_plan_with(
         "the length budget must be at least 1 pattern"
     );
     PlanOptimization {
-        session1: optimize_block("C1", &pipeline.c1.netlist, options, jobs, progress),
-        session2: optimize_block("C2", &pipeline.c2.netlist, options, jobs, progress),
+        session1: optimize_block("C1", &pipeline.c1.netlist, options, progress),
+        session2: optimize_block("C2", &pipeline.c2.netlist, options, progress),
         target: options.target,
         max_total_length: options.max_total_length,
     }
@@ -254,21 +246,17 @@ pub fn optimize_plan_with(
 /// `detected`/`undetected` fields — the property test below pins this, so
 /// the optimizer cannot report a coverage its plan does not deliver.
 #[must_use]
-pub fn measure_optimized_plan(
-    pipeline: &PipelineLogic,
-    plan: &PlanOptimization,
-    jobs: usize,
-) -> PlanCoverage {
+pub fn measure_optimized_plan(pipeline: &PipelineLogic, plan: &PlanOptimization) -> PlanCoverage {
     PlanCoverage {
-        session1: measure_session(&pipeline.c1.netlist, &plan.session1, jobs),
-        session2: measure_session(&pipeline.c2.netlist, &plan.session2, jobs),
+        session1: measure_session(&pipeline.c1.netlist, &plan.session1),
+        session2: measure_session(&pipeline.c2.netlist, &plan.session2),
     }
 }
 
-fn measure_session(block: &Netlist, session: &SessionOptimization, jobs: usize) -> BlockCoverage {
+fn measure_session(block: &Netlist, session: &SessionOptimization) -> BlockCoverage {
     let stimuli = session_patterns_from(block, &session.taps, session.seed, session.length);
     let faults = fault_list(block);
-    let report = simulate_faults_packed(block, &stimuli, &faults, None, jobs);
+    let report = simulate_faults_packed(block, &stimuli, &faults, None);
     BlockCoverage::from_report(&session.block, report)
 }
 
@@ -323,7 +311,6 @@ fn optimize_block(
     name: &str,
     block: &Netlist,
     options: &OptimizeOptions,
-    jobs: usize,
     progress: &mut dyn FnMut(&OptimizeProgress<'_>),
 ) -> SessionOptimization {
     let faults = fault_list(block);
@@ -334,7 +321,7 @@ fn optimize_block(
         &faults,
         options,
         PACKED_WORDS,
-        &mut |stimuli| detection_profiles(block, &cones, stimuli, &faults, jobs),
+        &mut |stimuli| detection_profiles(block, &cones, stimuli, &faults),
         progress,
     )
 }
@@ -482,15 +469,12 @@ fn search_block(
 /// of them.  A candidate stops being tracked at its first detection (the
 /// lowest set lane of its first differing word); a fault costs nothing in
 /// a block where it is not excited in any still-tracked lane, or once
-/// every candidate has detected it.  Deterministic for any `jobs` value
-/// (faults are independent; chunk results are joined in fault-list
-/// order).
+/// every candidate has detected it.
 fn detection_profiles(
     netlist: &Netlist,
     cones: &ConeIndex,
     stimuli: &[Vec<Vec<bool>>],
     faults: &[StuckAtFault],
-    jobs: usize,
 ) -> Vec<Vec<Option<u32>>> {
     assert!(stimuli.len() <= PACKED_WORDS, "one candidate per word");
     let packed: Vec<PackedPatterns> = stimuli
@@ -512,65 +496,40 @@ fn detection_profiles(
         .collect();
     let observed: &[NodeId] = netlist.outputs();
 
-    let jobs = jobs.max(1).min(faults.len().max(1));
-    let chunk_len = faults.len().div_ceil(jobs).max(1);
-    let chunks: Vec<&[StuckAtFault]> = faults.chunks(chunk_len).collect();
-    let profile_chunk = |chunk: &[StuckAtFault]| -> Vec<[Option<u32>; PACKED_WORDS]> {
-        let mut sim = ConeSim::new(netlist, cones);
-        let mut errors = vec![[0; PACKED_WORDS]; observed.len()];
-        let mut first = vec![[None; PACKED_WORDS]; chunk.len()];
-        // The candidates each fault is still tracked for: all of them until
-        // its first detection there.
-        let mut live: Vec<WideWord> =
-            vec![
-                std::array::from_fn(|w| if w < stimuli.len() { u64::MAX } else { 0 });
-                chunk.len()
-            ];
-        for (b, (group, mask)) in inputs.iter().zip(&masks).enumerate() {
-            if live.iter().all(|l| *l == [0; PACKED_WORDS]) {
-                break;
+    let mut sim = ConeSim::new(netlist, cones);
+    let mut errors = vec![[0; PACKED_WORDS]; observed.len()];
+    let mut first = vec![[None; PACKED_WORDS]; faults.len()];
+    // The candidates each fault is still tracked for: all of them until its
+    // first detection there.
+    let mut live: Vec<WideWord> =
+        vec![std::array::from_fn(|w| if w < stimuli.len() { u64::MAX } else { 0 }); faults.len()];
+    for (b, (group, mask)) in inputs.iter().zip(&masks).enumerate() {
+        if live.iter().all(|l| *l == [0; PACKED_WORDS]) {
+            break;
+        }
+        sim.load(group);
+        for ((fault, first), live) in faults.iter().zip(&mut first).zip(&mut live) {
+            let care: WideWord = std::array::from_fn(|w| mask[w] & live[w]);
+            if !sim.errors(*fault, &care, observed, &mut errors) {
+                continue;
             }
-            sim.load(group);
-            for ((fault, first), live) in chunk.iter().zip(&mut first).zip(&mut live) {
-                let care: WideWord = std::array::from_fn(|w| mask[w] & live[w]);
-                if !sim.errors(*fault, &care, observed, &mut errors) {
-                    continue;
-                }
-                let mut differing = [0u64; PACKED_WORDS];
-                for e in &errors {
-                    for w in 0..PACKED_WORDS {
-                        differing[w] |= e[w];
-                    }
-                }
+            let mut differing = [0u64; PACKED_WORDS];
+            for e in &errors {
                 for w in 0..PACKED_WORDS {
-                    let hits = differing[w] & care[w];
-                    if hits != 0 {
-                        first[w] = Some((b * PACKED_LANES) as u32 + hits.trailing_zeros());
-                        live[w] = 0;
-                    }
+                    differing[w] |= e[w];
+                }
+            }
+            for w in 0..PACKED_WORDS {
+                let hits = differing[w] & care[w];
+                if hits != 0 {
+                    first[w] = Some((b * PACKED_LANES) as u32 + hits.trailing_zeros());
+                    live[w] = 0;
                 }
             }
         }
-        first
-    };
-
-    let results: Vec<Vec<[Option<u32>; PACKED_WORDS]>> = if chunks.len() <= 1 {
-        chunks.iter().map(|c| profile_chunk(c)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(|| profile_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fault-chunk worker panicked"))
-                .collect()
-        })
-    };
-    let per_fault: Vec<[Option<u32>; PACKED_WORDS]> = results.into_iter().flatten().collect();
+    }
     (0..stimuli.len())
-        .map(|w| per_fault.iter().map(|first| first[w]).collect())
+        .map(|w| first.iter().map(|f| f[w]).collect())
         .collect()
 }
 
@@ -638,7 +597,7 @@ mod tests {
     use super::*;
     use crate::coverage::measure_plan_coverage;
     use crate::fault::simulate_faults;
-    use stc_encoding::{EncodedPipeline, EncodingStrategy};
+    use stc_encoding::EncodedPipeline;
     use stc_fsm::paper_example;
     use stc_logic::{synthesize_pipeline, SynthOptions};
     use stc_synth::solve;
@@ -647,14 +606,14 @@ mod tests {
         let m = paper_example();
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);
-        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&m, &realization);
         synthesize_pipeline(&encoded, SynthOptions::default())
     }
 
     #[test]
     fn the_optimized_plan_reaches_full_coverage_within_the_fixed_budget() {
         let pipeline = example_pipeline();
-        let plan = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
+        let plan = optimize_plan(&pipeline, &OptimizeOptions::default());
         assert!(plan.target_reached(), "{plan:?}");
         assert_eq!(plan.detected(), plan.total_faults());
         assert_eq!(plan.undetected_faults(), 0);
@@ -670,8 +629,8 @@ mod tests {
     #[test]
     fn the_reported_split_survives_an_independent_re_measurement() {
         let pipeline = example_pipeline();
-        let plan = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
-        let measured = measure_optimized_plan(&pipeline, &plan, 1);
+        let plan = optimize_plan(&pipeline, &OptimizeOptions::default());
+        let measured = measure_optimized_plan(&pipeline, &plan);
         assert_eq!(plan.session1.detected, measured.session1.detected);
         assert_eq!(plan.session2.detected, measured.session2.detected);
         assert_eq!(plan.session1.undetected, measured.session1.undetected);
@@ -731,18 +690,15 @@ mod tests {
         let faults = fault_list(block);
         let stimuli = crate::session_patterns(block, 12);
         let profile = detection_profile(block, &stimuli, &faults);
-        for jobs in [1, 2, 5, 64] {
-            assert_eq!(
-                vec![profile.clone()],
-                detection_profiles(
-                    block,
-                    &ConeIndex::new(block),
-                    std::slice::from_ref(&stimuli),
-                    &faults,
-                    jobs
-                )
-            );
-        }
+        assert_eq!(
+            vec![profile.clone()],
+            detection_profiles(
+                block,
+                &ConeIndex::new(block),
+                std::slice::from_ref(&stimuli),
+                &faults,
+            )
+        );
         // A fault's first-detection index is the shortest prefix whose
         // scalar simulation detects it.
         for (fault, first) in faults.iter().zip(&profile) {
@@ -756,18 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_worker_counts() {
-        let pipeline = example_pipeline();
-        let serial = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
-        for jobs in [2, 4, 16] {
-            assert_eq!(
-                serial,
-                optimize_plan(&pipeline, &OptimizeOptions::default(), jobs)
-            );
-        }
-    }
-
-    #[test]
     fn an_unreachable_budget_reports_the_best_effort_and_its_undetected_faults() {
         let pipeline = example_pipeline();
         let options = OptimizeOptions {
@@ -775,7 +719,7 @@ mod tests {
             max_candidates: 4,
             max_total_length: 1, // one pattern total cannot cover everything
         };
-        let plan = optimize_plan(&pipeline, &options, 1);
+        let plan = optimize_plan(&pipeline, &options);
         assert!(!plan.target_reached());
         let short = [&plan.session1, &plan.session2]
             .iter()
@@ -792,7 +736,7 @@ mod tests {
             }
         }
         // The report's split still survives re-measurement.
-        let measured = measure_optimized_plan(&pipeline, &plan, 1);
+        let measured = measure_optimized_plan(&pipeline, &plan);
         assert_eq!(plan.session1.detected, measured.session1.detected);
         assert_eq!(plan.session2.detected, measured.session2.detected);
     }
@@ -800,14 +744,13 @@ mod tests {
     #[test]
     fn a_partial_target_needs_fewer_patterns_than_full_coverage() {
         let pipeline = example_pipeline();
-        let full = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
+        let full = optimize_plan(&pipeline, &OptimizeOptions::default());
         let partial = optimize_plan(
             &pipeline,
             &OptimizeOptions {
                 target: 0.5,
                 ..OptimizeOptions::default()
             },
-            1,
         );
         assert!(partial.target_reached());
         assert!(partial.total_length() <= full.total_length());
@@ -818,10 +761,10 @@ mod tests {
     fn progress_events_fire_and_do_not_change_the_result() {
         let pipeline = example_pipeline();
         let mut events = Vec::new();
-        let with = optimize_plan_with(&pipeline, &OptimizeOptions::default(), 1, &mut |p| {
+        let with = optimize_plan_with(&pipeline, &OptimizeOptions::default(), &mut |p| {
             events.push(format!("{p:?}"));
         });
-        let without = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
+        let without = optimize_plan(&pipeline, &OptimizeOptions::default());
         assert_eq!(with, without);
         assert!(
             events.iter().any(|e| e.contains("CandidateEvaluated")),
@@ -843,9 +786,9 @@ mod tests {
         // 100%: the optimizer starts from that very source, so its total
         // must be at most what the fixed source needs.
         let pipeline = example_pipeline();
-        let fixed = measure_plan_coverage(&pipeline, 256, 1);
+        let fixed = measure_plan_coverage(&pipeline, 256);
         assert_eq!(fixed.undetected_faults(), 0, "precondition");
-        let plan = optimize_plan(&pipeline, &OptimizeOptions::default(), 1);
+        let plan = optimize_plan(&pipeline, &OptimizeOptions::default());
         assert!(plan.target_reached());
         assert!(plan.total_length() <= 512);
     }
@@ -859,7 +802,7 @@ mod tests {
     fn lifted_tbk_optimize_equals_the_full_sweep() {
         let pipeline = crate::test_support::lifted_pipeline("tbk");
         let options = OptimizeOptions::default();
-        let plan = optimize_plan(&pipeline, &options, 2);
+        let plan = optimize_plan(&pipeline, &options);
         for (session, block) in [
             (&plan.session1, &pipeline.c1.netlist),
             (&plan.session2, &pipeline.c2.netlist),
@@ -888,7 +831,6 @@ mod tests {
                 target: 0.0,
                 ..OptimizeOptions::default()
             },
-            1,
         );
     }
 
@@ -902,7 +844,6 @@ mod tests {
                 max_total_length: 0,
                 ..OptimizeOptions::default()
             },
-            1,
         );
     }
 }
@@ -953,12 +894,11 @@ mod proptests {
             target in (3u32..=10).prop_map(|tenths| f64::from(tenths) / 10.0),
             max_candidates in 1usize..6,
             max_total_length in 1usize..40,
-            jobs in 1usize..4,
         ) {
             let pipeline = pipeline_of(4, c1, c2);
             let options = OptimizeOptions { target, max_candidates, max_total_length };
-            let plan = optimize_plan(&pipeline, &options, jobs);
-            let measured = measure_optimized_plan(&pipeline, &plan, 1);
+            let plan = optimize_plan(&pipeline, &options);
+            let measured = measure_optimized_plan(&pipeline, &plan);
             for (session, check) in [
                 (&plan.session1, &measured.session1),
                 (&plan.session2, &measured.session2),
@@ -976,7 +916,6 @@ mod proptests {
                         let shorter_cov = measure_session(
                             if session.block == "C1" { &pipeline.c1.netlist } else { &pipeline.c2.netlist },
                             &shorter,
-                            1,
                         );
                         prop_assert!(shorter_cov.coverage() + 1e-12 < target);
                     }
@@ -995,7 +934,6 @@ mod proptests {
             candidates in 1usize..=PACKED_WORDS,
             pattern_index in 0usize..PATTERN_COUNTS.len(),
             seed in 1u64..1000,
-            jobs in 1usize..=4,
         ) {
             let faults = fault_list(&netlist);
             let stimuli: Vec<Vec<Vec<bool>>> = (0..candidates as u64)
@@ -1010,7 +948,7 @@ mod proptests {
                 .map(|patterns| detection_profile(&netlist, patterns, &faults))
                 .collect();
             prop_assert_eq!(
-                detection_profiles(&netlist, &ConeIndex::new(&netlist), &stimuli, &faults, jobs),
+                detection_profiles(&netlist, &ConeIndex::new(&netlist), &stimuli, &faults),
                 reference
             );
         }
@@ -1028,12 +966,11 @@ mod proptests {
             target in (3u32..=10).prop_map(|tenths| f64::from(tenths) / 10.0),
             max_candidates in 1usize..=17,
             max_total_length in 1usize..300,
-            jobs in 1usize..=4,
         ) {
             let pipeline = pipeline_of(num_inputs, c1, c2);
             let options = OptimizeOptions { target, max_candidates, max_total_length };
             let mut batched_events = Vec::new();
-            let batched = optimize_plan_with(&pipeline, &options, jobs, &mut |p| {
+            let batched = optimize_plan_with(&pipeline, &options, &mut |p| {
                 batched_events.push(format!("{p:?}"));
             });
             let mut reference_events = Vec::new();

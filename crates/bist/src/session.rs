@@ -405,7 +405,7 @@ fn run_session_full_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stc_encoding::{EncodedPipeline, EncodingStrategy};
+    use stc_encoding::EncodedPipeline;
     use stc_fsm::paper_example;
     use stc_logic::{synthesize_pipeline, SynthOptions};
     use stc_synth::solve;
@@ -414,7 +414,7 @@ mod tests {
         let m = paper_example();
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);
-        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&m, &realization);
         synthesize_pipeline(&encoded, SynthOptions::default())
     }
 

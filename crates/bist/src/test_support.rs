@@ -64,10 +64,6 @@ pub(crate) fn lifted_pipeline(name: &str) -> stc_logic::PipelineLogic {
         .expect("benchmark exists")
         .machine;
     let realization = stc_synth::solve(&machine).best.realize(&machine);
-    let encoded = stc_encoding::EncodedPipeline::new(
-        &machine,
-        &realization,
-        stc_encoding::EncodingStrategy::Binary,
-    );
+    let encoded = stc_encoding::EncodedPipeline::new(&machine, &realization);
     stc_logic::synthesize_pipeline(&encoded, stc_logic::SynthOptions::default())
 }

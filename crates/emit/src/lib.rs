@@ -237,7 +237,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stc_encoding::{EncodedPipeline, EncodingStrategy};
+    use stc_encoding::EncodedPipeline;
     use stc_fsm::paper_example;
     use stc_logic::{synthesize_pipeline, SynthOptions};
     use stc_synth::solve;
@@ -246,7 +246,7 @@ mod tests {
         let m = paper_example();
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);
-        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&m, &realization);
         synthesize_pipeline(&encoded, SynthOptions::default())
     }
 
@@ -286,7 +286,7 @@ mod tests {
         let pipeline = example_pipeline();
         let result = stc_bist::pipeline_self_test(&pipeline, 64);
         let opts = stc_bist::OptimizeOptions::default();
-        let plan = stc_bist::optimize_plan(&pipeline, &opts, 1);
+        let plan = stc_bist::optimize_plan(&pipeline, &opts);
         let spec = SelfTestSpec::from_optimized(&pipeline, &plan);
         assert_eq!(spec.session1.patterns, plan.session1.length);
         assert_eq!(spec.session2.taps, plan.session2.taps);

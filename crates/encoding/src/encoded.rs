@@ -121,12 +121,13 @@ pub struct EncodedPipeline {
 impl EncodedPipeline {
     /// Encodes a pipeline realization.
     ///
-    /// Register contents use binary encodings of the block indices; registers
-    /// are at least one bit wide so that degenerate single-block factors still
-    /// have a physical register to test.
+    /// Register contents are binary encodings of the block indices — block
+    /// indices carry no adjacency information for a state-assignment
+    /// strategy to exploit; registers are at least one bit wide so that
+    /// degenerate single-block factors still have a physical register to
+    /// test.
     #[must_use]
-    pub fn new(machine: &Mealy, realization: &Realization, strategy: EncodingStrategy) -> Self {
-        let _ = strategy; // block indices carry no adjacency information; binary is used
+    pub fn new(machine: &Mealy, realization: &Realization) -> Self {
         let input_encoding = Encoding::sequential(machine.num_inputs(), EncodingStrategy::Binary);
         let output_encoding = Encoding::sequential(machine.num_outputs(), EncodingStrategy::Binary);
         let r1_encoding = Encoding::sequential(realization.s1_len(), EncodingStrategy::Binary);
@@ -241,7 +242,7 @@ mod tests {
         let m = paper_example();
         let outcome = solve(&m);
         let r = outcome.best.realize(&m);
-        let e = EncodedPipeline::new(&m, &r, EncodingStrategy::Binary);
+        let e = EncodedPipeline::new(&m, &r);
         assert_eq!(e.r1_bits, 1);
         assert_eq!(e.r2_bits, 1);
         assert_eq!(e.register_bits(), 2);
@@ -265,7 +266,7 @@ mod tests {
         let m = b.build().unwrap();
         let outcome = solve(&m);
         let r = outcome.best.realize(&m);
-        let e = EncodedPipeline::new(&m, &r, EncodingStrategy::Binary);
+        let e = EncodedPipeline::new(&m, &r);
         assert!(e.r1_bits >= 1);
         assert!(e.r2_bits >= 1);
     }

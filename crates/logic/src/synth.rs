@@ -324,7 +324,7 @@ mod tests {
         let m = paper_example();
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);
-        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&m, &realization);
         let logic = synthesize_pipeline(&encoded, SynthOptions::default());
         // C1 must compute δ1 for every (input, R1) combination that encodes a
         // real block.
@@ -358,7 +358,7 @@ mod tests {
         let single = synthesize_controller(&encoded_single, SynthOptions::default());
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);
-        let encoded_pipe = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded_pipe = EncodedPipeline::new(&m, &realization);
         let pipeline = synthesize_pipeline(&encoded_pipe, SynthOptions::default());
         // Doubling C (Fig. 3) costs twice the single-copy next-state logic.
         let doubled_literals = 2 * single.block.literal_count();
@@ -380,7 +380,7 @@ mod tests {
             .expect("tbk is embedded")
             .machine;
         let realization = solve(&m).best.realize(&m);
-        let encoded = EncodedPipeline::new(&m, &realization, EncodingStrategy::Binary);
+        let encoded = EncodedPipeline::new(&m, &realization);
         let options = SynthOptions {
             minimize: true,
             minimize_row_limit: usize::MAX,

@@ -424,21 +424,17 @@ pub fn format_speedup_table(measurements: &[BenchMeasurement]) -> String {
         out.push('\n');
     }
     out.push('\n');
-    out.push_str("| machine | narrow blocks | SIMD-wide | wide + 4 workers |\n");
-    out.push_str("|---|---|---|---|\n");
+    out.push_str("| machine | narrow blocks | SIMD-wide |\n");
+    out.push_str("|---|---|---|\n");
     for m in measurements {
         let Some(param) = m.name.strip_prefix("fault_sim_scale/packed_narrow/") else {
             continue;
         };
-        out.push_str(&format!("| {param} | {} |", fmt_time(m.mean_ns)));
-        for func in ["packed_wide", "packed_ws4"] {
-            let cell = find(format!("fault_sim_scale/{func}/{param}")).map_or_else(
-                || "n/a".to_string(),
-                |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
-            );
-            out.push_str(&format!(" {cell} |"));
-        }
-        out.push('\n');
+        let cell = find(format!("fault_sim_scale/packed_wide/{param}")).map_or_else(
+            || "n/a".to_string(),
+            |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
+        );
+        out.push_str(&format!("| {param} | {} | {cell} |\n", fmt_time(m.mean_ns)));
     }
     out
 }
@@ -572,8 +568,8 @@ mod tests {
     fn speedup_entries_without_a_reference_fall_back_to_absolute() {
         // A hypothetical scale entry with no serial reference in the
         // baseline is still gated, absolutely.
-        let baseline = [m("fault_sim_scale/packed_ws4/scale_m", 1000.0)];
-        let measured = [m("fault_sim_scale/packed_ws4/scale_m", 2000.0)];
+        let baseline = [m("fault_sim_scale/packed_wide/scale_m", 1000.0)];
+        let measured = [m("fault_sim_scale/packed_wide/scale_m", 2000.0)];
         let check = compare_benchmarks_with_cores(&baseline, &measured, 0.30, 8);
         assert!(check.speedups.is_empty());
         assert_eq!(check.regressions().len(), 1);
@@ -588,10 +584,9 @@ mod tests {
             m("ostr_solver_scale/ws8/scale_s", 850_000.0),
             m("fault_sim_scale/packed_narrow/scale_s", 116_000_000.0),
             m("fault_sim_scale/packed_wide/scale_s", 81_000_000.0),
-            m("fault_sim_scale/packed_ws4/scale_s", 40_500_000.0),
         ];
         let table = format_speedup_table(&measurements);
         assert!(table.contains("| scale_s | 3.4 ms | 2.00x | 3.40x | 4.00x |"));
-        assert!(table.contains("| scale_s | 116.0 ms | 1.43x | 2.86x |"));
+        assert!(table.contains("| scale_s | 116.0 ms | 1.43x |\n"));
     }
 }

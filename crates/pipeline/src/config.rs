@@ -67,7 +67,10 @@ pub const CONFIG_KEYS: &[(&str, &str)] = &[
         "solver.steal_seed",
         "accepted for compatibility; has no effect",
     ),
-    ("encoding", "binary | gray | one-hot | adjacency-greedy"),
+    (
+        "encoding",
+        "binary | gray | one-hot | adjacency-greedy; accepted; has no effect — R1/R2 hold binary block indices",
+    ),
     ("synth.minimize", "true/false"),
     ("bist.patterns", "BIST patterns per self-test session"),
     (
@@ -227,7 +230,9 @@ pub struct PipelineConfig {
     /// budget with no wall-clock limit, so `nodes_investigated` and
     /// `budget_exhausted` are pure functions of the machine.
     pub solver: SolverConfig,
-    /// State-assignment strategy.
+    /// State-assignment strategy: parsed, echoed and fingerprinted, but
+    /// the pipeline registers hold binary block indices, so it moves no
+    /// other report byte.
     pub encoding: EncodingStrategy,
     /// Two-level minimisation options.
     pub synth: SynthOptions,

@@ -39,7 +39,7 @@ use stc_bist::{
 use stc_emit::{
     emit_rust, emit_verilog, sanitize_module_name, EmitTarget, EmittedModule, SelfTestSpec,
 };
-use stc_encoding::{EncodedPipeline, EncodingStrategy};
+use stc_encoding::EncodedPipeline;
 use stc_fsm::{ceil_log2, Mealy};
 use stc_logic::{synthesize_pipeline, PipelineLogic};
 use stc_synth::{Cost, OstrOutcome, OstrSolver, Realization, SearchObserver};
@@ -256,8 +256,6 @@ pub struct Encoded {
     /// The encoded pipeline (registers `R1`/`R2` and the three
     /// combinational blocks as truth tables).
     pub pipeline: EncodedPipeline,
-    /// The encoding strategy that produced it.
-    pub strategy: EncodingStrategy,
 }
 
 /// The third typed artifact: synthesised two-level covers and gate-level
@@ -574,27 +572,6 @@ impl SynthesisBuilder {
         self
     }
 
-    /// Enables or disables the solver's branch-and-bound layer.
-    #[must_use]
-    pub fn branch_and_bound(mut self, enabled: bool) -> Self {
-        self.config.pipeline.solver.branch_and_bound = enabled;
-        self
-    }
-
-    /// Sets the state-assignment strategy.
-    #[must_use]
-    pub fn encoding(mut self, strategy: EncodingStrategy) -> Self {
-        self.config.pipeline.encoding = strategy;
-        self
-    }
-
-    /// Enables or disables two-level minimisation.
-    #[must_use]
-    pub fn minimize(mut self, enabled: bool) -> Self {
-        self.config.pipeline.synth.minimize = enabled;
-        self
-    }
-
     /// Sets the BIST pattern budget per self-test session.
     #[must_use]
     pub fn patterns_per_session(mut self, patterns: usize) -> Self {
@@ -607,14 +584,6 @@ impl SynthesisBuilder {
     #[must_use]
     pub fn coverage(mut self, enabled: bool) -> Self {
         self.config.pipeline.coverage.enabled = enabled;
-        self
-    }
-
-    /// Caps the patterns applied per session by the coverage measurement
-    /// (`0` = the plan's full pattern budget).
-    #[must_use]
-    pub fn coverage_max_patterns(mut self, max_patterns: usize) -> Self {
-        self.config.pipeline.coverage.max_patterns = max_patterns;
         self
     }
 
@@ -850,14 +819,12 @@ impl Synthesis {
                 limits,
             });
         }
-        let strategy = self.config.pipeline.encoding;
         let pipeline = self.in_stage(machine.name(), Stage::Encode, || {
-            EncodedPipeline::new(machine, &decomposition.realization, strategy)
+            EncodedPipeline::new(machine, &decomposition.realization)
         });
         Ok(Encoded {
             name: machine.name().to_string(),
             pipeline,
-            strategy,
         })
     }
 
@@ -898,24 +865,16 @@ impl Synthesis {
     ///
     /// Runs regardless of `coverage.enabled` — the flag only controls
     /// whether [`Self::run`] performs the measurement automatically.  The
-    /// fault list is split over the session's resolved worker count
-    /// (byte-identical results for any value).
+    /// simulation runs on the calling thread; corpus runs parallelise over
+    /// machines instead.
     #[must_use]
     pub fn measure_coverage(&self, plan: &BistPlan) -> CoverageReport {
-        self.measure_coverage_with_jobs(plan, self.config.resolve_jobs())
-    }
-
-    /// [`Self::measure_coverage`] with an explicit fault-chunk worker
-    /// count.  [`Self::run`] passes 1: inside a corpus run the parallelism
-    /// lives at the machine level already, and nesting thread pools would
-    /// oversubscribe without changing any byte of the result.
-    fn measure_coverage_with_jobs(&self, plan: &BistPlan, jobs: usize) -> CoverageReport {
         let config = &self.config.pipeline;
         let patterns = config
             .coverage
             .applied_patterns(config.patterns_per_session);
         let coverage = self.in_stage(&plan.name, Stage::Coverage, || {
-            measure_plan_coverage(plan.logic.as_ref(), patterns, jobs)
+            measure_plan_coverage(plan.logic.as_ref(), patterns)
         });
         CoverageReport {
             name: plan.name.clone(),
@@ -931,19 +890,11 @@ impl Synthesis {
     ///
     /// Runs regardless of `coverage.optimize.enabled` — the flag only
     /// controls whether [`Self::run`] performs the optimization
-    /// automatically.  Each candidate's fault simulation is split over the
-    /// session's resolved worker count (byte-identical results for any
-    /// value); progress surfaces as [`Event::OptimizeCandidate`] /
-    /// [`Event::OptimizeIncumbent`].
+    /// automatically.  The search runs on the calling thread, like
+    /// [`Self::measure_coverage`]; progress surfaces as
+    /// [`Event::OptimizeCandidate`] / [`Event::OptimizeIncumbent`].
     #[must_use]
     pub fn optimize_plan(&self, plan: &BistPlan) -> OptimizedPlan {
-        self.optimize_plan_with_jobs(plan, self.config.resolve_jobs())
-    }
-
-    /// [`Self::optimize_plan`] with an explicit fault-chunk worker count.
-    /// [`Self::run`] passes 1 for the same reason as the coverage stage:
-    /// corpus runs parallelise over machines already.
-    fn optimize_plan_with_jobs(&self, plan: &BistPlan, jobs: usize) -> OptimizedPlan {
         let config = &self.config.pipeline;
         let options = OptimizeOptions {
             target: config.optimize.target,
@@ -954,7 +905,7 @@ impl Synthesis {
         };
         let (result, test_points) = self.in_stage(&plan.name, Stage::Optimize, || {
             let logic = plan.logic.as_ref();
-            let result = optimize_plan_with(logic, &options, jobs, &mut |progress| {
+            let result = optimize_plan_with(logic, &options, &mut |progress| {
                 self.emit(match progress {
                     OptimizeProgress::CandidateEvaluated {
                         block,
@@ -1040,7 +991,7 @@ impl Synthesis {
         let plan = self.plan_bist(&netlist);
         let optimized = Stage::Optimize
             .enabled(&self.config)
-            .then(|| self.optimize_plan_with_jobs(&plan, 1));
+            .then(|| self.optimize_plan(&plan));
         Ok(self.emit_code(&plan, optimized.as_ref()))
     }
 
@@ -1198,10 +1149,9 @@ impl Synthesis {
         // Stages 5-7 (optional): exact fault coverage of the plan,
         // coverage-driven plan optimization and code generation, in table
         // order.  Each polls for cancellation first and gets its own
-        // stage-deadline window.  Fault simulation uses serial fault-chunk
-        // workers here: corpus runs parallelise over machines already.  The
-        // optimized plan is kept so the emit stage can bake its pattern
-        // sources in; reports carry emitted-code digests only.
+        // stage-deadline window.  The optimized plan is kept so the emit
+        // stage can bake its pattern sources in; reports carry emitted-code
+        // digests only.
         let mut optimized: Option<OptimizedPlan> = None;
         for stage in [Stage::Coverage, Stage::Optimize, Stage::Emit] {
             if !stage.enabled(&self.config) {
@@ -1213,13 +1163,13 @@ impl Synthesis {
             let window = self.stage_deadline();
             match stage {
                 Stage::Coverage => {
-                    let coverage = self.measure_coverage_with_jobs(&plan, 1);
+                    let coverage = self.measure_coverage(&plan);
                     if let Some(bist) = report.bist.as_mut() {
                         coverage.annotate(bist);
                     }
                 }
                 Stage::Optimize => {
-                    let plan = self.optimize_plan_with_jobs(&plan, 1);
+                    let plan = self.optimize_plan(&plan);
                     report.optimize = Some(plan.optimize_report());
                     optimized = Some(plan);
                 }
@@ -1620,7 +1570,8 @@ mod tests {
         let session = Synthesis::builder()
             .patterns_per_session(32)
             .coverage(true)
-            .coverage_max_patterns(1)
+            .set("coverage.max_patterns", "1")
+            .unwrap()
             .jobs(1)
             .build();
         let plan = {

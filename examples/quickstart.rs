@@ -16,10 +16,7 @@ fn main() {
     println!("state equivalence ε = {eps}\n");
 
     // One session carries the whole (layered) configuration.
-    let session = Synthesis::builder()
-        .patterns_per_session(128)
-        .encoding(EncodingStrategy::Binary)
-        .build();
+    let session = Synthesis::builder().patterns_per_session(128).build();
 
     // Stage 1 — solve problem OSTR and realize the best pair (Theorem 1).
     // `decompose_only` is a first-class partial flow: the artifact can be

@@ -85,7 +85,7 @@
 //!         "solver.branch_and_bound",    // cost-bound pruning
 //!         "solver.jobs",                // parallel subtree exploration
 //!         "solver.steal_seed",          // accepted for compatibility; has no effect
-//!         "encoding",                   // binary | gray | one-hot | adjacency-greedy
+//!         "encoding",                   // accepted; has no effect (binary block indices)
 //!         "synth.minimize",             // two-level minimisation
 //!         "bist.patterns",              // patterns per self-test session
 //!         "coverage.enabled",           // exact fault-coverage measurement

@@ -63,10 +63,7 @@ fn every_benchmark_flows_through_the_whole_stack() {
     // runs at corpus scale.  Keep the integration test fast: only the small
     // benchmarks go through gate-level synthesis and fault simulation here;
     // the big ones are covered by the (release-mode) bench harness.
-    let session = Synthesis::builder()
-        .max_nodes(50_000)
-        .encoding(EncodingStrategy::Binary)
-        .build();
+    let session = Synthesis::builder().max_nodes(50_000).build();
     for benchmark in stc::fsm::benchmarks::suite() {
         let machine = &benchmark.machine;
         if machine.num_states() > 10 || machine.num_inputs() > 16 {

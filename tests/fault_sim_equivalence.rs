@@ -18,7 +18,7 @@ use stc::bist::{
     pipeline_self_test_scalar, session_patterns, session_patterns_from, OptimizeOptions,
     PackedPatterns, StuckAtFault,
 };
-use stc::encoding::{EncodedPipeline, EncodingStrategy};
+use stc::encoding::EncodedPipeline;
 use stc::fsm::{benchmarks, planted_decomposable, Mealy, PlantedSpec};
 use stc::logic::{synthesize_pipeline, Netlist, PipelineLogic, SynthOptions, PACKED_WORDS};
 use stc::pipeline::GateLevelLimits;
@@ -26,7 +26,7 @@ use stc::synth::solve;
 
 fn pipeline_logic(machine: &Mealy) -> PipelineLogic {
     let realization = solve(machine).best.realize(machine);
-    let encoded = EncodedPipeline::new(machine, &realization, EncodingStrategy::Binary);
+    let encoded = EncodedPipeline::new(machine, &realization);
     synthesize_pipeline(&encoded, SynthOptions::default())
 }
 
@@ -96,7 +96,7 @@ fn bist_stages_equal_their_full_sweep_references() {
             "{name}: signature session"
         );
 
-        let coverage = measure_plan_coverage(&logic, patterns, 2);
+        let coverage = measure_plan_coverage(&logic, patterns);
         for (measured, block) in [
             (&coverage.session1, &logic.c1.netlist),
             (&coverage.session2, &logic.c2.netlist),
@@ -115,7 +115,7 @@ fn bist_stages_equal_their_full_sweep_references() {
             max_total_length: 2 * patterns,
             ..OptimizeOptions::default()
         };
-        let plan = optimize_plan(&logic, &options, 2);
+        let plan = optimize_plan(&logic, &options);
         for (session, block) in [
             (&plan.session1, &logic.c1.netlist),
             (&plan.session2, &logic.c2.netlist),

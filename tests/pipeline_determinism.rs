@@ -112,3 +112,39 @@ proptest::proptest! {
         }
     }
 }
+
+/// `encoding` is accepted, echoed and fingerprinted, but the pipeline
+/// registers hold binary block indices: a non-default strategy moves no
+/// report byte except its own echo.
+#[test]
+fn the_encoding_key_changes_only_its_config_echo() {
+    let corpus = embedded_corpus();
+    let run = |encoding: &str| {
+        Synthesis::builder()
+            .max_nodes(5_000)
+            .patterns_per_session(32)
+            .gate_level(GateLevelLimits {
+                max_states: 8,
+                max_inputs: 8,
+            })
+            .coverage(true)
+            .optimize(true)
+            .emit(true)
+            .set("encoding", encoding)
+            .unwrap()
+            .build()
+            .run_suite(&corpus, "embedded")
+    };
+    let binary = run("binary");
+    let gray = run("gray");
+    assert_eq!(gray.report.config.pipeline.encoding, EncodingStrategy::Gray);
+    assert_eq!(binary.report.machines, gray.report.machines);
+    assert!(binary.report.summary.full > 0);
+    let echo = |name: &str| format!("\"encoding\": \"{name}\"");
+    let gray_json = gray.report.to_json_string();
+    assert_eq!(gray_json.matches(&echo("gray")).count(), 1);
+    assert_eq!(
+        binary.report.to_json_string(),
+        gray_json.replace(&echo("gray"), &echo("binary"))
+    );
+}

@@ -31,7 +31,7 @@ fn figs_5_to_8_are_reproduced() {
     assert_eq!(realization.compose(&machine).num_states(), 4);
 
     // End-to-end: encode, synthesise logic, self-test.
-    let encoded = EncodedPipeline::new(&machine, &realization, EncodingStrategy::Binary);
+    let encoded = EncodedPipeline::new(&machine, &realization);
     assert_eq!(encoded.register_bits(), 2);
     let pipeline = synthesize_pipeline(&encoded, SynthOptions::default());
     let result = pipeline_self_test(&pipeline, 64);
