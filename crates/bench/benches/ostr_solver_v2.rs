@@ -1,16 +1,27 @@
-//! Criterion bench: the v2 iterative branch-and-bound OSTR engine.
+//! Criterion bench: the OSTR solver and its ablations.
 //!
-//! Complements `ostr_solver` (the historical end-to-end group kept for
-//! baseline continuity) with targeted measurements of the rebuilt search
-//! core under the deterministic pipeline configuration: branch and bound on
-//! the hardest embedded machines, the no-bound ablation, parallel subtree
-//! exploration, the symmetric-basis construction that dominates setup
-//! for machines with many inputs, and the realization of the best pair.
+//! * `ostr_solver_v2/*` — the iterative branch-and-bound engine under the
+//!   deterministic pipeline configuration: branch and bound on the hardest
+//!   embedded machines, the no-bound ablation, parallel subtree
+//!   exploration, the symmetric-basis construction that dominates setup
+//!   for machines with many inputs, and the realization of the best pair.
+//! * `ostr_solver/*` — end-to-end solves of the small embedded machines
+//!   under a 50,000-node / 5 s budget (the workload behind Table 1 of the
+//!   paper).
+//! * `lemma1_pruning/*` — the same budget with and without the Lemma 1
+//!   pruning, exploring the whole tree (the ablation behind Table 2).
+//! * `naive_vs_lattice/*` — the Mm-lattice search against the brute-force
+//!   enumeration of all partition pairs (the ablation behind Theorem 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stc_fsm::benchmarks;
+use stc_fsm::{benchmarks, paper_example, random_machine, Mealy};
 use stc_partition::symmetric_basis;
-use stc_synth::{OstrSolver, SolverConfig};
+use stc_synth::{solve, solve_naive, OstrSolver, SolverConfig};
+use std::time::Duration;
+
+fn machine(name: &str) -> Mealy {
+    benchmarks::by_name(name).expect("benchmark exists").machine
+}
 
 /// The deterministic pipeline configuration (no wall-clock limit).
 fn engine_config(branch_and_bound: bool, jobs: usize) -> SolverConfig {
@@ -24,36 +35,50 @@ fn engine_config(branch_and_bound: bool, jobs: usize) -> SolverConfig {
     }
 }
 
+/// The 50,000-node / 5 s budget of the `ostr_solver` and `lemma1_pruning`
+/// groups.
+fn budget_config(lemma1_pruning: bool, stop_at_lower_bound: bool) -> SolverConfig {
+    SolverConfig {
+        max_nodes: 50_000,
+        time_limit: Some(Duration::from_secs(5)),
+        lemma1_pruning,
+        stop_at_lower_bound,
+        ..SolverConfig::default()
+    }
+}
+
 fn ostr_solver_v2(c: &mut Criterion) {
     let mut group = c.benchmark_group("ostr_solver_v2");
     group.sample_size(10);
     for name in ["dk27", "shiftreg", "bbara", "tbk"] {
-        let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
-        group.bench_with_input(BenchmarkId::new("bnb", name), &machine, |b, m| {
+        group.bench_with_input(BenchmarkId::new("bnb", name), &machine(name), |b, m| {
             b.iter(|| OstrSolver::new(engine_config(true, 1)).solve(m));
         });
     }
     // Ablation: the same search without the cost lower bound.
-    let bbara = benchmarks::by_name("bbara")
-        .expect("benchmark exists")
-        .machine;
-    group.bench_with_input(BenchmarkId::new("no_bnb", "bbara"), &bbara, |b, m| {
-        b.iter(|| OstrSolver::new(engine_config(false, 1)).solve(m));
-    });
+    group.bench_with_input(
+        BenchmarkId::new("no_bnb", "bbara"),
+        &machine("bbara"),
+        |b, m| {
+            b.iter(|| OstrSolver::new(engine_config(false, 1)).solve(m));
+        },
+    );
     // Parallel subtree exploration (byte-identical results, different wall
     // clock) on the two largest searches.
     for name in ["bbara", "tbk"] {
-        let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
-        group.bench_with_input(BenchmarkId::new("parallel4", name), &machine, |b, m| {
-            b.iter(|| OstrSolver::new(engine_config(true, 4)).solve(m));
-        });
+        group.bench_with_input(
+            BenchmarkId::new("parallel4", name),
+            &machine(name),
+            |b, m| {
+                b.iter(|| OstrSolver::new(engine_config(true, 4)).solve(m));
+            },
+        );
     }
     // Setup path: the symmetric-pair basis (tbk: 64 inputs sharing two
     // transition maps; ex1: 512 distinct input columns, every closure
     // universal, so the lazy closure's early return is what it measures).
     for name in ["shiftreg", "tbk", "ex1"] {
-        let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
-        group.bench_with_input(BenchmarkId::new("basis", name), &machine, |b, m| {
+        group.bench_with_input(BenchmarkId::new("basis", name), &machine(name), |b, m| {
             b.iter(|| symmetric_basis(m));
         });
     }
@@ -61,7 +86,7 @@ fn ostr_solver_v2(c: &mut Criterion) {
     // pair: ex1's 20 × 20 product over 512 inputs is the case the table
     // representation exists for, tbk (11 × 11, 64 inputs) a mid-sized one.
     for name in ["ex1", "tbk"] {
-        let machine = benchmarks::by_name(name).expect("benchmark exists").machine;
+        let machine = machine(name);
         let best = OstrSolver::new(engine_config(true, 1)).solve(&machine).best;
         group.bench_with_input(
             BenchmarkId::new("realize_verify", name),
@@ -74,5 +99,62 @@ fn ostr_solver_v2(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ostr_solver_v2);
+fn ostr_solver(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ostr_solver");
+    group.sample_size(10);
+    // shiftreg and dk27 are timed by `ostr_solver_v2/bnb`: the budget does
+    // not bind at their 36 and 444 nodes.
+    for name in ["tav", "dk15", "bbtas", "mc"] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &machine(name), |b, m| {
+            b.iter(|| OstrSolver::new(budget_config(true, true)).solve(m));
+        });
+    }
+    group.finish();
+}
+
+fn lemma1_pruning(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lemma1_pruning");
+    group.sample_size(10);
+    for name in ["tav", "dk15", "mc", "dk27"] {
+        let machine = machine(name);
+        group.bench_with_input(BenchmarkId::new("with_pruning", name), &machine, |b, m| {
+            b.iter(|| OstrSolver::new(budget_config(true, false)).solve(m));
+        });
+        group.bench_with_input(
+            BenchmarkId::new("without_pruning", name),
+            &machine,
+            |b, m| {
+                b.iter(|| OstrSolver::new(budget_config(false, false)).solve(m));
+            },
+        );
+    }
+    group.finish();
+}
+
+fn naive_vs_lattice(c: &mut Criterion) {
+    let mut group = c.benchmark_group("naive_vs_lattice");
+    group.sample_size(10);
+    let machines = [
+        ("paper_fig5", paper_example()),
+        ("random_5", random_machine("random_5", 5, 2, 2, 7)),
+        ("random_6", random_machine("random_6", 6, 2, 2, 11)),
+    ];
+    for (name, machine) in &machines {
+        group.bench_with_input(BenchmarkId::new("lattice", name), machine, |b, m| {
+            b.iter(|| solve(m));
+        });
+        group.bench_with_input(BenchmarkId::new("naive", name), machine, |b, m| {
+            b.iter(|| solve_naive(m));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    ostr_solver_v2,
+    ostr_solver,
+    lemma1_pruning,
+    naive_vs_lattice
+);
 criterion_main!(benches);

@@ -6,7 +6,8 @@
 //! usable for very small machines — which is exactly its purpose: it
 //! cross-validates the lattice-based search of [`crate::OstrSolver`] on small
 //! inputs (the Theorem 2 correctness argument made executable) and serves as
-//! the baseline of the `naive_vs_lattice` ablation benchmark.
+//! the baseline of the `naive_vs_lattice` ablation group in the
+//! `ostr_solver_v2` bench.
 
 use crate::cost::Cost;
 use crate::solver::OstrSolution;

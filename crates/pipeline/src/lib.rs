@@ -13,8 +13,7 @@
 //!   → [`Netlist`] → [`BistPlan`] → [`MachineReport`]), progress events and
 //!   cooperative cancellation ([`Observer`]);
 //! * [`embedded_corpus`] / [`kiss2_corpus`] — corpus loading;
-//! * [`serve`] / [`serve_with`] — the JSON-lines request loop behind
-//!   `stc serve`;
+//! * [`serve_with`] — the JSON-lines request loop behind `stc serve`;
 //! * [`NetServer`] — the TCP front end speaking the same protocol
 //!   (`stc serve --listen`), with connection limits and graceful shutdown;
 //! * [`ArtifactCache`] — the content-addressed response cache keyed by
@@ -76,10 +75,10 @@ pub use observe::{CancelFlag, Event, NullObserver, Observer};
 pub use report::{
     coverage_json, emit_json, format_summary_table, lint_json, optimize_json, search_stats_json,
     AnalysisReport, BistReport, EmitModuleDigest, EmitReport, LogicReport, MachineReport,
-    MachineStatus, OptimizeReport, OptimizeSessionReport, SessionReport, SolveReport, SuiteReport,
-    SuiteSummary, TestPointSuggestion, REPORT_SCHEMA_VERSION,
+    MachineStatus, OptimizeReport, OptimizeSessionReport, SolveReport, SuiteReport, SuiteSummary,
+    TestPointSuggestion, REPORT_SCHEMA_VERSION,
 };
-pub use serve::{serve, serve_with, ServeOptions, ServeStats};
+pub use serve::{serve_with, ServeOptions, ServeStats};
 pub use session::{
     BistPlan, CoverageReport, Decomposition, EmittedCode, Encoded, MachineTiming, Netlist,
     OptimizedPlan, SessionError, Stage, SuiteRun, Synthesis, SynthesisBuilder,

@@ -11,6 +11,7 @@
 use crate::config::StcConfig;
 use crate::json::Json;
 use stc_analyze::{BlockAnalysis, Diagnostic, Severity};
+use stc_bist::SessionResult;
 use stc_fsm::benchmarks::{PaperTable1Row, PaperTable2Row};
 
 /// Version of the report schema, bumped on any breaking change to the JSON
@@ -110,28 +111,13 @@ pub struct LogicReport {
     pub depth: usize,
 }
 
-/// One self-test session of the BIST stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionReport {
-    /// Block under test (`C1` or `C2`).
-    pub block: String,
-    /// Patterns applied.
-    pub patterns: usize,
-    /// Fault-free signature.
-    pub good_signature: u64,
-    /// Single-stuck-at faults of the block.
-    pub total_faults: usize,
-    /// Faults whose signature differs from the fault-free one.
-    pub detected_faults: usize,
-}
-
 /// Results of the BIST stage for one machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BistReport {
     /// Session 1 (`C1` under test).
-    pub session1: SessionReport,
+    pub session1: SessionResult,
     /// Session 2 (`C2` under test).
-    pub session2: SessionReport,
+    pub session2: SessionResult,
     /// Signature-based fault coverage over both sessions.
     pub overall_coverage: f64,
     /// Exact single-stuck-at coverage of the plan, measured by bit-parallel
@@ -596,7 +582,7 @@ fn logic_json(l: &LogicReport) -> Json {
     ])
 }
 
-fn session_json(s: &SessionReport) -> Json {
+fn session_json(s: &SessionResult) -> Json {
     Json::Object(vec![
         ("block".into(), Json::String(s.block.clone())),
         ("patterns".into(), Json::from_usize(s.patterns)),
@@ -861,68 +847,66 @@ pub fn emit_json(report: &SuiteReport) -> Json {
     }))
 }
 
-/// Formats a compact fixed-width paper-vs-measured table (the Table 1 shape)
-/// for human consumption on stderr; the JSON report is the machine-readable
-/// artefact.
+/// Formats the paper-vs-measured summary (the columns of Tables 1 and 2)
+/// as fixed-width text for human consumption on stderr; the JSON report is
+/// the machine-readable artefact.
+///
+/// Cells read `paper/measured`: `-` where a side has no value, `n/a` where
+/// the paper's Table 2 entry is illegible.  `(budget)` marks a search that
+/// exhausted its node budget.  The footer counts non-trivial decompositions
+/// and machines needing fewer flip-flops than a conventional BIST; the
+/// paper's counts are derived from the Table 1 rows the report carries and
+/// printed only when it carries any.
 #[must_use]
 pub fn format_summary_table(report: &SuiteReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<10} {:>6} {:>5} {:>13} {:>13} {:>12} {:>15} {:>10}\n",
-        "name",
-        "status",
-        "|S|",
-        "|S1| pap/meas",
-        "|S2| pap/meas",
-        "FF pap/meas",
-        "coverage",
-        "nodes"
-    ));
+    fn cell<T: ToString>(value: Option<T>, missing: &str) -> String {
+        value.map_or_else(|| missing.to_string(), |v| v.to_string())
+    }
+    fn pair<P: ToString, M: ToString>(paper: Option<P>, measured: Option<M>) -> String {
+        format!("{}/{}", cell(paper, "-"), cell(measured, "-"))
+    }
+    let mut out = String::from(
+        "name           status  |S|    |S1|    |S2| conv FF      FF  log2|V|            nodes  pruned  coverage\n",
+    );
     for m in &report.machines {
-        let (p_s1, p_s2, p_ff) = m.paper_table1.as_ref().map_or(
-            ("-".to_string(), "-".to_string(), "-".to_string()),
-            |p| {
-                (
-                    p.s1.to_string(),
-                    p.s2.to_string(),
-                    p.pipeline_ff.to_string(),
-                )
-            },
-        );
-        let (s1, s2, ff, nodes) = m.solve.as_ref().map_or(
-            (
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ),
-            |s| {
-                (
-                    s.s1.to_string(),
-                    s.s2.to_string(),
-                    s.pipeline_ff.to_string(),
-                    s.nodes_investigated.to_string(),
-                )
-            },
-        );
+        let p1 = m.paper_table1.as_ref();
+        let p2 = m.paper_table2.as_ref();
+        let s = m.solve.as_ref();
         // The measured number replaces the signature-based estimate in the
         // human-readable table whenever the coverage stage produced one.
-        let coverage = m.bist.as_ref().map_or("-".to_string(), |b| {
+        let coverage = m.bist.as_ref().map(|b| {
             format!(
                 "{:.2}%",
                 100.0 * b.measured_coverage.unwrap_or(b.overall_coverage)
             )
         });
         out.push_str(&format!(
-            "{:<10} {:>6} {:>5} {:>13} {:>13} {:>12} {:>15} {:>10}\n",
+            "{:<10} {:>10} {:>4} {:>7} {:>7} {:>7} {:>7} {:>8} {:>16} {:>7} {:>9}{}\n",
             m.name,
             m.status.as_json_str(),
             m.states,
-            format!("{p_s1}/{s1}"),
-            format!("{p_s2}/{s2}"),
-            format!("{p_ff}/{ff}"),
-            coverage,
-            nodes
+            pair(p1.map(|p| p.s1), s.map(|s| s.s1)),
+            pair(p1.map(|p| p.s2), s.map(|s| s.s2)),
+            pair(
+                p1.map(|p| p.conventional_bist_ff),
+                s.map(|s| s.conventional_bist_ff)
+            ),
+            pair(p1.map(|p| p.pipeline_ff), s.map(|s| s.pipeline_ff)),
+            pair(
+                p2.map(|p| cell(p.log2_tree_size, "n/a")),
+                s.map(|s| s.basis_size)
+            ),
+            pair(
+                p2.map(|p| cell(p.nodes_investigated, "n/a")),
+                s.map(|s| s.nodes_investigated)
+            ),
+            cell(s.map(|s| s.subtrees_pruned), "-"),
+            cell(coverage, "-"),
+            if s.is_some_and(|s| s.budget_exhausted) {
+                "  (budget)"
+            } else {
+                ""
+            }
         ));
     }
     let s = &report.summary;
@@ -941,6 +925,45 @@ pub fn format_summary_table(report: &SuiteReport) -> String {
         s.nontrivial,
         s.conventional_bist_ff_total,
         s.pipeline_ff_total
+    ));
+    let fewer_ff = report
+        .machines
+        .iter()
+        .filter_map(|m| m.solve.as_ref())
+        .filter(|s| s.pipeline_ff < s.conventional_bist_ff)
+        .count();
+    let paper: Vec<&PaperTable1Row> = report
+        .machines
+        .iter()
+        .filter_map(|m| m.paper_table1.as_ref())
+        .collect();
+    let paper_count = |counted: usize| {
+        if paper.is_empty() {
+            String::new()
+        } else {
+            format!(" (paper: {counted}/{})", paper.len())
+        }
+    };
+    out.push_str(&format!(
+        "non-trivial decompositions: {}/{}{}\n",
+        s.nontrivial,
+        s.machines,
+        paper_count(
+            paper
+                .iter()
+                .filter(|p| p.s1 < p.states || p.s2 < p.states)
+                .count()
+        )
+    ));
+    out.push_str(&format!(
+        "fewer flip-flops than a conventional BIST: {fewer_ff}/{}{}\n",
+        s.machines,
+        paper_count(
+            paper
+                .iter()
+                .filter(|p| p.pipeline_ff < p.conventional_bist_ff)
+                .count()
+        )
     ));
     out
 }

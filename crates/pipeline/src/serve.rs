@@ -249,24 +249,6 @@ fn splice_ok(id: &Json, machine_name: &str, config_json: &str, report_json: &str
     )
 }
 
-/// Runs the serve loop until `input` reaches EOF, writing one response line
-/// per request line.  `jobs` is the worker count (already resolved; the CLI
-/// resolves `0` to the available parallelism before calling).  Returns the
-/// request/error counters.  Equivalent to [`serve_with`] with no cache —
-/// the compatibility entry point.
-///
-/// # Errors
-///
-/// See [`serve_with`].
-pub fn serve<R: BufRead, W: Write + Send>(
-    input: R,
-    output: W,
-    base: &StcConfig,
-    jobs: usize,
-) -> std::io::Result<ServeStats> {
-    serve_with(input, output, base, &ServeOptions { jobs, cache: None })
-}
-
 /// Runs the serve loop with explicit [`ServeOptions`] (worker count,
 /// artifact cache).
 ///
@@ -309,7 +291,10 @@ pub(crate) fn serve_on<R: BufRead, W: Write + Send>(
     // 500_000th thread spawn fails inside std::thread::scope.
     let jobs = jobs.clamp(1, 256);
     let (sender, receiver) = mpsc::sync_channel::<String>(jobs * 2);
-    let receiver = Mutex::new(receiver);
+    // The workers own the receiver.  When the last of them exits (each
+    // stops on a write error), the receiver is dropped and a blocked `send`
+    // fails instead of waiting for a worker that will never come.
+    let receiver = Arc::new(Mutex::new(receiver));
     // The first failed response write.  Workers stop on it, the reader stops
     // feeding, and the loop returns it — a response the client never got
     // must not look like success.
@@ -323,7 +308,9 @@ pub(crate) fn serve_on<R: BufRead, W: Write + Send>(
 
     let io_error: Option<std::io::Error> = std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
+            let receiver = Arc::clone(&receiver);
+            let (writer, write_error) = (&writer, &write_error);
+            scope.spawn(move || loop {
                 let line = {
                     let receiver = receiver.lock().expect("no panics while holding lock");
                     receiver.recv()
@@ -351,7 +338,8 @@ pub(crate) fn serve_on<R: BufRead, W: Write + Send>(
                 }
             });
         }
-        'read: for line in input.lines() {
+        drop(receiver);
+        for line in input.lines() {
             if write_failed() {
                 break; // the output is gone; stop accepting work
             }
@@ -363,23 +351,8 @@ pub(crate) fn serve_on<R: BufRead, W: Write + Send>(
                     requests += 1;
                     context.metrics().request_read();
                     context.metrics().enqueued();
-                    // try_send + poll rather than a blocking send: when the
-                    // queue is full because every worker died on a write
-                    // error, a blocking send would never return (the
-                    // receiver outlives the workers).
-                    let mut line = line;
-                    loop {
-                        match sender.try_send(line) {
-                            Ok(()) => break,
-                            Err(mpsc::TrySendError::Full(back)) => {
-                                if write_failed() {
-                                    break 'read;
-                                }
-                                line = back;
-                                std::thread::sleep(std::time::Duration::from_millis(1));
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => break 'read,
-                        }
+                    if sender.send(line).is_err() {
+                        break; // every worker stopped on a write error
                     }
                 }
                 Err(e) => {
@@ -609,6 +582,41 @@ mod tests {
         let bad_key = responses[2].get("error").unwrap().as_str().unwrap();
         assert!(bad_key.contains("bad.key"), "{bad_key}");
         assert_eq!(responses[3].get("pong"), Some(&Json::Bool(true)));
+    }
+
+    /// A client that went away: every write fails.
+    struct BrokenPipe;
+
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_loop_and_is_returned() {
+        for jobs in [1, 3] {
+            // Far more requests than the channel's `2 × jobs` lines: the
+            // reader must not block on a full queue nobody drains.
+            let input = "{\"ping\": true}\n".repeat(64);
+            // The loop runs on its own thread so a hang fails the test
+            // instead of stalling it.
+            let (done, outcome) = mpsc::channel();
+            let server = std::thread::spawn(move || {
+                let options = ServeOptions { jobs, cache: None };
+                let result = serve_with(input.as_bytes(), BrokenPipe, &base(), &options);
+                done.send(result).unwrap();
+            });
+            let result = outcome
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("the serve loop returns after a write error");
+            server.join().expect("the serve thread does not panic");
+            let error = result.expect_err("a failed write is an error");
+            assert_eq!(error.kind(), std::io::ErrorKind::BrokenPipe, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ use crate::corpus::CorpusEntry;
 use crate::observe::{Event, NullObserver, Observer};
 use crate::report::{
     AnalysisReport, BistReport, EmitModuleDigest, EmitReport, LogicReport, MachineReport,
-    MachineStatus, OptimizeReport, OptimizeSessionReport, SessionReport, SolveReport, SuiteReport,
-    SuiteSummary, TestPointSuggestion,
+    MachineStatus, OptimizeReport, OptimizeSessionReport, SolveReport, SuiteReport, SuiteSummary,
+    TestPointSuggestion,
 };
 use stc_bist::{
     measure_plan_coverage, optimize_plan_with, pipeline_self_test, OptimizeOptions,
@@ -315,8 +315,8 @@ impl BistPlan {
     pub fn bist_report(&self) -> BistReport {
         BistReport {
             overall_coverage: self.result.overall_coverage(),
-            session1: session_report(&self.result.session1),
-            session2: session_report(&self.result.session2),
+            session1: self.result.session1.clone(),
+            session2: self.result.session2.clone(),
             measured_coverage: None,
             undetected_faults: None,
         }
@@ -466,16 +466,6 @@ fn rank_test_points(logic: &PipelineLogic, result: &PlanOptimization) -> Vec<Tes
     });
     points.truncate(TEST_POINTS_REPORTED);
     points
-}
-
-fn session_report(s: &stc_bist::SessionResult) -> SessionReport {
-    SessionReport {
-        block: s.block.clone(),
-        patterns: s.patterns,
-        good_signature: s.good_signature,
-        total_faults: s.total_faults,
-        detected_faults: s.detected_faults,
-    }
 }
 
 // ---------------------------------------------------------------------------
