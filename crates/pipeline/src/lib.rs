@@ -69,7 +69,7 @@ pub use config::{
 pub use corpus::{embedded_corpus, filter_by_names, kiss2_corpus, CorpusEntry};
 pub use error::PipelineError;
 pub use json::{Json, JsonError};
-pub use metrics::{ServeMetrics, StageTimer};
+pub use metrics::ServeMetrics;
 pub use net::{NetOptions, NetServer, ServerHandle};
 pub use observe::{CancelFlag, Event, NullObserver, Observer};
 pub use report::{

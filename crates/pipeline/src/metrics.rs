@@ -2,9 +2,10 @@
 //!
 //! One [`ServeMetrics`] instance lives for the whole life of a serve loop
 //! (stdin/stdout or network) and aggregates lock-free counters: request
-//! outcomes, queue depth, connection accounting, per-stage latency (fed by a
-//! [`StageTimer`] observer listening on the session's [`crate::Event`]
-//! channel) and end-to-end request latency.  A snapshot is exposed two ways:
+//! outcomes, queue depth, connection accounting, per-stage latency (the
+//! metrics are themselves the [`Observer`] of every serve session and add up
+//! the stage times [`Event::StageFinished`] carries) and end-to-end request
+//! latency.  A snapshot is exposed two ways:
 //!
 //! * the `{"stats": true}` request of the serve protocol, answered with
 //!   [`ServeMetrics::snapshot`] (a JSON object; see `docs/SERVE.md`);
@@ -20,8 +21,7 @@ use crate::json::Json;
 use crate::observe::{Event, Observer};
 use crate::session::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct StageCounter {
@@ -124,16 +124,6 @@ impl ServeMetrics {
         self.request_count.fetch_add(1, Ordering::Relaxed);
         self.request_total_ns
             .fetch_add(elapsed_ns, Ordering::Relaxed);
-    }
-
-    /// Records one completed pipeline stage.
-    pub fn stage_finished(&self, stage: &str, elapsed_ns: u64) {
-        if let Some(i) = Stage::ALL.iter().position(|s| s.name() == stage) {
-            self.stages[i].count.fetch_add(1, Ordering::Relaxed);
-            self.stages[i]
-                .total_ns
-                .fetch_add(elapsed_ns, Ordering::Relaxed);
-        }
     }
 
     /// Total requests read so far.
@@ -257,6 +247,24 @@ impl ServeMetrics {
     }
 }
 
+/// Serve sessions report to their metrics directly: each finished stage
+/// lands in its [`Stage::ALL`] counter.  Never cancels and feeds only the
+/// metrics side channel, so under the observer contract reports stay
+/// byte-identical.
+impl Observer for ServeMetrics {
+    fn on_event(&self, event: &Event<'_>) {
+        if let Event::StageFinished { stage, elapsed, .. } = event {
+            if let Some(i) = Stage::ALL.iter().position(|s| s.name() == *stage) {
+                let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                self.stages[i].count.fetch_add(1, Ordering::Relaxed);
+                self.stages[i]
+                    .total_ns
+                    .fetch_add(elapsed_ns, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 fn mean_ms(total_ns: u64, count: u64) -> f64 {
     if count == 0 {
         0.0
@@ -269,61 +277,11 @@ fn mean_ms(total_ns: u64, count: u64) -> f64 {
     }
 }
 
-/// An [`Observer`] that times pipeline stages into a shared
-/// [`ServeMetrics`].
-///
-/// One timer is attached per request (each serve request builds its own
-/// session), so starts and finishes pair up within a single machine flow.
-/// It never cancels and feeds only the metrics side channel, so under the
-/// observer contract it leaves reports byte-identical.
-#[derive(Debug)]
-pub struct StageTimer {
-    metrics: Arc<ServeMetrics>,
-    started: Mutex<Vec<(&'static str, Instant)>>,
-}
-
-impl StageTimer {
-    /// Creates a timer feeding `metrics`.
-    #[must_use]
-    pub fn new(metrics: Arc<ServeMetrics>) -> Self {
-        Self {
-            metrics,
-            started: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl Observer for StageTimer {
-    fn on_event(&self, event: &Event<'_>) {
-        match event {
-            Event::StageStarted { stage, .. } => {
-                self.started
-                    .lock()
-                    .expect("no panics while holding lock")
-                    .push((stage, Instant::now()));
-            }
-            Event::StageFinished { stage, .. } => {
-                let started = {
-                    let mut started = self.started.lock().expect("no panics while holding lock");
-                    started
-                        .iter()
-                        .rposition(|(s, _)| s == stage)
-                        .map(|i| started.remove(i).1)
-                };
-                if let Some(at) = started {
-                    let elapsed = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.metrics.stage_finished(stage, elapsed);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::{ArtifactCache, CacheKey, CacheLimits, CachedSynthesis};
+    use std::time::Duration;
 
     #[test]
     fn counters_land_in_the_snapshot() {
@@ -391,41 +349,36 @@ mod tests {
         assert!(line.contains("hits=1"), "{line}");
     }
 
+    fn finished(stage: &'static str, elapsed_ms: u64) -> Event<'static> {
+        Event::StageFinished {
+            machine: "tav",
+            stage,
+            elapsed: Duration::from_millis(elapsed_ms),
+        }
+    }
+
     #[test]
-    fn stage_timer_pairs_starts_with_finishes() {
+    fn finished_stages_are_counted_and_started_ones_are_not() {
         let metrics = ServeMetrics::shared();
-        let timer = StageTimer::new(Arc::clone(&metrics));
-        timer.on_event(&Event::StageStarted {
-            machine: "tav",
-            stage: "solve",
-        });
-        timer.on_event(&Event::StageFinished {
-            machine: "tav",
-            stage: "solve",
-        });
-        // A finish without a start is ignored, not a panic.
-        timer.on_event(&Event::StageFinished {
+        metrics.on_event(&finished("solve", 2));
+        // A start alone is not a finished stage.
+        metrics.on_event(&Event::StageStarted {
             machine: "tav",
             stage: "encode",
         });
         let snapshot = metrics.snapshot(None);
-        let stages = snapshot.get("stages").unwrap();
-        assert_eq!(
-            stages.get("solve").unwrap().get("count").unwrap().as_u64(),
-            Some(1)
-        );
-        assert_eq!(
-            stages.get("encode").unwrap().get("count").unwrap().as_u64(),
-            Some(0)
-        );
-        assert!(!timer.should_cancel());
+        let stage = |name: &str| snapshot.get("stages").unwrap().get(name).unwrap();
+        assert_eq!(stage("solve").get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(stage("solve").get("mean_ms").unwrap().as_f64(), Some(2.0));
+        assert_eq!(stage("encode").get("count").unwrap().as_u64(), Some(0));
+        assert!(!metrics.should_cancel());
     }
 
     #[test]
     fn every_flow_stage_is_counted_in_flow_order() {
         let metrics = ServeMetrics::shared();
         for stage in [Stage::Optimize, Stage::Emit, Stage::Emit] {
-            metrics.stage_finished(stage.name(), 3_000_000);
+            metrics.on_event(&finished(stage.name(), 3));
         }
         let snapshot = metrics.snapshot(None);
         let Some(Json::Object(stages)) = snapshot.get("stages") else {
@@ -445,7 +398,7 @@ mod tests {
     #[test]
     fn unknown_stage_names_are_ignored() {
         let metrics = ServeMetrics::shared();
-        metrics.stage_finished("no-such-stage", 1);
+        metrics.on_event(&finished("no-such-stage", 1));
         let stages = metrics.snapshot(None);
         let stages = stages.get("stages").unwrap();
         let Json::Object(entries) = stages else {

@@ -2,8 +2,9 @@
 //! [`crate::Synthesis`] session.
 //!
 //! An [`Observer`] receives [`Event`]s while a session runs — stage
-//! boundaries, solver progress ticks, incumbent improvements, budget
-//! exhaustion — and is polled for cancellation between units of work.  The
+//! boundaries (each finish carrying the stage's wall-clock time), solver
+//! progress ticks, incumbent improvements, budget exhaustion — and is
+//! polled for cancellation between units of work.  The
 //! determinism contract mirrors the engine-level
 //! [`stc_synth::SearchObserver`]: information flows one way (session →
 //! observer), and the only path back is [`Observer::should_cancel`], which
@@ -15,6 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A progress event emitted by a [`crate::Synthesis`] session.
 ///
@@ -26,15 +28,22 @@ pub enum Event<'a> {
     StageStarted {
         /// Machine name.
         machine: &'a str,
-        /// Stage name (`solve`, `encode`, `logic`, `bist`).
+        /// Stage name: a [`crate::Stage::name`] of a [`crate::Stage::ALL`]
+        /// row.
         stage: &'static str,
     },
     /// A stage completed for a machine.
     StageFinished {
         /// Machine name.
         machine: &'a str,
-        /// Stage name (`solve`, `encode`, `logic`, `bist`).
+        /// Stage name: a [`crate::Stage::name`] of a [`crate::Stage::ALL`]
+        /// row.
         stage: &'static str,
+        /// Wall-clock time of the stage, measured once by the session: from
+        /// the return of its `StageStarted` callback to just before this
+        /// event.  Stages never overlap within a machine, so a machine's
+        /// summed stage times stay within its [`crate::MachineTiming`].
+        elapsed: Duration,
     },
     /// The OSTR search crossed another [`stc_synth::PROGRESS_INTERVAL`]
     /// nodes (approximate cumulative count; see

@@ -195,12 +195,13 @@ pub struct OptimizeReport {
     pub test_points: Vec<TestPointSuggestion>,
 }
 
-/// A deterministic digest of one emitted source module.
+/// A deterministic digest of one emitted source module, kept beside the
+/// source itself.
 ///
-/// Reports carry digests, not source text: the full source is the artefact
-/// `stc emit --out` writes to disk, while the report pins its identity —
-/// length plus FNV-1a hash — so the CI `emit-gate` can detect codegen drift
-/// without megabyte goldens.
+/// The JSON report renders the digest only, never the source text: the full
+/// source is the artefact `stc emit --out` writes to disk from the same run,
+/// while the report pins its identity — length plus FNV-1a hash — so the CI
+/// `emit-gate` can detect codegen drift without megabyte goldens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmitModuleDigest {
     /// The module name inside the source (`mod`/`module` identifier).
@@ -211,6 +212,8 @@ pub struct EmitModuleDigest {
     pub bytes: usize,
     /// FNV-1a 64-bit hash of the source text.
     pub fnv1a: u64,
+    /// The generated source text (not rendered into the JSON report).
+    pub source: String,
 }
 
 /// Results of the code-emission stage for one machine.

@@ -55,7 +55,7 @@ use crate::cache::{cacheable, config_fingerprint, ArtifactCache, CacheKey, Cache
 use crate::config::StcConfig;
 use crate::corpus::{embedded_corpus, CorpusEntry};
 use crate::json::Json;
-use crate::metrics::{ServeMetrics, StageTimer};
+use crate::metrics::ServeMetrics;
 use crate::session::Synthesis;
 use crate::CacheLimits;
 use std::io::{BufRead, Write};
@@ -214,7 +214,7 @@ impl ServeContext {
 
         let session = Synthesis::builder()
             .config(config)
-            .observer(Arc::new(StageTimer::new(Arc::clone(&self.metrics))))
+            .observer(self.metrics.clone())
             .build();
         let report = session.run(&entry);
         let rendered = CachedSynthesis {

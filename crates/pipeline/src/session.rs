@@ -43,7 +43,7 @@ use stc_encoding::EncodedPipeline;
 use stc_fsm::{ceil_log2, Mealy};
 use stc_logic::{synthesize_pipeline, PipelineLogic};
 use stc_synth::{Cost, OstrOutcome, OstrSolver, Realization, SearchObserver};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -405,10 +405,10 @@ pub struct EmittedCode {
 }
 
 impl EmittedCode {
-    /// The report section for this artifact: digests only (module name,
-    /// file name, byte length, FNV-1a hash), keeping reports compact and
-    /// deterministic.  The source text lives in the artifact itself and is
-    /// written to disk by `stc emit --out`.
+    /// The report section for this artifact: per module its digest (module
+    /// name, file name, byte length, FNV-1a hash) and its source text.  The
+    /// JSON report renders the digests only, keeping it compact and
+    /// deterministic; `stc emit --out` writes the sources of the same run.
     #[must_use]
     pub fn emit_report(&self) -> EmitReport {
         EmitReport {
@@ -421,6 +421,7 @@ impl EmittedCode {
                     file: m.file_name.clone(),
                     bytes: m.source.len(),
                     fnv1a: stc_emit::fnv1a(m.source.as_bytes()),
+                    source: m.source.clone(),
                 })
                 .collect(),
         }
@@ -663,7 +664,6 @@ struct SolveAdapter<'a> {
     machine: &'a str,
     observer: &'a dyn Observer,
     deadline: Option<Instant>,
-    deadline_hit: AtomicBool,
     /// Register bits of the best incumbent reported so far.  The engine
     /// reports subtree-local improvements, which repeat and regress; only a
     /// strict drop below this becomes an event.
@@ -695,14 +695,7 @@ impl SearchObserver for SolveAdapter<'_> {
     }
 
     fn should_stop(&self) -> bool {
-        if self.observer.should_cancel() {
-            return true;
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.deadline_hit.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
+        self.observer.should_cancel() || past(self.deadline)
     }
 }
 
@@ -730,16 +723,19 @@ impl Synthesis {
     }
 
     /// Runs `body` as `stage` of `machine`, bracketed by the stage's
-    /// started/finished events.
+    /// started/finished events.  This is where every stage is timed: the
+    /// finished event carries the body's wall-clock time.
     fn in_stage<T>(&self, machine: &str, stage: Stage, body: impl FnOnce() -> T) -> T {
         self.emit(Event::StageStarted {
             machine,
             stage: stage.name(),
         });
+        let start = Instant::now();
         let out = body();
         self.emit(Event::StageFinished {
             machine,
             stage: stage.name(),
+            elapsed: start.elapsed(),
         });
         out
     }
@@ -757,34 +753,23 @@ impl Synthesis {
     /// worst), so the returned artifact is always well-formed.
     #[must_use]
     pub fn decompose_only(&self, machine: &Mealy) -> Decomposition {
-        self.decompose_tracked(machine).0
-    }
-
-    /// [`Self::decompose_only`] plus whether a cancellation was caused by
-    /// the per-stage deadline (as opposed to the observer) — [`Self::run`]
-    /// needs the distinction to report `timeout` vs `cancelled` correctly.
-    fn decompose_tracked(&self, machine: &Mealy) -> (Decomposition, bool) {
         self.in_stage(machine.name(), Stage::Solve, || {
             let adapter = SolveAdapter {
                 machine: machine.name(),
                 observer: self.observer.as_ref(),
                 deadline: self.stage_deadline(),
-                deadline_hit: AtomicBool::new(false),
                 best_bits: AtomicU32::new(u32::MAX),
             };
             let outcome =
                 OstrSolver::new(self.config.pipeline.solver).solve_observed(machine, &adapter);
             let realization = outcome.best.realize(machine);
             let verified = realization.verify(machine).is_none();
-            (
-                Decomposition {
-                    machine: machine.clone(),
-                    outcome,
-                    realization,
-                    verified,
-                },
-                adapter.deadline_hit.load(Ordering::Relaxed),
-            )
+            Decomposition {
+                machine: machine.clone(),
+                outcome,
+                realization,
+                verified,
+            }
         })
     }
 
@@ -800,13 +785,12 @@ impl Synthesis {
                 machine: machine.name().to_string(),
             });
         }
-        let limits = self.config.pipeline.gate_level;
-        if machine.num_states() > limits.max_states || machine.num_inputs() > limits.max_inputs {
+        if !self.within_gate_level(machine) {
             return Err(SessionError::GateLevelLimit {
                 machine: machine.name().to_string(),
                 states: machine.num_states(),
                 inputs: machine.num_inputs(),
-                limits,
+                limits: self.config.pipeline.gate_level,
             });
         }
         let pipeline = self.in_stage(machine.name(), Stage::Encode, || {
@@ -969,22 +953,6 @@ impl Synthesis {
         }
     }
 
-    /// Drives one corpus entry through the typed flow up to code
-    /// generation — honoring the optimize stage when `coverage.optimize`
-    /// is enabled — and returns the emitted modules with their source
-    /// text.  This is the `stc emit` entry point; [`Self::run`] reports
-    /// digests only.
-    pub fn emit_machine(&self, entry: &CorpusEntry) -> Result<EmittedCode, SessionError> {
-        let decomposition = self.decompose_only(&entry.machine);
-        let encoded = self.encode(&decomposition)?;
-        let netlist = self.synthesize_logic(&encoded);
-        let plan = self.plan_bist(&netlist);
-        let optimized = Stage::Optimize
-            .enabled(&self.config)
-            .then(|| self.optimize_plan(&plan));
-        Ok(self.emit_code(&plan, optimized.as_ref()))
-    }
-
     /// Runs the machine-level static lints (unreachable states, mergeable
     /// states, input-column findings) with the session's `analysis.deny`
     /// list applied.
@@ -1029,147 +997,145 @@ impl Synthesis {
         }
     }
 
+    /// Whether `machine` is within the gate-level limits, so the stages
+    /// after solve that need a netlist can run on it.
+    fn within_gate_level(&self, machine: &Mealy) -> bool {
+        let limits = self.config.pipeline.gate_level;
+        machine.num_states() <= limits.max_states && machine.num_inputs() <= limits.max_inputs
+    }
+
     // -- full flows --------------------------------------------------------
 
     /// Drives one corpus entry through the full flow and assembles its
-    /// [`MachineReport`].
+    /// [`MachineReport`]; the status names the stop, if the flow stopped
+    /// early, and is `full` otherwise.
     #[must_use]
     pub fn run(&self, entry: &CorpusEntry) -> MachineReport {
-        let config = &self.config.pipeline;
-        let machine_deadline = config.machine_timeout.map(|t| Instant::now() + t);
-        let machine = &entry.machine;
         let mut report = blank_report(entry, MachineStatus::Full);
-        let finish = |mut report: MachineReport, status: MachineStatus| {
+        if let Err(status) = self.walk(&entry.machine, &mut report) {
             report.status = status;
-            self.emit(Event::MachineFinished {
-                machine: &report.name,
-                status: report.status.as_json_str(),
-            });
-            report
-        };
+        }
+        self.emit(Event::MachineFinished {
+            machine: &report.name,
+            status: report.status.as_json_str(),
+        });
+        report
+    }
 
-        // Stage 0 (optional): machine-level static lints.  Purely static, so
-        // it runs before any solver time is spent; the netlist blocks are
-        // analysed after stage 3 produces them.
-        if Stage::Analyze.enabled(&self.config) {
-            report.analysis = Some(AnalysisReport {
-                diagnostics: self.lint_machine(machine),
-                blocks: Vec::new(),
-            });
-        }
-
-        // Stage 1: OSTR lattice search plus the Theorem 1 realization.
-        let (decomposition, solve_deadline_hit) = self.decompose_tracked(machine);
-        report.solve = Some(decomposition.solve_report());
-        if !decomposition.verified {
-            return finish(
-                report,
-                MachineStatus::Error(
-                    "the realization of the best OSTR solution does not realize the \
-                     specification"
-                        .into(),
-                ),
-            );
-        }
-        if decomposition.cancelled() {
-            // The solve stage stops cooperatively for exactly two reasons:
-            // the per-stage deadline (a timeout) or the observer (a
-            // cancellation).  The adapter's flag — not a re-poll of the
-            // observer, which may have stopped requesting by now — tells
-            // them apart.
-            return finish(
-                report,
-                if solve_deadline_hit {
-                    MachineStatus::TimedOut
-                } else {
-                    MachineStatus::Cancelled
-                },
-            );
-        }
-        if past(machine_deadline) {
-            return finish(report, MachineStatus::TimedOut);
-        }
-        if self.observer.should_cancel() {
-            return finish(report, MachineStatus::Cancelled);
-        }
-
-        // Stage 2: state assignment.  `encode` itself checks the gate-level
-        // limits (before emitting any stage event), so over-limit machines
-        // come back as `solve-only` with no duplicate predicate here.  Each
-        // of the remaining stages gets its own deadline window, checked on
-        // completion (they have no internal cancellation points).
-        let stage = self.stage_deadline();
-        let encoded = match self.encode(&decomposition) {
-            Ok(encoded) => encoded,
-            Err(SessionError::GateLevelLimit { .. }) => {
-                return finish(report, MachineStatus::SolveOnly)
+    /// The one place the flow is sequenced and stopped.  The enabled rows
+    /// of [`Stage::ALL`] run in table order; a machine beyond the gate-level
+    /// limits runs only solve and analyze and ends `solve-only`.  Before
+    /// every stage after solve the machine timeout (`timeout`) and the
+    /// observer (`cancelled`) are checked; after every stage its
+    /// stage-deadline window is (`timeout`, keeping that stage's section).
+    /// The solve stage also stops inside the search, through
+    /// [`SolveAdapter`], when the window closes or the observer cancels.
+    fn walk(&self, machine: &Mealy, report: &mut MachineReport) -> Result<(), MachineStatus> {
+        let machine_deadline = self
+            .config
+            .pipeline
+            .machine_timeout
+            .map(|t| Instant::now() + t);
+        let gate_level = self.within_gate_level(machine);
+        let stages = Stage::ALL.into_iter().filter(|&stage| {
+            stage.enabled(&self.config)
+                && (gate_level || matches!(stage, Stage::Solve | Stage::Analyze))
+        });
+        let mut flow = Flow::default();
+        for stage in stages {
+            if stage != Stage::Solve {
+                if past(machine_deadline) {
+                    return Err(MachineStatus::TimedOut);
+                }
+                if self.observer.should_cancel() {
+                    return Err(MachineStatus::Cancelled);
+                }
             }
-            Err(SessionError::RealizationInvalid { .. }) => unreachable!("verified above"),
-        };
-        if past(stage) {
-            return finish(report, MachineStatus::TimedOut);
-        }
-
-        // Stage 3: two-level logic synthesis, plus the per-block structural
-        // and SCOAP analysis when the analysis stage is on.
-        let stage = self.stage_deadline();
-        let netlist = self.synthesize_logic(&encoded);
-        report.logic = Some(netlist.logic_report());
-        if let Some(analysis) = report.analysis.as_mut() {
-            analysis.blocks = self.analyze_netlist(&netlist);
-        }
-        if past(machine_deadline) || past(stage) {
-            return finish(report, MachineStatus::TimedOut);
-        }
-        if self.observer.should_cancel() {
-            return finish(report, MachineStatus::Cancelled);
-        }
-
-        // Stage 4: two-session self-test planning and coverage estimation.
-        // The machine-level timeout is deliberately not checked after the
-        // last core stage (its sections are all in by then); the stage
-        // deadline is, since a blown window is a per-stage fact.
-        let stage = self.stage_deadline();
-        let plan = self.plan_bist(&netlist);
-        report.bist = Some(plan.bist_report());
-        if past(stage) {
-            return finish(report, MachineStatus::TimedOut);
-        }
-
-        // Stages 5-7 (optional): exact fault coverage of the plan,
-        // coverage-driven plan optimization and code generation, in table
-        // order.  Each polls for cancellation first and gets its own
-        // stage-deadline window.  The optimized plan is kept so the emit
-        // stage can bake its pattern sources in; reports carry emitted-code
-        // digests only.
-        let mut optimized: Option<OptimizedPlan> = None;
-        for stage in [Stage::Coverage, Stage::Optimize, Stage::Emit] {
-            if !stage.enabled(&self.config) {
-                continue;
-            }
-            if self.observer.should_cancel() {
-                return finish(report, MachineStatus::Cancelled);
-            }
+            // `decompose_only` opens its own window after this one, so a
+            // search the deadline stopped is always past this window too.
             let window = self.stage_deadline();
-            match stage {
-                Stage::Coverage => {
-                    let coverage = self.measure_coverage(&plan);
-                    if let Some(bist) = report.bist.as_mut() {
-                        coverage.annotate(bist);
-                    }
-                }
-                Stage::Optimize => {
-                    let plan = self.optimize_plan(&plan);
-                    report.optimize = Some(plan.optimize_report());
-                    optimized = Some(plan);
-                }
-                _ => report.emit = Some(self.emit_code(&plan, optimized.as_ref()).emit_report()),
+            let outcome = self.run_stage(stage, machine, &mut flow, report);
+            if past(window) && matches!(outcome, Ok(()) | Err(MachineStatus::Cancelled)) {
+                return Err(MachineStatus::TimedOut);
             }
-            if past(window) {
-                return finish(report, MachineStatus::TimedOut);
+            outcome?;
+        }
+        if gate_level {
+            Ok(())
+        } else {
+            Err(MachineStatus::SolveOnly)
+        }
+    }
+
+    /// Runs one stage of [`Self::walk`]: the stage's typed method on the
+    /// artifacts of the stages before it, its report section, and the
+    /// artifact later stages consume.  `Err` stops the flow with a status.
+    fn run_stage(
+        &self,
+        stage: Stage,
+        machine: &Mealy,
+        flow: &mut Flow,
+        report: &mut MachineReport,
+    ) -> Result<(), MachineStatus> {
+        match stage {
+            Stage::Solve => {
+                let decomposition = self.decompose_only(machine);
+                report.solve = Some(decomposition.solve_report());
+                if !decomposition.verified {
+                    return Err(MachineStatus::Error(
+                        "the realization of the best OSTR solution does not realize the \
+                         specification"
+                            .into(),
+                    ));
+                }
+                if decomposition.cancelled() {
+                    return Err(MachineStatus::Cancelled);
+                }
+                flow.decomposition = Some(decomposition);
+            }
+            Stage::Encode => {
+                let encoded = self.encode(earlier(&flow.decomposition));
+                flow.encoded = Some(encoded.map_err(|e| MachineStatus::Error(e.to_string()))?);
+            }
+            Stage::Logic => {
+                let netlist = self.synthesize_logic(earlier(&flow.encoded));
+                report.logic = Some(netlist.logic_report());
+                flow.netlist = Some(netlist);
+            }
+            Stage::Bist => {
+                let plan = self.plan_bist(earlier(&flow.netlist));
+                report.bist = Some(plan.bist_report());
+                flow.plan = Some(plan);
+            }
+            Stage::Coverage => {
+                let coverage = self.measure_coverage(earlier(&flow.plan));
+                if let Some(bist) = report.bist.as_mut() {
+                    coverage.annotate(bist);
+                }
+            }
+            Stage::Optimize => {
+                let optimized = self.optimize_plan(earlier(&flow.plan));
+                report.optimize = Some(optimized.optimize_report());
+                flow.optimized = Some(optimized);
+            }
+            // The machine-level lints need no netlist; the per-block analysis
+            // runs when the gate-level stages produced one.
+            Stage::Analyze => {
+                report.analysis = Some(AnalysisReport {
+                    diagnostics: self.lint_machine(machine),
+                    blocks: flow
+                        .netlist
+                        .as_ref()
+                        .map(|netlist| self.analyze_netlist(netlist))
+                        .unwrap_or_default(),
+                });
+            }
+            Stage::Emit => {
+                let code = self.emit_code(earlier(&flow.plan), flow.optimized.as_ref());
+                report.emit = Some(code.emit_report());
             }
         }
-        finish(report, MachineStatus::Full)
+        Ok(())
     }
 
     /// Runs the whole corpus on the session's worker pool (the resolved
@@ -1317,6 +1283,23 @@ fn blank_report(entry: &CorpusEntry, status: MachineStatus) -> MachineReport {
         analysis: None,
         emit: None,
     }
+}
+
+/// The artifacts [`Synthesis::walk`] has produced so far for one machine.
+#[derive(Default)]
+struct Flow {
+    decomposition: Option<Decomposition>,
+    encoded: Option<Encoded>,
+    netlist: Option<Netlist>,
+    plan: Option<BistPlan>,
+    optimized: Option<OptimizedPlan>,
+}
+
+/// The artifact of a stage that [`Stage::ALL`] orders before the one asking.
+fn earlier<T>(artifact: &Option<T>) -> &T {
+    artifact
+        .as_ref()
+        .expect("Stage::ALL runs every stage after the stages it consumes")
 }
 
 fn past(deadline: Option<Instant>) -> bool {
@@ -1492,21 +1475,31 @@ mod tests {
     }
 
     #[test]
-    fn emit_machine_produces_both_targets_and_honours_the_name_override() {
+    fn the_emit_stage_produces_both_targets_and_honours_the_name_override() {
         let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
-        let rust = small_session().emit_machine(&corpus[0]).unwrap();
-        assert_eq!(rust.target, EmitTarget::Rust);
+        let emit = |builder: SynthesisBuilder| {
+            let report = builder.max_nodes(10_000).emit(true).build().run(&corpus[0]);
+            report.emit.expect("tav is within the gate-level limits")
+        };
+        let rust = emit(Synthesis::builder());
+        assert_eq!(rust.target, "rust");
         assert!(rust.modules[0].source.contains("#![no_std]"));
         assert!(rust.modules[0].source.contains("pub fn self_test"));
 
-        let mut builder = Synthesis::builder().max_nodes(10_000).jobs(1);
-        builder = builder.set("emit.target", "verilog").unwrap();
-        builder = builder.set("emit.module_name", "My Ctrl-2").unwrap();
-        let verilog = builder.build().emit_machine(&corpus[0]).unwrap();
-        assert_eq!(verilog.target, EmitTarget::Verilog);
-        assert_eq!(verilog.modules[0].file_name, "my_ctrl_2.v");
-        assert!(verilog.modules[0].source.contains("module my_ctrl_2"));
-        assert!(verilog.modules[0].source.contains("module my_ctrl_2_bist"));
+        let builder = Synthesis::builder()
+            .set("emit.target", "verilog")
+            .unwrap()
+            .set("emit.module_name", "My Ctrl-2")
+            .unwrap();
+        let verilog = emit(builder);
+        assert_eq!(verilog.target, "verilog");
+        let module = &verilog.modules[0];
+        assert_eq!(module.file, "my_ctrl_2.v");
+        assert!(module.source.contains("module my_ctrl_2"));
+        assert!(module.source.contains("module my_ctrl_2_bist"));
+        // The digest the JSON report renders is the digest of this source.
+        assert_eq!(module.bytes, module.source.len());
+        assert_eq!(module.fnv1a, stc_emit::fnv1a(module.source.as_bytes()));
     }
 
     #[test]

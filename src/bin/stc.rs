@@ -397,7 +397,14 @@ impl Observer for ProgressObserver {
     fn on_event(&self, event: &Event<'_>) {
         match event {
             Event::StageStarted { machine, stage } => self.line(machine, &format!("{stage} …")),
-            Event::StageFinished { machine, stage } => self.line(machine, &format!("{stage} ok")),
+            Event::StageFinished {
+                machine,
+                stage,
+                elapsed,
+            } => self.line(
+                machine,
+                &format!("{stage} ok ({:.3} ms)", elapsed.as_secs_f64() * 1e3),
+            ),
             Event::SolverProgress { machine, nodes } => {
                 self.line(machine, &format!("solve {nodes} nodes"));
             }
@@ -465,8 +472,8 @@ enum Epilogue {
     /// The finding counts on stderr; exit 1 when any finding reaches error
     /// severity.
     LintGate,
-    /// The summary table on stderr; `--out DIR` receives the generated
-    /// sources while the digest JSON always goes to stdout.
+    /// The summary table on stderr; `--out DIR` receives the run's
+    /// generated sources while the digest JSON always goes to stdout.
     WriteSources,
 }
 
@@ -588,8 +595,7 @@ fn cmd_flow(command: &FlowCommand, args: &[String]) -> Result<ExitCode, String> 
     if progress {
         builder = builder.observer(Arc::new(ProgressObserver::new()));
     }
-    let session = builder.build();
-    let SuiteRun { report, timings } = session.run_suite(&corpus, &label);
+    let SuiteRun { report, timings } = builder.build().run_suite(&corpus, &label);
 
     let mut code = ExitCode::SUCCESS;
     match command.epilogue {
@@ -619,7 +625,7 @@ fn cmd_flow(command: &FlowCommand, args: &[String]) -> Result<ExitCode, String> 
     }
     if command.epilogue == Epilogue::WriteSources {
         if let Some(dir) = out.take() {
-            write_sources(&session, &corpus, &dir)?;
+            write_sources(&report, &dir)?;
         }
     }
     let json = (command.project)(&report).to_pretty();
@@ -634,22 +640,22 @@ fn write_file(path: &Path, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// `stc emit --out DIR`: writes each gate-level machine's generated modules
-/// into `dir`.
-fn write_sources(session: &Synthesis, corpus: &[CorpusEntry], dir: &Path) -> Result<(), String> {
+/// `stc emit --out DIR`: writes the modules the run just generated into
+/// `dir`.
+fn write_sources(report: &SuiteReport, dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut written = 0usize;
-    for entry in corpus {
-        match session.emit_machine(entry) {
-            Ok(code) => {
-                for module in &code.modules {
-                    write_file(&dir.join(&module.file_name), &module.source)?;
-                    written += 1;
-                }
-            }
-            // Machines beyond the gate-level limits have no netlist to
-            // compile; their report rows already say solve-only.
-            Err(e) => eprintln!("stc emit: {}: skipped ({e})", entry.name()),
+    for machine in &report.machines {
+        let Some(emit) = &machine.emit else {
+            // Solve-only machines have no netlist to compile, and a flow
+            // stopped early never reached emit; the status says which.
+            let status = machine.status.as_json_str();
+            eprintln!("stc emit: {}: skipped ({status})", machine.name);
+            continue;
+        };
+        for module in &emit.modules {
+            write_file(&dir.join(&module.file), &module.source)?;
+            written += 1;
         }
     }
     eprintln!("stc emit: wrote {written} module(s) to {}", dir.display());

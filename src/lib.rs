@@ -140,24 +140,26 @@
 //!
 //! An [`Observer`] attached via [`SynthesisBuilder::observer`] receives
 //! the full event vocabulary of [`Event`]: `StageStarted` /
-//! `StageFinished` (stage names from the [`pipeline::Stage`] table),
-//! `SolverProgress`, `IncumbentImproved`, `BudgetExhausted`,
-//! `OptimizeCandidate` / `OptimizeIncumbent` (the plan optimizer's search
-//! progress) and
-//! `MachineFinished` — and may request cooperative cancellation via
-//! `should_cancel`.  Events are a side channel: attaching an observer
-//! never changes report bytes.
+//! `StageFinished` (stage names from the [`pipeline::Stage::ALL`] table;
+//! each `StageFinished` carries the stage's wall-clock `elapsed`, timed
+//! once by the session), `SolverProgress`, `IncumbentImproved`,
+//! `BudgetExhausted`, `OptimizeCandidate` / `OptimizeIncumbent` (the plan
+//! optimizer's search progress) and `MachineFinished` — and may request
+//! cooperative cancellation via `should_cancel`.  Events are a side
+//! channel: attaching an observer never changes report bytes.
 //!
 //! ```
+//! use stc::pipeline::Stage;
 //! use stc::{Event, Observer, Synthesis};
 //! use std::sync::{Arc, Mutex};
+//! use std::time::Duration;
 //!
 //! #[derive(Default)]
-//! struct Trace(Mutex<Vec<&'static str>>);
+//! struct Trace(Mutex<Vec<(&'static str, Duration)>>);
 //! impl Observer for Trace {
 //!     fn on_event(&self, event: &Event<'_>) {
-//!         if let Event::StageFinished { stage, .. } = event {
-//!             self.0.lock().unwrap().push(stage);
+//!         if let Event::StageFinished { stage, elapsed, .. } = event {
+//!             self.0.lock().unwrap().push((stage, *elapsed));
 //!         }
 //!     }
 //! }
@@ -170,9 +172,10 @@
 //! )
 //! .unwrap();
 //! session.run(&corpus[0]);
-//! let stages = trace.0.lock().unwrap().clone();
-//! assert!(stages.contains(&stc::pipeline::Stage::Solve.name()));
-//! assert!(stages.contains(&stc::pipeline::Stage::Bist.name()));
+//! let stages: Vec<&str> = trace.0.lock().unwrap().iter().map(|(s, _)| *s).collect();
+//! // The default flow runs the first four rows of the stage table, in order.
+//! let table: Vec<&str> = Stage::ALL[..4].iter().map(|s| s.name()).collect();
+//! assert_eq!(stages, table);
 //! ```
 //!
 //! # The service layer

@@ -14,7 +14,8 @@
 //!    ```
 //!
 //! 2. **Differential compile-and-run** — for every gate-level embedded
-//!    machine the emitted Rust module is compiled *standalone* with `rustc`
+//!    machine the Rust module a `Synthesis::run` with emit on generated is
+//!    compiled *standalone* with `rustc`
 //!    (proving the `#![no_std]` module has no hidden dependencies), then a
 //!    generated harness links against it and checks the generated `step()`
 //!    cycle-for-cycle against `Netlist::evaluate` over 1200 directed and
@@ -22,11 +23,15 @@
 //!    against the session's own BIST simulation.  Codegen bugs that keep
 //!    the digest stable (none) cannot exist, but codegen bugs introduced
 //!    *with* an intentional re-golden are caught here.
+//!
+//! The CLI tests drive the `stc` binary itself: `stc emit --out DIR` writes
+//! the modules its digest JSON lists, and `stc run --progress` times every
+//! stage it reports finished.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use stc::pipeline::{embedded_corpus, emit_json, StcConfig, SuiteRun, Synthesis};
+use stc::pipeline::{embedded_corpus, emit_json, Json, StcConfig, SuiteRun, Synthesis};
 
 fn emit_suite(jobs: &str) -> SuiteRun {
     let mut config = StcConfig::default();
@@ -137,15 +142,15 @@ fn emitted_rust_compiles_standalone_and_matches_the_netlist() {
     let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("emit-gate");
     std::fs::create_dir_all(&scratch).expect("scratch dir");
 
-    let session = Synthesis::builder().jobs(1).build();
+    let session = Synthesis::builder().jobs(1).emit(true).build();
     let mut verified = 0usize;
     for entry in &embedded_corpus() {
         // Machines beyond the gate-level limits have no netlist to compile.
-        let Ok(code) = session.emit_machine(entry) else {
+        let Some(emit) = session.run(entry).emit else {
             continue;
         };
-        assert_eq!(code.modules.len(), 1, "{}", entry.name());
-        let module = &code.modules[0];
+        assert_eq!(emit.modules.len(), 1, "{}", entry.name());
+        let module = &emit.modules[0];
 
         // The reference trace comes from the session's own typed artifacts:
         // the same netlists the BIST plan was computed from.
@@ -181,7 +186,7 @@ fn emitted_rust_compiles_standalone_and_matches_the_netlist() {
 
         let dir = scratch.join(entry.name());
         std::fs::create_dir_all(&dir).expect("machine dir");
-        let module_path = dir.join(&module.file_name);
+        let module_path = dir.join(&module.file);
         std::fs::write(&module_path, &module.source).expect("write module");
 
         // Standalone compile: the emitted file is its own no_std crate with
@@ -221,6 +226,78 @@ fn emitted_rust_compiles_standalone_and_matches_the_netlist() {
         verified, 9,
         "the differential gate must cover all 9 gate-level embedded machines"
     );
+}
+
+/// Runs the `stc` binary, asserting success; returns stdout and stderr.
+fn stc(args: &[&str]) -> (String, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_stc"))
+        .args(args)
+        .output()
+        .expect("spawn stc");
+    assert!(
+        output.status.success(),
+        "stc {args:?} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    (
+        String::from_utf8(output.stdout).expect("utf-8 stdout"),
+        String::from_utf8(output.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn emit_out_writes_the_modules_its_digests_list() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("emit-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    let (stdout, stderr) = stc(&[
+        "emit", "--suite", "embedded", "--jobs", "1", "--out", dir_arg,
+    ]);
+    let digests = Json::parse(&stdout).expect("digest JSON on stdout");
+    let mut listed = 0usize;
+    for machine in digests.get("machines").unwrap().as_array().unwrap() {
+        let Some(emit) = machine.get("emit").filter(|e| **e != Json::Null) else {
+            continue;
+        };
+        for module in emit.get("modules").unwrap().as_array().unwrap() {
+            let file = module.get("file").unwrap().as_str().unwrap();
+            let source = std::fs::read(dir.join(file)).expect("every listed module is written");
+            assert_eq!(
+                Some(source.len() as u64),
+                module.get("bytes").unwrap().as_u64(),
+                "{file}"
+            );
+            // The JSON renders the 64-bit hash as a number, which is exact
+            // only up to an f64's precision; compare at that precision.
+            #[allow(clippy::cast_precision_loss)]
+            let hash = stc::emit::fnv1a(&source) as f64;
+            assert_eq!(Some(hash), module.get("fnv1a").unwrap().as_f64(), "{file}");
+            listed += 1;
+        }
+    }
+    assert_eq!(listed, 9, "one module per gate-level embedded machine");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), listed);
+    assert!(
+        stderr.contains(&format!("wrote {listed} module(s)")),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn progress_lines_carry_each_stage_time() {
+    let (_, stderr) = stc(&["run", "--machine", "tav", "--progress"]);
+    let finished: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with('[') && l.split_whitespace().any(|w| w == "ok"))
+        .collect();
+    assert_eq!(finished.len(), 4, "solve, encode, logic, bist:\n{stderr}");
+    for line in finished {
+        let time = line
+            .split_once(" ok (")
+            .and_then(|(_, rest)| rest.strip_suffix(" ms)"))
+            .unwrap_or_else(|| panic!("no stage time on '{line}'"));
+        assert!(time.parse::<f64>().is_ok_and(|ms| ms >= 0.0), "{line}");
+    }
 }
 
 fn run_differential(binary: &Path, machine: &str) {

@@ -148,3 +148,31 @@ fn the_encoding_key_changes_only_its_config_echo() {
         gray_json.replace(&echo("gray"), &echo("binary"))
     );
 }
+
+/// Pins the 13 embedded stand-in machines by content: every golden, emit
+/// digest and perfbench digest rests on them, so a change to how the suite
+/// is built must leave each machine's `stable_hash` where it is.
+#[test]
+fn the_embedded_stand_ins_keep_their_content_hashes() {
+    const PINNED: [(&str, u64); 13] = [
+        ("bbara", 0x5efe_c4c2_330d_89f5),
+        ("bbtas", 0x436a_2ff2_e85b_5b26),
+        ("dk14", 0x4df2_501e_df28_9745),
+        ("dk15", 0xd954_e375_1510_4ae4),
+        ("dk16", 0x3f55_749b_568f_695b),
+        ("dk17", 0x87b9_e63d_d1ef_89f0),
+        ("dk27", 0x6cf2_5f02_ab20_dc9d),
+        ("dk512", 0x4d8f_7ae4_69c2_b740),
+        ("mc", 0xbb8a_fe5b_b628_e217),
+        ("ex1", 0x10d6_6fe5_c30a_2cc2),
+        ("shiftreg", 0x9564_aa2f_d283_717f),
+        ("tav", 0x810f_d3db_46b5_a11f),
+        ("tbk", 0xd436_a224_5a5c_3d3d),
+    ];
+    let corpus = embedded_corpus();
+    let hashes: Vec<(&str, u64)> = corpus
+        .iter()
+        .map(|entry| (entry.name(), entry.machine.stable_hash()))
+        .collect();
+    assert_eq!(hashes, PINNED);
+}

@@ -4,6 +4,7 @@
 
 use stc::pipeline::{embedded_corpus, filter_by_names, GateLevelLimits, MachineStatus};
 use stc::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -178,6 +179,33 @@ fn early_stops_keep_the_solve_section_and_report_their_cause() {
     }
 }
 
+/// The machine timeout is checked before every stage after solve, not only
+/// after the first gate-level ones: a machine whose deadline passes while
+/// bist finishes stops before coverage, keeping the bist section.
+#[test]
+fn the_machine_timeout_is_checked_after_bist() {
+    struct SlowAfterBist;
+    impl Observer for SlowAfterBist {
+        fn on_event(&self, event: &Event<'_>) {
+            if let Event::StageFinished { stage: "bist", .. } = event {
+                std::thread::sleep(Duration::from_millis(600));
+            }
+        }
+    }
+    let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
+    let run = Synthesis::builder()
+        .coverage(true)
+        .machine_timeout(Some(Duration::from_millis(500)))
+        .observer(Arc::new(SlowAfterBist))
+        .jobs(1)
+        .build()
+        .run_suite(&corpus, "late-timeout");
+    let tav = &run.report.machines[0];
+    assert_eq!(tav.status, MachineStatus::TimedOut);
+    let bist = tav.bist.as_ref().expect("the bist section is kept");
+    assert_eq!(bist.measured_coverage, None, "coverage must not run");
+}
+
 /// Under parallel subtree exploration a one-shot cancel can be consumed by
 /// a speculative pass whose outcome the reduction discards; the stop must
 /// still be reflected in the typed result.
@@ -309,19 +337,35 @@ fn a_cancelled_corpus_run_reports_every_machine() {
     assert!(run.report.to_json_string().contains("\"cancelled\": 1"));
 }
 
-/// Observer recording event lines for ordering assertions.
+/// Observer recording event lines for ordering assertions, and the summed
+/// stage time of each machine.
 #[derive(Default)]
-struct Recorder(Mutex<Vec<String>>);
+struct Recorder {
+    lines: Mutex<Vec<String>>,
+    stage_time: Mutex<BTreeMap<String, Duration>>,
+}
 
 impl Observer for Recorder {
     fn on_event(&self, event: &Event<'_>) {
         let line = match event {
             Event::StageStarted { machine, stage } => format!("{machine}:{stage}:start"),
-            Event::StageFinished { machine, stage } => format!("{machine}:{stage}:finish"),
+            Event::StageFinished {
+                machine,
+                stage,
+                elapsed,
+            } => {
+                *self
+                    .stage_time
+                    .lock()
+                    .unwrap()
+                    .entry((*machine).to_string())
+                    .or_default() += *elapsed;
+                format!("{machine}:{stage}:finish")
+            }
             Event::MachineFinished { machine, status } => format!("{machine}:done:{status}"),
             _ => return,
         };
-        self.0.lock().unwrap().push(line);
+        self.lines.lock().unwrap().push(line);
     }
 }
 
@@ -336,7 +380,7 @@ fn stage_events_bracket_each_stage_in_order() {
     let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
     let run = session.run_suite(&corpus, "events");
     assert_eq!(run.report.machines[0].status, MachineStatus::Full);
-    let events = observer.0.lock().unwrap().clone();
+    let events = observer.lines.lock().unwrap().clone();
     assert_eq!(
         events,
         [
@@ -354,7 +398,9 @@ fn stage_events_bracket_each_stage_in_order() {
 }
 
 /// Events are side-channel only: an observer that never cancels must leave
-/// the report byte-identical to an observer-free run.
+/// the report byte-identical to an observer-free run.  The stage times the
+/// finished events carry add up, per machine, to no more than the machine's
+/// own wall-clock timing.
 #[test]
 fn observers_never_change_the_report() {
     let corpus = filter_by_names(
@@ -367,15 +413,32 @@ fn observers_never_change_the_report() {
     )
     .unwrap();
     let bare = Synthesis::builder().jobs(2).build().run_suite(&corpus, "s");
+    let recorder = Arc::new(Recorder::default());
     let observed = Synthesis::builder()
         .jobs(2)
-        .observer(Arc::new(Recorder::default()))
+        .observer(recorder.clone())
         .build()
         .run_suite(&corpus, "s");
     assert_eq!(
         bare.report.to_json_string(),
         observed.report.to_json_string()
     );
+    let stage_time = recorder.stage_time.lock().unwrap().clone();
+    assert_eq!(stage_time.len(), observed.timings.len());
+    for timing in &observed.timings {
+        let summed = stage_time[&timing.name];
+        assert!(
+            summed > Duration::ZERO,
+            "{}: stages carry no time",
+            timing.name
+        );
+        assert!(
+            summed <= timing.elapsed,
+            "{}: stages sum to {summed:?}, the machine took {:?}",
+            timing.name,
+            timing.elapsed
+        );
+    }
 }
 
 #[test]
