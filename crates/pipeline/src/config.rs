@@ -50,10 +50,7 @@ impl std::error::Error for ConfigError {}
 /// description — kept next to the parser so the list cannot drift, and used
 /// verbatim in unknown-key error messages and the CLI help text.
 pub const CONFIG_KEYS: &[(&str, &str)] = &[
-    (
-        "jobs",
-        "worker threads for corpus runs and serve (0 = auto)",
-    ),
+    ("jobs", "corpus-runner worker threads (0 = auto)"),
     ("solver.max_nodes", "OSTR node budget per machine"),
     (
         "solver.time_limit_secs",

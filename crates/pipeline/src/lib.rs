@@ -13,8 +13,8 @@
 //!   → [`Netlist`] → [`BistPlan`] → [`MachineReport`]), progress events and
 //!   cooperative cancellation ([`Observer`]);
 //! * [`embedded_corpus`] / [`kiss2_corpus`] — corpus loading;
-//! * [`serve_with`] — the JSON-lines request loop behind `stc serve`;
-//! * [`NetServer`] — the TCP front end speaking the same protocol
+//! * [`serve_with`] — the in-order JSON-lines request loop behind `stc serve`;
+//! * [`NetServer`] — the TCP front end running the same loop per connection
 //!   (`stc serve --listen`), with connection limits and graceful shutdown;
 //! * [`ArtifactCache`] — the content-addressed response cache keyed by
 //!   `(machine hash, config fingerprint)`;
@@ -78,7 +78,7 @@ pub use report::{
     MachineStatus, OptimizeReport, OptimizeSessionReport, SolveReport, SuiteReport, SuiteSummary,
     TestPointSuggestion, REPORT_SCHEMA_VERSION,
 };
-pub use serve::{serve_with, ServeOptions, ServeStats};
+pub use serve::{serve_with, ServeStats};
 pub use session::{
     BistPlan, CoverageReport, Decomposition, EmittedCode, Encoded, MachineTiming, Netlist,
     OptimizedPlan, SessionError, Stage, SuiteRun, Synthesis, SynthesisBuilder,

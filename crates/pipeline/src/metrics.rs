@@ -2,7 +2,7 @@
 //!
 //! One [`ServeMetrics`] instance lives for the whole life of a serve loop
 //! (stdin/stdout or network) and aggregates lock-free counters: request
-//! outcomes, queue depth, connection accounting, per-stage latency (the
+//! outcomes, connection accounting, per-stage latency (the
 //! metrics are themselves the [`Observer`] of every serve session and add up
 //! the stage times [`Event::StageFinished`] carries) and end-to-end request
 //! latency.  A snapshot is exposed two ways:
@@ -31,9 +31,9 @@ struct StageCounter {
 
 /// Lock-free service counters for one serve loop.
 ///
-/// All counters are monotonic except the two gauges (`queue_depth`,
-/// `connections_active`).  Relaxed ordering everywhere: the values are
-/// statistics, not synchronisation.
+/// All counters are monotonic except the one gauge, `connections_active`.
+/// Relaxed ordering everywhere: the values are statistics, not
+/// synchronisation.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     requests: AtomicU64,
@@ -41,8 +41,6 @@ pub struct ServeMetrics {
     errors: AtomicU64,
     pings: AtomicU64,
     stats_requests: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_peak: AtomicU64,
     connections_active: AtomicU64,
     connections_total: AtomicU64,
     connections_rejected: AtomicU64,
@@ -54,7 +52,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Creates zeroed metrics behind an [`Arc`], ready to be shared between
-    /// the serve loop, its workers and a stats thread.
+    /// the serve loop, its connections and a stats thread.
     #[must_use]
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::default())
@@ -83,17 +81,6 @@ impl ServeMetrics {
     /// Records a `stats` request.
     pub fn stats_request(&self) {
         self.stats_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request entering the work queue.
-    pub fn enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records a request leaving the work queue (picked up by a worker).
-    pub fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records an accepted connection; pair with [`Self::connection_closed`].
@@ -160,10 +147,6 @@ impl ServeMetrics {
                 )),
             ),
         ]);
-        let queue_section = Json::Object(vec![
-            ("depth".into(), load(&self.queue_depth)),
-            ("peak".into(), load(&self.queue_peak)),
-        ]);
         let connections_section = Json::Object(vec![
             ("active".into(), load(&self.connections_active)),
             ("total".into(), load(&self.connections_total)),
@@ -203,7 +186,6 @@ impl ServeMetrics {
         );
         Json::Object(vec![
             ("requests".into(), requests_section),
-            ("queue".into(), queue_section),
             ("connections".into(), connections_section),
             ("cache".into(), cache_section),
             ("stages".into(), stages_section),
@@ -228,13 +210,11 @@ impl ServeMetrics {
             }
         };
         format!(
-            "requests={} ok={} errors={} queue={} (peak {}) connections={}/{} rejected={} \
+            "requests={} ok={} errors={} connections={}/{} rejected={} \
              mean_service_ms={:.2} {}",
             self.requests.load(Ordering::Relaxed),
             self.ok.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
-            self.queue_depth.load(Ordering::Relaxed),
-            self.queue_peak.load(Ordering::Relaxed),
             self.connections_active.load(Ordering::Relaxed),
             self.connections_total.load(Ordering::Relaxed),
             self.connections_rejected.load(Ordering::Relaxed),
@@ -292,9 +272,6 @@ mod tests {
         metrics.response(false);
         metrics.ping();
         metrics.stats_request();
-        metrics.enqueued();
-        metrics.enqueued();
-        metrics.dequeued();
         metrics.connection_opened();
         metrics.connection_rejected();
         metrics.request_served_in(2_000_000);
@@ -306,9 +283,6 @@ mod tests {
         assert_eq!(requests.get("pings").unwrap().as_u64(), Some(1));
         assert_eq!(requests.get("stats").unwrap().as_u64(), Some(1));
         assert_eq!(requests.get("mean_service_ms").unwrap().as_f64(), Some(2.0));
-        let queue = snapshot.get("queue").unwrap();
-        assert_eq!(queue.get("depth").unwrap().as_u64(), Some(1));
-        assert_eq!(queue.get("peak").unwrap().as_u64(), Some(2));
         let connections = snapshot.get("connections").unwrap();
         assert_eq!(connections.get("active").unwrap().as_u64(), Some(1));
         assert_eq!(connections.get("rejected").unwrap().as_u64(), Some(1));

@@ -1,24 +1,20 @@
 //! The TCP front end of `stc serve`: the same JSON-lines protocol as the
 //! stdin/stdout loop, served to concurrent network clients.
 //!
-//! Each accepted connection is an independent JSON-lines conversation —
-//! requests on a connection are answered **in order, on that connection**
-//! (per-connection framing; the out-of-order caveat of the stdin worker
-//! pool does not apply here).  Concurrency comes from serving many
+//! Each accepted connection is an independent conversation through the same
+//! in-order loop as stdin/stdout, so requests on a connection are answered
+//! **in order, on that connection**.  Concurrency comes from serving many
 //! connections at once, one thread per connection, bounded by
 //! [`NetOptions::max_connections`]; a client over the limit receives one
 //! error line and is disconnected.  All connections share one
 //! [`crate::ArtifactCache`] and one [`crate::ServeMetrics`], so a machine
 //! synthesized for one client is a cache hit for every other.
 //!
-//! Two requests are network-specific:
-//!
-//! * `{"id":…, "shutdown": true}` — acknowledged with
-//!   `{"id":…,"ok":true,"shutdown":true}`, then the server stops accepting,
-//!   drains open connections and returns (the same graceful path as
-//!   [`ServerHandle::shutdown`]);
-//! * `{"stats": true}` works as on stdin and additionally reports
-//!   connection counters.
+//! Over TCP, `{"id":…, "shutdown": true}` stops the whole server: it is
+//! acknowledged with `{"id":…,"ok":true,"shutdown":true}`, then the server
+//! stops accepting, drains open connections and returns (the same graceful
+//! path as [`ServerHandle::shutdown`]).  `{"stats": true}` reports the
+//! connection counters along with the rest.
 //!
 //! Shutdown is cooperative: the accept loop and every connection reader
 //! poll a shared flag on a short timeout, so [`NetServer::run`] returns
@@ -28,8 +24,8 @@
 use crate::cache::CacheLimits;
 use crate::config::StcConfig;
 use crate::json::Json;
-use crate::serve::{ServeContext, ServeStats};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use crate::serve::{converse, ServeContext, ServeStats};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -216,10 +212,7 @@ impl NetServer {
             Ok(())
         });
         result?;
-        Ok(ServeStats {
-            requests: self.context.metrics().requests(),
-            errors: self.context.metrics().errors(),
-        })
+        Ok(self.context.stats())
     }
 }
 
@@ -238,8 +231,9 @@ fn reject(mut stream: TcpStream, limit: usize) {
     let _ = writeln!(stream, "{line}");
 }
 
-/// Serves one connection's JSON-lines conversation until the client closes,
-/// an I/O error occurs, or shutdown is requested.
+/// Serves one connection's conversation until the client closes, an I/O
+/// error occurs, or shutdown is requested.  Errors end the connection and
+/// are otherwise ignored: the client is gone, there is nobody to tell.
 fn serve_connection(context: &ServeContext, shutdown: &AtomicBool, stream: TcpStream) {
     // A read timeout turns the blocking reader into a poll loop, so an idle
     // connection notices shutdown; a write timeout keeps one stuck client
@@ -255,67 +249,10 @@ fn serve_connection(context: &ServeContext, shutdown: &AtomicBool, stream: TcpSt
     {
         return;
     }
-    let Ok(mut writer) = stream.try_clone() else {
+    let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // On timeout, bytes already read stay appended in `line`; the next
-        // iteration keeps appending until the newline arrives.
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        let request = std::mem::take(&mut line);
-        if request.trim().is_empty() {
-            continue;
-        }
-        context.metrics().request_read();
-        // The shutdown request is a front-end concern (the stdin loop ends
-        // at EOF instead), so it is handled here, not in the shared context.
-        let is_shutdown_request = matches!(
-            Json::parse(&request),
-            Ok(ref v) if v.get("shutdown") == Some(&Json::Bool(true))
-        );
-        let response = if is_shutdown_request {
-            let id = Json::parse(&request)
-                .ok()
-                .and_then(|v| v.get("id").cloned())
-                .unwrap_or(Json::Null);
-            crate::serve::Response {
-                line: format!(
-                    "{{\"id\":{},\"ok\":true,\"shutdown\":true}}",
-                    id.to_compact()
-                ),
-                ok: true,
-            }
-        } else {
-            context.handle_line(&request)
-        };
-        if is_shutdown_request {
-            context.metrics().response(true);
-        }
-        let sent = writeln!(writer, "{}", response.line).and_then(|()| writer.flush());
-        if is_shutdown_request {
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        if sent.is_err() {
-            return;
-        }
-    }
+    let _ = converse(context, BufReader::new(stream), writer, shutdown);
 }
 
 #[cfg(test)]
@@ -410,6 +347,30 @@ mod tests {
         );
         handle.shutdown();
         running.join().unwrap().unwrap();
+    }
+
+    /// A request split across read timeouts is one request: the bytes read
+    /// before a timeout stay buffered, even when the split falls inside a
+    /// multi-byte character.
+    #[test]
+    fn a_request_split_across_read_timeouts_is_answered_once() {
+        let (addr, handle, running) = start(NetOptions::default());
+        let mut client = Client::connect(addr);
+        let request = "{\"id\": \"é\", \"ping\": true}\n".as_bytes();
+        let split = request.iter().position(|&b| !b.is_ascii()).unwrap() + 1;
+        client.writer.write_all(&request[..split]).unwrap();
+        std::thread::sleep(3 * POLL_INTERVAL);
+        client.writer.write_all(&request[split..]).unwrap();
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        let pong = Json::parse(&line).unwrap();
+        assert_eq!(pong.get("id").unwrap().as_str(), Some("é"));
+        assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        // Nothing else was answered: the next line is the next request's.
+        let next = client.roundtrip("{\"id\": 2, \"ping\": true}");
+        assert_eq!(next.get("id").unwrap().as_u64(), Some(2));
+        handle.shutdown();
+        assert_eq!(running.join().unwrap().unwrap().requests, 2);
     }
 
     #[test]

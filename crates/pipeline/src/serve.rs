@@ -20,12 +20,16 @@
 //! * `kiss2` (+ optional `name`) — an inline KISS2 machine instead;
 //! * `overrides` — an object of dotted [`crate::StcConfig`] keys layered
 //!   over the server's base configuration *for this request only* (the same
-//!   mechanism as profile files and CLI flags); `jobs` is server-level and
-//!   rejected here;
+//!   mechanism as profile files and CLI flags); `jobs` sizes only the
+//!   corpus runner and is rejected here;
 //! * `"ping": true` — answered immediately with
 //!   `{"id":…,"ok":true,"pong":true}` (any other `ping` value is ignored);
 //! * `"stats": true` — answered with a [`crate::ServeMetrics`] snapshot:
-//!   `{"id":…,"ok":true,"stats":{…}}` (same `true`-only rule as `ping`).
+//!   `{"id":…,"ok":true,"stats":{…}}` (same `true`-only rule as `ping`);
+//! * `"shutdown": true` — acknowledged with
+//!   `{"id":…,"ok":true,"shutdown":true}`, after which the conversation
+//!   reads no further request (over TCP the whole server stops; see
+//!   [`crate::NetServer`]).
 //!
 //! Successful responses carry the machine report and the effective
 //! configuration that produced it:
@@ -35,15 +39,15 @@
 //! ```
 //!
 //! failures carry `{"id":…,"ok":false,"error":"…"}` and the loop keeps
-//! serving.  The loop ends at EOF.  Requests are served by a scoped worker
-//! pool (one machine per request); with more than one worker, responses may
-//! be written *out of request order* — clients correlate by `id`.  For a
-//! fixed request, the `report` payload is deterministic: it contains no
-//! wall-clock values and does not depend on the worker count.
+//! serving.  Stdin/stdout is one conversation and each TCP connection is
+//! another; both run the same loop, which answers one request at a time,
+//! **in request order**, and ends at EOF or after a shutdown request.  For
+//! a fixed request, the `report` payload is deterministic: it contains no
+//! wall-clock values.
 //!
 //! # Artifact cache
 //!
-//! With [`ServeOptions::cache`] set, successful responses are memoized in a
+//! With cache limits given, successful responses are memoized in a
 //! content-addressed [`crate::ArtifactCache`] keyed by `(machine content
 //! hash, effective-config fingerprint)`.  A hit skips the solver and replays
 //! the stored rendering — responses are **byte-identical** cache-on vs
@@ -58,8 +62,9 @@ use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::session::Synthesis;
 use crate::CacheLimits;
-use std::io::{BufRead, Write};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::{BufRead, ErrorKind, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Counters of one serve loop, for logging and tests.
@@ -71,18 +76,9 @@ pub struct ServeStats {
     pub errors: u64,
 }
 
-/// Tuning of a serve loop beyond the base configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// Worker threads (`0` = auto via available parallelism).
-    pub jobs: usize,
-    /// Artifact-cache bounds; `None` disables caching.
-    pub cache: Option<CacheLimits>,
-}
-
 /// The shared state of one serve loop: base configuration, the embedded
 /// corpus, the optional artifact cache and the service metrics.  One context
-/// outlives all workers (and, for the network server, all connections).
+/// outlives every conversation (for the network server, all connections).
 pub(crate) struct ServeContext {
     base: StcConfig,
     corpus: Vec<CorpusEntry>,
@@ -90,12 +86,24 @@ pub(crate) struct ServeContext {
     metrics: Arc<ServeMetrics>,
 }
 
-/// A rendered response line plus its outcome flag.
-pub(crate) struct Response {
+/// A rendered response line plus its outcome flags.
+struct Response {
     /// The compact-JSON response, without trailing newline.
-    pub line: String,
+    line: String,
     /// Whether the response carries `"ok": true`.
-    pub ok: bool,
+    ok: bool,
+    /// Whether it acknowledges a shutdown request.
+    shutdown: bool,
+}
+
+impl Response {
+    fn ok(line: String) -> Self {
+        Self {
+            line,
+            ok: true,
+            shutdown: false,
+        }
+    }
 }
 
 impl ServeContext {
@@ -116,9 +124,17 @@ impl ServeContext {
         self.cache.as_ref()
     }
 
+    pub(crate) fn stats(&self) -> ServeStats {
+        ServeStats {
+            requests: self.metrics.requests(),
+            errors: self.metrics.errors(),
+        }
+    }
+
     /// Parses and serves one request line; infallible (errors become error
     /// responses).  Updates the request/outcome/latency metrics.
-    pub(crate) fn handle_line(&self, line: &str) -> Response {
+    fn handle_line(&self, line: &str) -> Response {
+        self.metrics.request_read();
         let started = Instant::now();
         let response = self.handle_request(line);
         let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -137,25 +153,32 @@ impl ServeContext {
 
         // Only `"ping": true` is a ping — a client that always serialises a
         // `ping: false` field must still get its machine served.  Same for
-        // `stats`.
+        // `stats` and `shutdown`.
+        if request.get("shutdown") == Some(&Json::Bool(true)) {
+            return Response {
+                line: format!(
+                    "{{\"id\":{},\"ok\":true,\"shutdown\":true}}",
+                    id.to_compact()
+                ),
+                ok: true,
+                shutdown: true,
+            };
+        }
         if request.get("ping") == Some(&Json::Bool(true)) {
             self.metrics.ping();
-            return Response {
-                line: format!("{{\"id\":{},\"ok\":true,\"pong\":true}}", id.to_compact()),
-                ok: true,
-            };
+            return Response::ok(format!(
+                "{{\"id\":{},\"ok\":true,\"pong\":true}}",
+                id.to_compact()
+            ));
         }
         if request.get("stats") == Some(&Json::Bool(true)) {
             self.metrics.stats_request();
             let snapshot = self.metrics.snapshot(self.cache.as_ref());
-            return Response {
-                line: format!(
-                    "{{\"id\":{},\"ok\":true,\"stats\":{}}}",
-                    id.to_compact(),
-                    snapshot.to_compact()
-                ),
-                ok: true,
-            };
+            return Response::ok(format!(
+                "{{\"id\":{},\"ok\":true,\"stats\":{}}}",
+                id.to_compact(),
+                snapshot.to_compact()
+            ));
         }
 
         // Layer the request's overrides over the server's base configuration.
@@ -166,13 +189,12 @@ impl ServeContext {
             };
             for (key, value) in entries {
                 if key == "jobs" {
-                    // The worker pool is sized once at startup and each
-                    // request runs exactly one machine, so a per-request
+                    // Each request runs exactly one machine, so a per-request
                     // 'jobs' would be silently ignored — reject it instead.
                     return error_response(
                         id,
-                        "'jobs' is a server-level setting (stc serve --jobs) and cannot be \
-                         overridden per request",
+                        "'jobs' sizes the corpus runner (stc run --jobs); a request runs one \
+                         machine, so it cannot be overridden per request",
                     );
                 }
                 let value = match value {
@@ -205,10 +227,12 @@ impl ServeContext {
             });
         if let Some((cache, key)) = &cache_key {
             if let Some(hit) = cache.get(*key, entry.name()) {
-                return Response {
-                    line: splice_ok(&id, &hit.machine_name, &hit.config_json, &hit.report_json),
-                    ok: true,
-                };
+                return Response::ok(splice_ok(
+                    &id,
+                    &hit.machine_name,
+                    &hit.config_json,
+                    &hit.report_json,
+                ));
             }
         }
 
@@ -231,7 +255,7 @@ impl ServeContext {
         if let Some((cache, key)) = cache_key {
             cache.insert(key, rendered);
         }
-        Response { line, ok: true }
+        Response::ok(line)
     }
 }
 
@@ -249,131 +273,63 @@ fn splice_ok(id: &Json, machine_name: &str, config_json: &str, report_json: &str
     )
 }
 
-/// Runs the serve loop with explicit [`ServeOptions`] (worker count,
-/// artifact cache).
-///
-/// Requests are queued with backpressure (a bounded channel of a few lines
-/// per worker), so piping a huge batch file into `stc serve` holds only the
-/// in-flight window in memory, not the whole backlog.
+/// Runs the serve loop over one reader/writer pair (the CLI passes
+/// stdin/stdout), with an artifact cache when `cache` is given.
 ///
 /// # Errors
 ///
 /// Only I/O errors on `input`/`output` abort the loop; malformed requests
 /// produce error *responses* and the loop continues.  A failed response
-/// write (e.g. `EPIPE` because the client went away) stops the workers and
-/// is returned — though, since the reader blocks on `input`, not before the
-/// current line read completes (the next request or EOF; when a client dies
-/// its pipe closes and `input` reaches EOF).
-pub fn serve_with<R: BufRead, W: Write + Send>(
+/// write (e.g. `EPIPE` because the client went away) stops the loop and is
+/// returned — a response the client never got must not look like success.
+pub fn serve_with<R: BufRead, W: Write>(
     input: R,
     output: W,
     base: &StcConfig,
-    options: &ServeOptions,
+    cache: Option<CacheLimits>,
 ) -> std::io::Result<ServeStats> {
-    let context = ServeContext::new(base.clone(), options.cache);
-    let jobs = crate::config::resolve_jobs(options.jobs);
-    serve_on(&context, input, output, jobs)
+    let context = ServeContext::new(base.clone(), cache);
+    converse(&context, input, output, &AtomicBool::new(false))?;
+    Ok(context.stats())
 }
 
-/// The worker-pool serve loop over an existing context (shared with the
-/// network front end, which runs one instance per connection with a single
-/// worker).
-pub(crate) fn serve_on<R: BufRead, W: Write + Send>(
+/// One JSON-lines conversation: reads a request line, writes and flushes its
+/// response, and repeats until EOF, an I/O error, or `stop` is set.  A
+/// shutdown request sets `stop`, so the loop ends after answering it.
+///
+/// Reads that time out (a socket's read timeout, set so that the loop polls
+/// `stop`) are retried; the bytes of a partial line read before the timeout
+/// stay buffered until its newline arrives.
+pub(crate) fn converse<R: BufRead, W: Write>(
     context: &ServeContext,
-    input: R,
-    output: W,
-    jobs: usize,
-) -> std::io::Result<ServeStats> {
-    let writer = Mutex::new(output);
-    let mut requests = 0u64;
-    // Clamp defensively: an absurd --jobs (typo, bad deployment config)
-    // must degrade to "many workers", not abort the process when the
-    // 500_000th thread spawn fails inside std::thread::scope.
-    let jobs = jobs.clamp(1, 256);
-    let (sender, receiver) = mpsc::sync_channel::<String>(jobs * 2);
-    // The workers own the receiver.  When the last of them exits (each
-    // stops on a write error), the receiver is dropped and a blocked `send`
-    // fails instead of waiting for a worker that will never come.
-    let receiver = Arc::new(Mutex::new(receiver));
-    // The first failed response write.  Workers stop on it, the reader stops
-    // feeding, and the loop returns it — a response the client never got
-    // must not look like success.
-    let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let write_failed = || {
-        write_error
-            .lock()
-            .expect("no panics while holding lock")
-            .is_some()
-    };
-
-    let io_error: Option<std::io::Error> = std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let receiver = Arc::clone(&receiver);
-            let (writer, write_error) = (&writer, &write_error);
-            scope.spawn(move || loop {
-                let line = {
-                    let receiver = receiver.lock().expect("no panics while holding lock");
-                    receiver.recv()
-                };
-                let Ok(line) = line else {
-                    break; // channel closed: EOF reached and queue drained
-                };
-                context.metrics().dequeued();
-                if write_failed() {
-                    break; // don't synthesize answers nobody can receive
-                }
-                let response = context.handle_line(&line);
-                let result = {
-                    let mut writer = writer.lock().expect("no panics while holding lock");
-                    // Write + flush under one lock so lines never interleave
-                    // and clients see each response promptly.
-                    writeln!(writer, "{}", response.line).and_then(|()| writer.flush())
-                };
-                if let Err(e) = result {
-                    write_error
-                        .lock()
-                        .expect("no panics while holding lock")
-                        .get_or_insert(e);
-                    break;
-                }
-            });
+    mut input: R,
+    mut output: W,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    while !stop.load(Ordering::Relaxed) {
+        // Raw bytes, not `read_line`: a timeout that splits a multi-byte
+        // character would make `read_line` drop the partial line.
+        match input.read_until(b'\n', &mut line) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(e) => return Err(e),
         }
-        drop(receiver);
-        for line in input.lines() {
-            if write_failed() {
-                break; // the output is gone; stop accepting work
-            }
-            match line {
-                Ok(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    requests += 1;
-                    context.metrics().request_read();
-                    context.metrics().enqueued();
-                    if sender.send(line).is_err() {
-                        break; // every worker stopped on a write error
-                    }
-                }
-                Err(e) => {
-                    drop(sender);
-                    return Some(e);
-                }
-            }
+        let request = String::from_utf8(std::mem::take(&mut line))
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+        let request = request.trim_end_matches(['\n', '\r']);
+        if request.trim().is_empty() {
+            continue;
         }
-        drop(sender); // signal EOF to the workers
-        None
-    });
-    if let Some(e) = io_error {
-        return Err(e);
+        let response = context.handle_line(request);
+        if response.shutdown {
+            stop.store(true, Ordering::Relaxed);
+        }
+        writeln!(output, "{}", response.line)?;
+        output.flush()?;
     }
-    if let Some(e) = write_error.into_inner().expect("workers joined") {
-        return Err(e);
-    }
-    Ok(ServeStats {
-        requests,
-        errors: context.metrics().errors(),
-    })
+    Ok(())
 }
 
 fn error_response(id: Json, message: &str) -> Response {
@@ -385,6 +341,7 @@ fn error_response(id: Json, message: &str) -> Response {
         ])
         .to_compact(),
         ok: false,
+        shutdown: false,
     }
 }
 
@@ -426,13 +383,13 @@ mod tests {
         config
     }
 
-    fn serve_lines(input: &str, jobs: usize) -> (Vec<Json>, ServeStats) {
-        serve_lines_with(input, &ServeOptions { jobs, cache: None })
+    fn serve_lines(input: &str) -> (Vec<Json>, ServeStats) {
+        serve_lines_with(input, None)
     }
 
-    fn serve_lines_with(input: &str, options: &ServeOptions) -> (Vec<Json>, ServeStats) {
+    fn serve_lines_with(input: &str, cache: Option<CacheLimits>) -> (Vec<Json>, ServeStats) {
         let mut output = Vec::new();
-        let stats = serve_with(input.as_bytes(), &mut output, &base(), options).unwrap();
+        let stats = serve_with(input.as_bytes(), &mut output, &base(), cache).unwrap();
         let text = String::from_utf8(output).unwrap();
         let responses = text
             .lines()
@@ -445,7 +402,6 @@ mod tests {
     fn serves_an_embedded_machine_with_overrides() {
         let (responses, stats) = serve_lines(
             "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"bist.patterns\": 8}}\n",
-            1,
         );
         assert_eq!(
             stats,
@@ -541,13 +497,10 @@ mod tests {
             ),
         ];
         for (overrides, section, echo, check) in cases {
-            let (responses, stats) = serve_lines(
-                &format!(
-                    "{{\"id\": 1, \"machine\": \"tav\", \"overrides\": {overrides}}}\n\
+            let (responses, stats) = serve_lines(&format!(
+                "{{\"id\": 1, \"machine\": \"tav\", \"overrides\": {overrides}}}\n\
                      {{\"id\": 2, \"machine\": \"tav\"}}\n"
-                ),
-                1,
-            );
+            ));
             assert_eq!(stats.errors, 0, "{overrides}");
             for r in &responses {
                 let on = r.get("id").unwrap().as_u64() == Some(1);
@@ -570,7 +523,7 @@ mod tests {
                      {\"id\": \"a\", \"machine\": \"nope\"}\n\
                      {\"id\": 2, \"overrides\": {\"bad.key\": 1}, \"machine\": \"tav\"}\n\
                      {\"id\": 3, \"ping\": true}\n";
-        let (responses, stats) = serve_lines(input, 1);
+        let (responses, stats) = serve_lines(input);
         assert_eq!(stats.requests, 4);
         assert_eq!(stats.errors, 3);
         assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
@@ -598,32 +551,47 @@ mod tests {
 
     #[test]
     fn a_failed_write_stops_the_loop_and_is_returned() {
-        for jobs in [1, 3] {
-            // Far more requests than the channel's `2 × jobs` lines: the
-            // reader must not block on a full queue nobody drains.
-            let input = "{\"ping\": true}\n".repeat(64);
-            // The loop runs on its own thread so a hang fails the test
-            // instead of stalling it.
-            let (done, outcome) = mpsc::channel();
-            let server = std::thread::spawn(move || {
-                let options = ServeOptions { jobs, cache: None };
-                let result = serve_with(input.as_bytes(), BrokenPipe, &base(), &options);
-                done.send(result).unwrap();
-            });
-            let result = outcome
-                .recv_timeout(std::time::Duration::from_secs(120))
-                .expect("the serve loop returns after a write error");
-            server.join().expect("the serve thread does not panic");
-            let error = result.expect_err("a failed write is an error");
-            assert_eq!(error.kind(), std::io::ErrorKind::BrokenPipe, "jobs={jobs}");
-        }
+        let input = "{\"ping\": true}\n".repeat(64);
+        // The loop runs on its own thread so a hang fails the test instead
+        // of stalling it.
+        let (done, outcome) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let result = serve_with(input.as_bytes(), BrokenPipe, &base(), None);
+            done.send(result).unwrap();
+        });
+        let result = outcome
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the serve loop returns after a write error");
+        server.join().expect("the serve thread does not panic");
+        let error = result.expect_err("a failed write is an error");
+        assert_eq!(error.kind(), std::io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn a_shutdown_request_is_acknowledged_and_ends_the_conversation() {
+        let input = "{\"id\": 1, \"ping\": true}\n\
+                     {\"id\":2,\"shutdown\":true}\n\
+                     {\"id\": 3, \"ping\": true}\n";
+        let mut output = Vec::new();
+        let stats = serve_with(input.as_bytes(), &mut output, &base(), None).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(lines[1], "{\"id\":2,\"ok\":true,\"shutdown\":true}");
+        assert_eq!(
+            stats,
+            ServeStats {
+                requests: 2,
+                errors: 0
+            }
+        );
     }
 
     #[test]
     fn only_ping_true_pings_other_values_fall_through() {
         let input = "{\"id\": 1, \"machine\": \"tav\", \"ping\": false}\n\
                      {\"id\": 2, \"ping\": false}\n";
-        let (responses, stats) = serve_lines(input, 1);
+        let (responses, stats) = serve_lines(input);
         assert_eq!(stats.errors, 1);
         // `ping: false` plus a machine serves the machine…
         assert_eq!(responses[0].get("machine").unwrap().as_str(), Some("tav"));
@@ -634,22 +602,19 @@ mod tests {
 
     #[test]
     fn a_per_request_jobs_override_is_rejected_not_ignored() {
-        let (responses, stats) = serve_lines(
-            "{\"id\": 5, \"machine\": \"tav\", \"overrides\": {\"jobs\": 8}}\n",
-            1,
-        );
+        let (responses, stats) =
+            serve_lines("{\"id\": 5, \"machine\": \"tav\", \"overrides\": {\"jobs\": 8}}\n");
         assert_eq!(stats.errors, 1);
         let error = responses[0].get("error").unwrap().as_str().unwrap();
-        assert!(error.contains("server-level"), "{error}");
+        assert!(error.contains("corpus runner"), "{error}");
     }
 
     #[test]
     fn inline_kiss2_machines_are_served() {
         let kiss2 = ".i 1\\n.o 1\\n.s 2\\n.r a\\n0 a b 0\\n1 a a 1\\n0 b a 1\\n1 b b 0\\n";
-        let (responses, stats) = serve_lines(
-            &format!("{{\"id\": 9, \"kiss2\": \"{kiss2}\", \"name\": \"toy\"}}\n"),
-            1,
-        );
+        let (responses, stats) = serve_lines(&format!(
+            "{{\"id\": 9, \"kiss2\": \"{kiss2}\", \"name\": \"toy\"}}\n"
+        ));
         assert_eq!(stats.errors, 0);
         assert_eq!(responses[0].get("machine").unwrap().as_str(), Some("toy"));
         assert_eq!(
@@ -664,54 +629,51 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serving_answers_every_request_deterministically() {
-        let input: String = (0..6)
-            .map(|i| format!("{{\"id\": {i}, \"machine\": \"tav\"}}\n"))
-            .collect();
-        let (serial, _) = serve_lines(&input, 1);
-        let (parallel, stats) = serve_lines(&input, 4);
+    fn responses_come_back_in_request_order() {
+        let input = "{\"id\": 0, \"machine\": \"tav\"}\n\
+                     {\"id\": 1, \"ping\": true}\n\
+                     not json\n\
+                     {\"id\": 3, \"stats\": true}\n\
+                     {\"id\": 4, \"machine\": \"mc\"}\n\
+                     {\"id\": 5, \"ping\": true}\n";
+        let (responses, stats) = serve_lines(input);
         assert_eq!(
             stats,
             ServeStats {
                 requests: 6,
-                errors: 0
+                errors: 1
             }
         );
-        assert_eq!(parallel.len(), 6);
-        // Responses may arrive out of order; match by id and compare payloads.
-        for response in &parallel {
-            let id = response.get("id").unwrap().as_u64().unwrap();
-            let twin = serial
-                .iter()
-                .find(|r| r.get("id").unwrap().as_u64() == Some(id))
-                .unwrap();
-            assert_eq!(response, twin, "id {id}");
-        }
+        let ids: Vec<Json> = responses
+            .iter()
+            .map(|r| r.get("id").unwrap().clone())
+            .collect();
+        let expected = [0, 1, 2, 3, 4, 5].map(|i| {
+            if i == 2 {
+                Json::Null
+            } else {
+                Json::from_u64(i)
+            }
+        });
+        assert_eq!(ids, expected);
+        assert_eq!(responses[0].get("machine").unwrap().as_str(), Some("tav"));
+        assert_eq!(responses[2].get("ok"), Some(&Json::Bool(false)));
+        assert!(responses[3].get("stats").is_some());
+        assert_eq!(responses[4].get("machine").unwrap().as_str(), Some("mc"));
     }
 
     #[test]
     fn stats_requests_answer_a_metrics_snapshot() {
-        let input = "{\"id\": 1, \"machine\": \"tav\"}\n\
+        let input =
+            "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"analysis.enabled\": \"true\"}}\n\
                      {\"id\": 2, \"stats\": true}\n\
                      {\"id\": 3, \"stats\": false}\n";
-        let (responses, stats) = serve_lines_with(
-            input,
-            &ServeOptions {
-                jobs: 1,
-                cache: Some(CacheLimits::default()),
-            },
-        );
+        let (responses, stats) = serve_lines_with(input, Some(CacheLimits::default()));
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.errors, 1, "stats:false alone is an invalid request");
-        let by_id = |id: u64| {
-            responses
-                .iter()
-                .find(|r| r.get("id").unwrap().as_u64() == Some(id))
-                .unwrap()
-        };
-        let snapshot = by_id(2).get("stats").expect("stats section");
+        let snapshot = responses[1].get("stats").expect("stats section");
         let requests = snapshot.get("requests").unwrap();
-        assert!(requests.get("read").unwrap().as_u64() >= Some(2));
+        assert_eq!(requests.get("read").unwrap().as_u64(), Some(2));
         assert_eq!(
             snapshot.get("cache").unwrap().get("enabled"),
             Some(&Json::Bool(true))
@@ -722,7 +684,17 @@ mod tests {
             Some(1),
             "the stage timer saw the one cold synthesis"
         );
-        assert_eq!(by_id(3).get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            stages
+                .get("analyze")
+                .unwrap()
+                .get("count")
+                .unwrap()
+                .as_u64(),
+            Some(1),
+            "one request brackets its analysis once"
+        );
+        assert_eq!(responses[2].get("ok"), Some(&Json::Bool(false)));
     }
 
     #[test]
@@ -730,27 +702,10 @@ mod tests {
         let input = "{\"id\": 1, \"machine\": \"tav\"}\n";
         let repeated = input.repeat(3);
         let mut cold_output = Vec::new();
-        serve_with(
-            repeated.as_bytes(),
-            &mut cold_output,
-            &base(),
-            &ServeOptions {
-                jobs: 1,
-                cache: None,
-            },
-        )
-        .unwrap();
+        serve_with(repeated.as_bytes(), &mut cold_output, &base(), None).unwrap();
         let mut cached_output = Vec::new();
-        serve_with(
-            repeated.as_bytes(),
-            &mut cached_output,
-            &base(),
-            &ServeOptions {
-                jobs: 1,
-                cache: Some(CacheLimits::default()),
-            },
-        )
-        .unwrap();
+        let cache = Some(CacheLimits::default());
+        serve_with(repeated.as_bytes(), &mut cached_output, &base(), cache).unwrap();
         assert_eq!(
             String::from_utf8(cold_output).unwrap(),
             String::from_utf8(cached_output).unwrap()

@@ -953,37 +953,38 @@ impl Synthesis {
         }
     }
 
-    /// Runs the machine-level static lints (unreachable states, mergeable
-    /// states, input-column findings) with the session's `analysis.deny`
-    /// list applied.
+    /// Runs the static analysis as one `analyze` stage: the machine-level
+    /// lints (unreachable states, mergeable states, input-column findings)
+    /// and, given the synthesised [`Netlist`], the structural and SCOAP
+    /// analysis of each combinational block (`C1`, `C2`, output logic), with
+    /// the session's `analysis.deny` list applied.
     ///
     /// Runs regardless of `analysis.enabled` — the flag only controls
     /// whether [`Self::run`] attaches an `analysis` section automatically.
     #[must_use]
-    pub fn lint_machine(&self, machine: &Mealy) -> Vec<stc_analyze::Diagnostic> {
+    pub fn analyze(&self, machine: &Mealy, netlist: Option<&Netlist>) -> AnalysisReport {
         self.in_stage(machine.name(), Stage::Analyze, || {
             let mut diagnostics = stc_analyze::lint_machine(machine);
             self.promote_denied(&mut diagnostics);
-            diagnostics
-        })
-    }
-
-    /// Runs the structural and SCOAP analysis of each combinational block of
-    /// a synthesised [`Netlist`] artifact (`C1`, `C2`, output logic), with
-    /// the session's `analysis.deny` list applied.
-    #[must_use]
-    pub fn analyze_netlist(&self, netlist: &Netlist) -> Vec<stc_analyze::BlockAnalysis> {
-        self.in_stage(&netlist.name, Stage::Analyze, || {
-            let logic = netlist.logic.as_ref();
-            [&logic.c1, &logic.c2, &logic.output]
-                .into_iter()
-                .map(|block| {
-                    let mut analysis =
-                        stc_analyze::analyze_block(&block.name, &block.netlist, HARD_NETS_REPORTED);
-                    self.promote_denied(&mut analysis.diagnostics);
-                    analysis
-                })
-                .collect()
+            let blocks = netlist.map_or_else(Vec::new, |netlist| {
+                let logic = netlist.logic.as_ref();
+                [&logic.c1, &logic.c2, &logic.output]
+                    .into_iter()
+                    .map(|block| {
+                        let mut analysis = stc_analyze::analyze_block(
+                            &block.name,
+                            &block.netlist,
+                            HARD_NETS_REPORTED,
+                        );
+                        self.promote_denied(&mut analysis.diagnostics);
+                        analysis
+                    })
+                    .collect()
+            });
+            AnalysisReport {
+                diagnostics,
+                blocks,
+            }
         })
     }
 
@@ -1121,14 +1122,7 @@ impl Synthesis {
             // The machine-level lints need no netlist; the per-block analysis
             // runs when the gate-level stages produced one.
             Stage::Analyze => {
-                report.analysis = Some(AnalysisReport {
-                    diagnostics: self.lint_machine(machine),
-                    blocks: flow
-                        .netlist
-                        .as_ref()
-                        .map(|netlist| self.analyze_netlist(netlist))
-                        .unwrap_or_default(),
-                });
+                report.analysis = Some(self.analyze(machine, flow.netlist.as_ref()));
             }
             Stage::Emit => {
                 let code = self.emit_code(earlier(&flow.plan), flow.optimized.as_ref());
@@ -1139,7 +1133,7 @@ impl Synthesis {
     }
 
     /// Runs the whole corpus on the session's worker pool (the resolved
-    /// `jobs` value; `1` selects the serial fallback, which produces
+    /// `jobs` value, at most one worker per machine; every value produces
     /// byte-identical reports) and assembles the [`crate::SuiteReport`] in
     /// corpus order.
     ///
@@ -1148,15 +1142,7 @@ impl Synthesis {
     /// stage sections, so the report always covers the full corpus.
     #[must_use]
     pub fn run_suite(&self, entries: &[CorpusEntry], suite_name: &str) -> SuiteRun {
-        let jobs = self.config.resolve_jobs();
-        let results: Vec<Option<(MachineReport, Duration)>> = if jobs <= 1 || entries.len() <= 1 {
-            entries
-                .iter()
-                .map(|entry| (!self.observer.should_cancel()).then(|| self.timed_run(entry)))
-                .collect()
-        } else {
-            self.run_parallel(entries, jobs.min(entries.len()))
-        };
+        let results = self.run_parallel(entries, self.config.resolve_jobs().min(entries.len()));
 
         let mut machines = Vec::with_capacity(results.len());
         let mut timings = Vec::with_capacity(results.len());
@@ -1535,8 +1521,8 @@ mod tests {
             .set("analysis.deny", "fsm-unreachable-state")
             .unwrap()
             .build();
-        let base = lenient.lint_machine(&machine);
-        let promoted = strict.lint_machine(&machine);
+        let base = lenient.analyze(&machine, None).diagnostics;
+        let promoted = strict.analyze(&machine, None).diagnostics;
         let find = |diags: &[stc_analyze::Diagnostic]| {
             diags
                 .iter()

@@ -43,8 +43,8 @@ use stc::pipeline::{
     compare_benchmarks, coverage_json, embedded_corpus, emit_json, filter_by_names,
     format_speedup_table, format_summary_table, kiss2_corpus, lint_json, load_baseline_dir,
     optimize_json, parse_baseline, search_stats_json, serve_with, BenchMeasurement, CacheLimits,
-    CorpusEntry, Event, Json, NetOptions, NetServer, Observer, PipelineError, ServeOptions, Stage,
-    StcConfig, SuiteReport, SuiteRun, Synthesis,
+    CorpusEntry, Event, Json, NetOptions, NetServer, Observer, PipelineError, Stage, StcConfig,
+    SuiteReport, SuiteRun, Synthesis,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -88,8 +88,8 @@ CORPUS OPTIONS (run, coverage, optimize, lint, emit, list):
 CONFIG OPTIONS (run, serve; layered over --profile, which layers over defaults):
     --profile <FILE>             a TOML-style profile ([section] + key = value
                                  lines; full key list at the bottom)
-    --jobs <N>                   worker threads (0 = auto-detect, the default;
-                                 1 selects the serial fallback — same output)
+    --jobs <N>                   corpus-runner worker threads (0 = auto-detect,
+                                 the default; any value gives the same output)
     --solver-jobs <N>            threads for the OSTR solver's parallel subtree
                                  exploration per machine (default 1; any value
                                  produces byte-identical results)
@@ -720,21 +720,17 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         );
         server.run().map_err(|e| format!("serve I/O error: {e}"))?
     } else {
-        let jobs = config.resolve_jobs();
         eprintln!(
-            "stc serve: ready on stdin/stdout, {jobs} worker(s){}, {cache_label} — one JSON \
-             request per line",
-            if config.jobs == 0 { " [auto]" } else { "" }
+            "stc serve: ready on stdin/stdout, {cache_label} — one JSON request per line, \
+             answered in order"
         );
-        let stdin = std::io::stdin();
-        // `Stdout` (unlike `StdoutLock`) is `Send`; the serve loop serialises
-        // writes behind its own mutex anyway.
-        let options = ServeOptions {
-            jobs: config.jobs,
+        serve_with(
+            std::io::stdin().lock(),
+            std::io::stdout().lock(),
+            &config,
             cache,
-        };
-        serve_with(stdin.lock(), std::io::stdout(), &config, &options)
-            .map_err(|e| format!("serve I/O error: {e}"))?
+        )
+        .map_err(|e| format!("serve I/O error: {e}"))?
     };
     eprintln!(
         "stc serve: done, {} request(s), {} error response(s)",

@@ -77,7 +77,7 @@
 //! assert_eq!(
 //!     keys,
 //!     [
-//!         "jobs",                       // worker threads (0 = auto)
+//!         "jobs",                       // corpus-runner worker threads (0 = auto)
 //!         "solver.max_nodes",           // OSTR node budget per machine
 //!         "solver.time_limit_secs",     // solver wall-clock limit (0 = none)
 //!         "solver.lemma1_pruning",      // Lemma 1 subtree pruning
@@ -181,15 +181,15 @@
 //! # The service layer
 //!
 //! [`pipeline::serve_with`] is the JSON-lines request loop behind
-//! `stc serve` (requests in, responses out, per-request config
-//! overrides); [`pipeline::NetServer`] serves the same protocol over TCP
-//! with a shared content-addressed [`pipeline::ArtifactCache`] (cache
-//! hits replay byte-identical responses) and [`pipeline::ServeMetrics`]
-//! behind the in-protocol `stats` request.  The full protocol reference
+//! `stc serve` (requests in, responses out in request order, per-request
+//! config overrides); [`pipeline::NetServer`] runs the same loop on each TCP
+//! connection, with a shared content-addressed [`pipeline::ArtifactCache`]
+//! (cache hits replay byte-identical responses) and
+//! [`pipeline::ServeMetrics`] behind the in-protocol `stats` request.  The full protocol reference
 //! is `docs/SERVE.md`; the architecture notes are `DESIGN.md` §9.
 //!
 //! ```
-//! use stc::pipeline::{serve_with, CacheLimits, ServeOptions};
+//! use stc::pipeline::{serve_with, CacheLimits};
 //!
 //! let input: &[u8] = b"{\"id\": 1, \"ping\": true}\n";
 //! let mut output = Vec::new();
@@ -197,7 +197,7 @@
 //!     input,
 //!     &mut output,
 //!     &stc::StcConfig::default(),
-//!     &ServeOptions { jobs: 1, cache: Some(CacheLimits::default()) },
+//!     Some(CacheLimits::default()),
 //! )
 //! .unwrap();
 //! assert_eq!(stats.requests, 1);

@@ -1,6 +1,7 @@
-//! Determinism guarantees of the batch pipeline: the serial fallback and any
-//! parallel run must produce byte-identical JSON reports, and a machine's
-//! report must not depend on the worker count it happened to run under.
+//! Determinism guarantees of the batch pipeline: a one-worker (serial) run
+//! and any parallel run must produce byte-identical JSON reports, and a
+//! machine's report must not depend on the worker count it happened to run
+//! under.
 
 use stc::pipeline::{embedded_corpus, filter_by_names, CorpusEntry, GateLevelLimits};
 use stc::prelude::*;

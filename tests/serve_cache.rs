@@ -9,9 +9,7 @@
 //! * The cached path is pinned at >= 10x faster than fresh synthesis.
 
 use proptest::prelude::*;
-use stc::pipeline::{
-    serve_with, CacheLimits, Json, NetOptions, NetServer, ServeOptions, StcConfig,
-};
+use stc::pipeline::{serve_with, CacheLimits, Json, NetOptions, NetServer, StcConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -28,17 +26,11 @@ fn base() -> StcConfig {
 }
 
 /// Runs one in-process serve loop over `requests` and returns the raw
-/// response bytes.  `jobs: 1` keeps responses in request order, so outputs
-/// of different loops are comparable as whole transcripts.
+/// response bytes.  Responses come back in request order, so outputs of
+/// different loops are comparable as whole transcripts.
 fn transcript(requests: &str, cache: Option<CacheLimits>) -> String {
     let mut output = Vec::new();
-    serve_with(
-        requests.as_bytes(),
-        &mut output,
-        &base(),
-        &ServeOptions { jobs: 1, cache },
-    )
-    .expect("serve loop runs");
+    serve_with(requests.as_bytes(), &mut output, &base(), cache).expect("serve loop runs");
     String::from_utf8(output).expect("responses are UTF-8")
 }
 
