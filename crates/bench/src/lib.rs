@@ -1,5 +1,5 @@
 //! Experiment harness: the architecture comparison behind Figs. 1–4 of the
-//! paper, the scale-suite machines, and the Criterion benches.
+//! paper, the scale tiers, and the Criterion benches.
 //!
 //! Tables 1 and 2 (factor sizes and flip-flops; search-tree size against
 //! nodes investigated) are reproduced by `stc run --suite embedded`, whose
@@ -7,11 +7,13 @@
 //!
 //! * `figure_arch` — the quantitative comparison behind Figs. 1–4
 //!   (flip-flops, area, delay, fault coverage of the four architectures);
-//! * [`scale`] — the planted machines of the scale suite;
+//! * [`scale`] — the planted scale tiers behind the `scale` gate, perfbench's
+//!   `solver_scale` workload and the nightly solver oracle;
 //! * the benches in `benches/`: the solver and its ablations
 //!   (`ostr_solver_v2`), fault simulation and the substrate components
-//!   (`fault_sim`), the plan optimizer, the architectures, the scale suite
-//!   and the serve load harness.
+//!   (`fault_sim`), the plan optimizer, the architectures and the serve
+//!   load harness, each with a committed `BENCH_<target>.json` baseline,
+//!   plus the `scale` gate (determinism and parallel speedup, no baseline).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! The 10–100x scale suite: planted decomposable machines far beyond the
-//! embedded MCNC corpus, as first-class benchmark targets.
+//! embedded MCNC corpus, as solver workloads.
 //!
 //! The embedded suite tops out at 32 states (`tbk`), where whole solves take
 //! tens of milliseconds and parallel speedups drown in setup noise.  The
@@ -12,34 +12,21 @@
 //! grids — so each tier pins exact generator parameters, and the tests pin
 //! the resulting state and basis counts.
 //!
-//! Two independent tier lists:
+//! The solver tiers ([`scale_tiers`]) are ordered by *search size* (0.47M,
+//! 1.8M and 43.5M investigated nodes), not state count.  Every tier's search
+//! **completes** within its node budget — the parallel reduction only
+//! accepts a speculative subtree result that finished naturally inside the
+//! serial remainder, so a budget-exhausted workload rejects all speculation
+//! and parallelism cannot pay on it (`DESIGN.md` §12).  Budgets sit ~2x
+//! above each tier's known completion point.
 //!
-//! * **Solver tiers** ([`scale_tiers`]) are ordered by *search size* (0.47M,
-//!   1.8M and 43.5M investigated nodes), not state count.  Every tier's
-//!   search **completes** within its node budget — the parallel
-//!   reduction only accepts a speculative subtree result that finished
-//!   naturally inside the serial remainder, so a budget-exhausted workload
-//!   rejects all speculation and parallelism cannot pay on it
-//!   (`DESIGN.md` §12).  Budgets sit ~2x above each tier's known completion
-//!   point.  The solver benches measure
-//!   [`stc_synth::OstrSolver::solve_prepared`] on a shared
-//!   [`stc_synth::PreparedOstr`]: basis construction is identical serial
-//!   work in every configuration and would flatten any speedup-vs-threads
-//!   curve if it were timed along with the search.
-//! * **Fault-simulation tiers** ([`fault_tiers`]) are decoupled from solver
-//!   completion entirely — simulation cost scales with gates × patterns,
-//!   not search nodes — so they use the largest machines that synthesise to
-//!   gate level quickly (1599 and 4033 gates).
-//!
-//! Tier parameters are pinned by tests: the planted grid, the seed and the
-//! node budget together determine the workload byte for byte, so the
-//! committed `BENCH_scale.json` baselines stay comparable across sessions.
+//! `scale_s` is the workload of the `scale` bench target (the CI scale
+//! gate) and of perfbench's `solver_scale`; all three tiers are frozen by
+//! the nightly `tests/solver_oracle.rs`.  The planted grid, the seed and the
+//! node budget together determine each workload byte for byte.
 
 use stc_fsm::{planted_decomposable, Mealy, PlantedSpec};
 use stc_synth::SolverConfig;
-
-/// Worker counts of the speedup-vs-threads curve, in measurement order.
-pub const SOLVER_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Shared generator parameters; tiers override the grid (and occasionally
 /// inputs/seed — the rich-basis families are shape- and seed-specific).
@@ -69,19 +56,10 @@ pub struct ScaleTier {
     pub max_nodes: u64,
 }
 
-/// One gate-level fault-simulation workload of the scale suite.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultTier {
-    /// Tier name, used as the benchmark parameter (`fault_s`, …).
-    pub name: &'static str,
-    /// Generator parameters (deterministic: same spec, same machine).
-    pub spec: PlantedSpec,
-}
-
 /// The three solver tiers, smallest search first (0.47M / 1.8M / 43.5M
-/// investigated nodes; ~0.8s / ~3s / ~70s serial on the recording class).
+/// investigated nodes).
 ///
-/// The smallest tier doubles as the CI smoke gate, so it is sized to keep
+/// The smallest tier doubles as the CI scale gate, so it is sized to keep
 /// the whole gate (generation, basis, a handful of solves) within seconds.
 #[must_use]
 pub fn scale_tiers() -> [ScaleTier; 3] {
@@ -121,40 +99,9 @@ pub fn scale_tiers() -> [ScaleTier; 3] {
     ]
 }
 
-/// The two gate-level fault-simulation tiers (1599 and 4033 gates).
-#[must_use]
-pub fn fault_tiers() -> [FaultTier; 2] {
-    [
-        FaultTier {
-            name: "fault_s",
-            spec: PlantedSpec {
-                rows: 12,
-                cols: 10,
-                states: 120,
-                ..base_spec()
-            },
-        },
-        FaultTier {
-            name: "fault_m",
-            spec: PlantedSpec {
-                rows: 20,
-                cols: 18,
-                states: 360,
-                ..base_spec()
-            },
-        },
-    ]
-}
-
 /// Generates a solver tier's machine (deterministic).
 #[must_use]
 pub fn scale_machine(tier: &ScaleTier) -> Mealy {
-    planted_decomposable(tier.name, tier.spec).0
-}
-
-/// Generates a fault tier's machine (deterministic).
-#[must_use]
-pub fn fault_machine(tier: &FaultTier) -> Mealy {
     planted_decomposable(tier.name, tier.spec).0
 }
 
@@ -182,8 +129,9 @@ mod tests {
     use super::*;
     use stc_synth::PreparedOstr;
 
-    /// Every solver tier's shape is pinned: the CI scale gate and the
-    /// committed baseline both assume these exact workloads.
+    /// Every solver tier's shape is pinned: the CI scale gate, perfbench's
+    /// `solver_scale` and the nightly solver oracle assume these exact
+    /// workloads.
     #[test]
     fn solver_tier_shapes_are_pinned() {
         let tiers = scale_tiers();
@@ -203,18 +151,6 @@ mod tests {
                 ("scale_l", 92, 57)
             ]
         );
-    }
-
-    /// The fault tiers' machines are pinned the same way (gate counts are a
-    /// synthesis property, asserted where the netlists are built).
-    #[test]
-    fn fault_tier_shapes_are_pinned() {
-        let tiers = fault_tiers();
-        let shapes: Vec<(&str, usize)> = tiers
-            .iter()
-            .map(|t| (t.name, fault_machine(t).num_states()))
-            .collect();
-        assert_eq!(shapes, vec![("fault_s", 109), ("fault_m", 234)]);
     }
 
     #[test]

@@ -6,21 +6,10 @@
 //! a relative tolerance, so CI fails on perf regressions instead of letting
 //! the baselines rot as decoration.
 //!
-//! Two comparison regimes coexist:
-//!
-//! * ordinary benchmarks compare **absolute** mean times against the
-//!   baseline (same-machine assumption: the committed baselines and CI run
-//!   on comparable hardware, and the trimmed mean plus tolerance absorb the
-//!   rest);
-//! * the scale-suite groups ([`SPEEDUP_GROUPS`]) compare **within-run
-//!   speedup ratios** instead.  A parallel solver bench on a 4-core runner
-//!   is not slower code when it posts a different absolute time than the
-//!   16-core machine that wrote the baseline — but its speedup over the
-//!   serial entry *of the same run* is hardware-normalised.  The gate fails
-//!   only when the measured speedup falls below the baseline speedup by
-//!   more than the tolerance; configurations needing more workers than the
-//!   runner has cores are skipped, and a measured speedup better than the
-//!   baseline always passes.
+//! Each benchmark compares its **absolute** mean time against the baseline
+//! (same-machine assumption: the committed baselines and CI run on
+//! comparable hardware, and the trimmed mean plus tolerance absorb the
+//! rest); a baseline entry missing from the fresh run fails the check.
 
 use crate::error::PipelineError;
 use crate::json::Json;
@@ -110,77 +99,6 @@ pub fn load_baseline_dir(
     Ok(out)
 }
 
-/// Benchmark groups compared by within-run speedup ratio instead of
-/// absolute time: `(group name, serial reference function)`.  Entries are
-/// matched against fully qualified names of the form `group/function/param`;
-/// each non-reference function is compared to the reference entry with the
-/// same `param` from the same run.
-pub const SPEEDUP_GROUPS: &[(&str, &str)] = &[
-    ("ostr_solver_scale", "serial"),
-    ("fault_sim_scale", "packed_narrow"),
-];
-
-/// Splits `group/function/param` and returns
-/// `(group, reference function, function, param)` when the group is
-/// speedup-compared.
-fn speedup_group(name: &str) -> Option<(&str, &str, &str, &str)> {
-    let mut parts = name.splitn(3, '/');
-    let group = parts.next()?;
-    let func = parts.next()?;
-    let param = parts.next()?;
-    SPEEDUP_GROUPS
-        .iter()
-        .find(|(g, _)| *g == group)
-        .map(|&(g, reference)| (g, reference, func, param))
-}
-
-/// Worker count encoded in a function name's trailing digits (`ws4` → 4,
-/// `packed_ws8` → 8); `None` for undecorated names like `packed_wide`.
-fn worker_count(func: &str) -> Option<usize> {
-    let start = func
-        .rfind(|c: char| !c.is_ascii_digit())
-        .map_or(0, |i| i + 1);
-    func[start..].parse().ok()
-}
-
-/// `reference / variant`, the speedup of a variant over its serial
-/// reference; 1.0 when the variant time is degenerate.
-fn speedup(reference_ns: f64, variant_ns: f64) -> f64 {
-    if variant_ns <= 0.0 {
-        1.0
-    } else {
-        reference_ns / variant_ns
-    }
-}
-
-/// One baseline-vs-measured speedup pair of a [`SPEEDUP_GROUPS`] benchmark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupDelta {
-    /// Variant benchmark name (`ostr_solver_scale/ws4/scale_l`).
-    pub name: String,
-    /// Serial reference benchmark name (`ostr_solver_scale/serial/scale_l`).
-    pub reference: String,
-    /// Worker count parsed from the function name, if any.
-    pub workers: Option<usize>,
-    /// Speedup over the reference in the committed baseline run.
-    pub baseline_speedup: f64,
-    /// Speedup over the reference in the fresh measured run.
-    pub measured_speedup: f64,
-    /// `true` when the configuration needs more workers than the measuring
-    /// machine has cores — the entry is reported but never fails the gate.
-    pub skipped: bool,
-}
-
-impl SpeedupDelta {
-    /// `true` when the measured speedup lost more than `tolerance` of the
-    /// baseline speedup (and the entry is not skipped).  Measured-better
-    /// can never regress.
-    #[must_use]
-    pub fn regressed(&self, tolerance: f64) -> bool {
-        !self.skipped && self.measured_speedup < self.baseline_speedup * (1.0 - tolerance)
-    }
-}
-
 /// One baseline-vs-measured pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDelta {
@@ -209,13 +127,8 @@ impl BenchDelta {
 pub struct BenchCheck {
     /// Relative tolerance (0.30 = ±30%).
     pub tolerance: f64,
-    /// Cores of the measuring machine (bounds which worker counts are
-    /// meaningful; see [`SpeedupDelta::skipped`]).
-    pub cores: usize,
     /// Benchmarks present in both sets.
     pub compared: Vec<BenchDelta>,
-    /// Speedup-compared benchmarks present in both sets (the scale suite).
-    pub speedups: Vec<SpeedupDelta>,
     /// Baseline benchmarks missing from the measured run (a coverage loss —
     /// fails the check).
     pub missing: Vec<String>,
@@ -244,23 +157,10 @@ impl BenchCheck {
             .collect()
     }
 
-    /// Scale-suite benchmarks whose measured speedup lost more than the
-    /// tolerance relative to the baseline speedup.
-    #[must_use]
-    pub fn speedup_regressions(&self) -> Vec<&SpeedupDelta> {
-        self.speedups
-            .iter()
-            .filter(|d| d.regressed(self.tolerance))
-            .collect()
-    }
-
-    /// `true` when no benchmark regressed (absolute or speedup) and none
-    /// went missing.
+    /// `true` when no benchmark regressed and none went missing.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions().is_empty()
-            && self.speedup_regressions().is_empty()
-            && self.missing.is_empty()
+        self.regressions().is_empty() && self.missing.is_empty()
     }
 
     /// Human-readable comparison table.
@@ -285,23 +185,6 @@ impl BenchCheck {
                 delta.name, delta.baseline_ns, delta.measured_ns, ratio, verdict
             ));
         }
-        for delta in &self.speedups {
-            let verdict = if delta.skipped {
-                format!(
-                    "skipped (needs {} workers, have {} cores)",
-                    delta.workers.unwrap_or(0),
-                    self.cores
-                )
-            } else if delta.regressed(self.tolerance) {
-                "SPEEDUP REGRESSION".to_string()
-            } else {
-                "ok".to_string()
-            };
-            out.push_str(&format!(
-                "{:<50} speedup {:>6.2}x -> {:>6.2}x          {}\n",
-                delta.name, delta.baseline_speedup, delta.measured_speedup, verdict
-            ));
-        }
         for name in &self.missing {
             out.push_str(&format!("{name:<50} MISSING from the measured run\n"));
         }
@@ -314,69 +197,26 @@ impl BenchCheck {
     }
 }
 
-/// Compares a measured run against the committed baselines, taking the
-/// worker-count cutoff for speedup entries from the current machine.
+/// Compares a measured run against the committed baselines.
 #[must_use]
 pub fn compare_benchmarks(
     baseline: &[BenchMeasurement],
     measured: &[BenchMeasurement],
     tolerance: f64,
 ) -> BenchCheck {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    compare_benchmarks_with_cores(baseline, measured, tolerance, cores)
-}
-
-/// Compares a measured run against the committed baselines with an explicit
-/// core count (the testable entry point behind [`compare_benchmarks`]).
-#[must_use]
-pub fn compare_benchmarks_with_cores(
-    baseline: &[BenchMeasurement],
-    measured: &[BenchMeasurement],
-    tolerance: f64,
-    cores: usize,
-) -> BenchCheck {
     let mut check = BenchCheck {
         tolerance,
-        cores,
         ..BenchCheck::default()
     };
-    let find = |set: &[BenchMeasurement], name: &str| -> Option<f64> {
-        set.iter().find(|m| m.name == name).map(|m| m.mean_ns)
-    };
     for base in baseline {
-        let Some(measured_ns) = find(measured, &base.name) else {
-            check.missing.push(base.name.clone());
-            continue;
-        };
-        if let Some((group, reference, func, param)) = speedup_group(&base.name) {
-            if func == reference {
-                // The reference is only a denominator: its absolute time is
-                // as hardware-bound as the variants'.
-                continue;
-            }
-            let ref_name = format!("{group}/{reference}/{param}");
-            if let (Some(base_ref), Some(measured_ref)) =
-                (find(baseline, &ref_name), find(measured, &ref_name))
-            {
-                let workers = worker_count(func);
-                check.speedups.push(SpeedupDelta {
-                    name: base.name.clone(),
-                    reference: ref_name,
-                    workers,
-                    baseline_speedup: speedup(base_ref, base.mean_ns),
-                    measured_speedup: speedup(measured_ref, measured_ns),
-                    skipped: workers.is_some_and(|w| w > cores),
-                });
-                continue;
-            }
-            // No reference entry in one of the runs: fall through to the
-            // absolute comparison rather than silently dropping the gate.
+        match measured.iter().find(|m| m.name == base.name) {
+            Some(m) => check.compared.push(BenchDelta {
+                name: base.name.clone(),
+                baseline_ns: base.mean_ns,
+                measured_ns: m.mean_ns,
+            }),
+            None => check.missing.push(base.name.clone()),
         }
-        check.compared.push(BenchDelta {
-            name: base.name.clone(),
-            baseline_ns: base.mean_ns,
-            measured_ns,
-        });
     }
     for m in measured {
         if !baseline.iter().any(|b| b.name == m.name) {
@@ -384,59 +224,6 @@ pub fn compare_benchmarks_with_cores(
         }
     }
     check
-}
-
-/// Formats the speedup-vs-threads table of the scale suite as Markdown, from
-/// the measurements of one `BENCH_scale.json` run.  The README embeds this
-/// table verbatim; a drift test regenerates it from the committed baseline.
-#[must_use]
-pub fn format_speedup_table(measurements: &[BenchMeasurement]) -> String {
-    let find = |name: String| -> Option<f64> {
-        measurements
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.mean_ns)
-    };
-    let fmt_time = |ns: f64| -> String {
-        if ns >= 1e9 {
-            format!("{:.2} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.1} ms", ns / 1e6)
-        } else {
-            format!("{:.1} µs", ns / 1e3)
-        }
-    };
-    let mut out = String::new();
-    out.push_str("| machine | serial | 2 workers | 4 workers | 8 workers |\n");
-    out.push_str("|---|---|---|---|---|\n");
-    for m in measurements {
-        let Some(param) = m.name.strip_prefix("ostr_solver_scale/serial/") else {
-            continue;
-        };
-        out.push_str(&format!("| {param} | {} |", fmt_time(m.mean_ns)));
-        for workers in [2, 4, 8] {
-            let cell = find(format!("ostr_solver_scale/ws{workers}/{param}")).map_or_else(
-                || "n/a".to_string(),
-                |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
-            );
-            out.push_str(&format!(" {cell} |"));
-        }
-        out.push('\n');
-    }
-    out.push('\n');
-    out.push_str("| machine | narrow blocks | SIMD-wide |\n");
-    out.push_str("|---|---|---|\n");
-    for m in measurements {
-        let Some(param) = m.name.strip_prefix("fault_sim_scale/packed_narrow/") else {
-            continue;
-        };
-        let cell = find(format!("fault_sim_scale/packed_wide/{param}")).map_or_else(
-            || "n/a".to_string(),
-            |ns| format!("{:.2}x", speedup(m.mean_ns, ns)),
-        );
-        out.push_str(&format!("| {param} | {} | {cell} |\n", fmt_time(m.mean_ns)));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -502,91 +289,5 @@ mod tests {
     fn zero_baseline_does_not_divide_by_zero() {
         let check = compare_benchmarks(&[m("z", 0.0)], &[m("z", 10.0)], 0.3);
         assert!(check.passed());
-    }
-
-    /// Scale entries compare by within-run speedup ratio: halving every
-    /// absolute time (a faster runner) must not trip the gate, while losing
-    /// the parallel speedup at unchanged serial time must.
-    #[test]
-    fn scale_entries_compare_speedups_not_absolute_times() {
-        let baseline = [
-            m("ostr_solver_scale/serial/scale_s", 4000.0),
-            m("ostr_solver_scale/ws4/scale_s", 1000.0), // 4.0x at 4 workers
-        ];
-        // Twice as fast across the board, same 4.0x speedup: passes even
-        // though 'serial' would count as a ±30% "improvement" absolutely.
-        let faster_runner = [
-            m("ostr_solver_scale/serial/scale_s", 2000.0),
-            m("ostr_solver_scale/ws4/scale_s", 500.0),
-        ];
-        let check = compare_benchmarks_with_cores(&baseline, &faster_runner, 0.30, 8);
-        assert!(
-            check.compared.is_empty(),
-            "no absolute comparison for scale entries"
-        );
-        assert_eq!(check.speedups.len(), 1);
-        assert_eq!(check.speedups[0].workers, Some(4));
-        assert!(check.passed());
-
-        // Same serial time, parallel collapsed to 1.5x: 1.5 < 4.0 * 0.7.
-        let lost_parallelism = [
-            m("ostr_solver_scale/serial/scale_s", 4000.0),
-            m("ostr_solver_scale/ws4/scale_s", 2666.0),
-        ];
-        let check = compare_benchmarks_with_cores(&baseline, &lost_parallelism, 0.30, 8);
-        assert_eq!(check.speedup_regressions().len(), 1);
-        assert!(!check.passed());
-        assert!(check.format_table().contains("SPEEDUP REGRESSION"));
-
-        // The same loss on a 2-core machine is skipped: the runner cannot
-        // host 4 workers, so the measurement says nothing about the code.
-        let check = compare_benchmarks_with_cores(&baseline, &lost_parallelism, 0.30, 2);
-        assert!(check.speedups[0].skipped);
-        assert!(check.passed());
-        assert!(check.format_table().contains("skipped"));
-
-        // Measured better than baseline always passes.
-        let better = [
-            m("ostr_solver_scale/serial/scale_s", 4000.0),
-            m("ostr_solver_scale/ws4/scale_s", 800.0),
-        ];
-        assert!(compare_benchmarks_with_cores(&baseline, &better, 0.30, 8).passed());
-    }
-
-    #[test]
-    fn scale_entries_missing_from_the_measured_run_still_fail() {
-        let baseline = [
-            m("ostr_solver_scale/serial/scale_s", 4000.0),
-            m("ostr_solver_scale/ws4/scale_s", 1000.0),
-        ];
-        let check = compare_benchmarks_with_cores(&baseline, &baseline[..1], 0.30, 8);
-        assert_eq!(check.missing, ["ostr_solver_scale/ws4/scale_s"]);
-        assert!(!check.passed());
-    }
-
-    #[test]
-    fn speedup_entries_without_a_reference_fall_back_to_absolute() {
-        // A hypothetical scale entry with no serial reference in the
-        // baseline is still gated, absolutely.
-        let baseline = [m("fault_sim_scale/packed_wide/scale_m", 1000.0)];
-        let measured = [m("fault_sim_scale/packed_wide/scale_m", 2000.0)];
-        let check = compare_benchmarks_with_cores(&baseline, &measured, 0.30, 8);
-        assert!(check.speedups.is_empty());
-        assert_eq!(check.regressions().len(), 1);
-    }
-
-    #[test]
-    fn speedup_table_renders_both_groups() {
-        let measurements = [
-            m("ostr_solver_scale/serial/scale_s", 3_400_000.0),
-            m("ostr_solver_scale/ws2/scale_s", 1_700_000.0),
-            m("ostr_solver_scale/ws4/scale_s", 1_000_000.0),
-            m("ostr_solver_scale/ws8/scale_s", 850_000.0),
-            m("fault_sim_scale/packed_narrow/scale_s", 116_000_000.0),
-            m("fault_sim_scale/packed_wide/scale_s", 81_000_000.0),
-        ];
-        let table = format_speedup_table(&measurements);
-        assert!(table.contains("| scale_s | 3.4 ms | 2.00x | 3.40x | 4.00x |"));
-        assert!(table.contains("| scale_s | 116.0 ms | 1.43x |\n"));
     }
 }

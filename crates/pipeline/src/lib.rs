@@ -58,8 +58,7 @@ mod serve;
 mod session;
 
 pub use bench_compare::{
-    compare_benchmarks, compare_benchmarks_with_cores, format_speedup_table, load_baseline_dir,
-    parse_baseline, BenchCheck, BenchDelta, BenchMeasurement, SpeedupDelta, SPEEDUP_GROUPS,
+    compare_benchmarks, load_baseline_dir, parse_baseline, BenchCheck, BenchDelta, BenchMeasurement,
 };
 pub use cache::{ArtifactCache, CacheCounters, CacheLimits};
 pub use config::{

@@ -201,7 +201,7 @@ pub struct OptimizeReport {
 /// The JSON report renders the digest only, never the source text: the full
 /// source is the artefact `stc emit --out` writes to disk from the same run,
 /// while the report pins its identity — length plus FNV-1a hash — so the CI
-/// `emit-gate` can detect codegen drift without megabyte goldens.
+/// `golden-diff` can detect codegen drift without megabyte goldens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmitModuleDigest {
     /// The module name inside the source (`mod`/`module` identifier).
@@ -762,7 +762,7 @@ pub fn search_stats_json(report: &SuiteReport) -> Json {
 
 /// Extracts the per-machine *measured* fault-coverage results of a suite
 /// report as a compact, deterministic JSON document — the focused artefact
-/// `stc coverage` emits (the CI `coverage-gate` diffs the full report
+/// `stc coverage` emits (CI's `golden-diff` job diffs the full report
 /// instead, via `stc run --coverage`).  Machines without a measured
 /// coverage section (gate-level stages skipped, timed out, or coverage
 /// disabled) are reported with a `null` entry.
@@ -789,7 +789,7 @@ pub fn coverage_json(report: &SuiteReport) -> Json {
 
 /// Extracts the per-machine plan-optimization results of a suite report as
 /// a compact, deterministic JSON document — the focused artefact
-/// `stc optimize` emits and the CI `optimize-gate` diffs against
+/// `stc optimize` emits and CI's `golden-diff` job diffs against
 /// `tests/golden/optimize.json`.  Machines without an optimize section are
 /// reported with a `null` entry.
 #[must_use]
@@ -802,7 +802,7 @@ pub fn optimize_json(report: &SuiteReport) -> Json {
 
 /// Extracts the per-machine static-analysis results of a suite report as a
 /// compact, deterministic JSON document — the focused artefact `stc lint`
-/// emits and the CI `lint-gate` diffs against `tests/golden/lint.json` —
+/// emits and CI's `golden-diff` job diffs against `tests/golden/lint.json` —
 /// followed by a suite-wide finding summary.  Machines without an analysis
 /// section (the stage was disabled) are reported with a `null` entry.
 #[must_use]
@@ -840,7 +840,7 @@ pub fn lint_json(report: &SuiteReport) -> Json {
 
 /// Extracts the per-machine code-emission digests of a suite report as a
 /// compact, deterministic JSON document — the focused artefact `stc emit`
-/// emits and the CI `emit-gate` diffs against `tests/golden/emit.json`.
+/// emits and CI's `golden-diff` job diffs against `tests/golden/emit.json`.
 /// Machines without an emit section are reported with a `null` entry.
 #[must_use]
 pub fn emit_json(report: &SuiteReport) -> Json {

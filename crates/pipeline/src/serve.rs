@@ -613,10 +613,16 @@ mod tests {
     fn inline_kiss2_machines_are_served() {
         let kiss2 = ".i 1\\n.o 1\\n.s 2\\n.r a\\n0 a b 0\\n1 a a 1\\n0 b a 1\\n1 b b 0\\n";
         let (responses, stats) = serve_lines(&format!(
-            "{{\"id\": 9, \"kiss2\": \"{kiss2}\", \"name\": \"toy\"}}\n"
+            "{{\"id\": 9, \"kiss2\": \"{kiss2}\", \"name\": \"toy\"}}\n\
+             {{\"id\": 10, \"kiss2\": \"{kiss2}\"}}\n"
         ));
         assert_eq!(stats.errors, 0);
         assert_eq!(responses[0].get("machine").unwrap().as_str(), Some("toy"));
+        // Without `name`, the machine is labelled `machine`.
+        assert_eq!(
+            responses[1].get("machine").unwrap().as_str(),
+            Some("machine")
+        );
         assert_eq!(
             responses[0]
                 .get("report")

@@ -26,9 +26,6 @@
 //! * `stc bench-check` — run the bench harness and compare against the
 //!   committed `crates/bench/BENCH_*.json` baselines with a relative
 //!   tolerance; non-zero exit on regression.
-//! * `stc scale-table` — render the scale suite's speedup-vs-threads tables
-//!   from a `BENCH_scale.json` baseline (the README embeds the committed
-//!   table; nightly CI renders the runner's).
 //! * `stc list` — list the machines of a corpus.
 //!
 //! All commands layer configuration the same way: crate defaults, then an
@@ -41,10 +38,10 @@
 use stc::analyze::Severity;
 use stc::pipeline::{
     compare_benchmarks, coverage_json, embedded_corpus, emit_json, filter_by_names,
-    format_speedup_table, format_summary_table, kiss2_corpus, lint_json, load_baseline_dir,
-    optimize_json, parse_baseline, search_stats_json, serve_with, BenchMeasurement, CacheLimits,
-    CorpusEntry, Event, Json, NetOptions, NetServer, Observer, PipelineError, Stage, StcConfig,
-    SuiteReport, SuiteRun, Synthesis,
+    format_summary_table, kiss2_corpus, lint_json, load_baseline_dir, optimize_json,
+    search_stats_json, serve_with, BenchMeasurement, CacheLimits, CorpusEntry, Event, Json,
+    NetOptions, NetServer, Observer, PipelineError, Stage, StcConfig, SuiteReport, SuiteRun,
+    Synthesis,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -75,9 +72,6 @@ USAGE:
                                  docs/SERVE.md for the full protocol)
     stc list [OPTIONS]           list the machines of the selected corpus
     stc bench-check [OPTIONS]    compare bench results against committed baselines
-    stc scale-table [FILE]       print the speedup-vs-threads tables of the scale
-                                 suite from a BENCH_scale.json baseline
-                                 (default: crates/bench/BENCH_scale.json)
     stc help                     print this message
 
 CORPUS OPTIONS (run, coverage, optimize, lint, emit, list):
@@ -210,7 +204,6 @@ fn main() -> ExitCode {
             "serve" => cmd_serve(rest),
             "list" => cmd_list(rest),
             "bench-check" => cmd_bench_check(rest),
-            "scale-table" => cmd_scale_table(rest),
             "help" | "--help" | "-h" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -805,18 +798,15 @@ fn cmd_bench_check(args: &[String]) -> Result<ExitCode, String> {
     }
     if check.passed() {
         eprintln!(
-            "bench-check passed: {} benchmark(s) within ±{:.0}%, {} speedup ratio(s) held",
+            "bench-check passed: {} benchmark(s) within ±{:.0}%",
             check.compared.len(),
-            100.0 * tolerance,
-            check.speedups.len()
+            100.0 * tolerance
         );
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
-            "bench-check FAILED: {} regression(s), {} speedup regression(s), \
-             {} missing benchmark(s)",
+            "bench-check FAILED: {} regression(s), {} missing benchmark(s)",
             check.regressions().len(),
-            check.speedup_regressions().len(),
             check.missing.len()
         );
         Ok(ExitCode::FAILURE)
@@ -825,28 +815,6 @@ fn cmd_bench_check(args: &[String]) -> Result<ExitCode, String> {
 
 fn flatten(files: Vec<(String, Vec<BenchMeasurement>)>) -> Vec<BenchMeasurement> {
     files.into_iter().flat_map(|(_, m)| m).collect()
-}
-
-fn cmd_scale_table(args: &[String]) -> Result<ExitCode, String> {
-    let mut path = PathBuf::from("crates/bench/BENCH_scale.json");
-    for arg in args {
-        if arg.starts_with('-') {
-            return Err(format!("unknown flag '{arg}' for 'stc scale-table'"));
-        }
-        path = PathBuf::from(arg);
-    }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let measurements = parse_baseline(&text, &path).map_err(|e| e.to_string())?;
-    let table = format_speedup_table(&measurements);
-    if !table.contains("| scale_") {
-        return Err(format!(
-            "{} holds no scale-suite measurements (expected ostr_solver_scale/... entries)",
-            path.display()
-        ));
-    }
-    print!("{table}");
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs `cargo bench -p stc-bench` with `STC_BENCH_DIR` pointing at a

@@ -93,3 +93,30 @@ fn the_readme_command_table_matches_stc_help() {
         "expected the full USAGE command list, parsed only {commands_seen}"
     );
 }
+
+#[test]
+fn a_command_missing_from_stc_help_is_rejected_with_the_usage() {
+    let help = Command::new(env!("CARGO_BIN_EXE_stc"))
+        .arg("help")
+        .output()
+        .expect("stc help runs");
+    let help = String::from_utf8(help.stdout).expect("help is UTF-8");
+    let command = "frobnicate";
+    assert!(
+        !help.contains(command),
+        "`stc help` must not list `{command}` for this check to mean anything"
+    );
+
+    let output = Command::new(env!("CARGO_BIN_EXE_stc"))
+        .arg(command)
+        .output()
+        .expect("stc runs");
+    assert_eq!(output.status.code(), Some(2), "an unknown command exits 2");
+    assert!(output.stdout.is_empty(), "nothing goes to stdout");
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert_eq!(
+        stderr,
+        format!("unknown command '{command}'\n\n{help}"),
+        "stderr names the command, then prints the same usage as `stc help`"
+    );
+}
