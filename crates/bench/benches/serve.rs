@@ -11,13 +11,14 @@
 //! * `serve/warm/*` — cache enabled and primed: every request is a cache
 //!   hit replayed from the content-addressed store.
 //!
-//! Each configuration reports `mean`, `p50` and `p99` roundtrip latency in
-//! `BENCH_serve.json` (same schema as the criterion stand-in, consumed by
-//! `stc bench-check`).  Load noise is one-sided — contention only ever makes
-//! a sample slower — so every reported metric is the **minimum across
-//! passes** of the per-pass statistic, and the per-pass mean additionally
-//! drops the slowest quarter of its samples, mirroring the trimmed mean of
-//! `vendor/criterion`.
+//! Each configuration reports `mean`, `p50` and `p99` roundtrip latency
+//! through `vendor/criterion`'s `record_baseline`, which writes
+//! `BENCH_serve.json` and, under `STC_BENCH_DIR`, checks the run against
+//! the committed file like every other bench target.  Load noise is
+//! one-sided — contention only ever makes a sample slower — so every
+//! reported metric is the **minimum across passes** of the per-pass
+//! statistic, and the per-pass mean additionally drops the slowest quarter
+//! of its samples, mirroring the trimmed mean of `vendor/criterion`.
 //!
 //! Independently of timing, the harness checks correctness on every run:
 //!
@@ -31,10 +32,11 @@
 //!   the serve path and `stc run` must agree artifact for artifact.
 //!
 //! Flags (after `--` under cargo): `--clients N`, `--smoke` (correctness
-//! only, no baseline write — the CI serve gate), `--check-golden PATH`.
+//! only, nothing recorded — the CI serve gate), `--check-golden PATH`.
 //! Under `cargo test` the target runs in `--test` mode: a reduced corpus,
 //! all correctness checks, no timing assertions and no file writes.
 
+use criterion::{record_baseline, Measurement};
 use stc_pipeline::{CacheLimits, Json, NetOptions, NetServer, ServerHandle, StcConfig};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -192,6 +194,26 @@ struct PassStats {
     samples: usize,
 }
 
+impl PassStats {
+    /// The `serve/<config>/{mean,p50,p99}` baseline entries.
+    #[allow(clippy::cast_precision_loss)]
+    fn measurements(&self, config: &str) -> Vec<Measurement> {
+        let stats = [
+            ("mean", self.mean_ns),
+            ("p50", self.p50_ns as f64),
+            ("p99", self.p99_ns as f64),
+        ];
+        stats
+            .into_iter()
+            .map(|(stat, mean_ns)| Measurement {
+                name: format!("serve/{config}/{stat}"),
+                iterations: self.samples as u64,
+                mean_ns,
+            })
+            .collect()
+    }
+}
+
 fn pass_stats(samples: &[Sample]) -> PassStats {
     let mut latencies: Vec<u64> = samples.iter().map(|s| s.latency_ns).collect();
     let p50_ns = percentile(&mut latencies, 50.0);
@@ -299,29 +321,6 @@ fn cache_hits(addr: SocketAddr) -> u64 {
         .and_then(|c| c.get("hits"))
         .and_then(Json::as_u64)
         .expect("stats report cache hits")
-}
-
-/// Writes `BENCH_serve.json` in the criterion stand-in's schema, honouring
-/// `STC_BENCH_DIR` exactly like `vendor/criterion` does.
-fn write_baseline(entries: &[(String, f64, usize)]) {
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, (name, mean_ns, iterations)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"mean_ns\": {mean_ns:.1}, \"iterations\": {iterations}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let mut path = PathBuf::new();
-    if let Some(dir) = std::env::var_os("STC_BENCH_DIR") {
-        path.push(dir);
-        if let Err(e) = std::fs::create_dir_all(&path) {
-            eprintln!("warning: could not create {}: {e}", path.display());
-        }
-    }
-    path.push("BENCH_serve.json");
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!("baseline written to {}", path.display());
 }
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
@@ -451,13 +450,8 @@ fn main() {
     }
 
     if !options.test_mode && !options.smoke {
-        write_baseline(&[
-            ("serve/cold/mean".into(), cold.mean_ns, cold.samples),
-            ("serve/cold/p50".into(), cold.p50_ns as f64, cold.samples),
-            ("serve/cold/p99".into(), cold.p99_ns as f64, cold.samples),
-            ("serve/warm/mean".into(), warm.mean_ns, warm.samples),
-            ("serve/warm/p50".into(), warm.p50_ns as f64, warm.samples),
-            ("serve/warm/p99".into(), warm.p99_ns as f64, warm.samples),
-        ]);
+        let mut entries = cold.measurements("cold");
+        entries.extend(warm.measurements("warm"));
+        record_baseline("serve", &entries);
     }
 }

@@ -14,6 +14,9 @@
 //!   (`fault_sim`), the plan optimizer, the architectures and the serve
 //!   load harness, each with a committed `BENCH_<target>.json` baseline,
 //!   plus the `scale` gate (determinism and parallel speedup, no baseline).
+//!   `STC_BENCH_DIR=<abs dir> cargo bench -p stc-bench` is the perf gate:
+//!   each target writes its fresh file there and checks itself against its
+//!   committed baseline (see `vendor/criterion`'s `record_baseline`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,10 +2,10 @@
 
 use std::path::PathBuf;
 
-/// Errors surfaced by corpus loading and report/baseline parsing.
+/// Errors surfaced by corpus loading.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// An I/O error while reading a corpus directory or baseline file.
+    /// An I/O error while reading a corpus directory or file.
     Io {
         /// The path being read.
         path: PathBuf,
@@ -19,13 +19,6 @@ pub enum PipelineError {
         /// The parser's error.
         source: stc_fsm::FsmError,
     },
-    /// A JSON document failed to parse or had an unexpected shape.
-    Json {
-        /// The offending file (or a description of the input).
-        path: PathBuf,
-        /// What went wrong.
-        message: String,
-    },
     /// The corpus resolved to zero machines.
     EmptyCorpus(String),
 }
@@ -38,9 +31,6 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::Kiss2 { path, source } => {
                 write!(f, "{}: KISS2 parse error: {source}", path.display())
-            }
-            PipelineError::Json { path, message } => {
-                write!(f, "{}: {message}", path.display())
             }
             PipelineError::EmptyCorpus(what) => write!(f, "empty corpus: {what}"),
         }

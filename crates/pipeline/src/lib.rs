@@ -21,8 +21,6 @@
 //! * [`ServeMetrics`] — service counters behind the `stats` request and the
 //!   periodic log line;
 //! * [`SuiteReport`] — the deterministic report and its JSON serialisation;
-//! * [`compare_benchmarks`] — the perf-baseline comparison behind the
-//!   `stc bench-check` CI gate;
 //! * [`Json`] — the minimal JSON value type used for emission and parsing;
 //! * [`Stage`] — the ordered table of flow stages behind observer events,
 //!   serve metrics and the `stc` commands.
@@ -44,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench_compare;
 pub mod cache;
 mod config;
 mod corpus;
@@ -57,9 +54,6 @@ mod report;
 mod serve;
 mod session;
 
-pub use bench_compare::{
-    compare_benchmarks, load_baseline_dir, parse_baseline, BenchCheck, BenchDelta, BenchMeasurement,
-};
 pub use cache::{ArtifactCache, CacheCounters, CacheLimits};
 pub use config::{
     resolve_jobs, AnalysisSettings, ConfigError, CoverageConfig, EmitSettings, GateLevelLimits,

@@ -1027,8 +1027,9 @@ impl Synthesis {
     /// of [`Stage::ALL`] run in table order; a machine beyond the gate-level
     /// limits runs only solve and analyze and ends `solve-only`.  Before
     /// every stage after solve the machine timeout (`timeout`) and the
-    /// observer (`cancelled`) are checked; after every stage its
-    /// stage-deadline window is (`timeout`, keeping that stage's section).
+    /// observer (`cancelled`) are checked, and the machine timeout once more
+    /// after the last stage; after every stage its stage-deadline window is
+    /// (`timeout`, keeping that stage's section).
     /// The solve stage also stops inside the search, through
     /// [`SolveAdapter`], when the window closes or the observer cancels.
     fn walk(&self, machine: &Mealy, report: &mut MachineReport) -> Result<(), MachineStatus> {
@@ -1060,6 +1061,9 @@ impl Synthesis {
                 return Err(MachineStatus::TimedOut);
             }
             outcome?;
+        }
+        if past(machine_deadline) {
+            return Err(MachineStatus::TimedOut);
         }
         if gate_level {
             Ok(())

@@ -1,6 +1,5 @@
 //! The `stc` command-line interface: batch synthesis of self-testable
-//! controllers over a corpus, a long-lived JSON-lines service, and the
-//! perf-regression gate used in CI.
+//! controllers over a corpus, and a long-lived JSON-lines service.
 //!
 //! * `stc run` — drive the full flow (OSTR solve → encode → logic → BIST,
 //!   plus the exact fault-coverage stage with `--coverage`) over the
@@ -23,23 +22,18 @@
 //!   wrapper (`--target rust|verilog`; see docs/EMIT.md).
 //! * `stc serve` — serve one-machine synthesis requests over
 //!   stdin/stdout (one JSON request per line, one JSON response per line).
-//! * `stc bench-check` — run the bench harness and compare against the
-//!   committed `crates/bench/BENCH_*.json` baselines with a relative
-//!   tolerance; non-zero exit on regression.
 //! * `stc list` — list the machines of a corpus.
 //!
 //! All commands layer configuration the same way: crate defaults, then an
 //! optional `--profile` file, then individual flags — the `stc::Synthesis`
-//! session's `StcConfig` layers.  See the README for the JSON report schema
-//! and the re-baselining workflow.
+//! session's `StcConfig` layers.  See the README for the JSON report schema.
 
 #![forbid(unsafe_code)]
 
 use stc::analyze::Severity;
 use stc::pipeline::{
-    compare_benchmarks, coverage_json, embedded_corpus, emit_json, filter_by_names,
-    format_summary_table, kiss2_corpus, lint_json, load_baseline_dir, optimize_json,
-    search_stats_json, serve_with, BenchMeasurement, CacheLimits, CorpusEntry, Event, Json,
+    coverage_json, embedded_corpus, emit_json, filter_by_names, format_summary_table, kiss2_corpus,
+    lint_json, optimize_json, search_stats_json, serve_with, CacheLimits, CorpusEntry, Event, Json,
     NetOptions, NetServer, Observer, PipelineError, Stage, StcConfig, SuiteReport, SuiteRun,
     Synthesis,
 };
@@ -71,7 +65,6 @@ USAGE:
                                  over TCP with --listen (JSON lines; see
                                  docs/SERVE.md for the full protocol)
     stc list [OPTIONS]           list the machines of the selected corpus
-    stc bench-check [OPTIONS]    compare bench results against committed baselines
     stc help                     print this message
 
 CORPUS OPTIONS (run, coverage, optimize, lint, emit, list):
@@ -166,13 +159,6 @@ SERVE OPTIONS (config options also apply):
     --stats-interval-secs <S>    print a service-stats summary line to stderr
                                  every S seconds (default 0 = off; --listen only)
 
-BENCH-CHECK OPTIONS:
-    --baseline-dir <DIR>         committed baselines (default: crates/bench)
-    --measured-dir <DIR>         pre-existing fresh BENCH_*.json files; when absent,
-                                 `cargo bench -p stc-bench` runs in target/bench-check
-    --threshold <F>              relative regression threshold, 0.30 = ±30%
-                                 (default 0.30; --tolerance is an alias)
-
 The JSON report contains no wall-clock values: for a fixed corpus and options
 it is byte-identical for any --jobs / --solver-jobs value, so CI diffs it
 against a golden file.  Timings and --progress events go to stderr.
@@ -203,7 +189,6 @@ fn main() -> ExitCode {
         None => match command.as_str() {
             "serve" => cmd_serve(rest),
             "list" => cmd_list(rest),
-            "bench-check" => cmd_bench_check(rest),
             "help" | "--help" | "-h" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -757,100 +742,4 @@ fn cmd_list(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench_check(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline_dir = PathBuf::from("crates/bench");
-    let mut measured_dir: Option<PathBuf> = None;
-    let mut tolerance = 0.30_f64;
-
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--baseline-dir" => baseline_dir = PathBuf::from(take_value(flag, &mut iter)?),
-            "--measured-dir" => measured_dir = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--threshold" | "--tolerance" => {
-                tolerance = parse_number(flag, take_value(flag, &mut iter)?)?;
-            }
-            other => return Err(format!("unknown flag '{other}' for 'stc bench-check'")),
-        }
-    }
-    if !(tolerance.is_finite() && tolerance >= 0.0) {
-        return Err("--threshold must be a non-negative number".into());
-    }
-
-    let measured_dir = match measured_dir {
-        Some(dir) => dir,
-        None => run_bench_harness()?,
-    };
-    let baseline = flatten(load_baseline_dir(&baseline_dir).map_err(|e| e.to_string())?);
-    let measured = flatten(load_baseline_dir(&measured_dir).map_err(|e| e.to_string())?);
-
-    let check = compare_benchmarks(&baseline, &measured, tolerance);
-    eprint!("{}", check.format_table());
-    let improvements = check.improvements();
-    if !improvements.is_empty() {
-        eprintln!(
-            "{} benchmark(s) improved beyond the tolerance; consider re-baselining \
-             (see README: 'Re-baselining').",
-            improvements.len()
-        );
-    }
-    if check.passed() {
-        eprintln!(
-            "bench-check passed: {} benchmark(s) within ±{:.0}%",
-            check.compared.len(),
-            100.0 * tolerance
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!(
-            "bench-check FAILED: {} regression(s), {} missing benchmark(s)",
-            check.regressions().len(),
-            check.missing.len()
-        );
-        Ok(ExitCode::FAILURE)
-    }
-}
-
-fn flatten(files: Vec<(String, Vec<BenchMeasurement>)>) -> Vec<BenchMeasurement> {
-    files.into_iter().flat_map(|(_, m)| m).collect()
-}
-
-/// Runs `cargo bench -p stc-bench` with `STC_BENCH_DIR` pointing at a
-/// scratch directory, so the vendored criterion harness deposits the fresh
-/// `BENCH_*.json` files there instead of clobbering the committed baselines
-/// (bench binaries run with the package directory as their cwd).  Returns
-/// the scratch directory.
-fn run_bench_harness() -> Result<PathBuf, String> {
-    let scratch = PathBuf::from("target").join("bench-check");
-    std::fs::create_dir_all(&scratch)
-        .map_err(|e| format!("cannot create {}: {e}", scratch.display()))?;
-    // Clear stale measurements so a failed bench run cannot silently pass
-    // against last week's files.
-    for entry in std::fs::read_dir(&scratch)
-        .map_err(|e| format!("cannot read {}: {e}", scratch.display()))?
-        .filter_map(Result::ok)
-    {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-    let scratch_abs = std::fs::canonicalize(&scratch)
-        .map_err(|e| format!("cannot canonicalize {}: {e}", scratch.display()))?;
-    eprintln!(
-        "running `cargo bench -p stc-bench` (measurements: {})",
-        scratch_abs.display()
-    );
-    let status = std::process::Command::new("cargo")
-        .args(["bench", "-p", "stc-bench"])
-        .env("STC_BENCH_DIR", &scratch_abs)
-        .status()
-        .map_err(|e| format!("cannot spawn cargo: {e}"))?;
-    if !status.success() {
-        return Err(format!("cargo bench failed with {status}"));
-    }
-    Ok(scratch)
 }

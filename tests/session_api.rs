@@ -2,7 +2,9 @@
 //! cooperative cancellation, early-stop statuses, event ordering and the
 //! configuration echo.
 
-use stc::pipeline::{embedded_corpus, filter_by_names, GateLevelLimits, MachineStatus};
+use stc::pipeline::{
+    embedded_corpus, filter_by_names, GateLevelLimits, MachineReport, MachineStatus,
+};
 use stc::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,31 +181,48 @@ fn early_stops_keep_the_solve_section_and_report_their_cause() {
     }
 }
 
-/// The machine timeout is checked before every stage after solve, not only
-/// after the first gate-level ones: a machine whose deadline passes while
-/// bist finishes stops before coverage, keeping the bist section.
-#[test]
-fn the_machine_timeout_is_checked_after_bist() {
-    struct SlowAfterBist;
-    impl Observer for SlowAfterBist {
-        fn on_event(&self, event: &Event<'_>) {
-            if let Event::StageFinished { stage: "bist", .. } = event {
-                std::thread::sleep(Duration::from_millis(600));
-            }
+/// Sleeps 600 ms when bist finishes, past a 500 ms machine timeout.
+struct SlowAfterBist;
+
+impl Observer for SlowAfterBist {
+    fn on_event(&self, event: &Event<'_>) {
+        if let Event::StageFinished { stage: "bist", .. } = event {
+            std::thread::sleep(Duration::from_millis(600));
         }
     }
+}
+
+/// Runs tav with a 500 ms machine timeout that bist's observer overruns.
+fn run_tav_past_bist(coverage: bool) -> MachineReport {
     let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
     let run = Synthesis::builder()
-        .coverage(true)
+        .coverage(coverage)
         .machine_timeout(Some(Duration::from_millis(500)))
         .observer(Arc::new(SlowAfterBist))
         .jobs(1)
         .build()
         .run_suite(&corpus, "late-timeout");
-    let tav = &run.report.machines[0];
+    run.report.machines.into_iter().next().expect("one machine")
+}
+
+/// The machine timeout is checked before every stage after solve, not only
+/// after the first gate-level ones: a machine whose deadline passes while
+/// bist finishes stops before coverage, keeping the bist section.
+#[test]
+fn the_machine_timeout_is_checked_after_bist() {
+    let tav = run_tav_past_bist(true);
     assert_eq!(tav.status, MachineStatus::TimedOut);
     let bist = tav.bist.as_ref().expect("the bist section is kept");
     assert_eq!(bist.measured_coverage, None, "coverage must not run");
+}
+
+/// The machine timeout is checked after the last enabled stage too: an
+/// overrun there ends `timeout`, keeping every section, instead of `full`.
+#[test]
+fn the_machine_timeout_is_checked_after_the_last_stage() {
+    let tav = run_tav_past_bist(false);
+    assert_eq!(tav.status, MachineStatus::TimedOut);
+    assert!(tav.bist.is_some(), "the bist section is kept");
 }
 
 /// Under parallel subtree exploration a one-shot cancel can be consumed by
