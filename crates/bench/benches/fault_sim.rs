@@ -37,7 +37,7 @@ use stc_bist::{
     pipeline_self_test_scalar, simulate_faults, simulate_faults_packed, Lfsr, Misr,
     OptimizeOptions,
 };
-use stc_encoding::{EncodedMachine, EncodedPipeline, EncodingStrategy};
+use stc_encoding::{EncodedMachine, EncodedPipeline};
 use stc_fsm::{benchmarks, kiss2, planted_decomposable, Mealy, PlantedSpec};
 use stc_logic::{
     reference, synthesize_controller, synthesize_pipeline, Netlist, PipelineLogic, SynthOptions,
@@ -52,7 +52,7 @@ fn machine(name: &str) -> Mealy {
 /// The monolithic controller netlist of a benchmark machine — the biggest
 /// single combinational block the workspace synthesises.
 fn controller_netlist(name: &str) -> Netlist {
-    let encoded = EncodedMachine::new(&machine(name), EncodingStrategy::Binary);
+    let encoded = EncodedMachine::new(&machine(name));
     synthesize_controller(&encoded, SynthOptions::default())
         .block
         .netlist
@@ -189,7 +189,7 @@ fn substrates(c: &mut Criterion) {
         });
     });
 
-    let encoded = EncodedMachine::new(&shiftreg, EncodingStrategy::Binary);
+    let encoded = EncodedMachine::new(&shiftreg);
     c.bench_function("logic/synthesize_shiftreg", |b| {
         b.iter(|| synthesize_controller(&encoded, SynthOptions::default()));
     });

@@ -26,13 +26,13 @@
 //!   the same machine reuse the same `id`, so the full response lines can
 //!   be compared as strings);
 //! * the warm server's `stats` report shows the expected cache hits;
-//! * with `--check-golden <suite.json>` (or by default when the committed
-//!   golden file is found), every response's `report` object must equal the
-//!   corresponding `machines[]` entry of the golden embedded-suite report —
+//! * every response's `report` object must equal the corresponding
+//!   `machines[]` entry of the committed golden embedded-suite report
+//!   (`tests/golden/embedded_suite.json`; a missing file fails the run) —
 //!   the serve path and `stc run` must agree artifact for artifact.
 //!
 //! Flags (after `--` under cargo): `--clients N`, `--smoke` (correctness
-//! only, nothing recorded — the CI serve gate), `--check-golden PATH`.
+//! only, nothing recorded — the CI serve gate).
 //! Under `cargo test` the target runs in `--test` mode: a reduced corpus,
 //! all correctness checks, no timing assertions and no file writes.
 
@@ -41,7 +41,6 @@ use stc_pipeline::{CacheLimits, Json, NetOptions, NetServer, ServerHandle, StcCo
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -64,7 +63,6 @@ struct Options {
     /// Correctness-only mode for the CI serve gate (`--smoke`).
     smoke: bool,
     clients: Option<usize>,
-    check_golden: Option<PathBuf>,
 }
 
 fn parse_args() -> Options {
@@ -76,7 +74,6 @@ fn parse_args() -> Options {
         test_mode: cfg!(debug_assertions),
         smoke: false,
         clients: None,
-        check_golden: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,10 +83,6 @@ fn parse_args() -> Options {
             "--clients" => {
                 let value = args.next().expect("--clients needs a count");
                 options.clients = Some(value.parse().expect("--clients needs a number"));
-            }
-            "--check-golden" => {
-                let value = args.next().expect("--check-golden needs a path");
-                options.check_golden = Some(PathBuf::from(value));
             }
             // `--bench`, test filters and the like are cargo's business.
             _ => {}
@@ -259,11 +252,18 @@ fn unique_responses(samples: &[Sample]) -> BTreeMap<usize, String> {
     by_id
 }
 
+/// The committed golden embedded-suite report the responses are diffed
+/// against.
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/embedded_suite.json"
+);
+
 /// Diffs every response's `report` against the golden suite's `machines[]`
 /// entry of the same name.
-fn check_golden(path: &Path, responses: &BTreeMap<usize, String>) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read golden {}: {e}", path.display()));
+fn check_golden(responses: &BTreeMap<usize, String>) {
+    let text =
+        std::fs::read_to_string(GOLDEN).unwrap_or_else(|e| panic!("read golden {GOLDEN}: {e}"));
     let golden = Json::parse(&text).expect("golden file is JSON");
     let machines = golden
         .get("machines")
@@ -288,22 +288,7 @@ fn check_golden(path: &Path, responses: &BTreeMap<usize, String>) {
         );
         checked += 1;
     }
-    eprintln!(
-        "serve: {checked} response(s) match the golden suite reports in {}",
-        path.display()
-    );
-}
-
-/// Locates the committed golden suite report relative to the bench binary's
-/// working directory (the package root under cargo).
-fn default_golden() -> Option<PathBuf> {
-    [
-        "../../tests/golden/embedded_suite.json",
-        "tests/golden/embedded_suite.json",
-    ]
-    .iter()
-    .map(PathBuf::from)
-    .find(|p| p.is_file())
+    eprintln!("serve: {checked} response(s) match the golden suite reports in {GOLDEN}");
 }
 
 /// Queries the warm server's `stats` request and returns the cache-hit count.
@@ -417,12 +402,7 @@ fn main() {
         "warm server reports {hits} cache hits, expected at least {expected_hits}"
     );
 
-    // Golden check: explicit path, or the committed file when found.
-    if let Some(path) = options.check_golden.clone().or_else(default_golden) {
-        check_golden(&path, &cold_responses);
-    } else {
-        eprintln!("serve: golden suite report not found, skipping report diff");
-    }
+    check_golden(&cold_responses);
 
     let cold = best(&cold_passes);
     let warm = best(&warm_passes);

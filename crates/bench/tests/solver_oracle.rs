@@ -17,10 +17,7 @@ use stc_synth::{OstrOutcome, OstrSolver, PreparedOstr};
 
 /// FNV-1a over the `Display` rendering `"{π}|{τ}"` of the best pair.
 fn pair_digest(outcome: &OstrOutcome) -> u64 {
-    let rendered = format!("{}|{}", outcome.best.pi, outcome.best.tau);
-    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    stc_fsm::fnv1a(format!("{}|{}", outcome.best.pi, outcome.best.tau).as_bytes())
 }
 
 /// Solves `tier` at 1, 2 and 4 workers and checks each run against the

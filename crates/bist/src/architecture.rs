@@ -3,7 +3,7 @@
 
 use crate::coverage::coverage_fraction;
 use crate::fault::{fault_list, lfsr_patterns, simulate_faults_packed, StuckAtFault};
-use stc_encoding::{EncodedMachine, EncodedPipeline, EncodingStrategy};
+use stc_encoding::{EncodedMachine, EncodedPipeline};
 use stc_fsm::Mealy;
 use stc_logic::{synthesize_controller, synthesize_pipeline, Gate, Netlist, SynthOptions};
 use stc_synth::{OstrSolver, Realization, SolverConfig};
@@ -73,8 +73,6 @@ pub struct ArchitectureReport {
 pub struct ArchitectureOptions {
     /// Number of pseudo-random patterns applied per self-test session.
     pub patterns_per_session: usize,
-    /// State-assignment strategy.
-    pub encoding: EncodingStrategy,
     /// Logic-synthesis options.
     pub synth: SynthOptions,
     /// OSTR solver configuration (for the pipeline architecture).
@@ -85,7 +83,6 @@ impl Default for ArchitectureOptions {
     fn default() -> Self {
         Self {
             patterns_per_session: 256,
-            encoding: EncodingStrategy::Binary,
             synth: SynthOptions::default(),
             solver: SolverConfig::default(),
         }
@@ -100,7 +97,7 @@ pub fn evaluate_architectures(
     machine: &Mealy,
     options: &ArchitectureOptions,
 ) -> Vec<ArchitectureReport> {
-    let encoded = EncodedMachine::new(machine, options.encoding);
+    let encoded = EncodedMachine::new(machine);
     let controller = synthesize_controller(&encoded, options.synth);
     let c_netlist = &controller.block.netlist;
     let state_bits = encoded.state_bits.max(1);

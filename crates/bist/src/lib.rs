@@ -75,6 +75,7 @@ pub use optimize::{
     PlanOptimization, SessionOptimization,
 };
 pub use session::{
-    pipeline_self_test, pipeline_self_test_scalar, session_patterns, session_patterns_from,
-    session_source_width, SelfTestResult, SessionResult,
+    analyser_width, good_signature, pipeline_self_test, pipeline_self_test_scalar,
+    session_patterns, session_patterns_from, session_source_width, SelfTestResult, SessionResult,
+    AUX_LFSR_SEED, AUX_LFSR_TAPS,
 };

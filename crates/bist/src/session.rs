@@ -31,7 +31,7 @@
 use crate::bilbo::{Bilbo, BilboMode};
 use crate::cone::{ConeIndex, ConeSim};
 use crate::fault::{fault_list, PackedPatterns};
-use crate::lfsr::Lfsr;
+use crate::lfsr::{Lfsr, PRIMITIVE_TAPS};
 use stc_logic::{Netlist, PipelineLogic, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// The result of one self-test session (one block under test).
@@ -131,9 +131,22 @@ fn self_test_with(pipeline: &PipelineLogic, patterns: usize, session: SessionFn)
 /// the output-observation stages; it is modelled as at least 16 bits so the
 /// aliasing probability (~2^-width) is negligible, as it is in real BIST
 /// hardware, and at most 24 (the tabulated polynomials).
-fn analyser_width(ana_bits: u32) -> u32 {
+#[must_use]
+pub fn analyser_width(ana_bits: u32) -> u32 {
     ana_bits.max(16).clamp(1, 24)
 }
+
+/// Width of the free-running auxiliary LFSR that pads input cones wider
+/// than the session's pattern source.
+const AUX_LFSR_WIDTH: u32 = 16;
+
+/// Seed of the auxiliary LFSR that pads input cones wider than
+/// [`session_source_width`] (16 bits, restarted with every session).
+pub const AUX_LFSR_SEED: u64 = 0xace1;
+
+/// Feedback taps (1-based) of the auxiliary LFSR: the tabulated primitive
+/// polynomial of degree 16.
+pub const AUX_LFSR_TAPS: &[u32] = PRIMITIVE_TAPS[AUX_LFSR_WIDTH as usize];
 
 /// The pattern sequence a self-test session applies to a block under test,
 /// in application order.
@@ -155,12 +168,7 @@ fn analyser_width(ana_bits: u32) -> u32 {
 #[must_use]
 pub fn session_patterns(block: &Netlist, patterns: usize) -> Vec<Vec<bool>> {
     let width = session_source_width(block);
-    session_patterns_from(
-        block,
-        crate::lfsr::PRIMITIVE_TAPS[width as usize],
-        0b1,
-        patterns,
-    )
+    session_patterns_from(block, PRIMITIVE_TAPS[width as usize], 0b1, patterns)
 }
 
 /// The width of the combined de Bruijn pattern source a session uses for
@@ -194,7 +202,7 @@ pub fn session_patterns_from(
     // Blocks with an input cone wider than the tabulated polynomials get
     // the excess bits from a free-running auxiliary LFSR (pseudo-random
     // rather than exhaustive — such cones are too wide to exhaust anyway).
-    let mut aux = Lfsr::with_primitive_polynomial(16, 0xace1);
+    let mut aux = Lfsr::new(AUX_LFSR_WIDTH, AUX_LFSR_TAPS, AUX_LFSR_SEED);
     (0..patterns)
         .map(|_| {
             source.step();
@@ -335,24 +343,13 @@ fn run_session_scalar(
     patterns: usize,
 ) -> SessionResult {
     let stimuli = session_patterns(block, patterns);
-
-    let signature_of = |fault: Option<(usize, bool)>| -> u64 {
-        let mut analyser = Bilbo::new(ana_width, 0);
-        analyser.set_mode(BilboMode::SignatureAnalysis);
-        for inputs in &stimuli {
-            let response = block.evaluate_with_fault(inputs, fault);
-            let mut padded = response;
-            padded.resize(ana_width as usize, false);
-            analyser.clock(&padded);
-        }
-        analyser.contents_word()
-    };
-
-    let good_signature = signature_of(None);
+    let good_signature = misr_signature(block, &stimuli, ana_width, None);
     let faults = fault_list(block);
     let detected = faults
         .iter()
-        .filter(|f| signature_of(Some((f.node, f.stuck_at))) != good_signature)
+        .filter(|f| {
+            misr_signature(block, &stimuli, ana_width, Some((f.node, f.stuck_at))) != good_signature
+        })
         .count();
     SessionResult {
         block: name.to_string(),
@@ -361,6 +358,49 @@ fn run_session_scalar(
         total_faults: faults.len(),
         detected_faults: detected,
     }
+}
+
+/// The signature a `ana_width`-bit MISR-mode analyser, seeded with zero,
+/// collects from `block` (with `fault` injected, if any) driven by
+/// `stimuli`: each response is truncated or zero-padded to the analyser
+/// width, most significant bit first, and clocked in.
+fn misr_signature(
+    block: &Netlist,
+    stimuli: &[Vec<bool>],
+    ana_width: u32,
+    fault: Option<(usize, bool)>,
+) -> u64 {
+    let mut analyser = Bilbo::new(ana_width, 0);
+    analyser.set_mode(BilboMode::SignatureAnalysis);
+    for inputs in stimuli {
+        let mut response = block.evaluate_with_fault(inputs, fault);
+        response.resize(ana_width as usize, false);
+        analyser.clock(&response);
+    }
+    analyser.contents_word()
+}
+
+/// The fault-free signature of a session with an explicit pattern source:
+/// `block` is driven by [`session_patterns_from`]`(block, taps, seed,
+/// patterns)` and its responses are compacted in the
+/// [`analyser_width`]`(ana_bits)`-bit analyser of a receiving register with
+/// `ana_bits` bits, exactly as [`pipeline_self_test`] does for the default
+/// source.  This is the signature an emitted self-test of an optimized
+/// plan must collect.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`session_patterns_from`].
+#[must_use]
+pub fn good_signature(
+    block: &Netlist,
+    ana_bits: u32,
+    taps: &[u32],
+    seed: u64,
+    patterns: usize,
+) -> u64 {
+    let stimuli = session_patterns_from(block, taps, seed, patterns);
+    misr_signature(block, &stimuli, analyser_width(ana_bits), None)
 }
 
 /// The full-sweep session the cone-restricted one replaced: the good
@@ -465,12 +505,21 @@ mod tests {
         let pipeline = example_pipeline();
         for block in [&pipeline.c1.netlist, &pipeline.c2.netlist] {
             let width = session_source_width(block);
-            let taps = crate::lfsr::PRIMITIVE_TAPS[width as usize];
+            let taps = PRIMITIVE_TAPS[width as usize];
             assert_eq!(
                 session_patterns(block, 40),
                 session_patterns_from(block, taps, 0b1, 40)
             );
         }
+    }
+
+    #[test]
+    fn analyser_width_floors_at_sixteen_and_caps_at_twenty_four() {
+        assert_eq!(analyser_width(1), 16);
+        assert_eq!(analyser_width(16), 16);
+        assert_eq!(analyser_width(20), 20);
+        assert_eq!(analyser_width(24), 24);
+        assert_eq!(analyser_width(40), 24);
     }
 
     #[test]

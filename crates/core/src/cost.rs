@@ -11,17 +11,9 @@
 //! [`Cost`] captures this lexicographic objective exactly, using integer
 //! cross-multiplication for the balance term so no floating point is involved.
 
+use stc_fsm::ceil_log2;
 use std::cmp::Ordering;
 use std::fmt;
-
-/// `⌈log2(x)⌉` with `ceil_log2(0) = ceil_log2(1) = 0`.
-fn ceil_log2(x: usize) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        usize::BITS - (x - 1).leading_zeros()
-    }
-}
 
 /// The OSTR cost of a candidate factor-size pair `(|S1|, |S2|)`.
 ///

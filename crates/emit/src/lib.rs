@@ -34,10 +34,9 @@ pub use rust::emit_rust;
 pub use verilog::emit_verilog;
 
 use stc_bist::{
-    session_patterns_from, session_source_width, Bilbo, BilboMode, PlanOptimization,
-    SelfTestResult, PRIMITIVE_TAPS,
+    good_signature, session_source_width, PlanOptimization, SelfTestResult, PRIMITIVE_TAPS,
 };
-use stc_logic::{Netlist, PipelineLogic};
+use stc_logic::PipelineLogic;
 
 /// Code-generation target of one emit run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -167,39 +166,6 @@ impl SelfTestSpec {
     }
 }
 
-/// The width of the analysing register of a session observing `ana_bits`
-/// block outputs — the receiving state register plus observation stages,
-/// at least 16 bits so aliasing stays negligible.  Mirrors the session
-/// simulation in `stc-bist` (the single source of truth for the baked-in
-/// signatures).
-#[must_use]
-pub fn analyser_width(ana_bits: u32) -> u32 {
-    ana_bits.max(16).clamp(1, 24)
-}
-
-/// The fault-free signature a session with the given pattern source
-/// collects: the block is driven by the de Bruijn stimuli and the responses
-/// are compacted in a MISR-mode BILBO register seeded with zero, exactly as
-/// `stc_bist::pipeline_self_test` does.
-#[must_use]
-pub fn good_signature(
-    block: &Netlist,
-    ana_bits: u32,
-    taps: &[u32],
-    seed: u64,
-    patterns: usize,
-) -> u64 {
-    let ana_width = analyser_width(ana_bits);
-    let mut analyser = Bilbo::new(ana_width, 0);
-    analyser.set_mode(BilboMode::SignatureAnalysis);
-    for inputs in session_patterns_from(block, taps, seed, patterns) {
-        let mut padded = block.evaluate(&inputs);
-        padded.resize(ana_width as usize, false);
-        analyser.clock(&padded);
-    }
-    analyser.contents_word()
-}
-
 /// Sanitizes a machine name into a valid Rust/Verilog identifier: ASCII
 /// alphanumerics are kept (lower-cased), everything else becomes `_`, and a
 /// leading digit is prefixed with `_`.  Empty names become `controller`.
@@ -222,24 +188,13 @@ pub fn sanitize_module_name(name: &str) -> String {
     out
 }
 
-/// The 64-bit FNV-1a hash of a byte string — the workspace's standard cheap
-/// content digest, used to pin emitted sources in reports and goldens.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stc_bist::{AUX_LFSR_SEED, AUX_LFSR_TAPS};
     use stc_encoding::EncodedPipeline;
     use stc_fsm::paper_example;
-    use stc_logic::{synthesize_pipeline, SynthOptions};
+    use stc_logic::{synthesize_pipeline, Cover, Cube, SynthOptions, SynthesizedBlock};
     use stc_synth::solve;
 
     fn example_pipeline() -> PipelineLogic {
@@ -305,12 +260,22 @@ mod tests {
     }
 
     #[test]
-    fn analyser_width_floors_at_sixteen_and_caps_at_twenty_four() {
-        assert_eq!(analyser_width(1), 16);
-        assert_eq!(analyser_width(16), 16);
-        assert_eq!(analyser_width(20), 20);
-        assert_eq!(analyser_width(24), 24);
-        assert_eq!(analyser_width(40), 24);
+    fn wide_cones_write_the_aux_lfsr_from_the_bist_constants() {
+        // A 30-input C1 cone exceeds the 24-bit pattern source, so both
+        // backends pad it from the auxiliary LFSR.
+        let mut pipeline = example_pipeline();
+        let one = Cover::from_cubes(30, vec![Cube::universal(30)]);
+        let options = SynthOptions::default();
+        pipeline.c1 = SynthesizedBlock::from_covers("C1", 30, vec![one], &Cover::new(30), options);
+        let result = stc_bist::pipeline_self_test(&pipeline, 16);
+        let spec = SelfTestSpec::from_plan(&pipeline, &result);
+        let rust = emit_rust("wide", &pipeline, &spec).source;
+        let taps: Vec<String> = AUX_LFSR_TAPS.iter().map(u32::to_string).collect();
+        assert!(rust.contains(&format!("const AUX_TAPS: &[u32] = &[{}];", taps.join(", "))));
+        assert!(rust.contains(&format!("let mut aux: u64 = 0x{AUX_LFSR_SEED:x};")));
+        let verilog = emit_verilog("wide", &pipeline, &spec).source;
+        assert!(verilog.contains("aux_step = {a[14:0], a[15] ^ a[14] ^ a[12] ^ a[3]};"));
+        assert!(verilog.contains(&format!("aux   <= 16'h{AUX_LFSR_SEED:x};")));
     }
 
     #[test]
@@ -320,12 +285,6 @@ mod tests {
         assert_eq!(sanitize_module_name("3bit-counter"), "_3bit_counter");
         assert_eq!(sanitize_module_name(""), "controller");
         assert_eq!(sanitize_module_name("§§"), "__");
-    }
-
-    #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

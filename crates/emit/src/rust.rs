@@ -2,8 +2,10 @@
 //! straight-line boolean expressions and embeds the two-session self-test
 //! with its expected signatures.
 
-use crate::{analyser_width, sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
-use stc_bist::PRIMITIVE_TAPS;
+use crate::{sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
+use stc_bist::{
+    analyser_width, session_source_width, AUX_LFSR_SEED, AUX_LFSR_TAPS, PRIMITIVE_TAPS,
+};
 use stc_logic::{Gate, Netlist, PipelineLogic};
 use std::fmt::Write as _;
 
@@ -251,6 +253,7 @@ fn self_test(s: &mut String, pipeline: &PipelineLogic, spec: &SelfTestSpec) {
             block_fn: "c1",
             cone_const: "C1_INPUTS",
             cone: pipeline.c1.netlist.num_inputs(),
+            source_width: session_source_width(&pipeline.c1.netlist),
             response_const: "R2_BITS",
             spec: &spec.session1,
             ana_width: analyser_width(pipeline.r2_bits),
@@ -260,6 +263,7 @@ fn self_test(s: &mut String, pipeline: &PipelineLogic, spec: &SelfTestSpec) {
             block_fn: "c2",
             cone_const: "C2_INPUTS",
             cone: pipeline.c2.netlist.num_inputs(),
+            source_width: session_source_width(&pipeline.c2.netlist),
             response_const: "R1_BITS",
             spec: &spec.session2,
             ana_width: analyser_width(pipeline.r1_bits),
@@ -270,11 +274,15 @@ fn self_test(s: &mut String, pipeline: &PipelineLogic, spec: &SelfTestSpec) {
         session_constants(s, ctx);
     }
 
-    if sessions.iter().any(|c| c.cone > c.source_width() as usize) {
+    if sessions.iter().any(|c| c.cone > c.source_width as usize) {
         s.push_str(
             "/// Feedback taps of the auxiliary 16-bit LFSR that pads input cones\n\
-             /// wider than the main pattern source.\n\
-             const AUX_TAPS: &[u32] = &[16, 15, 13, 4];\n\n",
+             /// wider than the main pattern source.\n",
+        );
+        let _ = writeln!(
+            s,
+            "const AUX_TAPS: &[u32] = {};\n",
+            taps_literal(AUX_LFSR_TAPS)
         );
     }
     s.push_str(
@@ -310,17 +318,11 @@ struct SessionCtx<'a> {
     cone_const: &'a str,
     /// Input-cone width of the block under test.
     cone: usize,
+    /// Width of the combined de Bruijn pattern source.
+    source_width: u32,
     response_const: &'a str,
     spec: &'a SessionSpec,
     ana_width: u32,
-}
-
-impl SessionCtx<'_> {
-    /// Width of the combined de Bruijn pattern source (cone clamped to the
-    /// tabulated polynomial range).
-    fn source_width(&self) -> u32 {
-        (self.cone as u32).clamp(1, 24)
-    }
 }
 
 fn session_constants(s: &mut String, ctx: &SessionCtx<'_>) {
@@ -350,7 +352,7 @@ fn session_constants(s: &mut String, ctx: &SessionCtx<'_>) {
     let _ = writeln!(
         s,
         "pub const SESSION{n}_SOURCE_WIDTH: u32 = {};",
-        ctx.source_width()
+        ctx.source_width
     );
     let _ = writeln!(s, "/// Width of the session-{n} signature analyser.");
     let _ = writeln!(
@@ -384,7 +386,7 @@ fn session_fn(s: &mut String, ctx: &SessionCtx<'_>) {
     let under_test = block.to_uppercase();
     let cone = ctx.cone_const;
     let resp = ctx.response_const;
-    let needs_aux = ctx.cone > ctx.source_width() as usize;
+    let needs_aux = ctx.cone > ctx.source_width as usize;
 
     let _ = writeln!(
         s,
@@ -405,7 +407,7 @@ fn session_fn(s: &mut String, ctx: &SessionCtx<'_>) {
         "    let mut source: u64 = SESSION{n}_SEED & source_mask;"
     );
     if needs_aux {
-        s.push_str("    let mut aux: u64 = 0xace1;\n");
+        let _ = writeln!(s, "    let mut aux: u64 = 0x{AUX_LFSR_SEED:x};");
     }
     s.push_str("    let mut misr: u64 = 0;\n");
     let _ = writeln!(s, "    let mut inputs = [false; {cone}];");

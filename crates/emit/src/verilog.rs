@@ -1,8 +1,10 @@
 //! The Verilog backend: a structural netlist view of the controller with
 //! the two-session BIST wrapper of the paper's Fig. 4 as a separate module.
 
-use crate::{analyser_width, sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
-use stc_bist::PRIMITIVE_TAPS;
+use crate::{sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
+use stc_bist::{
+    analyser_width, session_source_width, AUX_LFSR_SEED, AUX_LFSR_TAPS, PRIMITIVE_TAPS,
+};
 use stc_logic::{Gate, Netlist, PipelineLogic};
 use std::fmt::Write as _;
 
@@ -210,6 +212,8 @@ struct VSession<'a> {
     block_module: String,
     /// Input-cone width of the block under test.
     cone: usize,
+    /// Width of the combined de Bruijn pattern source.
+    source_width: usize,
     /// Block output (response) width.
     response: usize,
     spec: &'a SessionSpec,
@@ -217,14 +221,15 @@ struct VSession<'a> {
 }
 
 impl VSession<'_> {
-    fn source_width(&self) -> usize {
-        self.cone.clamp(1, 24)
-    }
-
     /// Number of 16-bit auxiliary-LFSR chunks padding the input cone.
     fn aux_chunks(&self) -> usize {
-        (self.cone - self.source_width()).div_ceil(16)
+        (self.cone - self.source_width).div_ceil(16)
     }
+}
+
+/// Reloads the auxiliary LFSR with its seed, at `indent` spaces.
+fn aux_reset(s: &mut String, indent: usize) {
+    let _ = writeln!(s, "{:indent$}aux   <= 16'h{AUX_LFSR_SEED:x};", "");
 }
 
 /// XOR expression over the tapped stages of a register signal.
@@ -241,6 +246,7 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
             number: 1,
             block_module: format!("{name}_c1"),
             cone: pipeline.c1.netlist.num_inputs(),
+            source_width: session_source_width(&pipeline.c1.netlist) as usize,
             response: pipeline.r2_bits as usize,
             spec: &spec.session1,
             ana_width: analyser_width(pipeline.r2_bits) as usize,
@@ -249,6 +255,7 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
             number: 2,
             block_module: format!("{name}_c2"),
             cone: pipeline.c2.netlist.num_inputs(),
+            source_width: session_source_width(&pipeline.c2.netlist) as usize,
             response: pipeline.r1_bits as usize,
             spec: &spec.session2,
             ana_width: analyser_width(pipeline.r1_bits) as usize,
@@ -285,11 +292,14 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
              \x20   // Auxiliary 16-bit LFSR padding input cones wider than the source.\n\
              \x20   reg [15:0] aux;\n\
              \x20   function [15:0] aux_step(input [15:0] a);\n\
-             \x20       begin\n\
-             \x20           aux_step = {a[14:0], a[15] ^ a[14] ^ a[12] ^ a[3]};\n\
-             \x20       end\n\
-             \x20   endfunction\n",
+             \x20       begin\n",
         );
+        let _ = writeln!(
+            s,
+            "            aux_step = {{a[14:0], {}}};",
+            tap_xor("a", AUX_LFSR_TAPS)
+        );
+        s.push_str("        end\n    endfunction\n");
     }
     for ctx in &sessions {
         session_datapath(s, ctx);
@@ -309,13 +319,12 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
         let _ = writeln!(
             s,
             "            src{n}  <= {}'h{:x};",
-            ctx.source_width(),
-            ctx.spec.seed
+            ctx.source_width, ctx.spec.seed
         );
         let _ = writeln!(s, "            misr{n} <= {{{}{{1'b0}}}};", ctx.ana_width);
     }
     if any_aux {
-        s.push_str("            aux   <= 16'hace1;\n");
+        aux_reset(s, 12);
     }
     s.push_str("        end else begin\n            case (state)\n");
 
@@ -330,8 +339,7 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
     let _ = writeln!(
         s,
         "                        src1  <= {}'h{:x};",
-        sessions[0].source_width(),
-        sessions[0].spec.seed
+        sessions[0].source_width, sessions[0].spec.seed
     );
     let _ = writeln!(
         s,
@@ -339,7 +347,7 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
         sessions[0].ana_width
     );
     if any_aux {
-        s.push_str("                        aux   <= 16'hace1;\n");
+        aux_reset(s, 24);
     }
     s.push_str("                    end\n                end\n");
 
@@ -361,7 +369,7 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
 /// step and inject word.
 fn session_datapath(s: &mut String, ctx: &VSession<'_>) {
     let n = ctx.number;
-    let sw = ctx.source_width();
+    let sw = ctx.source_width;
     let a = ctx.ana_width;
     let r = ctx.response;
     let _ = writeln!(
@@ -490,8 +498,7 @@ fn session_sequencer_arm(
         let _ = writeln!(
             s,
             "                        src{m}  <= {}'h{:x};",
-            next.source_width(),
-            next.spec.seed
+            next.source_width, next.spec.seed
         );
         let _ = writeln!(
             s,
@@ -499,7 +506,7 @@ fn session_sequencer_arm(
             next.ana_width
         );
         if any_aux {
-            s.push_str("                        aux   <= 16'hace1;\n");
+            aux_reset(s, 24);
         }
     } else {
         let _ = writeln!(s, "                        pass  <= s1_ok && ({check});");

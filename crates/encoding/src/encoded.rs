@@ -8,8 +8,8 @@
 //! for the two factor blocks `C1`, `C2` and the output logic of the
 //! self-testable structure (Fig. 4).
 
-use crate::code::{Encoding, EncodingStrategy};
-use stc_fsm::Mealy;
+use crate::bits;
+use stc_fsm::{ceil_log2, Mealy};
 use stc_synth::Realization;
 
 /// One row of an encoded transition table: fully specified input bits mapping
@@ -36,40 +36,35 @@ pub struct EncodedMachine {
     pub state_bits: u32,
     /// Number of primary-output bits.
     pub output_bits: u32,
-    /// The state encoding used.
-    pub state_encoding: Encoding,
-    /// The input encoding used.
-    pub input_encoding: Encoding,
-    /// The output encoding used.
-    pub output_encoding: Encoding,
     /// One row per (state, input symbol) pair.
     pub rows: Vec<EncodedRow>,
 }
 
 impl EncodedMachine {
-    /// Encodes `machine` with the given state-assignment strategy (inputs and
-    /// outputs are always binary-encoded by index).
+    /// Encodes `machine`: states, inputs and outputs get the minimum-width
+    /// binary codes of their indices.
     #[must_use]
-    pub fn new(machine: &Mealy, strategy: EncodingStrategy) -> Self {
-        let state_encoding = Encoding::for_states(machine, strategy);
-        let input_encoding = Encoding::sequential(machine.num_inputs(), EncodingStrategy::Binary);
-        let output_encoding = Encoding::sequential(machine.num_outputs(), EncodingStrategy::Binary);
-        let mut rows = Vec::with_capacity(machine.num_states() * machine.num_inputs());
-        for (s, i, next, out) in machine.transitions() {
-            let mut inputs = input_encoding.bits_of(i);
-            inputs.extend(state_encoding.bits_of(s));
-            let mut outputs = state_encoding.bits_of(next);
-            outputs.extend(output_encoding.bits_of(out));
-            rows.push(EncodedRow { inputs, outputs });
-        }
+    pub fn new(machine: &Mealy) -> Self {
+        let (input_bits, state_bits, output_bits) = (
+            machine.input_bits(),
+            machine.state_bits(),
+            machine.output_bits(),
+        );
+        let rows = machine
+            .transitions()
+            .map(|(s, i, next, out)| {
+                let mut inputs = bits(i, input_bits);
+                inputs.extend(bits(s, state_bits));
+                let mut outputs = bits(next, state_bits);
+                outputs.extend(bits(out, output_bits));
+                EncodedRow { inputs, outputs }
+            })
+            .collect();
         Self {
             name: machine.name().to_string(),
-            input_bits: input_encoding.width(),
-            state_bits: state_encoding.width(),
-            output_bits: output_encoding.width(),
-            state_encoding,
-            input_encoding,
-            output_encoding,
+            input_bits,
+            state_bits,
+            output_bits,
             rows,
         }
     }
@@ -104,10 +99,6 @@ pub struct EncodedPipeline {
     pub r2_bits: u32,
     /// Number of primary-output bits.
     pub output_bits: u32,
-    /// Encoding of the `S/π` blocks held in `R1`.
-    pub r1_encoding: Encoding,
-    /// Encoding of the `S/τ` blocks held in `R2`.
-    pub r2_encoding: Encoding,
     /// Rows of `C1`: inputs are (primary inputs, R1), outputs are R2.
     pub c1_rows: Vec<EncodedRow>,
     /// Rows of `C2`: inputs are (primary inputs, R2), outputs are R1.
@@ -121,77 +112,64 @@ pub struct EncodedPipeline {
 impl EncodedPipeline {
     /// Encodes a pipeline realization.
     ///
-    /// Register contents are binary encodings of the block indices — block
-    /// indices carry no adjacency information for a state-assignment
-    /// strategy to exploit; registers are at least one bit wide so that
+    /// `R1` holds the binary code of an `S/π` block index and `R2` that of
+    /// an `S/τ` block index; registers are at least one bit wide so that
     /// degenerate single-block factors still have a physical register to
     /// test.
     #[must_use]
     pub fn new(machine: &Mealy, realization: &Realization) -> Self {
-        let input_encoding = Encoding::sequential(machine.num_inputs(), EncodingStrategy::Binary);
-        let output_encoding = Encoding::sequential(machine.num_outputs(), EncodingStrategy::Binary);
-        let r1_encoding = Encoding::sequential(realization.s1_len(), EncodingStrategy::Binary);
-        let r2_encoding = Encoding::sequential(realization.s2_len(), EncodingStrategy::Binary);
-        let r1_bits = r1_encoding.width().max(1);
-        let r2_bits = r2_encoding.width().max(1);
+        let input_bits = machine.input_bits();
+        let output_bits = machine.output_bits();
+        let (s1, s2) = (realization.s1_len(), realization.s2_len());
+        let r1_bits = ceil_log2(s1).max(1);
+        let r2_bits = ceil_log2(s2).max(1);
         let k = machine.num_inputs();
-
-        let pad = |mut bits: Vec<bool>, width: u32| {
-            while (bits.len() as u32) < width {
-                bits.insert(0, false);
+        let tables = &realization.tables;
+        let row = |i: usize, registers: &[(usize, u32)], outputs: Vec<bool>| {
+            let mut inputs = bits(i, input_bits);
+            for &(block, width) in registers {
+                inputs.extend(bits(block, width));
             }
-            bits
+            EncodedRow { inputs, outputs }
         };
 
-        let mut c1_rows = Vec::with_capacity(realization.s1_len() * k);
-        for b1 in 0..realization.s1_len() {
+        let mut c1_rows = Vec::with_capacity(s1 * k);
+        for b1 in 0..s1 {
             for i in 0..k {
-                let mut inputs = input_encoding.bits_of(i);
-                inputs.extend(pad(r1_encoding.bits_of(b1), r1_bits));
-                let outputs = pad(
-                    r2_encoding.bits_of(realization.tables.delta1[b1][i]),
-                    r2_bits,
-                );
-                c1_rows.push(EncodedRow { inputs, outputs });
+                c1_rows.push(row(
+                    i,
+                    &[(b1, r1_bits)],
+                    bits(tables.delta1[b1][i], r2_bits),
+                ));
             }
         }
-        let mut c2_rows = Vec::with_capacity(realization.s2_len() * k);
-        for b2 in 0..realization.s2_len() {
+        let mut c2_rows = Vec::with_capacity(s2 * k);
+        for b2 in 0..s2 {
             for i in 0..k {
-                let mut inputs = input_encoding.bits_of(i);
-                inputs.extend(pad(r2_encoding.bits_of(b2), r2_bits));
-                let outputs = pad(
-                    r1_encoding.bits_of(realization.tables.delta2[b2][i]),
-                    r1_bits,
-                );
-                c2_rows.push(EncodedRow { inputs, outputs });
+                c2_rows.push(row(
+                    i,
+                    &[(b2, r2_bits)],
+                    bits(tables.delta2[b2][i], r1_bits),
+                ));
             }
         }
         let mut output_rows = Vec::new();
-        for b1 in 0..realization.s1_len() {
-            for b2 in 0..realization.s2_len() {
+        for b1 in 0..s1 {
+            for b2 in 0..s2 {
                 for i in 0..k {
-                    let Some(out) = realization.tables.lambda(b1, b2, i) else {
-                        continue;
-                    };
-                    let mut inputs = input_encoding.bits_of(i);
-                    inputs.extend(pad(r1_encoding.bits_of(b1), r1_bits));
-                    inputs.extend(pad(r2_encoding.bits_of(b2), r2_bits));
-                    output_rows.push(EncodedRow {
-                        inputs,
-                        outputs: output_encoding.bits_of(out),
-                    });
+                    if let Some(out) = tables.lambda(b1, b2, i) {
+                        let registers = [(b1, r1_bits), (b2, r2_bits)];
+                        output_rows.push(row(i, &registers, bits(out, output_bits)));
+                    }
                 }
             }
         }
         Self {
             name: machine.name().to_string(),
-            input_bits: input_encoding.width(),
+            input_bits,
             r1_bits,
             r2_bits,
-            output_bits: output_encoding.width(),
-            r1_encoding,
-            r2_encoding,
+            output_bits,
             c1_rows,
             c2_rows,
             output_rows,
@@ -214,7 +192,7 @@ mod tests {
     #[test]
     fn encoded_machine_has_one_row_per_transition() {
         let m = paper_example();
-        let e = EncodedMachine::new(&m, EncodingStrategy::Binary);
+        let e = EncodedMachine::new(&m);
         assert_eq!(e.rows.len(), 8);
         assert_eq!(e.input_bits, 1);
         assert_eq!(e.state_bits, 2);
@@ -230,7 +208,7 @@ mod tests {
     #[test]
     fn encoded_machine_rows_match_the_transition_table() {
         let m = paper_example();
-        let e = EncodedMachine::new(&m, EncodingStrategy::Binary);
+        let e = EncodedMachine::new(&m);
         // Row for (state 3, input 1): next = 1, output = 1.
         let row = &e.rows[3 * 2 + 1];
         assert_eq!(row.inputs, vec![true, true, true]); // input 1, state code 11

@@ -1,13 +1,14 @@
-//! State assignment (encoding) for finite state machines and pipeline
-//! realizations.
+//! Bit-level views of finite state machines and pipeline realizations.
 //!
 //! After the FSM-level transformation of `stc-synth` produces a realization
 //! supporting a self-testable structure, "state coding and logic minimization
 //! are then applied to this realization" (section 1 of the paper).  This crate
-//! performs the first of those two steps:
+//! performs the first of those two steps.  Every code is the minimum-width
+//! binary code of an index ([`bits`]): the paper realizes the pipeline with
+//! `⌈log2 |S1|⌉ + ⌈log2 |S2|⌉` flip-flops, and the registers `R1`/`R2` hold
+//! block indices, which carry no adjacency for a state-assignment heuristic
+//! to exploit.
 //!
-//! * [`Encoding`] / [`EncodingStrategy`] — binary, Gray, one-hot and a greedy
-//!   adjacency-based minimum-width assignment;
 //! * [`EncodedMachine`] — the bit-level combinational function
 //!   `C : (inputs, state) → (next state, outputs)` of a monolithic controller
 //!   (Fig. 1);
@@ -20,11 +21,11 @@
 //! # Example
 //!
 //! ```
-//! use stc_encoding::{EncodedMachine, EncodingStrategy};
+//! use stc_encoding::EncodedMachine;
 //! use stc_fsm::paper_example;
 //!
 //! let machine = paper_example();
-//! let encoded = EncodedMachine::new(&machine, EncodingStrategy::Binary);
+//! let encoded = EncodedMachine::new(&machine);
 //! assert_eq!(encoded.state_bits, 2);
 //! assert_eq!(encoded.rows.len(), 8);
 //! ```
@@ -32,36 +33,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod code;
 mod encoded;
 
-pub use code::{Encoding, EncodingStrategy};
 pub use encoded::{EncodedMachine, EncodedPipeline, EncodedRow};
 
-/// Minimum number of bits needed to give `items` symbols distinct codes:
-/// `⌈log2(items)⌉`, with `min_width(0) = min_width(1) = 0`.
+/// The binary code of `index` in exactly `width` bits, most significant bit
+/// first: zero-padded on the left, and the high bits of `index` dropped when
+/// it does not fit.  Code widths come from [`stc_fsm::ceil_log2`].
+///
+/// ```
+/// use stc_encoding::bits;
+///
+/// assert_eq!(bits(5, 3), [true, false, true]);
+/// assert_eq!(bits(1, 4), [false, false, false, true]);
+/// assert!(bits(0, 0).is_empty());
+/// assert_eq!(bits(usize::MAX, 66)[..3], [false, false, true]);
+/// ```
 #[must_use]
-pub fn min_width(items: usize) -> u32 {
-    if items <= 1 {
-        0
-    } else {
-        usize::BITS - (items - 1).leading_zeros()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn min_width_boundaries() {
-        assert_eq!(min_width(0), 0);
-        assert_eq!(min_width(1), 0);
-        assert_eq!(min_width(2), 1);
-        assert_eq!(min_width(3), 2);
-        assert_eq!(min_width(4), 2);
-        assert_eq!(min_width(5), 3);
-        assert_eq!(min_width(16), 4);
-        assert_eq!(min_width(17), 5);
-    }
+pub fn bits(index: usize, width: u32) -> Vec<bool> {
+    (0..width)
+        .rev()
+        .map(|b| index.checked_shr(b).is_some_and(|v| v & 1 == 1))
+        .collect()
 }

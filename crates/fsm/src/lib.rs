@@ -60,7 +60,7 @@ pub use analysis::{
 pub use benchmarks::Benchmark;
 pub use equivalence::{is_reduced, minimize, quotient, state_equivalence, states_equivalent};
 pub use error::FsmError;
-pub use machine::{ceil_log2, paper_example, Mealy, MealyBuilder};
+pub use machine::{ceil_log2, fnv1a, paper_example, Mealy, MealyBuilder};
 pub use product::{crossed_product, PipelineFactors};
 pub use random::{planted_decomposable, random_machine, PlantedInfo, PlantedSpec};
 

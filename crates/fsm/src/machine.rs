@@ -220,13 +220,8 @@ impl Mealy {
         // FNV-1a, 64-bit.  Each field is prefixed with its length (for
         // strings/tables) so concatenation ambiguities cannot collide
         // ("ab"+"c" vs "a"+"bc").
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
+            *h = fnv1a_extend(*h, bytes);
         }
         fn eat_u64(h: &mut u64, v: u64) {
             eat(h, &v.to_le_bytes());
@@ -235,7 +230,7 @@ impl Mealy {
             eat_u64(h, s.len() as u64);
             eat(h, s.as_bytes());
         }
-        let mut h = OFFSET;
+        let mut h = FNV_OFFSET;
         eat_str(&mut h, &self.name);
         eat_u64(&mut h, self.num_states as u64);
         eat_u64(&mut h, self.num_inputs as u64);
@@ -539,6 +534,25 @@ pub fn ceil_log2(x: usize) -> u32 {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The 64-bit FNV-1a hash of a byte string — the workspace's cheap content
+/// digest: emitted sources in reports and goldens, serve-cache config
+/// fingerprints, and (length-prefixed, field by field)
+/// [`Mealy::stable_hash`].
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Folds `bytes` into the running FNV-1a state `hash`.
+fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// The 4-state example machine of Fig. 5 of the paper.
 ///
 /// States `1..4` of the paper are indices `0..3`; the two input columns `1`
@@ -590,6 +604,12 @@ mod tests {
         assert_eq!(m.next_state(0, 0), 1);
         assert_eq!(m.output(0, 1), 1);
         assert_eq!(m.transitions().count(), 4);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
@@ -705,9 +725,9 @@ mod tests {
         assert_eq!(m.state_bits(), 2);
         assert_eq!(m.input_bits(), 1);
         assert_eq!(m.output_bits(), 1);
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(27), 5);
+        // The code width of `x` symbols, across the power-of-two boundaries.
+        let widths = [0, 1, 2, 3, 4, 5, 16, 17, 27].map(ceil_log2);
+        assert_eq!(widths, [0, 0, 1, 2, 2, 3, 4, 5, 5]);
     }
 
     #[test]

@@ -29,12 +29,12 @@
 //! # Example
 //!
 //! ```
-//! use stc_encoding::{EncodedMachine, EncodingStrategy};
+//! use stc_encoding::EncodedMachine;
 //! use stc_fsm::paper_example;
 //! use stc_logic::{synthesize_controller, SynthOptions};
 //!
 //! let machine = paper_example();
-//! let encoded = EncodedMachine::new(&machine, EncodingStrategy::Binary);
+//! let encoded = EncodedMachine::new(&machine);
 //! let logic = synthesize_controller(&encoded, SynthOptions::default());
 //! assert_eq!(logic.block.netlist.num_inputs(), 3);  // 1 input + 2 state bits
 //! assert!(logic.block.netlist.gate_count() > 0);

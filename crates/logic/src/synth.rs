@@ -275,12 +275,12 @@ pub(crate) fn pipeline_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stc_encoding::{EncodedMachine, EncodedPipeline, EncodingStrategy};
+    use stc_encoding::{bits, EncodedMachine, EncodedPipeline};
     use stc_fsm::paper_example;
     use stc_synth::solve;
 
     fn encoded_example() -> EncodedMachine {
-        EncodedMachine::new(&paper_example(), EncodingStrategy::Binary)
+        EncodedMachine::new(&paper_example())
     }
 
     #[test]
@@ -293,11 +293,11 @@ mod tests {
         // Check every (state, input) pair against the machine.
         for s in 0..m.num_states() {
             for i in 0..m.num_inputs() {
-                let mut inputs = encoded.input_encoding.bits_of(i);
-                inputs.extend(encoded.state_encoding.bits_of(s));
+                let mut inputs = bits(i, encoded.input_bits);
+                inputs.extend(bits(s, encoded.state_bits));
                 let out = logic.block.netlist.evaluate(&inputs);
-                let next_bits = encoded.state_encoding.bits_of(m.next_state(s, i));
-                let out_bits = encoded.output_encoding.bits_of(m.output(s, i));
+                let next_bits = bits(m.next_state(s, i), encoded.state_bits);
+                let out_bits = bits(m.output(s, i), encoded.output_bits);
                 let expected: Vec<bool> = next_bits.into_iter().chain(out_bits).collect();
                 assert_eq!(out, expected, "state {s} input {i}");
             }
@@ -331,17 +331,9 @@ mod tests {
         for b1 in 0..realization.s1_len() {
             for i in 0..m.num_inputs() {
                 let mut inputs = vec![i & 1 == 1]; // 1 input bit for the example
-                let mut r1 = encoded.r1_encoding.bits_of(b1);
-                while (r1.len() as u32) < encoded.r1_bits {
-                    r1.insert(0, false);
-                }
-                inputs.extend(r1);
+                inputs.extend(bits(b1, encoded.r1_bits));
                 let got = logic.c1.netlist.evaluate(&inputs);
-                let expected_block = realization.tables.delta1[b1][i];
-                let mut expected = encoded.r2_encoding.bits_of(expected_block);
-                while (expected.len() as u32) < encoded.r2_bits {
-                    expected.insert(0, false);
-                }
+                let expected = bits(realization.tables.delta1[b1][i], encoded.r2_bits);
                 assert_eq!(got, expected, "C1 block {b1} input {i}");
             }
         }
@@ -354,7 +346,7 @@ mod tests {
         // The paper's area argument: C1 + C2 implement fewer transitions than
         // two copies of C.  Compare literal counts on the worked example.
         let m = paper_example();
-        let encoded_single = EncodedMachine::new(&m, EncodingStrategy::Binary);
+        let encoded_single = EncodedMachine::new(&m);
         let single = synthesize_controller(&encoded_single, SynthOptions::default());
         let outcome = solve(&m);
         let realization = outcome.best.realize(&m);

@@ -298,13 +298,6 @@ impl Partition {
         Ok(self.meet(other)?.refines(within))
     }
 
-    /// Number of bits needed to binary-encode the blocks of this partition:
-    /// `⌈log2(num_blocks)⌉` (0 for a single block).
-    #[must_use]
-    pub fn encoding_bits(&self) -> u32 {
-        ceil_log2(self.num_blocks())
-    }
-
     fn check_size(&self, other: &Self) -> Result<(), PartitionError> {
         if self.n == other.n {
             Ok(())
@@ -334,16 +327,6 @@ impl fmt::Display for Partition {
             write!(f, "}}")?;
         }
         write!(f, "}}")
-    }
-}
-
-/// `⌈log2(x)⌉` with the conventions `ceil_log2(0) = 0`, `ceil_log2(1) = 0`.
-#[must_use]
-pub(crate) fn ceil_log2(x: usize) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        usize::BITS - (x - 1).leading_zeros()
     }
 }
 
@@ -450,16 +433,6 @@ mod tests {
         assert!(pi.intersection_within(&tau, &eps).unwrap());
         // π ∩ π = π which is not contained in the identity unless π is.
         assert!(!pi.intersection_within(&pi, &eps).unwrap());
-    }
-
-    #[test]
-    fn encoding_bits() {
-        assert_eq!(Partition::universal(10).encoding_bits(), 0);
-        assert_eq!(Partition::identity(1).encoding_bits(), 0);
-        assert_eq!(Partition::identity(2).encoding_bits(), 1);
-        assert_eq!(Partition::identity(5).encoding_bits(), 3);
-        assert_eq!(Partition::identity(8).encoding_bits(), 3);
-        assert_eq!(Partition::identity(9).encoding_bits(), 4);
     }
 
     #[test]

@@ -251,18 +251,7 @@ pub fn cacheable(config: &StcConfig) -> bool {
 /// entries.
 #[must_use]
 pub fn config_fingerprint(config: &StcConfig) -> u64 {
-    fnv1a(format!("{:?}", config.result_relevant()).as_bytes())
-}
-
-/// FNV-1a, 64-bit — the same published algorithm as
-/// [`stc_fsm::Mealy::stable_hash`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    stc_fsm::fnv1a(format!("{:?}", config.result_relevant()).as_bytes())
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@
 //! additive feature must leave stage-free golden reports byte-identical.
 
 use crate::json::Json;
-use stc_encoding::EncodingStrategy;
 use stc_logic::SynthOptions;
 use stc_synth::SolverConfig;
 use std::time::Duration;
@@ -227,10 +226,11 @@ pub struct PipelineConfig {
     /// budget with no wall-clock limit, so `nodes_investigated` and
     /// `budget_exhausted` are pure functions of the machine.
     pub solver: SolverConfig,
-    /// State-assignment strategy: parsed, echoed and fingerprinted, but
-    /// the pipeline registers hold binary block indices, so it moves no
-    /// other report byte.
-    pub encoding: EncodingStrategy,
+    /// The `encoding` key's echo label (`"binary"`, `"gray"`, `"onehot"`
+    /// or `"adjacencygreedy"`): parsed, echoed and fingerprinted, but the
+    /// pipeline registers hold binary block indices, so it moves no other
+    /// report byte.
+    pub encoding: &'static str,
     /// Two-level minimisation options.
     pub synth: SynthOptions,
     /// BIST patterns per self-test session.
@@ -257,7 +257,7 @@ impl Default for PipelineConfig {
                 branch_and_bound: true,
                 parallel_subtrees: 1,
             },
-            encoding: EncodingStrategy::Binary,
+            encoding: "binary",
             synth: SynthOptions::default(),
             patterns_per_session: 256,
             gate_level: GateLevelLimits::default(),
@@ -359,10 +359,7 @@ impl StcConfig {
                 "branch_and_bound".into(),
                 Json::Bool(p.solver.branch_and_bound),
             ),
-            (
-                "encoding".into(),
-                Json::String(format!("{:?}", p.encoding).to_ascii_lowercase()),
-            ),
+            ("encoding".into(), Json::String(p.encoding.into())),
             ("minimize".into(), Json::Bool(p.synth.minimize)),
             (
                 "patterns_per_session".into(),
@@ -478,10 +475,10 @@ impl StcConfig {
             }
             "encoding" => {
                 p.encoding = match value {
-                    "binary" => EncodingStrategy::Binary,
-                    "gray" => EncodingStrategy::Gray,
-                    "one-hot" | "onehot" => EncodingStrategy::OneHot,
-                    "adjacency-greedy" | "adjacencygreedy" => EncodingStrategy::AdjacencyGreedy,
+                    "binary" => "binary",
+                    "gray" => "gray",
+                    "one-hot" | "onehot" => "onehot",
+                    "adjacency-greedy" | "adjacencygreedy" => "adjacencygreedy",
                     other => {
                         return Err(ConfigError {
                             key: key.to_string(),
@@ -634,7 +631,7 @@ mod tests {
         assert_eq!(config.jobs, 3);
         assert_eq!(config.pipeline.solver.max_nodes, 1234);
         assert!(!config.pipeline.solver.branch_and_bound);
-        assert_eq!(config.pipeline.encoding, EncodingStrategy::Gray);
+        assert_eq!(config.pipeline.encoding, "gray");
         assert_eq!(config.pipeline.gate_level.max_states, 6);
         // The CLI layer wins over the profile layer.
         config.set("solver.max_nodes", "99").unwrap();
@@ -717,6 +714,18 @@ mod tests {
         assert!(err.message.contains("section header"));
         let err = config.apply_profile("just a line").unwrap_err();
         assert!(err.message.contains("key = value"));
+    }
+
+    #[test]
+    fn an_unknown_encoding_is_rejected_with_the_accepted_spellings() {
+        let mut config = StcConfig::default();
+        let err = config.set("encoding", "x").unwrap_err();
+        assert_eq!(err.key, "encoding");
+        assert_eq!(
+            err.message,
+            "unknown encoding 'x' (expected binary, gray, one-hot or adjacency-greedy)"
+        );
+        assert_eq!(config, StcConfig::default());
     }
 
     #[test]

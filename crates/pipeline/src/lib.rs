@@ -68,8 +68,8 @@ pub use observe::{CancelFlag, Event, NullObserver, Observer};
 pub use report::{
     coverage_json, emit_json, format_summary_table, lint_json, optimize_json, search_stats_json,
     AnalysisReport, BistReport, EmitModuleDigest, EmitReport, LogicReport, MachineReport,
-    MachineStatus, OptimizeReport, OptimizeSessionReport, SolveReport, SuiteReport, SuiteSummary,
-    TestPointSuggestion, REPORT_SCHEMA_VERSION,
+    MachineStatus, OptimizeReport, SolveReport, SuiteReport, SuiteSummary, TestPointSuggestion,
+    REPORT_SCHEMA_VERSION,
 };
 pub use serve::{serve_with, ServeStats};
 pub use session::{

@@ -11,7 +11,7 @@
 use crate::config::StcConfig;
 use crate::json::Json;
 use stc_analyze::{BlockAnalysis, Diagnostic, Severity};
-use stc_bist::SessionResult;
+use stc_bist::{SessionOptimization, SessionResult};
 use stc_fsm::benchmarks::{PaperTable1Row, PaperTable2Row};
 
 /// Version of the report schema, bumped on any breaking change to the JSON
@@ -130,28 +130,6 @@ pub struct BistReport {
     pub undetected_faults: Option<usize>,
 }
 
-/// One optimized self-test session (one block under test) of the plan
-/// optimizer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptimizeSessionReport {
-    /// Block under test (`C1` or `C2`).
-    pub block: String,
-    /// Feedback taps of the winning de Bruijn pattern source.
-    pub taps: Vec<u32>,
-    /// Seed of the winning source.
-    pub seed: u64,
-    /// Patterns the optimized session applies.
-    pub length: usize,
-    /// Single-stuck-at faults of the block.
-    pub total_faults: usize,
-    /// Faults the optimized session detects.
-    pub detected: usize,
-    /// Candidate pattern sources evaluated before the search terminated.
-    pub candidates: usize,
-    /// Whether the session reaches the coverage target within the budget.
-    pub target_reached: bool,
-}
-
 /// A test-point suggestion for a fault the optimized plan cannot detect,
 /// ranked by SCOAP fault difficulty (hardest first) — the concrete
 /// design-for-test advice the report gives when full coverage is
@@ -174,9 +152,9 @@ pub struct TestPointSuggestion {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeReport {
     /// Session 1 (`C1` under test).
-    pub session1: OptimizeSessionReport,
+    pub session1: SessionOptimization,
     /// Session 2 (`C2` under test).
-    pub session2: OptimizeSessionReport,
+    pub session2: SessionOptimization,
     /// The coverage target the search ran against.
     pub target: f64,
     /// The effective total-length budget the search ran against.
@@ -615,7 +593,7 @@ fn bist_json(b: &BistReport) -> Json {
     Json::Object(entries)
 }
 
-fn optimize_session_json(s: &OptimizeSessionReport) -> Json {
+fn optimize_session_json(s: &SessionOptimization) -> Json {
     Json::Object(vec![
         ("block".into(), Json::String(s.block.clone())),
         (

@@ -29,12 +29,11 @@ use crate::corpus::CorpusEntry;
 use crate::observe::{Event, NullObserver, Observer};
 use crate::report::{
     AnalysisReport, BistReport, EmitModuleDigest, EmitReport, LogicReport, MachineReport,
-    MachineStatus, OptimizeReport, OptimizeSessionReport, SolveReport, SuiteReport, SuiteSummary,
-    TestPointSuggestion,
+    MachineStatus, OptimizeReport, SolveReport, SuiteReport, SuiteSummary, TestPointSuggestion,
 };
 use stc_bist::{
     measure_plan_coverage, optimize_plan_with, pipeline_self_test, OptimizeOptions,
-    OptimizeProgress, PlanCoverage, PlanOptimization, SelfTestResult, SessionOptimization,
+    OptimizeProgress, PlanCoverage, PlanOptimization, SelfTestResult,
 };
 use stc_emit::{
     emit_rust, emit_verilog, sanitize_module_name, EmitTarget, EmittedModule, SelfTestSpec,
@@ -377,8 +376,8 @@ impl OptimizedPlan {
     #[must_use]
     pub fn optimize_report(&self) -> OptimizeReport {
         OptimizeReport {
-            session1: optimize_session_report(&self.result.session1),
-            session2: optimize_session_report(&self.result.session2),
+            session1: self.result.session1.clone(),
+            session2: self.result.session2.clone(),
             target: self.result.target,
             max_total_length: self.result.max_total_length,
             total_length: self.result.total_length(),
@@ -420,24 +419,11 @@ impl EmittedCode {
                     module: m.module.clone(),
                     file: m.file_name.clone(),
                     bytes: m.source.len(),
-                    fnv1a: stc_emit::fnv1a(m.source.as_bytes()),
+                    fnv1a: stc_fsm::fnv1a(m.source.as_bytes()),
                     source: m.source.clone(),
                 })
                 .collect(),
         }
-    }
-}
-
-fn optimize_session_report(s: &SessionOptimization) -> OptimizeSessionReport {
-    OptimizeSessionReport {
-        block: s.block.clone(),
-        taps: s.taps.clone(),
-        seed: s.seed,
-        length: s.length,
-        total_faults: s.total_faults,
-        detected: s.detected,
-        candidates: s.candidates,
-        target_reached: s.target_reached,
     }
 }
 
@@ -1489,7 +1475,7 @@ mod tests {
         assert!(module.source.contains("module my_ctrl_2_bist"));
         // The digest the JSON report renders is the digest of this source.
         assert_eq!(module.bytes, module.source.len());
-        assert_eq!(module.fnv1a, stc_emit::fnv1a(module.source.as_bytes()));
+        assert_eq!(module.fnv1a, stc_fsm::fnv1a(module.source.as_bytes()));
     }
 
     #[test]

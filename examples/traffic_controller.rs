@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Conventional synthesis (Fig. 1) for reference.
-    let encoded = EncodedMachine::new(&machine, EncodingStrategy::AdjacencyGreedy);
+    let encoded = EncodedMachine::new(&machine);
     let conventional = synthesize_controller(&encoded, SynthOptions::default());
     println!(
         "conventional controller: {} flip-flops, {} gates, depth {}",

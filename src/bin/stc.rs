@@ -93,7 +93,7 @@ CONFIG OPTIONS (run, serve; layered over --profile, which layers over defaults):
                                  reports depend on machine speed)
     --stage-deadline-secs <S>    per-stage wall-clock deadline (default: off; the
                                  solve stage honours it by cooperative cancellation)
-    --set <KEY=VALUE>            any dotted config key (e.g. encoding=gray),
+    --set <KEY=VALUE>            any dotted config key (e.g. bist.patterns=64),
                                  repeatable — the full key list is at the bottom
 
 RUN OPTIONS:

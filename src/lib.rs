@@ -21,7 +21,7 @@
 //! | [`fsm`] | `stc-fsm` | `crates/fsm` | Mealy machines, KISS2, state equivalence, benchmark suite |
 //! | [`partition`] | `stc-partition` | `crates/partition` | partition algebra, partition pairs, symmetric-pair basis, Mm-lattice |
 //! | [`synth`] | `stc-synth` | `crates/core` | the OSTR solver and the Theorem 1 realization |
-//! | [`encoding`] | `stc-encoding` | `crates/encoding` | state assignment and bit-level machine views |
+//! | [`encoding`] | `stc-encoding` | `crates/encoding` | binary codes and bit-level machine/pipeline views |
 //! | [`logic`] | `stc-logic` | `crates/logic` | two-level minimisation, netlists, area/delay estimation |
 //! | [`bist`] | `stc-bist` | `crates/bist` | LFSR/MISR/BILBO, fault simulation, architecture comparison |
 //! | [`emit`] | `stc-emit` | `crates/emit` | codegen backends: `no_std` Rust controllers and Verilog netlists with a BIST wrapper |
@@ -217,7 +217,8 @@ pub use stc_partition as partition;
 /// The OSTR solver and Theorem 1 realizations (re-export of [`stc_synth`]).
 pub use stc_synth as synth;
 
-/// State assignment (re-export of [`stc_encoding`]).
+/// Binary codes and bit-level machine/pipeline views (re-export of
+/// [`stc_encoding`]).
 pub use stc_encoding as encoding;
 
 /// Two-level logic synthesis and netlists (re-export of [`stc_logic`]).
@@ -256,7 +257,7 @@ pub mod prelude {
         evaluate_architectures, pipeline_self_test, Architecture, ArchitectureOptions, Bilbo,
         BilboMode, Lfsr, Misr,
     };
-    pub use stc_encoding::{EncodedMachine, EncodedPipeline, Encoding, EncodingStrategy};
+    pub use stc_encoding::{EncodedMachine, EncodedPipeline};
     pub use stc_fsm::{kiss2, state_equivalence, Mealy, MealyBuilder};
     pub use stc_logic::{synthesize_controller, synthesize_pipeline, Netlist, SynthOptions};
     pub use stc_partition::{is_symmetric_pair, Partition};

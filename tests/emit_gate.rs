@@ -270,7 +270,7 @@ fn emit_out_writes_the_modules_its_digests_list() {
             // The JSON renders the 64-bit hash as a number, which is exact
             // only up to an f64's precision; compare at that precision.
             #[allow(clippy::cast_precision_loss)]
-            let hash = stc::emit::fnv1a(&source) as f64;
+            let hash = stc::fsm::fnv1a(&source) as f64;
             assert_eq!(Some(hash), module.get("fnv1a").unwrap().as_f64(), "{file}");
             listed += 1;
         }

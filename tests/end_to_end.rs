@@ -1,6 +1,7 @@
 //! End-to-end integration tests: KISS2 text → OSTR synthesis → encoding →
 //! logic synthesis → BIST, across the crate boundaries.
 
+use stc::encoding::bits;
 use stc::prelude::*;
 
 /// A small elevator controller used as an external (non-benchmark) input.
@@ -86,23 +87,10 @@ fn every_benchmark_flows_through_the_whole_stack() {
         // Functional cross-check of the synthesised C1 block against δ1.
         for b1 in 0..realization.s1_len() {
             for i in 0..machine.num_inputs() {
-                let mut inputs = stc::encoding::Encoding::sequential(
-                    machine.num_inputs(),
-                    EncodingStrategy::Binary,
-                )
-                .bits_of(i);
-                let mut r1 = encoded.r1_encoding.bits_of(b1);
-                while (r1.len() as u32) < encoded.r1_bits {
-                    r1.insert(0, false);
-                }
-                inputs.extend(r1);
+                let mut inputs = bits(i, machine.input_bits());
+                inputs.extend(bits(b1, encoded.r1_bits));
                 let got = pipeline.c1.netlist.evaluate(&inputs);
-                let mut expected = encoded
-                    .r2_encoding
-                    .bits_of(realization.tables.delta1[b1][i]);
-                while (expected.len() as u32) < encoded.r2_bits {
-                    expected.insert(0, false);
-                }
+                let expected = bits(realization.tables.delta1[b1][i], encoded.r2_bits);
                 assert_eq!(got, expected, "{}: C1({b1}, {i})", benchmark.name());
             }
         }

@@ -115,7 +115,7 @@ proptest::proptest! {
 }
 
 /// `encoding` is accepted, echoed and fingerprinted, but the pipeline
-/// registers hold binary block indices: a non-default strategy moves no
+/// registers hold binary block indices: every accepted spelling moves no
 /// report byte except its own echo.
 #[test]
 fn the_encoding_key_changes_only_its_config_echo() {
@@ -137,17 +137,27 @@ fn the_encoding_key_changes_only_its_config_echo() {
             .run_suite(&corpus, "embedded")
     };
     let binary = run("binary");
-    let gray = run("gray");
-    assert_eq!(gray.report.config.pipeline.encoding, EncodingStrategy::Gray);
-    assert_eq!(binary.report.machines, gray.report.machines);
     assert!(binary.report.summary.full > 0);
-    let echo = |name: &str| format!("\"encoding\": \"{name}\"");
-    let gray_json = gray.report.to_json_string();
-    assert_eq!(gray_json.matches(&echo("gray")).count(), 1);
-    assert_eq!(
-        binary.report.to_json_string(),
-        gray_json.replace(&echo("gray"), &echo("binary"))
-    );
+    let echo = |label: &str| format!("\"encoding\": \"{label}\"");
+    let binary_json = binary.report.to_json_string();
+    for (spelling, label) in [
+        ("gray", "gray"),
+        ("one-hot", "onehot"),
+        ("onehot", "onehot"),
+        ("adjacency-greedy", "adjacencygreedy"),
+        ("adjacencygreedy", "adjacencygreedy"),
+    ] {
+        let other = run(spelling);
+        assert_eq!(other.report.config.pipeline.encoding, label, "{spelling}");
+        assert_eq!(binary.report.machines, other.report.machines, "{spelling}");
+        let other_json = other.report.to_json_string();
+        assert_eq!(other_json.matches(&echo(label)).count(), 1, "{spelling}");
+        assert_eq!(
+            binary_json,
+            other_json.replace(&echo(label), &echo("binary")),
+            "{spelling}"
+        );
+    }
 }
 
 /// Pins the 13 embedded stand-in machines by content: every golden, emit

@@ -2,6 +2,7 @@
 //! survive the full synthesis pipeline with behaviour preserved.
 
 use proptest::prelude::*;
+use stc::encoding::bits;
 use stc::fsm::{crossed_product, random_machine};
 use stc::prelude::*;
 
@@ -26,15 +27,15 @@ proptest! {
 
     #[test]
     fn synthesised_monolithic_logic_matches_the_machine(machine in arb_machine()) {
-        let encoded = EncodedMachine::new(&machine, EncodingStrategy::Binary);
+        let encoded = EncodedMachine::new(&machine);
         let logic = synthesize_controller(&encoded, SynthOptions::default());
         for s in 0..machine.num_states() {
             for i in 0..machine.num_inputs() {
-                let mut inputs = encoded.input_encoding.bits_of(i);
-                inputs.extend(encoded.state_encoding.bits_of(s));
+                let mut inputs = bits(i, encoded.input_bits);
+                inputs.extend(bits(s, encoded.state_bits));
                 let got = logic.block.netlist.evaluate(&inputs);
-                let mut expected = encoded.state_encoding.bits_of(machine.next_state(s, i));
-                expected.extend(encoded.output_encoding.bits_of(machine.output(s, i)));
+                let mut expected = bits(machine.next_state(s, i), encoded.state_bits);
+                expected.extend(bits(machine.output(s, i), encoded.output_bits));
                 prop_assert_eq!(got, expected);
             }
         }
@@ -60,7 +61,7 @@ proptest! {
         // so we only require that the detected set equals what output
         // comparison can possibly detect, i.e. coverage is monotone in
         // observability).
-        let encoded = EncodedMachine::new(&machine, EncodingStrategy::Binary);
+        let encoded = EncodedMachine::new(&machine);
         let logic = synthesize_controller(&encoded, SynthOptions::default());
         let netlist = &logic.block.netlist;
         if netlist.num_inputs() > 8 {

@@ -59,10 +59,7 @@ const fn row(
 
 /// FNV-1a over the `Display` rendering `"{π}|{τ}"` of the best pair.
 fn pair_digest(outcome: &OstrOutcome) -> u64 {
-    let rendered = format!("{}|{}", outcome.best.pi, outcome.best.tau);
-    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    stc::fsm::fnv1a(format!("{}|{}", outcome.best.pi, outcome.best.tau).as_bytes())
 }
 
 /// `row(machine, bnb, stop, lemma1, max_nodes, counts, flags, cost, digest)`.
