@@ -77,5 +77,5 @@ pub use optimize::{
 pub use session::{
     analyser_width, good_signature, pipeline_self_test, pipeline_self_test_scalar,
     session_patterns, session_patterns_from, session_source_width, SelfTestResult, SessionResult,
-    AUX_LFSR_SEED, AUX_LFSR_TAPS,
+    AUX_LFSR_SEED, AUX_LFSR_TAPS, AUX_LFSR_WIDTH,
 };

@@ -138,14 +138,15 @@ pub fn analyser_width(ana_bits: u32) -> u32 {
 
 /// Width of the free-running auxiliary LFSR that pads input cones wider
 /// than the session's pattern source.
-const AUX_LFSR_WIDTH: u32 = 16;
+pub const AUX_LFSR_WIDTH: u32 = 16;
 
 /// Seed of the auxiliary LFSR that pads input cones wider than
-/// [`session_source_width`] (16 bits, restarted with every session).
+/// [`session_source_width`] ([`AUX_LFSR_WIDTH`] bits, restarted with every
+/// session).
 pub const AUX_LFSR_SEED: u64 = 0xace1;
 
 /// Feedback taps (1-based) of the auxiliary LFSR: the tabulated primitive
-/// polynomial of degree 16.
+/// polynomial of degree [`AUX_LFSR_WIDTH`].
 pub const AUX_LFSR_TAPS: &[u32] = PRIMITIVE_TAPS[AUX_LFSR_WIDTH as usize];
 
 /// The pattern sequence a self-test session applies to a block under test,

@@ -4,7 +4,8 @@
 
 use crate::{sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
 use stc_bist::{
-    analyser_width, session_source_width, AUX_LFSR_SEED, AUX_LFSR_TAPS, PRIMITIVE_TAPS,
+    analyser_width, session_source_width, width_mask, AUX_LFSR_SEED, AUX_LFSR_TAPS, AUX_LFSR_WIDTH,
+    PRIMITIVE_TAPS,
 };
 use stc_logic::{Gate, Netlist, PipelineLogic};
 use std::fmt::Write as _;
@@ -275,9 +276,10 @@ fn self_test(s: &mut String, pipeline: &PipelineLogic, spec: &SelfTestSpec) {
     }
 
     if sessions.iter().any(|c| c.cone > c.source_width as usize) {
-        s.push_str(
-            "/// Feedback taps of the auxiliary 16-bit LFSR that pads input cones\n\
-             /// wider than the main pattern source.\n",
+        let _ = writeln!(
+            s,
+            "/// Feedback taps of the auxiliary {AUX_LFSR_WIDTH}-bit LFSR that pads input cones\n\
+             /// wider than the main pattern source."
         );
         let _ = writeln!(
             s,
@@ -439,23 +441,31 @@ fn session_fn(s: &mut String, ctx: &SessionCtx<'_>) {
     );
     s.push_str("        }\n");
     if needs_aux {
-        s.push_str(
-            "        // Cones wider than the source get the excess bits from the\n\
-             \x20       // free-running auxiliary LFSR, 16 bits per step.\n\
-             \x20       let mut filled = direct;\n",
-        );
-        let _ = writeln!(s, "        while filled < {cone} {{");
-        s.push_str("            aux = ((aux << 1) | lfsr_feedback(aux, AUX_TAPS)) & 0xffff;\n");
+        let width = AUX_LFSR_WIDTH;
         let _ = writeln!(
             s,
-            "            let take = if {cone} - filled < 16 {{ {cone} - filled }} else {{ 16 }};"
+            "        // Cones wider than the source get the excess bits from the\n\
+             \x20       // free-running auxiliary LFSR, {width} bits per step.\n\
+             \x20       let mut filled = direct;"
         );
-        s.push_str(
-            "            for k in 0..take {\n\
-             \x20               inputs[filled + k] = (aux >> (15 - k)) & 1 == 1;\n\
-             \x20           }\n\
+        let _ = writeln!(s, "        while filled < {cone} {{");
+        let _ = writeln!(
+            s,
+            "            aux = ((aux << 1) | lfsr_feedback(aux, AUX_TAPS)) & 0x{:x};",
+            width_mask(width)
+        );
+        let _ = writeln!(
+            s,
+            "            let take = if {cone} - filled < {width} {{ {cone} - filled }} else {{ {width} }};"
+        );
+        let _ = writeln!(
+            s,
+            "            for k in 0..take {{\n\
+             \x20               inputs[filled + k] = (aux >> ({} - k)) & 1 == 1;\n\
+             \x20           }}\n\
              \x20           filled += take;\n\
-             \x20       }\n",
+             \x20       }}",
+            width - 1
         );
     }
     let _ = writeln!(s, "        let response = {block}(&inputs);");

@@ -3,7 +3,8 @@
 
 use crate::{sanitize_module_name, EmittedModule, SelfTestSpec, SessionSpec};
 use stc_bist::{
-    analyser_width, session_source_width, AUX_LFSR_SEED, AUX_LFSR_TAPS, PRIMITIVE_TAPS,
+    analyser_width, session_source_width, AUX_LFSR_SEED, AUX_LFSR_TAPS, AUX_LFSR_WIDTH,
+    PRIMITIVE_TAPS,
 };
 use stc_logic::{Gate, Netlist, PipelineLogic};
 use std::fmt::Write as _;
@@ -221,15 +222,20 @@ struct VSession<'a> {
 }
 
 impl VSession<'_> {
-    /// Number of 16-bit auxiliary-LFSR chunks padding the input cone.
+    /// Number of [`AUX_LFSR_WIDTH`]-bit auxiliary-LFSR chunks padding the
+    /// input cone.
     fn aux_chunks(&self) -> usize {
-        (self.cone - self.source_width).div_ceil(16)
+        (self.cone - self.source_width).div_ceil(AUX_LFSR_WIDTH as usize)
     }
 }
 
 /// Reloads the auxiliary LFSR with its seed, at `indent` spaces.
 fn aux_reset(s: &mut String, indent: usize) {
-    let _ = writeln!(s, "{:indent$}aux   <= 16'h{AUX_LFSR_SEED:x};", "");
+    let _ = writeln!(
+        s,
+        "{:indent$}aux   <= {AUX_LFSR_WIDTH}'h{AUX_LFSR_SEED:x};",
+        ""
+    );
 }
 
 /// XOR expression over the tapped stages of a register signal.
@@ -287,16 +293,19 @@ fn bist_module(s: &mut String, name: &str, pipeline: &PipelineLogic, spec: &Self
          \x20   reg        s1_ok;\n",
     );
     if any_aux {
-        s.push_str(
+        let msb = AUX_LFSR_WIDTH - 1;
+        let _ = writeln!(
+            s,
             "\n\
-             \x20   // Auxiliary 16-bit LFSR padding input cones wider than the source.\n\
-             \x20   reg [15:0] aux;\n\
-             \x20   function [15:0] aux_step(input [15:0] a);\n\
-             \x20       begin\n",
+             \x20   // Auxiliary {AUX_LFSR_WIDTH}-bit LFSR padding input cones wider than the source.\n\
+             \x20   reg [{msb}:0] aux;\n\
+             \x20   function [{msb}:0] aux_step(input [{msb}:0] a);\n\
+             \x20       begin"
         );
         let _ = writeln!(
             s,
-            "            aux_step = {{a[14:0], {}}};",
+            "            aux_step = {{a[{}:0], {}}};",
+            msb - 1,
             tap_xor("a", AUX_LFSR_TAPS)
         );
         s.push_str("        end\n    endfunction\n");
@@ -407,16 +416,17 @@ fn session_datapath(s: &mut String, ctx: &VSession<'_>) {
     // bit first; wider cones append auxiliary-LFSR chunks.
     let mut parts = vec![format!("src{n}_next")];
     if ctx.aux_chunks() > 0 {
+        let width = AUX_LFSR_WIDTH as usize;
         let mut prev = "aux".to_string();
         let mut remaining = ctx.cone - sw;
         for chunk in 1..=ctx.aux_chunks() {
             let wire = format!("s{n}_aux{chunk}");
-            let _ = writeln!(s, "    wire [15:0] {wire} = aux_step({prev});");
-            let take = remaining.min(16);
-            parts.push(if take == 16 {
+            let _ = writeln!(s, "    wire [{}:0] {wire} = aux_step({prev});", width - 1);
+            let take = remaining.min(width);
+            parts.push(if take == width {
                 wire.clone()
             } else {
-                format!("{wire}[15:{}]", 16 - take)
+                format!("{wire}[{}:{}]", width - 1, width - take)
             });
             remaining -= take;
             prev = wire;

@@ -128,11 +128,13 @@ pub struct PlantedInfo {
 /// intersection, so the machine admits a non-trivial OSTR solution with at
 /// most `rows_used × cols_used` factor states.
 ///
-/// Seeds are scanned deterministically until the reachable closure has
-/// exactly `spec.states` cells (and, preferably, uses exactly `rows`/`cols`
-/// distinct coordinates); after `max_attempts` the closest match found is
-/// returned, with [`PlantedInfo::exact_state_count`] reporting whether the
-/// target was hit.
+/// Attempt `a` draws its maps from the seed `spec.seed + a`, so attempts are
+/// independent of each other.  Up to `max_attempts` of them are scored, in
+/// order, by how close their reachable closure comes to exactly `spec.states`
+/// cells (and, secondarily, to using exactly `rows`/`cols` distinct
+/// coordinates); the scan stops at the first exact hit.  The machine is built
+/// from the first best-scoring attempt, with
+/// [`PlantedInfo::exact_state_count`] reporting whether the target was hit.
 ///
 /// # Panics
 ///
@@ -151,94 +153,56 @@ pub fn planted_decomposable(name: &str, spec: PlantedSpec) -> (Mealy, PlantedInf
         spec.rows,
         spec.cols
     );
-    let map_pairs = spec.map_pairs.clamp(1, spec.inputs);
+    planted_attempt(name, &spec, best_planted_attempt(&spec))
+}
 
-    // Best attempt so far: (occupied cells, per-input f tables, per-input g
-    // tables, score).
-    type Candidate = (Vec<(usize, usize)>, Vec<Vec<usize>>, Vec<Vec<usize>>, i64);
-    let mut best: Option<Candidate> = None;
+/// The attempt [`planted_decomposable`] builds for `spec`: the first attempt
+/// in `0..max_attempts` with the lowest score.
+pub(crate) fn best_planted_attempt(spec: &PlantedSpec) -> u32 {
+    let mut best: Option<(u32, i64)> = None;
     for attempt in 0..spec.max_attempts.max(1) {
-        let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_add(u64::from(attempt)));
-        // Draw the shared map pairs and an assignment of inputs to pairs.
-        let f_maps: Vec<Vec<usize>> = (0..map_pairs)
-            .map(|_| {
-                (0..spec.rows)
-                    .map(|_| rng.gen_range(0..spec.cols))
-                    .collect()
-            })
-            .collect();
-        let g_maps: Vec<Vec<usize>> = (0..map_pairs)
-            .map(|_| {
-                (0..spec.cols)
-                    .map(|_| rng.gen_range(0..spec.rows))
-                    .collect()
-            })
-            .collect();
-        let assignment: Vec<usize> = (0..spec.inputs)
-            .map(|i| {
-                if i < map_pairs {
-                    i
-                } else {
-                    rng.gen_range(0..map_pairs)
-                }
-            })
-            .collect();
-        // Reachable closure from (0, 0).  Every map pair `p < map_pairs` is
-        // assigned to input `p`, so closing over the distinct pairs yields the
-        // same reachable set as closing over all inputs — at a fraction of the
-        // cost for machines with large input alphabets (e.g. `tbk`, 64 inputs
-        // sharing 2 map pairs).
-        let mut occupied: Vec<(usize, usize)> = vec![(0, 0)];
-        let mut seen = vec![false; spec.rows * spec.cols];
-        seen[0] = true;
-        let mut head = 0;
-        while head < occupied.len() {
-            let (r, c) = occupied[head];
-            head += 1;
-            for pair in 0..map_pairs {
-                let cell = (g_maps[pair][c], f_maps[pair][r]);
-                let flat = cell.0 * spec.cols + cell.1;
-                if !seen[flat] {
-                    seen[flat] = true;
-                    occupied.push(cell);
-                }
-            }
-        }
-        let count_distinct = |coords: &mut dyn Iterator<Item = usize>, bound: usize| {
-            let mut used = vec![false; bound];
-            let mut count = 0;
-            for x in coords {
-                if !used[x] {
-                    used[x] = true;
-                    count += 1;
-                }
-            }
-            count
-        };
-        let rows_used = count_distinct(&mut occupied.iter().map(|&(r, _)| r), spec.rows);
-        let cols_used = count_distinct(&mut occupied.iter().map(|&(_, c)| c), spec.cols);
+        let (f_maps, g_maps) = draw_maps(spec, &mut attempt_rng(spec, attempt));
+        let cells = reachable_cells(spec, &f_maps, &g_maps);
+        let rows_used = count_distinct(cells.iter().map(|&(r, _)| r), spec.rows);
+        let cols_used = count_distinct(cells.iter().map(|&(_, c)| c), spec.cols);
         // Score: exact state count is mandatory for a "perfect" hit; among
         // those prefer using the full requested grid.
-        let state_gap = (occupied.len() as i64 - spec.states as i64).abs();
+        let state_gap = (cells.len() as i64 - spec.states as i64).abs();
         let grid_gap = (spec.rows as i64 - rows_used as i64).abs()
             + (spec.cols as i64 - cols_used as i64).abs();
         let score = state_gap * 1000 + grid_gap;
-        let better = match &best {
-            None => true,
-            Some((_, _, _, best_score)) => score < *best_score,
-        };
-        if better {
-            // Expand per-input tables from the shared maps.
-            let f_inputs: Vec<Vec<usize>> = assignment.iter().map(|&p| f_maps[p].clone()).collect();
-            let g_inputs: Vec<Vec<usize>> = assignment.iter().map(|&p| g_maps[p].clone()).collect();
-            best = Some((occupied, f_inputs, g_inputs, score));
+        if best.is_none_or(|(_, best_score)| score < best_score) {
+            best = Some((attempt, score));
             if score == 0 {
                 break;
             }
         }
     }
+    best.expect("at least one attempt ran").0
+}
 
-    let (mut cells, f_inputs, g_inputs, _) = best.expect("at least one attempt ran");
+/// Builds the machine of one attempt of [`planted_decomposable`]'s scan, for
+/// a `spec` that function accepts.
+pub(crate) fn planted_attempt(
+    name: &str,
+    spec: &PlantedSpec,
+    attempt: u32,
+) -> (Mealy, PlantedInfo) {
+    let mut rng = attempt_rng(spec, attempt);
+    let (f_maps, g_maps) = draw_maps(spec, &mut rng);
+    let map_pairs = f_maps.len();
+    // Every map pair `p` is assigned to input `p`; the remaining inputs share
+    // a random pair.
+    let assignment: Vec<usize> = (0..spec.inputs)
+        .map(|i| {
+            if i < map_pairs {
+                i
+            } else {
+                rng.gen_range(0..map_pairs)
+            }
+        })
+        .collect();
+    let mut cells = reachable_cells(spec, &f_maps, &g_maps);
     cells.sort_unstable();
     let index_of: std::collections::HashMap<(usize, usize), usize> = cells
         .iter()
@@ -253,8 +217,8 @@ pub fn planted_decomposable(name: &str, spec: PlantedSpec) -> (Mealy, PlantedInf
         .state_names(cells.iter().map(|&(r, c)| format!("r{r}c{c}")))
         .expect("cell names are distinct");
     for (idx, &(r, c)) in cells.iter().enumerate() {
-        for (i, (f, g)) in f_inputs.iter().zip(&g_inputs).enumerate() {
-            let target_cell = (g[c], f[r]);
+        for (i, &pair) in assignment.iter().enumerate() {
+            let target_cell = (g_maps[pair][c], f_maps[pair][r]);
             let target = index_of[&target_cell];
             let out = rng.gen_range(0..spec.outputs);
             builder
@@ -266,24 +230,78 @@ pub fn planted_decomposable(name: &str, spec: PlantedSpec) -> (Mealy, PlantedInf
     builder.reset_state(reset).expect("reset cell is a state");
     let machine = builder.build().expect("fully specified by construction");
 
-    let rows_used = cells
-        .iter()
-        .map(|&(r, _)| r)
-        .collect::<std::collections::HashSet<_>>()
-        .len();
-    let cols_used = cells
-        .iter()
-        .map(|&(_, c)| c)
-        .collect::<std::collections::HashSet<_>>()
-        .len();
     let info = PlantedInfo {
-        rows_used,
-        cols_used,
+        rows_used: count_distinct(cells.iter().map(|&(r, _)| r), spec.rows),
+        cols_used: count_distinct(cells.iter().map(|&(_, c)| c), spec.cols),
         exact_state_count: cells.len() == spec.states,
         row_of_state: cells.iter().map(|&(r, _)| r).collect(),
         col_of_state: cells.iter().map(|&(_, c)| c).collect(),
     };
     (machine, info)
+}
+
+/// The RNG that attempt `attempt` of the scan draws from.
+fn attempt_rng(spec: &PlantedSpec, attempt: u32) -> StdRng {
+    StdRng::seed_from_u64(spec.seed.wrapping_add(u64::from(attempt)))
+}
+
+/// Draws the shared map pairs of one attempt: the `f` maps (rows → cols),
+/// then the `g` maps (cols → rows), `map_pairs` clamped to `1..=inputs`.
+fn draw_maps(spec: &PlantedSpec, rng: &mut StdRng) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let map_pairs = spec.map_pairs.clamp(1, spec.inputs);
+    let f_maps = (0..map_pairs)
+        .map(|_| {
+            (0..spec.rows)
+                .map(|_| rng.gen_range(0..spec.cols))
+                .collect()
+        })
+        .collect();
+    let g_maps = (0..map_pairs)
+        .map(|_| {
+            (0..spec.cols)
+                .map(|_| rng.gen_range(0..spec.rows))
+                .collect()
+        })
+        .collect();
+    (f_maps, g_maps)
+}
+
+/// The grid cells reachable from `(0, 0)`, in discovery order.
+///
+/// Every map pair is assigned to at least one input, so closing over the
+/// distinct pairs yields the same reachable set as closing over all inputs —
+/// at a fraction of the cost for machines with large input alphabets (e.g.
+/// `tbk`, 64 inputs sharing 2 map pairs).
+fn reachable_cells(
+    spec: &PlantedSpec,
+    f_maps: &[Vec<usize>],
+    g_maps: &[Vec<usize>],
+) -> Vec<(usize, usize)> {
+    let mut occupied: Vec<(usize, usize)> = vec![(0, 0)];
+    let mut seen = vec![false; spec.rows * spec.cols];
+    seen[0] = true;
+    let mut head = 0;
+    while head < occupied.len() {
+        let (r, c) = occupied[head];
+        head += 1;
+        for (f, g) in f_maps.iter().zip(g_maps) {
+            let cell = (g[c], f[r]);
+            let flat = cell.0 * spec.cols + cell.1;
+            if !seen[flat] {
+                seen[flat] = true;
+                occupied.push(cell);
+            }
+        }
+    }
+    occupied
+}
+
+/// The number of distinct values in `coords`, each below `bound`.
+fn count_distinct(coords: impl Iterator<Item = usize>, bound: usize) -> usize {
+    let mut used = vec![false; bound];
+    coords
+        .filter(|&x| !std::mem::replace(&mut used[x], true))
+        .count()
 }
 
 #[cfg(test)]
