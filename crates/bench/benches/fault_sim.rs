@@ -34,8 +34,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_bist::{
     fault_list, lfsr_patterns, measure_plan_coverage, optimize_plan, pipeline_self_test,
-    pipeline_self_test_scalar, simulate_faults, simulate_faults_packed, Lfsr, Misr,
-    OptimizeOptions,
+    pipeline_self_test_scalar, simulate_faults, simulate_faults_packed, Lfsr, OptimizeOptions,
 };
 use stc_encoding::{EncodedMachine, EncodedPipeline};
 use stc_fsm::{benchmarks, kiss2, planted_decomposable, Mealy, PlantedSpec};
@@ -205,15 +204,6 @@ fn substrates(c: &mut Criterion) {
         b.iter(|| {
             let mut l = Lfsr::with_primitive_polynomial(16, 0xACE1);
             (0..1000).map(|_| l.step()).sum::<u64>()
-        });
-    });
-    c.bench_function("bist/misr_16bit_1k_absorbs", |b| {
-        b.iter(|| {
-            let mut m = Misr::new(16, 1);
-            for i in 0..1000u32 {
-                m.absorb(&[i % 2 == 0, i % 3 == 0, i % 5 == 0]);
-            }
-            m.signature()
         });
     });
 

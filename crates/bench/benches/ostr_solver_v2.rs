@@ -10,8 +10,9 @@
 //!   paper).
 //! * `lemma1_pruning/*` — the same budget with and without the Lemma 1
 //!   pruning, exploring the whole tree (the ablation behind Table 2).
-//! * `naive_vs_lattice/*` — the Mm-lattice search against the brute-force
-//!   enumeration of all partition pairs (the ablation behind Theorem 2).
+//! * `naive_vs_lattice/*` — `solve`, the search over the symmetric-pair
+//!   basis (`symmetric_basis`), against `solve_naive`, the brute-force
+//!   enumeration of all partition pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stc_fsm::{benchmarks, paper_example, random_machine, Mealy};

@@ -104,7 +104,6 @@ fn start_server(cache: bool) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
     let options = NetOptions {
         max_connections: 128,
         cache: cache.then(CacheLimits::default),
-        stats_interval: None,
     };
     let server =
         NetServer::bind("127.0.0.1:0", &StcConfig::default(), options).expect("bind server");

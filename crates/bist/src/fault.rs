@@ -141,9 +141,10 @@ pub fn simulate_faults(
 /// one `u64` word per input line within a block (bit `k` of a word is the
 /// input value of pattern `k`).
 ///
-/// This is the transposed layout [`stc_logic::Netlist::eval_packed`]
-/// consumes: one netlist evaluation per block processes up to
-/// [`PACKED_LANES`] patterns at once.
+/// This is the transposed layout the packed evaluator consumes:
+/// [`Self::wide_block`] sets [`PACKED_WORDS`] blocks side by side, so one
+/// [`stc_logic::Netlist::eval_packed_wide_into`] sweep processes up to
+/// `PACKED_WORDS × PACKED_LANES` patterns at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedPatterns {
     num_inputs: usize,

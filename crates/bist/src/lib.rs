@@ -2,8 +2,9 @@
 //! fault model, fault simulation and the controller/BIST architecture
 //! comparison of the paper.
 //!
-//! * [`Lfsr`], [`Misr`], [`Bilbo`] — the multi-functional test registers used
-//!   for pattern generation and signature analysis;
+//! * [`Lfsr`], [`Bilbo`] — the multi-functional test registers used for
+//!   pattern generation and (a [`Bilbo`] in [`BilboMode::SignatureAnalysis`])
+//!   signature analysis;
 //! * [`fault_list`], [`simulate_faults`] — single-stuck-at fault enumeration
 //!   and serial fault simulation over gate-level netlists from `stc-logic`;
 //! * [`evaluate_architectures`] — the quantitative comparison of the four
@@ -53,7 +54,6 @@ mod cone;
 mod coverage;
 mod fault;
 mod lfsr;
-mod misr;
 mod optimize;
 mod session;
 #[cfg(test)]
@@ -69,7 +69,6 @@ pub use fault::{
     FaultSimReport, PackedPatterns, StuckAtFault,
 };
 pub use lfsr::{reciprocal_taps, width_mask, Lfsr, PRIMITIVE_TAPS};
-pub use misr::Misr;
 pub use optimize::{
     measure_optimized_plan, optimize_plan, optimize_plan_with, OptimizeOptions, OptimizeProgress,
     PlanOptimization, SessionOptimization,

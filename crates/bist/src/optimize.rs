@@ -534,9 +534,9 @@ fn detection_profiles(
 }
 
 /// For each fault, the index of the first pattern that detects it, by
-/// whole-netlist 64-lane faulty sweeps: the one-candidate, full-sweep
-/// reference the batched, cone-restricted [`detection_profiles`] is tested
-/// against.
+/// whole-netlist faulty sweeps ([`Netlist::eval_packed_wide_into`]): the
+/// one-candidate, full-sweep reference the batched, cone-restricted
+/// [`detection_profiles`] is tested against.
 #[cfg(test)]
 fn detection_profile(
     netlist: &Netlist,
@@ -544,31 +544,33 @@ fn detection_profile(
     faults: &[StuckAtFault],
 ) -> Vec<Option<u32>> {
     let packed = PackedPatterns::pack(netlist.num_inputs(), patterns);
-    let observed: Vec<NodeId> = netlist.outputs().to_vec();
+    let observed: &[NodeId] = netlist.outputs();
 
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut good: Vec<Vec<u64>> = Vec::with_capacity(packed.num_blocks());
-    for b in 0..packed.num_blocks() {
-        netlist.eval_packed_into(packed.block(b), None, &mut scratch);
+    let mut scratch: Vec<WideWord> = Vec::new();
+    let mut good: Vec<Vec<WideWord>> = Vec::with_capacity(packed.num_superblocks());
+    for s in 0..packed.num_superblocks() {
+        netlist.eval_packed_wide_into(&packed.wide_block(s), None, &mut scratch);
         good.push(observed.iter().map(|&n| scratch[n]).collect());
     }
     faults
         .iter()
         .map(|fault| {
-            for (b, good_words) in good.iter().enumerate() {
-                netlist.eval_packed_into(
-                    packed.block(b),
+            for (s, good_groups) in good.iter().enumerate() {
+                netlist.eval_packed_wide_into(
+                    &packed.wide_block(s),
                     Some((fault.node, fault.stuck_at)),
                     &mut scratch,
                 );
-                let mask = packed.lane_mask(b);
-                let mut differing = 0u64;
-                for (&n, &g) in observed.iter().zip(good_words) {
-                    differing |= (scratch[n] ^ g) & mask;
-                }
-                if differing != 0 {
-                    let lane = differing.trailing_zeros();
-                    return Some((b * PACKED_LANES) as u32 + lane);
+                let masks = packed.wide_lane_masks(s);
+                for w in 0..PACKED_WORDS {
+                    let mut differing = 0u64;
+                    for (&n, g) in observed.iter().zip(good_groups) {
+                        differing |= (scratch[n][w] ^ g[w]) & masks[w];
+                    }
+                    if differing != 0 {
+                        let block = s * PACKED_WORDS + w;
+                        return Some((block * PACKED_LANES) as u32 + differing.trailing_zeros());
+                    }
                 }
             }
             None

@@ -8,8 +8,8 @@ use crate::cube::Literal;
 pub type NodeId = usize;
 
 /// Number of independent patterns carried by one machine word in the packed
-/// evaluation path ([`Netlist::eval_packed`]): bit `k` of every word belongs
-/// to pattern `k` of the block.
+/// evaluation path ([`Netlist::eval_packed_wide_into`]): bit `k` of every
+/// word belongs to pattern `k` of that word's 64-pattern block.
 pub const PACKED_LANES: usize = 64;
 
 /// Number of `u64` pattern words processed side by side per node in the wide
@@ -382,51 +382,19 @@ impl Netlist {
         groups
     }
 
-    /// Evaluates [`PACKED_LANES`] patterns at once, fault-free.
-    ///
-    /// `inputs[i]` carries primary input `i` for all 64 patterns: bit `k` of
-    /// the word is input `i` of pattern `k`.  The returned vector holds one
-    /// word per primary output with the same lane layout.  Bit-for-bit
-    /// equivalent to 64 scalar [`Self::evaluate`] calls (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs.
-    #[must_use]
-    pub fn eval_packed(&self, inputs: &[u64]) -> Vec<u64> {
-        self.eval_packed_with_fault(inputs, None)
-    }
-
-    /// [`Self::eval_packed`] with an optional stuck-at fault: node `fault.0`
-    /// is forced to the value `fault.1` in every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs or
-    /// the fault node id is out of range.
-    #[must_use]
-    pub fn eval_packed_with_fault(
-        &self,
-        inputs: &[u64],
-        fault: Option<(NodeId, bool)>,
-    ) -> Vec<u64> {
-        let mut values = Vec::new();
-        self.eval_packed_into(inputs, fault, &mut values);
-        self.outputs.iter().map(|&o| values[o]).collect()
-    }
-
-    /// The allocation-free wide (SIMD-shaped) counterpart of
-    /// [`Self::eval_packed_into`]: each node carries a group of
-    /// [`PACKED_WORDS`] pattern words, so one netlist sweep evaluates
-    /// `PACKED_WORDS × PACKED_LANES` = 256 patterns.  The per-gate loops run
-    /// over fixed-length `[u64; PACKED_WORDS]` arrays with no data-dependent
-    /// control flow, which the compiler autovectorizes (SSE2/AVX2 on
-    /// x86-64); `std::simd` is nightly-only, so the explicit unrolled form
-    /// is the stable-toolchain spelling of the same kernel.  Besides the
-    /// vector width, the win over four narrow sweeps is that the gate
-    /// dispatch (enum match + fan-in walk) is amortised 4x.
-    /// Bit-for-bit equivalent to [`PACKED_WORDS`] narrow sweeps
-    /// (property-tested).
+    /// The packed evaluator: each node carries a group of [`PACKED_WORDS`]
+    /// pattern words, so one netlist sweep evaluates
+    /// `PACKED_WORDS × PACKED_LANES` = 256 patterns, and the value group of
+    /// *every* node is left in `values` (indexed by node id), reusing the
+    /// buffer's capacity across calls.  `inputs[i]` carries primary input
+    /// `i`: bit `k` of word `w` is input `i` of pattern `64·w + k`.  An
+    /// optional stuck-at fault forces node `fault.0` to `fault.1` in every
+    /// lane.  The per-gate loops ([`Gate::eval_wide`]) run over fixed-length
+    /// `[u64; PACKED_WORDS]` arrays with no data-dependent control flow,
+    /// which the compiler autovectorizes (SSE2/AVX2 on x86-64); `std::simd`
+    /// is nightly-only, so the explicit unrolled form is the stable-toolchain
+    /// spelling of the kernel.  Bit-for-bit equivalent to 256 scalar
+    /// [`Self::evaluate_with_fault`] calls (property-tested).
     ///
     /// # Panics
     ///
@@ -451,55 +419,6 @@ impl Netlist {
                     [if stuck { u64::MAX } else { 0 }; PACKED_WORDS]
                 }
                 _ => group,
-            };
-        }
-    }
-
-    /// The allocation-free core of the packed path: evaluates all 64 lanes
-    /// and leaves the value word of *every* node in `values` (indexed by
-    /// node id), reusing the buffer's capacity across calls.  Fault
-    /// simulators call this in a tight per-fault loop and read the output
-    /// words through [`Self::outputs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the number of primary inputs or
-    /// the fault node id is out of range.
-    pub fn eval_packed_into(
-        &self,
-        inputs: &[u64],
-        fault: Option<(NodeId, bool)>,
-        values: &mut Vec<u64>,
-    ) {
-        assert_eq!(inputs.len(), self.num_inputs, "input width mismatch");
-        if let Some((node, _)) = fault {
-            assert!(node < self.gates.len(), "fault node out of range");
-        }
-        values.clear();
-        values.resize(self.gates.len(), 0);
-        for (id, gate) in self.gates.iter().enumerate() {
-            let word = match gate {
-                Gate::Input(i) => inputs[*i],
-                Gate::Const(c) => {
-                    if *c {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
-                Gate::Not(a) => !values[*a],
-                Gate::And(xs) => xs.iter().fold(u64::MAX, |acc, &x| acc & values[x]),
-                Gate::Or(xs) => xs.iter().fold(0, |acc, &x| acc | values[x]),
-            };
-            values[id] = match fault {
-                Some((node, stuck)) if node == id => {
-                    if stuck {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
-                _ => word,
             };
         }
     }
@@ -647,40 +566,61 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "levelize dropped a node");
     }
 
+    /// The output groups of one [`Netlist::eval_packed_wide_into`] sweep.
+    fn wide_outputs(
+        n: &Netlist,
+        inputs: &[WideWord],
+        fault: Option<(NodeId, bool)>,
+    ) -> Vec<WideWord> {
+        let mut values = Vec::new();
+        n.eval_packed_wide_into(inputs, fault, &mut values);
+        n.outputs().iter().map(|&o| values[o]).collect()
+    }
+
+    /// Bit `pattern` of a wide group: lane `pattern % 64` of word `pattern / 64`.
+    fn lane(group: &WideWord, pattern: usize) -> bool {
+        (group[pattern / PACKED_LANES] >> (pattern % PACKED_LANES)) & 1 == 1
+    }
+
+    const WIDE_PATTERNS: usize = PACKED_WORDS * PACKED_LANES;
+
     #[test]
     fn packed_evaluation_matches_scalar_on_all_xor_lanes() {
         let n = xor_netlist();
-        // Lane k carries the pattern (k & 1, k & 2): build the input words.
-        let mut a = 0u64;
-        let mut b = 0u64;
-        for lane in 0..PACKED_LANES {
-            if lane & 1 != 0 {
-                a |= 1 << lane;
+        // Pattern k carries the inputs (k & 1, k & 2): build the input groups.
+        let mut a = [0u64; PACKED_WORDS];
+        let mut b = [0u64; PACKED_WORDS];
+        for k in 0..WIDE_PATTERNS {
+            let bit = 1 << (k % PACKED_LANES);
+            if k & 1 != 0 {
+                a[k / PACKED_LANES] |= bit;
             }
-            if lane & 2 != 0 {
-                b |= 1 << lane;
+            if k & 2 != 0 {
+                b[k / PACKED_LANES] |= bit;
             }
         }
-        let out = n.eval_packed(&[a, b]);
+        let out = wide_outputs(&n, &[a, b], None);
         assert_eq!(out.len(), 1);
-        for lane in 0..PACKED_LANES {
-            let scalar = n.evaluate(&[lane & 1 != 0, lane & 2 != 0])[0];
-            assert_eq!((out[0] >> lane) & 1 == 1, scalar, "lane {lane}");
+        for k in 0..WIDE_PATTERNS {
+            let scalar = n.evaluate(&[k & 1 != 0, k & 2 != 0])[0];
+            assert_eq!(lane(&out[0], k), scalar, "pattern {k}");
         }
     }
 
     #[test]
     fn packed_fault_injection_matches_scalar_fault_injection() {
         let n = xor_netlist();
-        let inputs = [0xF0F0_F0F0_F0F0_F0F0u64, 0xFF00_FF00_FF00_FF00u64];
+        let inputs = [
+            [0xF0F0_F0F0_F0F0_F0F0, 0x0F0F_0F0F_0F0F_0F0F, 0, u64::MAX],
+            [0xFF00_FF00_FF00_FF00, 0xFF00_FF00_FF00_FF00, u64::MAX, 0],
+        ];
         for site in n.fault_sites() {
             for stuck in [false, true] {
-                let packed = n.eval_packed_with_fault(&inputs, Some((site, stuck)));
-                for lane in [0usize, 4, 17, 63] {
-                    let scalar_inputs: Vec<bool> =
-                        inputs.iter().map(|w| (w >> lane) & 1 == 1).collect();
+                let packed = wide_outputs(&n, &inputs, Some((site, stuck)));
+                for k in [0usize, 4, 17, 63, 64, 100, 150, 255] {
+                    let scalar_inputs: Vec<bool> = inputs.iter().map(|g| lane(g, k)).collect();
                     let scalar = n.evaluate_with_fault(&scalar_inputs, Some((site, stuck)));
-                    assert_eq!((packed[0] >> lane) & 1 == 1, scalar[0], "lane {lane}");
+                    assert_eq!(lane(&packed[0], k), scalar[0], "pattern {k}");
                 }
             }
         }
@@ -691,14 +631,14 @@ mod tests {
         let zero = Cover::new(1);
         let one = Cover::from_cubes(1, vec![Cube::parse("-").unwrap()]);
         let n = Netlist::from_covers(1, &[zero, one]);
-        let out = n.eval_packed(&[0xDEAD_BEEF_DEAD_BEEFu64]);
-        assert_eq!(out, vec![0, u64::MAX]);
+        let out = wide_outputs(&n, &[[0xDEAD_BEEF_DEAD_BEEF; PACKED_WORDS]], None);
+        assert_eq!(out, vec![[0; PACKED_WORDS], [u64::MAX; PACKED_WORDS]]);
     }
 
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn packed_wrong_input_width_panics() {
         let n = xor_netlist();
-        let _ = n.eval_packed(&[0]);
+        let _ = wide_outputs(&n, &[[0; PACKED_WORDS]], None);
     }
 }

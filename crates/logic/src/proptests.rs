@@ -73,54 +73,30 @@ proptest! {
     }
 
     #[test]
-    fn wide_evaluation_is_packed_words_narrow_sweeps(
+    fn packed_evaluation_is_256_scalar_evaluations(
         covers in proptest::collection::vec(arb_cover(5, 5), 1..=3),
         flat_words in proptest::collection::vec(any::<u64>(), 20..=20),
         fault_site in 0usize..64,
         stuck in any::<bool>(),
     ) {
-        let wide_inputs: Vec<WideWord> = flat_words
+        let inputs: Vec<WideWord> = flat_words
             .chunks_exact(PACKED_WORDS)
             .map(|c| [c[0], c[1], c[2], c[3]])
             .collect();
         let netlist = Netlist::from_covers(5, &covers);
         let fault = (fault_site < netlist.gates().len()).then_some((fault_site, stuck));
-        let mut wide = Vec::new();
-        netlist.eval_packed_wide_into(&wide_inputs, fault, &mut wide);
-        prop_assert_eq!(wide.len(), netlist.gates().len());
-        let mut narrow = Vec::new();
-        for w in 0..PACKED_WORDS {
-            let words: Vec<u64> = wide_inputs.iter().map(|g| g[w]).collect();
-            netlist.eval_packed_into(&words, fault, &mut narrow);
-            for (id, group) in wide.iter().enumerate() {
-                prop_assert_eq!(
-                    group[w], narrow[id],
-                    "node {} word {} fault {:?}", id, w, fault
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_evaluation_is_64_scalar_evaluations(
-        covers in proptest::collection::vec(arb_cover(5, 5), 1..=3),
-        words in proptest::collection::vec(any::<u64>(), 5..=5),
-        fault_site in 0usize..64,
-        stuck in any::<bool>(),
-    ) {
-        let netlist = Netlist::from_covers(5, &covers);
-        let fault = (fault_site < netlist.gates().len()).then_some((fault_site, stuck));
-        let packed = netlist.eval_packed_with_fault(&words, fault);
-        prop_assert_eq!(packed.len(), netlist.num_outputs());
-        for lane in 0..PACKED_LANES {
-            let scalar_inputs: Vec<bool> =
-                words.iter().map(|w| (w >> lane) & 1 == 1).collect();
+        let mut values = Vec::new();
+        netlist.eval_packed_wide_into(&inputs, fault, &mut values);
+        prop_assert_eq!(values.len(), netlist.gates().len());
+        let bit = |group: &WideWord, k: usize| (group[k / PACKED_LANES] >> (k % PACKED_LANES)) & 1 == 1;
+        for k in 0..PACKED_WORDS * PACKED_LANES {
+            let scalar_inputs: Vec<bool> = inputs.iter().map(|g| bit(g, k)).collect();
             let scalar = netlist.evaluate_with_fault(&scalar_inputs, fault);
-            for (o, word) in packed.iter().enumerate() {
+            for (o, &node) in netlist.outputs().iter().enumerate() {
                 prop_assert_eq!(
-                    (word >> lane) & 1 == 1,
+                    bit(&values[node], k),
                     scalar[o],
-                    "output {} lane {} fault {:?}", o, lane, fault
+                    "output {} pattern {} fault {:?}", o, k, fault
                 );
             }
         }

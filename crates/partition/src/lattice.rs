@@ -6,8 +6,9 @@
 //! `m(π) = τ` (Definition 5 of the paper, following Hartmanis & Stearns).
 //! Theorem 2 of the paper restricts the search for symmetric partition pairs
 //! to this skeleton, generated by the basis relations `m(ρ_{s,t})`
-//! ([`basis_partitions`], [`mm_pairs`]; kept as references for tests and the
-//! naive-vs-lattice ablation).
+//! ([`basis_partitions`], [`mm_pairs`]).  No solver walks this skeleton:
+//! the code is the paper's construction, kept for the tests, which show
+//! that the search's basis reaches pairs outside it.
 //!
 //! The production OSTR search in `stc-synth` walks a different, complete
 //! basis: [`symmetric_basis`], the smallest symmetric pairs

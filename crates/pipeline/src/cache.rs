@@ -10,9 +10,12 @@
 //!
 //! * the machine half is [`stc_fsm::Mealy::stable_hash`] — a platform- and
 //!   release-stable FNV-1a content hash;
-//! * the config half is [`config_fingerprint`] — FNV-1a over a canonical
-//!   rendering of the effective configuration's result-relevant projection
-//!   ([`StcConfig::result_relevant`], the same projection reports echo).
+//! * the config half is [`stc_fsm::fnv1a`] of the configuration echo
+//!   ([`StcConfig::to_json`], compact): the same bytes a response splices
+//!   in as its `config`, which hold every knob that can change a report
+//!   byte.  Knobs that no config key reaches (such as
+//!   `SynthOptions::minimize_row_limit`) are fixed by the server's base
+//!   configuration, so they cannot differ between one cache's entries.
 //!
 //! A hit skips the solver entirely and replays the stored fragments, so the
 //! response is **byte-identical** to what a cold synthesis would have
@@ -24,7 +27,7 @@
 //!
 //! Eviction is LRU, bounded both by entry count and by total payload bytes
 //! ([`CacheLimits`]); hit/miss/insertion/eviction counters are exposed for
-//! the `stats` request and the periodic service log line.
+//! the `stats` request.
 
 use crate::config::StcConfig;
 use std::collections::VecDeque;
@@ -52,7 +55,7 @@ impl Default for CacheLimits {
     }
 }
 
-/// Counter snapshot of one cache, for `stats` responses and log lines.
+/// Counter snapshot of one cache, for `stats` responses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found a usable entry.
@@ -67,14 +70,15 @@ pub struct CacheCounters {
 }
 
 /// The memoized outcome of one successful synthesis request: the rendered
-/// compact-JSON fragments a response is spliced from, plus the machine name
-/// for collision verification.
+/// compact-JSON fragments a response is spliced from.  The machine name and
+/// the config echo are also verified on lookup: a 64-bit collision must
+/// produce a miss, not a wrong answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedSynthesis {
-    /// The machine's name (verified on lookup; a 64-bit collision must
-    /// produce a miss, not a wrong answer).
+    /// The machine's name.
     pub machine_name: String,
-    /// The compact rendering of the effective-config echo.
+    /// The compact rendering of the effective-config echo
+    /// ([`StcConfig::to_json`]).
     pub config_json: String,
     /// The compact rendering of the machine report.
     pub report_json: String,
@@ -86,12 +90,13 @@ impl CachedSynthesis {
     }
 }
 
-/// The cache key: machine content hash × config fingerprint.
+/// The cache key: machine content hash × config-echo hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheKey {
     /// [`stc_fsm::Mealy::stable_hash`] of the requested machine.
     pub machine: u64,
-    /// [`config_fingerprint`] of the effective request configuration.
+    /// [`stc_fsm::fnv1a`] of the effective request configuration's compact
+    /// echo ([`StcConfig::to_json`]).
     pub config: u64,
 }
 
@@ -128,14 +133,20 @@ impl ArtifactCache {
     }
 
     /// Looks up a rendered response.  A hit promotes the entry to
-    /// most-recently-used.  An entry whose stored machine name differs from
-    /// `machine_name` — a 64-bit key collision — is treated as a miss.
+    /// most-recently-used.  An entry whose stored machine name or config
+    /// echo differs from `machine_name` or `config_json` — a 64-bit key
+    /// collision — is treated as a miss.
     #[must_use]
-    pub fn get(&self, key: CacheKey, machine_name: &str) -> Option<CachedSynthesis> {
+    pub fn get(
+        &self,
+        key: CacheKey,
+        machine_name: &str,
+        config_json: &str,
+    ) -> Option<CachedSynthesis> {
         let mut entries = self.entries.lock().expect("no panics while holding lock");
-        let position = entries
-            .iter()
-            .position(|(k, e)| *k == key && e.machine_name == machine_name);
+        let position = entries.iter().position(|(k, e)| {
+            *k == key && e.machine_name == machine_name && e.config_json == config_json
+        });
         match position {
             Some(i) => {
                 let entry = entries.remove(i).expect("position is in range");
@@ -240,20 +251,6 @@ pub fn cacheable(config: &StcConfig) -> bool {
         && config.pipeline.solver.time_limit.is_none()
 }
 
-/// A stable fingerprint of the *result-relevant* part of a configuration
-/// ([`StcConfig::result_relevant`]).
-///
-/// Worker counts cannot influence any result, so two requests differing
-/// only in them share an entry (and a server restarted with a different
-/// `--jobs` still hits).  The projection is hashed through its canonical
-/// `Debug` rendering — every field of [`StcConfig`] derives `Debug`, so a
-/// new knob automatically extends the fingerprint and safely misses old
-/// entries.
-#[must_use]
-pub fn config_fingerprint(config: &StcConfig) -> u64 {
-    stc_fsm::fnv1a(format!("{:?}", config.result_relevant()).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,9 +270,9 @@ mod tests {
     #[test]
     fn hit_returns_the_stored_fragments_and_counts() {
         let cache = ArtifactCache::new(CacheLimits::default());
-        assert_eq!(cache.get(key(1, 1), "tav"), None);
+        assert_eq!(cache.get(key(1, 1), "tav", "{}"), None);
         cache.insert(key(1, 1), entry("tav", "r1"));
-        let hit = cache.get(key(1, 1), "tav").expect("hit");
+        let hit = cache.get(key(1, 1), "tav", "{}").expect("hit");
         assert_eq!(hit.report_json, "r1");
         assert_eq!(
             cache.counters(),
@@ -292,7 +289,7 @@ mod tests {
     fn a_name_mismatch_is_a_miss_not_a_wrong_answer() {
         let cache = ArtifactCache::new(CacheLimits::default());
         cache.insert(key(7, 7), entry("tav", "r"));
-        assert_eq!(cache.get(key(7, 7), "bbara"), None);
+        assert_eq!(cache.get(key(7, 7), "bbara", "{}"), None);
         assert_eq!(cache.counters().misses, 1);
     }
 
@@ -305,12 +302,12 @@ mod tests {
         cache.insert(key(1, 0), entry("a", "ra"));
         cache.insert(key(2, 0), entry("b", "rb"));
         // Touch `a` so `b` becomes the LRU victim.
-        assert!(cache.get(key(1, 0), "a").is_some());
+        assert!(cache.get(key(1, 0), "a", "{}").is_some());
         cache.insert(key(3, 0), entry("c", "rc"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(key(2, 0), "b").is_none(), "b was evicted");
-        assert!(cache.get(key(1, 0), "a").is_some());
-        assert!(cache.get(key(3, 0), "c").is_some());
+        assert!(cache.get(key(2, 0), "b", "{}").is_none(), "b was evicted");
+        assert!(cache.get(key(1, 0), "a", "{}").is_some());
+        assert!(cache.get(key(3, 0), "c", "{}").is_some());
         assert_eq!(cache.counters().evictions, 1);
     }
 
@@ -324,10 +321,10 @@ mod tests {
         cache.insert(key(2, 0), entry("b", "0123456789"));
         assert_eq!(cache.len(), 1, "26 bytes exceed the 20-byte bound");
         assert_eq!(cache.payload_bytes(), 13);
-        assert!(cache.get(key(2, 0), "b").is_some(), "newest survives");
+        assert!(cache.get(key(2, 0), "b", "{}").is_some(), "newest survives");
         // An entry that alone exceeds the bound is never stored.
         cache.insert(key(3, 0), entry("c", &"x".repeat(30)));
-        assert!(cache.get(key(3, 0), "c").is_none());
+        assert!(cache.get(key(3, 0), "c", "{}").is_none());
     }
 
     #[test]
@@ -351,42 +348,81 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_worker_counts_but_not_results_relevant_knobs() {
-        // One decision, two consumers: the report echo (the projection a
-        // suite report carries and serve responses render) and the cache
-        // fingerprint must agree on every knob.
-        let base = StcConfig::default();
-        let with = |key: &str, value: &str| {
-            let mut config = base.clone();
-            config.set(key, value).unwrap();
-            config
-        };
-        // The retired steal seed is still validated, then dropped.
-        assert_eq!(with("solver.steal_seed", "7"), base);
-        assert!(base.clone().set("solver.steal_seed", "x").is_err());
-        for (key, value) in [("jobs", "8"), ("solver.jobs", "4")] {
-            let changed = with(key, value);
-            assert_ne!(changed, base, "{key}");
-            assert_eq!(changed.result_relevant(), base.result_relevant(), "{key}");
-            assert_eq!(
-                config_fingerprint(&changed),
-                config_fingerprint(&base),
-                "{key}"
-            );
-        }
-        for (key, value) in [
-            ("bist.patterns", "99"),
-            ("encoding", "gray"),
-            ("coverage.optimize.target", "0.5"),
+    fn a_config_echo_mismatch_is_a_miss_not_a_wrong_answer() {
+        let cache = ArtifactCache::new(CacheLimits::default());
+        cache.insert(key(7, 7), entry("tav", "r"));
+        assert_eq!(cache.get(key(7, 7), "tav", "{\"max_nodes\":1}"), None);
+        assert_eq!(cache.counters().misses, 1);
+        assert!(cache.get(key(7, 7), "tav", "{}").is_some());
+    }
+
+    #[test]
+    fn every_knob_but_worker_counts_and_wall_clock_bounds_changes_the_echo() {
+        // The echo is the cache's config key: a result-relevant key it left
+        // out would let two configurations share one entry.  With every
+        // optional stage enabled every knob is echoed, so each key's
+        // non-default value must move it, except the worker counts, the
+        // wall-clock bounds (both out of the determinism contract) and the
+        // inert steal seed.  A new key fails here until it gets a test value.
+        let mut base = StcConfig::default();
+        for stage in [
+            "coverage.enabled",
+            "coverage.optimize.enabled",
+            "analysis.enabled",
+            "emit.enabled",
         ] {
-            let changed = with(key, value);
-            assert_ne!(changed.result_relevant(), base.result_relevant(), "{key}");
-            assert_ne!(
-                config_fingerprint(&changed),
-                config_fingerprint(&base),
+            base.set(stage, "true").unwrap();
+        }
+        let echo = |config: &StcConfig| config.to_json().to_compact();
+        let unechoed = [
+            "jobs",
+            "solver.jobs",
+            "solver.time_limit_secs",
+            "machine_timeout_secs",
+            "stage_deadline_secs",
+            "solver.steal_seed",
+        ];
+        for &(key, _) in crate::config::CONFIG_KEYS {
+            let value = match key {
+                "solver.lemma1_pruning"
+                | "solver.stop_at_lower_bound"
+                | "solver.branch_and_bound"
+                | "synth.minimize"
+                | "coverage.enabled"
+                | "coverage.optimize.enabled"
+                | "analysis.enabled"
+                | "emit.enabled" => "false",
+                "encoding" => "gray",
+                "coverage.optimize.target" => "0.5",
+                "analysis.deny" => "net-unused-input",
+                "emit.target" => "verilog",
+                "emit.module_name" => "ctl",
+                "jobs"
+                | "solver.jobs"
+                | "solver.time_limit_secs"
+                | "solver.steal_seed"
+                | "solver.max_nodes"
+                | "bist.patterns"
+                | "coverage.max_patterns"
+                | "coverage.optimize.max_candidates"
+                | "coverage.optimize.max_total_length"
+                | "gate_level.max_states"
+                | "gate_level.max_inputs"
+                | "machine_timeout_secs"
+                | "stage_deadline_secs" => "7",
+                other => panic!("no non-default test value for the key '{other}'"),
+            };
+            let mut changed = base.clone();
+            changed.set(key, value).unwrap();
+            // The retired steal seed is still validated, then dropped.
+            assert_eq!(changed == base, key == "solver.steal_seed", "{key}");
+            assert_eq!(
+                echo(&changed) != echo(&base),
+                !unechoed.contains(&key),
                 "{key}"
             );
         }
+        assert!(base.clone().set("solver.steal_seed", "x").is_err());
     }
 
     #[test]

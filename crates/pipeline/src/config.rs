@@ -12,15 +12,15 @@
 //!    `overrides` object of the `stc serve` protocol.
 //!
 //! Which knobs can influence a result is decided in one place,
-//! [`StcConfig::result_relevant`]: worker counts (`jobs`, `solver.jobs`)
-//! cannot, and the wall-clock bounds (`machine_timeout_secs`,
-//! `stage_deadline_secs`, `solver.time_limit_secs`) depend on machine speed
-//! and show their effect — when one fires — in the report itself (`status`,
-//! `budget_exhausted`).  That projection is what a suite report and a serve
-//! response echo ([`StcConfig::to_json`]) and what the serve cache
-//! fingerprints, so reports stay machine-independent.  The
-//! optional stages' knobs are echoed only when their stage is *enabled*: an
-//! additive feature must leave stage-free golden reports byte-identical.
+//! [`StcConfig::to_json`], the configuration echo: worker counts (`jobs`,
+//! `solver.jobs`) cannot influence a result, and the wall-clock bounds
+//! (`machine_timeout_secs`, `stage_deadline_secs`, `solver.time_limit_secs`)
+//! depend on machine speed and show their effect — when one fires — in the
+//! report itself (`status`, `budget_exhausted`), so the echo leaves all five
+//! out.  A suite report and a serve response carry that echo, and the serve
+//! cache keys on it, so reports stay machine-independent.  The optional
+//! stages' knobs are echoed only when their stage is *enabled*: an additive
+//! feature must leave stage-free golden reports byte-identical.
 
 use crate::json::Json;
 use stc_logic::SynthOptions;
@@ -323,28 +323,13 @@ pub struct StcConfig {
 }
 
 impl StcConfig {
-    /// The result-relevant projection of this configuration: a copy with
-    /// the worker counts (`jobs`, `solver.jobs`) and every wall-clock bound
-    /// (`solver.time_limit_secs`, `machine_timeout_secs`,
-    /// `stage_deadline_secs`) zeroed.  Two configurations with equal
-    /// projections produce the same report bytes for any machine (unless a
-    /// wall-clock bound fires).  Suite reports carry it as their `config`,
-    /// serve responses echo it and the serve cache fingerprints it.
-    #[must_use]
-    pub fn result_relevant(&self) -> StcConfig {
-        let mut projection = self.clone();
-        projection.jobs = 0;
-        projection.stage_deadline = None;
-        let p = &mut projection.pipeline;
-        p.solver.parallel_subtrees = 0;
-        p.solver.time_limit = None;
-        p.machine_timeout = None;
-        projection
-    }
-
-    /// The configuration echo embedded in suite reports and serve responses:
-    /// the result-relevant knobs only (see [`Self::result_relevant`]), with
-    /// each optional stage's knobs present only when that stage is enabled.
+    /// The configuration echo embedded in suite reports and serve responses,
+    /// and the content the serve cache keys on: every knob that can change a
+    /// report byte, and nothing else.  Worker counts and wall-clock bounds
+    /// are left out (see the module docs), and each optional stage's knobs
+    /// are present only when that stage is enabled.  Two configurations with
+    /// equal echoes produce the same report bytes for any machine (unless a
+    /// wall-clock bound fires).
     #[must_use]
     pub fn to_json(&self) -> Json {
         let p = &self.pipeline;

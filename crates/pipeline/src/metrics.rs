@@ -5,12 +5,9 @@
 //! outcomes, connection accounting, per-stage latency (the
 //! metrics are themselves the [`Observer`] of every serve session and add up
 //! the stage times [`Event::StageFinished`] carries) and end-to-end request
-//! latency.  A snapshot is exposed two ways:
-//!
-//! * the `{"stats": true}` request of the serve protocol, answered with
-//!   [`ServeMetrics::snapshot`] (a JSON object; see `docs/SERVE.md`);
-//! * a periodic one-line summary ([`ServeMetrics::log_line`]) the network
-//!   server prints to stderr when `--stats-interval-secs` is set.
+//! latency.  The `{"stats": true}` request of the serve protocol is
+//! answered with a snapshot, [`ServeMetrics::snapshot`] (a JSON object; see
+//! `docs/SERVE.md`).
 //!
 //! Stats are observability, not artifacts: unlike machine reports they
 //! contain wall-clock durations and are exempt from the byte-determinism
@@ -191,40 +188,6 @@ impl ServeMetrics {
             ("stages".into(), stages_section),
         ])
     }
-
-    /// A one-line human-readable summary for the periodic service log.
-    #[must_use]
-    pub fn log_line(&self, cache: Option<&ArtifactCache>) -> String {
-        let cache_part = match cache {
-            None => "cache=off".to_string(),
-            Some(cache) => {
-                let c = cache.counters();
-                format!(
-                    "cache={}e/{}B hits={} misses={} evictions={}",
-                    cache.len(),
-                    cache.payload_bytes(),
-                    c.hits,
-                    c.misses,
-                    c.evictions
-                )
-            }
-        };
-        format!(
-            "requests={} ok={} errors={} connections={}/{} rejected={} \
-             mean_service_ms={:.2} {}",
-            self.requests.load(Ordering::Relaxed),
-            self.ok.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.connections_active.load(Ordering::Relaxed),
-            self.connections_total.load(Ordering::Relaxed),
-            self.connections_rejected.load(Ordering::Relaxed),
-            mean_ms(
-                self.request_total_ns.load(Ordering::Relaxed),
-                self.request_count.load(Ordering::Relaxed),
-            ),
-            cache_part
-        )
-    }
 }
 
 /// Serve sessions report to their metrics directly: each finished stage
@@ -313,14 +276,13 @@ mod tests {
                 config: 2,
             },
             "tav",
+            "{}",
         );
         let section = metrics.snapshot(Some(&cache));
         let cache_stats = section.get("cache").unwrap();
         assert_eq!(cache_stats.get("enabled"), Some(&Json::Bool(true)));
         assert_eq!(cache_stats.get("entries").unwrap().as_u64(), Some(1));
         assert_eq!(cache_stats.get("hits").unwrap().as_u64(), Some(1));
-        let line = metrics.log_line(Some(&cache));
-        assert!(line.contains("hits=1"), "{line}");
     }
 
     fn finished(stage: &'static str, elapsed_ms: u64) -> Event<'static> {

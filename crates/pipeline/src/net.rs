@@ -48,18 +48,14 @@ pub struct NetOptions {
     /// Artifact-cache bounds shared by all connections; `None` disables
     /// caching.
     pub cache: Option<CacheLimits>,
-    /// Print a [`crate::ServeMetrics::log_line`] summary to stderr at this
-    /// interval; `None` disables the periodic log.
-    pub stats_interval: Option<Duration>,
 }
 
 impl Default for NetOptions {
-    /// 64 connections, a default-bounded cache, no periodic log.
+    /// 64 connections and a default-bounded cache.
     fn default() -> Self {
         Self {
             max_connections: 64,
             cache: Some(CacheLimits::default()),
-            stats_interval: None,
         }
     }
 }
@@ -172,19 +168,6 @@ impl NetServer {
         let shutdown = &self.shutdown;
         let context = &self.context;
         let result: std::io::Result<()> = std::thread::scope(|scope| {
-            if let Some(interval) = self.options.stats_interval {
-                scope.spawn(move || {
-                    let mut elapsed = Duration::ZERO;
-                    while !shutdown.load(Ordering::Relaxed) {
-                        std::thread::sleep(POLL_INTERVAL);
-                        elapsed += POLL_INTERVAL;
-                        if elapsed >= interval {
-                            elapsed = Duration::ZERO;
-                            eprintln!("stc serve: {}", context.metrics().log_line(context.cache()));
-                        }
-                    }
-                });
-            }
             while !shutdown.load(Ordering::Relaxed) {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {

@@ -1,7 +1,7 @@
 //! Machine-readable pipeline reports.
 //!
-//! A [`SuiteReport`] is a pure function of the corpus and the
-//! [`crate::StcConfig::result_relevant`] configuration: it contains no
+//! A [`SuiteReport`]'s JSON is a pure function of the corpus and the
+//! configuration echo ([`crate::StcConfig::to_json`]): it contains no
 //! wall-clock measurements, no host-dependent values and no hash-ordered
 //! collections, so serial and parallel runs of the same corpus serialise to
 //! byte-identical JSON and CI can diff the output against a committed
@@ -300,8 +300,9 @@ pub struct SuiteSummary {
 pub struct SuiteReport {
     /// Corpus label (`embedded`, a directory name, …).
     pub suite: String,
-    /// The configuration that produced the report, projected onto its
-    /// result-relevant knobs ([`StcConfig::result_relevant`]).
+    /// The configuration that produced the report.  Its JSON rendering is
+    /// the echo ([`StcConfig::to_json`]), which leaves out the knobs that
+    /// cannot change a report byte.
     pub config: StcConfig,
     /// One report per machine, in corpus order.
     pub machines: Vec<MachineReport>,

@@ -49,13 +49,13 @@
 //!
 //! With cache limits given, successful responses are memoized in a
 //! content-addressed [`crate::ArtifactCache`] keyed by `(machine content
-//! hash, effective-config fingerprint)`.  A hit skips the solver and replays
-//! the stored rendering — responses are **byte-identical** cache-on vs
+//! hash, hash of the effective-config echo)`.  A hit skips the solver and
+//! replays the stored rendering — responses are **byte-identical** cache-on vs
 //! cache-off (both paths splice the same fragments around the request's
 //! `id`).  Requests whose effective configuration sets any wall-clock bound
 //! bypass the cache (see [`crate::cache::cacheable`]).
 
-use crate::cache::{cacheable, config_fingerprint, ArtifactCache, CacheKey, CachedSynthesis};
+use crate::cache::{cacheable, ArtifactCache, CacheKey, CachedSynthesis};
 use crate::config::StcConfig;
 use crate::corpus::{embedded_corpus, CorpusEntry};
 use crate::json::Json;
@@ -118,10 +118,6 @@ impl ServeContext {
 
     pub(crate) fn metrics(&self) -> &Arc<ServeMetrics> {
         &self.metrics
-    }
-
-    pub(crate) fn cache(&self) -> Option<&ArtifactCache> {
-        self.cache.as_ref()
     }
 
     pub(crate) fn stats(&self) -> ServeStats {
@@ -212,8 +208,11 @@ impl ServeContext {
             Err(message) => return error_response(id, &message),
         };
 
-        // Cache lookup: only configurations without wall-clock bounds are
-        // content-addressable (their results are pure functions of the key).
+        // The config echo is rendered once: it is the response's `config`
+        // fragment and the config half of the cache key.  Only
+        // configurations without wall-clock bounds are content-addressable
+        // (their results are pure functions of the key).
+        let config_json = config.to_json().to_compact();
         let cache_key = self
             .cache
             .as_ref()
@@ -221,12 +220,12 @@ impl ServeContext {
             .map(|cache| {
                 let key = CacheKey {
                     machine: entry.machine.stable_hash(),
-                    config: config_fingerprint(&config),
+                    config: stc_fsm::fnv1a(config_json.as_bytes()),
                 };
                 (cache, key)
             });
         if let Some((cache, key)) = &cache_key {
-            if let Some(hit) = cache.get(*key, entry.name()) {
+            if let Some(hit) = cache.get(*key, entry.name(), &config_json) {
                 return Response::ok(splice_ok(
                     &id,
                     &hit.machine_name,
@@ -243,7 +242,7 @@ impl ServeContext {
         let report = session.run(&entry);
         let rendered = CachedSynthesis {
             machine_name: report.name.clone(),
-            config_json: session.config().result_relevant().to_json().to_compact(),
+            config_json,
             report_json: report.to_json().to_compact(),
         };
         let line = splice_ok(
@@ -725,11 +724,11 @@ mod tests {
         let cold = context.handle_line(request);
         let warm = context.handle_line(request);
         assert_eq!(cold.line, warm.line);
-        let counters = context.cache().unwrap().counters();
+        let counters = context.cache.as_ref().unwrap().counters();
         assert_eq!(counters.hits, 1);
         assert_eq!(counters.misses, 1);
         // The solver ran exactly once: the stage timer counted one solve.
-        let stages = context.metrics().snapshot(context.cache());
+        let stages = context.metrics().snapshot(context.cache.as_ref());
         let solve = stages.get("stages").unwrap().get("solve").unwrap();
         assert_eq!(solve.get("count").unwrap().as_u64(), Some(1));
     }
@@ -742,7 +741,7 @@ mod tests {
         let first = context.handle_line(request);
         let second = context.handle_line(request);
         assert_eq!(first.line, second.line, "generous timeout never fires");
-        let counters = context.cache().unwrap().counters();
+        let counters = context.cache.as_ref().unwrap().counters();
         assert_eq!(counters.hits, 0);
         assert_eq!(counters.misses, 0, "the cache was never consulted");
         assert_eq!(counters.insertions, 0);
@@ -756,12 +755,12 @@ mod tests {
             "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"bist.patterns\": 8}}",
         );
         assert_ne!(plain.line, with_override.line);
-        assert_eq!(context.cache().unwrap().counters().insertions, 2);
+        assert_eq!(context.cache.as_ref().unwrap().counters().insertions, 2);
         // Re-issuing both hits both entries.
         context.handle_line("{\"id\": 1, \"machine\": \"tav\"}");
         context.handle_line(
             "{\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"bist.patterns\": 8}}",
         );
-        assert_eq!(context.cache().unwrap().counters().hits, 2);
+        assert_eq!(context.cache.as_ref().unwrap().counters().hits, 2);
     }
 }

@@ -1171,7 +1171,7 @@ impl Synthesis {
         SuiteRun {
             report: SuiteReport {
                 suite: suite_name.to_string(),
-                config: self.config.result_relevant(),
+                config: self.config.clone(),
                 machines,
                 summary,
             },

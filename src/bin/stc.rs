@@ -156,8 +156,6 @@ SERVE OPTIONS (config options also apply):
     --max-connections <N>        simultaneous TCP connections; extra clients
                                  get one error line and are disconnected
                                  (default 64; --listen only)
-    --stats-interval-secs <S>    print a service-stats summary line to stderr
-                                 every S seconds (default 0 = off; --listen only)
 
 The JSON report contains no wall-clock values: for a fixed corpus and options
 it is byte-identical for any --jobs / --solver-jobs value, so CI diffs it
@@ -647,7 +645,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut cache_size = default_limits.max_entries;
     let mut cache_bytes = default_limits.max_bytes;
     let mut max_connections = NetOptions::default().max_connections;
-    let mut stats_interval_secs = 0u64;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         if config_args.parse_flag(flag, &mut iter)? {
@@ -659,9 +656,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--cache-bytes" => cache_bytes = parse_number(flag, take_value(flag, &mut iter)?)?,
             "--max-connections" => {
                 max_connections = parse_number(flag, take_value(flag, &mut iter)?)?;
-            }
-            "--stats-interval-secs" => {
-                stats_interval_secs = parse_number(flag, take_value(flag, &mut iter)?)?;
             }
             other => return Err(format!("unknown flag '{other}' for 'stc serve'")),
         }
@@ -683,8 +677,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         let options = NetOptions {
             max_connections,
             cache,
-            stats_interval: (stats_interval_secs > 0)
-                .then(|| std::time::Duration::from_secs(stats_interval_secs)),
         };
         let server = NetServer::bind(addr.as_str(), &config, options)
             .map_err(|e| format!("cannot listen on {addr}: {e}"))?;

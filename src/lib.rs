@@ -255,7 +255,7 @@ pub mod prelude {
     pub use stc_analyze::{analyze_block, lint_kiss2, lint_machine, Diagnostic, Scoap, Severity};
     pub use stc_bist::{
         evaluate_architectures, pipeline_self_test, Architecture, ArchitectureOptions, Bilbo,
-        BilboMode, Lfsr, Misr,
+        BilboMode, Lfsr,
     };
     pub use stc_encoding::{EncodedMachine, EncodedPipeline};
     pub use stc_fsm::{kiss2, state_equivalence, Mealy, MealyBuilder};

@@ -4,6 +4,7 @@
 //!   per-request overrides), a cache-enabled serve loop answers with the
 //!   **same bytes** as a cache-disabled one.
 //! * Eviction under pressure (`max_entries: 1`) keeps responses correct.
+//! * Requests whose configs echo the same bytes share one entry.
 //! * Concurrent clients replaying the same machine over TCP all read
 //!   identical bytes.
 //! * The cached path is pinned at >= 10x faster than fresh synthesis.
@@ -96,6 +97,24 @@ fn eviction_under_pressure_keeps_responses_byte_identical() {
         cache.get("evictions").unwrap().as_u64().unwrap() >= 6,
         "alternating machines through a 1-entry cache must evict"
     );
+}
+
+#[test]
+fn a_disabled_stages_knob_shares_one_cache_entry() {
+    // Coverage is off in `base()`, so `coverage.max_patterns` is not echoed:
+    // it cannot change a report byte, both requests key on the same echo,
+    // and the second is answered from the first one's entry.
+    let requests = "{\"id\": 1, \"machine\": \"tav\"}\n\
+                    {\"id\": 1, \"machine\": \"tav\", \"overrides\": {\"coverage.max_patterns\": 7}}\n\
+                    {\"id\": 2, \"stats\": true}\n";
+    let output = transcript(requests, Some(CacheLimits::default()));
+    let lines: Vec<&str> = output.lines().collect();
+    assert_eq!(lines.len(), 3, "{output}");
+    assert_eq!(lines[0], lines[1]);
+    let stats = Json::parse(lines[2]).expect("stats response is JSON");
+    let cache = stats.get("stats").unwrap().get("cache").unwrap();
+    assert_eq!(cache.get("entries").unwrap().as_u64(), Some(1));
+    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
 }
 
 struct Client {

@@ -472,11 +472,11 @@ fn builder_layers_defaults_profile_and_overrides() {
     assert_eq!(session.config().pipeline.solver.max_nodes, 22222);
     // …which wins over the defaults.
     assert_eq!(session.config().pipeline.patterns_per_session, 8);
-    // The effective config's result-relevant projection is what reports
-    // echo.
+    // The effective config is what reports carry, and its echo is what
+    // they render.
     let corpus = filter_by_names(embedded_corpus(), &["tav".to_string()]).unwrap();
     let run = session.run_suite(&corpus, "layered");
-    assert_eq!(run.report.config, session.config().result_relevant());
+    assert_eq!(run.report.config.to_json(), session.config().to_json());
     assert_eq!(run.report.config.pipeline.solver.max_nodes, 22222);
     assert_eq!(run.report.config.pipeline.patterns_per_session, 8);
 }
