@@ -15,6 +15,7 @@
 //!   enumeration of all partition pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use stc_bench::scale::{scale_machine, scale_tiers};
 use stc_fsm::{benchmarks, paper_example, random_machine, Mealy};
 use stc_partition::symmetric_basis;
 use stc_synth::{solve, solve_naive, OstrSolver, SolverConfig};
@@ -75,11 +76,24 @@ fn ostr_solver_v2(c: &mut Criterion) {
             },
         );
     }
-    // Setup path: the symmetric-pair basis (tbk: 64 inputs sharing two
-    // transition maps; ex1: 512 distinct input columns, every closure
-    // universal, so the lazy closure's early return is what it measures).
-    for name in ["shiftreg", "tbk", "ex1"] {
-        group.bench_with_input(BenchmarkId::new("basis", name), &machine(name), |b, m| {
+    // Setup path: the symmetric-pair basis, one walk over the pair graph's
+    // n(n-1) nodes with an edge per distinct input column.  tbk: 64 inputs
+    // sharing two transition maps; ex1: 512 distinct columns, so the walk's
+    // edge count dominates; scale_s: 107 states whose 5,671 state pairs
+    // collapse to a 33-element basis, where closing each component once
+    // instead of each pair pays most.
+    let scale_s = scale_tiers()
+        .into_iter()
+        .find(|t| t.name == "scale_s")
+        .expect("scale_s is a tier");
+    let bases = [
+        ("shiftreg", machine("shiftreg")),
+        ("tbk", machine("tbk")),
+        ("ex1", machine("ex1")),
+        ("scale_s", scale_machine(&scale_s)),
+    ];
+    for (name, m) in &bases {
+        group.bench_with_input(BenchmarkId::new("basis", name), m, |b, m| {
             b.iter(|| symmetric_basis(m));
         });
     }

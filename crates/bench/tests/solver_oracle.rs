@@ -4,15 +4,18 @@
 //! planted scale machines: the full search statistics (wall clock aside)
 //! and a digest of the best `(π, τ)` of each tier's solver configuration,
 //! at one, two and four workers, recorded from the engine before its edge
-//! joins, pairwise Lemma 1 prefilter and lazy basis closures.  `scale_l`
-//! alone searches 43.5M nodes per run, so these tests are `#[ignore]`d and
-//! run nightly:
+//! joins, pairwise Lemma 1 prefilter and basis closed once per pair-graph
+//! component; and each tier's basis against the per-pair closures it
+//! replaced.  `scale_l` alone searches 43.5M nodes per run, so these tests
+//! are `#[ignore]`d and run nightly:
 //!
 //! ```text
 //! cargo test --release -p stc-bench --test solver_oracle -- --ignored
 //! ```
 
 use stc_bench::scale::{scale_machine, scale_solver_config, scale_tiers};
+use stc_fsm::Mealy;
+use stc_partition::{symmetric_basis, symmetric_pair_closure, Partition};
 use stc_synth::{OstrOutcome, OstrSolver, PreparedOstr};
 
 /// FNV-1a over the `Display` rendering `"{π}|{τ}"` of the best pair.
@@ -20,8 +23,28 @@ fn pair_digest(outcome: &OstrOutcome) -> u64 {
     stc_fsm::fnv1a(format!("{}|{}", outcome.best.pi, outcome.best.tau).as_bytes())
 }
 
-/// Solves `tier` at 1, 2 and 4 workers and checks each run against the
-/// frozen `basis_size`, `nodes_investigated`, `subtrees_pruned`,
+/// The basis as the per-pair closures define it: the closure of every state
+/// pair `s < t` and its mirror, deduplicated and in `symmetric_basis` order
+/// (total blocks, then the `Display` rendering).
+fn basis_of_pair_closures(machine: &Mealy) -> Vec<(Partition, Partition)> {
+    let n = machine.num_states();
+    let mut basis: Vec<(Partition, Partition)> = Vec::new();
+    for s in 0..n {
+        for t in (s + 1)..n {
+            let (pi, tau) = symmetric_pair_closure(machine, s, t);
+            for pair in [(pi.clone(), tau.clone()), (tau, pi)] {
+                if !basis.contains(&pair) {
+                    basis.push(pair);
+                }
+            }
+        }
+    }
+    basis.sort_by_key(|(pi, tau)| (pi.num_blocks() + tau.num_blocks(), format!("{pi}|{tau}")));
+    basis
+}
+
+/// Checks `tier`'s basis against the per-pair closures, then solves it at
+/// 1, 2 and 4 workers and checks each run against the frozen `basis_size`, `nodes_investigated`, `subtrees_pruned`,
 /// `subtrees_bound_pruned` and `solutions_found`, the two flags (both
 /// clear: every tier completes within its budget), the cost and the pair
 /// digest.
@@ -30,7 +53,14 @@ fn check(tier: &str, counts: [u64; 5], cost: (usize, usize), digest: u64) {
         .into_iter()
         .find(|t| t.name == tier)
         .expect("tier exists");
-    let prepared = PreparedOstr::new(&scale_machine(&tier));
+    let machine = scale_machine(&tier);
+    assert_eq!(
+        symmetric_basis(&machine),
+        basis_of_pair_closures(&machine),
+        "{}",
+        tier.name
+    );
+    let prepared = PreparedOstr::new(&machine);
     for jobs in [1, 2, 4] {
         let outcome = OstrSolver::new(scale_solver_config(&tier, jobs)).solve_prepared(&prepared);
         let s = outcome.stats;

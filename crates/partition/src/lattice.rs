@@ -12,10 +12,11 @@
 //!
 //! The production OSTR search in `stc-synth` walks a different, complete
 //! basis: [`symmetric_basis`], the smallest symmetric pairs
-//! ([`symmetric_pair_closure`]) identifying one pair of states.  Each
-//! closure is a lazy congruence closure on the doubled machine that stops
-//! as soon as both sides are universal, which makes machines with many
-//! distinct input columns (`ex1`: 512) cheap.
+//! ([`symmetric_pair_closure`]) identifying one pair of states.  Rather than
+//! closing each of the `n(n−1)/2` state pairs on its own, it walks the pair
+//! graph once and closes each strongly connected component once, sinks
+//! first: `scale_s`'s 5,671 pairs share 33 basis elements.  The per-pair
+//! closure stays as the reference its tests compare against.
 
 use crate::dsu::DisjointSets;
 use crate::pairs::{big_m_operator, is_symmetric_pair, m_operator, pair_identifying, Transitions};
@@ -107,6 +108,8 @@ pub fn basis_partitions<T: Transitions + ?Sized>(delta: &T) -> Vec<Partition> {
 /// is the join of the closures of the state pairs it identifies (on either
 /// side).  The closures therefore generate the complete lattice of symmetric
 /// pairs — this is the basis the OSTR search in `stc-synth` walks.
+/// [`symmetric_basis`] computes all of them at once; this per-pair closure
+/// is the reference its tests compare against.
 ///
 /// # Panics
 ///
@@ -119,8 +122,7 @@ pub fn symmetric_pair_closure<T: Transitions + ?Sized>(
 ) -> (Partition, Partition) {
     let n = delta.num_states();
     assert!(s < n && t < n, "states must lie in the ground set");
-    let inputs: Vec<usize> = (0..delta.num_inputs()).collect();
-    let labels = closure_labels(delta, s, t, &inputs);
+    let labels = closure_labels(delta, s, t);
     (
         Partition::from_labels(&labels[..n]),
         Partition::from_labels(&labels[n..]),
@@ -130,94 +132,37 @@ pub fn symmetric_pair_closure<T: Transitions + ?Sized>(
 /// The union–find core of [`symmetric_pair_closure`]: returns the root
 /// labels of the doubled ground set (π side `0..n`, τ side `n..2n`).
 ///
-/// `inputs` is the set of input symbols to close over; restricting it to one
-/// representative per distinct next-state column yields the same closure
-/// (identical columns contribute identical unions) at a fraction of the cost
-/// for machines whose many inputs share a few transition maps.
-fn closure_labels<T: Transitions + ?Sized>(
-    delta: &T,
-    s: usize,
-    t: usize,
-    inputs: &[usize],
-) -> Vec<usize> {
-    let n = delta.num_states();
-    let mut dsu = DisjointSets::new(2 * n);
-    let mut worklist = Vec::new();
-    closure_labels_into(delta, s, t, inputs, &mut dsu, &mut worklist);
-    dsu.labels()
-}
-
-/// Allocation-reusing core of [`closure_labels`]: `dsu` must arrive reset to
-/// `2n` singletons; `worklist` is cleared on entry.
-///
 /// The closure is lazy: a pair enters the worklist only when its union
 /// succeeded, and its successors are unioned when it is popped.  A union
 /// that fails relates states already joined by a chain of successful
 /// unions, whose successors are (or will be) unioned pair by pair, so the
 /// failed pair's successors end up related by transitivity.
-/// Unions never cross sides, so once `dsu` is down to two sets each side is
-/// a single block and no further union can succeed: the loop returns there.
-/// The closure is the least congruence containing the seed, independent of
-/// processing order, so the early return changes no label.
-fn closure_labels_into<T: Transitions + ?Sized>(
-    delta: &T,
-    s: usize,
-    t: usize,
-    inputs: &[usize],
-    dsu: &mut DisjointSets,
-    worklist: &mut Vec<(usize, usize, bool)>,
-) {
+/// Unions never cross sides, so once the union–find is down to two sets
+/// each side is a single block and no further union can succeed: the loop
+/// returns there.  The closure is the least congruence containing the seed,
+/// independent of processing order, so the early return changes no label.
+fn closure_labels<T: Transitions + ?Sized>(delta: &T, s: usize, t: usize) -> Vec<usize> {
     let n = delta.num_states();
-    worklist.clear();
+    let mut dsu = DisjointSets::new(2 * n);
+    let mut worklist = Vec::new();
     // Doubled ground set: 0..n is the π side, n..2n is the τ side.
-    if !dsu.union(s, t) {
-        return;
+    if dsu.union(s, t) {
+        worklist.push((s, t, false));
     }
-    worklist.push((s, t, false));
     while let Some((u, v, tau_side)) = worklist.pop() {
         // Successors of a π-side pair are related on the τ side and back.
         let offset = if tau_side { 0 } else { n };
-        for &i in inputs {
+        for i in 0..delta.num_inputs() {
             let (a, b) = (delta.next_state(u, i), delta.next_state(v, i));
             if dsu.union(a + offset, b + offset) {
                 if dsu.num_sets() == 2 {
-                    return;
+                    return dsu.labels();
                 }
                 worklist.push((a, b, !tau_side));
             }
         }
     }
-}
-
-/// One representative input per distinct next-state column `δ(·, i)`.
-fn distinct_input_representatives<T: Transitions + ?Sized>(delta: &T) -> Vec<usize> {
-    let n = delta.num_states();
-    let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-    let mut reps = Vec::new();
-    for i in 0..delta.num_inputs() {
-        let column: Vec<usize> = (0..n).map(|s| delta.next_state(s, i)).collect();
-        if seen.insert(column) {
-            reps.push(i);
-        }
-    }
-    reps
-}
-
-/// Rewrites `labels` into canonical compact form (first-occurrence order,
-/// the numbering [`Partition::from_labels`] assigns) using a flat scratch
-/// map.
-fn canonicalize(labels: &mut [usize], map: &mut [usize]) {
-    for m in map.iter_mut() {
-        *m = usize::MAX;
-    }
-    let mut next = 0;
-    for l in labels.iter_mut() {
-        if map[*l] == usize::MAX {
-            map[*l] = next;
-            next += 1;
-        }
-        *l = map[*l];
-    }
+    dsu.labels()
 }
 
 /// Generates the basis of the symmetric-pair lattice: the closures
@@ -230,47 +175,36 @@ fn canonicalize(labels: &mut [usize], map: &mut [usize]) {
 /// The mirrored orientation `(τ, π)` of each closure is included because a
 /// target pair may identify states only on its second component.
 ///
+/// The closures are not computed pair by pair.  In the *pair graph*, a node
+/// is a pair `{u, v}` of distinct states on the π or the τ side, and each
+/// distinct input column leads it to `{δ(u, i), δ(v, i)}` on the other
+/// side.  The closure of `(s, t)` is the equivalence closure of the pairs
+/// reachable from `{s, t}` on the π side, so every node of one strongly
+/// connected component shares one closure, and a component's closure is
+/// the join of its own pairs with the closures of the components it
+/// reaches.  One pass of Tarjan's algorithm, which finishes components
+/// sinks first, closes each component once.
+///
 /// The list is sorted by `(total blocks, Display)` so the ordering is
-/// deterministic, as the depth-first search requires.
+/// deterministic, as the depth-first search requires; the sort keys are
+/// unique, so the order in which the closures are found does not matter.
 #[must_use]
 pub fn symmetric_basis<T: Transitions + ?Sized>(delta: &T) -> Vec<(Partition, Partition)> {
     let n = delta.num_states();
-    // Closing over one representative per distinct next-state column yields
-    // the same closures (identical columns contribute identical unions);
-    // machines like `tbk` share two transition maps among 64 inputs.
-    let inputs = distinct_input_representatives(delta);
-    // Deduplicate on canonical labels before materialising any `Partition`:
-    // canonical labels are equal iff the partitions are, so the set of kept
-    // elements — and their insertion order — is identical to deduplicating
-    // the materialised pairs.
-    let mut seen: std::collections::HashSet<(Vec<usize>, Vec<usize>)> =
-        std::collections::HashSet::new();
+    let (closures, of_node) = PairGraph::new(delta).close_components();
+    let mut taken = vec![false; closures.labels.len()];
+    let mut seen = std::collections::HashSet::new();
     let mut result = Vec::new();
-    let mut scratch = vec![usize::MAX; 2 * n];
-    let mut dsu = DisjointSets::new(2 * n);
-    let mut worklist: Vec<(usize, usize, bool)> = Vec::new();
-    for s in 0..n {
-        for t in (s + 1)..n {
-            dsu.reset(2 * n);
-            closure_labels_into(delta, s, t, &inputs, &mut dsu, &mut worklist);
-            let mut pi_labels = Vec::with_capacity(n);
-            let mut tau_labels = Vec::with_capacity(n);
-            for x in 0..n {
-                pi_labels.push(dsu.find(x));
-                tau_labels.push(dsu.find(n + x));
+    for u in 0..n {
+        for v in (u + 1)..n {
+            let id = of_node[u * n + v] as usize;
+            if std::mem::replace(&mut taken[id], true) {
+                continue;
             }
-            canonicalize(&mut pi_labels, &mut scratch);
-            canonicalize(&mut tau_labels, &mut scratch);
-            for pair in [
-                (pi_labels.clone(), tau_labels.clone()),
-                (tau_labels, pi_labels),
-            ] {
-                if !seen.contains(&pair) {
-                    result.push((
-                        Partition::from_labels(&pair.0),
-                        Partition::from_labels(&pair.1),
-                    ));
-                    seen.insert(pair);
+            let (pi, tau) = closures.labels[id].split_at(n);
+            for (first, second) in [(pi, tau), (tau, pi)] {
+                if seen.insert((first, second)) {
+                    result.push((half_partition(first), half_partition(second)));
                 }
             }
         }
@@ -279,6 +213,308 @@ pub fn symmetric_basis<T: Transitions + ?Sized>(delta: &T) -> Vec<(Partition, Pa
         (pi.num_blocks() + tau.num_blocks(), pair_sort_key(pi, tau))
     });
     result
+}
+
+/// An absent `u32`: a node the walk has not reached, a node whose component
+/// is still open, a union–find root not yet labelled.
+const NONE: u32 = u32::MAX;
+
+/// The pair graph of a machine, whose components [`symmetric_basis`]
+/// closes.
+///
+/// A node is an ordered pair `(u, v)` of distinct states, numbered `u·n + v`:
+/// `u < v` stands for the pair `{u, v}` on the π side, `u > v` for the same
+/// pair on the τ side.  Each distinct next-state column `δ(·, i)` gives a
+/// node one edge, to `{δ(u, i), δ(v, i)}` on the other side, unless the two
+/// successors coincide.  Edges are computed on the fly from the columns,
+/// never stored: `ex1` would need 380 nodes × 512 columns of them.
+struct PairGraph {
+    n: usize,
+    /// The distinct next-state columns, one after another: state `s` of
+    /// column `k` is at `k·n + s`.
+    columns: Vec<u32>,
+    num_columns: usize,
+}
+
+/// One node of the depth-first walk in progress.
+struct Frame {
+    u: u32,
+    v: u32,
+    /// The next column whose edge the walk follows.
+    column: usize,
+    /// Where this node's entries start in the walk's successor stack.
+    mark: usize,
+}
+
+impl PairGraph {
+    fn new<T: Transitions + ?Sized>(delta: &T) -> Self {
+        let n = delta.num_states();
+        // Identical columns contribute identical edges; machines like `tbk`
+        // share two transition maps among 64 inputs.
+        let mut seen = std::collections::HashSet::new();
+        let mut columns = Vec::new();
+        for i in 0..delta.num_inputs() {
+            let column: Vec<u32> = (0..n)
+                .map(|s| u32::try_from(delta.next_state(s, i)).expect("state fits in u32"))
+                .collect();
+            if !seen.contains(&column) {
+                columns.extend_from_slice(&column);
+                seen.insert(column);
+            }
+        }
+        let num_columns = seen.len();
+        Self {
+            n,
+            columns,
+            num_columns,
+        }
+    }
+
+    /// The node `(u, v)` leads to through column `k`, unless the column
+    /// maps `u` and `v` to the same state.
+    fn successor(&self, u: u32, v: u32, k: usize) -> Option<u32> {
+        let column = &self.columns[k * self.n..(k + 1) * self.n];
+        let (a, b) = (column[u as usize], column[v as usize]);
+        if a == b {
+            return None;
+        }
+        let (lo, hi) = (a.min(b), a.max(b));
+        let n = self.n as u32;
+        // A π-side node leads to the τ side and back.
+        Some(if u < v { hi * n + lo } else { lo * n + hi })
+    }
+
+    /// Closes every component reachable from a π-side node; returns the
+    /// closures and, for each node, the id of its closure (`NONE` for
+    /// nodes the walk does not reach).
+    ///
+    /// Iterative Tarjan: `open` is Tarjan's stack of nodes whose component
+    /// is not finished, and `successors` collects, above each frame's
+    /// `mark`, the closure ids of finished components that the frame's
+    /// node and its open descendants reach.  Those descendants belong to
+    /// the node's component or finish before it, so when a component's
+    /// root finishes, its entries above the root's mark are exactly the
+    /// closures of the components it leads to.
+    fn close_components(&self) -> (Closures, Vec<u32>) {
+        let n = self.n;
+        let nodes = u32::try_from(n * n).expect("pair-graph nodes fit in u32");
+        let mut order = vec![NONE; nodes as usize];
+        let mut low = vec![0u32; nodes as usize];
+        let mut closure = vec![NONE; nodes as usize];
+        let mut closures = Closures::new(n);
+        let mut open: Vec<u32> = Vec::new();
+        let mut successors: Vec<u32> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut visited = 0u32;
+        let node = |u: u32, v: u32| u * n as u32 + v;
+        let pi_side = (0..n as u32).flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)));
+        for (u, v) in pi_side {
+            if order[node(u, v) as usize] != NONE {
+                continue;
+            }
+            let mut next = Some((u, v));
+            loop {
+                if let Some((u, v)) = next.take() {
+                    let x = node(u, v) as usize;
+                    order[x] = visited;
+                    low[x] = visited;
+                    visited += 1;
+                    open.push(x as u32);
+                    frames.push(Frame {
+                        u,
+                        v,
+                        column: 0,
+                        mark: successors.len(),
+                    });
+                }
+                let Some(top) = frames.last_mut() else { break };
+                let x = node(top.u, top.v) as usize;
+                while top.column < self.num_columns {
+                    let k = top.column;
+                    top.column += 1;
+                    let Some(y) = self.successor(top.u, top.v, k) else {
+                        continue;
+                    };
+                    let y = y as usize;
+                    if order[y] == NONE {
+                        next = Some(((y / n) as u32, (y % n) as u32));
+                        break;
+                    }
+                    if closure[y] == NONE {
+                        low[x] = low[x].min(order[y]);
+                    } else {
+                        push_successor(&mut successors, top.mark, closure[y]);
+                    }
+                }
+                if next.is_some() {
+                    continue;
+                }
+                let finished = frames.pop().expect("the loop holds a frame");
+                if low[x] == order[x] {
+                    let start = open
+                        .iter()
+                        .rposition(|&m| m as usize == x)
+                        .expect("a component root is open");
+                    let id = closures.close(&open[start..], successors.drain(finished.mark..));
+                    for &m in &open[start..] {
+                        closure[m as usize] = id;
+                    }
+                    open.truncate(start);
+                }
+                if let Some(parent) = frames.last() {
+                    let p = node(parent.u, parent.v) as usize;
+                    if closure[x] == NONE {
+                        low[p] = low[p].min(low[x]);
+                    } else {
+                        push_successor(&mut successors, parent.mark, closure[x]);
+                    }
+                }
+            }
+        }
+        (closures, closure)
+    }
+}
+
+/// Records a reached closure for the frame whose entries start at `mark`,
+/// skipping a repeat of the frame's latest entry.
+fn push_successor(successors: &mut Vec<u32>, mark: usize, id: u32) {
+    if successors.len() == mark || successors.last() != Some(&id) {
+        successors.push(id);
+    }
+}
+
+/// The interned closures of [`PairGraph::close_components`].
+///
+/// A closure is stored as labels over the doubled ground set, each side
+/// relabelled canonically (first occurrence, starting at 0) on its own, so
+/// equal closures have equal labels and one side's labels are a
+/// [`Partition::from_labels`] input as they stand.
+struct Closures {
+    n: usize,
+    labels: Vec<std::rc::Rc<[u32]>>,
+    ids: std::collections::HashMap<std::rc::Rc<[u32]>, u32>,
+    /// Memoized joins of sets (sorted, deduplicated) of two or more
+    /// closure ids.
+    joins: std::collections::HashMap<Vec<u32>, u32>,
+    dsu: DisjointSets,
+    /// Scratch: the successor set of the component being closed.
+    set: Vec<u32>,
+    /// Scratch: the first element of each block of the closure being
+    /// loaded into `dsu`.
+    first: Vec<usize>,
+    /// Scratch: the canonical label of each union–find root.
+    root_label: Vec<u32>,
+}
+
+impl Closures {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            labels: Vec::new(),
+            ids: std::collections::HashMap::new(),
+            joins: std::collections::HashMap::new(),
+            dsu: DisjointSets::new(2 * n),
+            set: Vec::new(),
+            first: vec![0; n],
+            root_label: vec![NONE; 2 * n],
+        }
+    }
+
+    /// The closure of a component with nodes `members` whose edges leave
+    /// it for components with closures `successors`.
+    fn close(&mut self, members: &[u32], successors: impl Iterator<Item = u32>) -> u32 {
+        let mut set = std::mem::take(&mut self.set);
+        set.clear();
+        set.extend(successors);
+        set.sort_unstable();
+        set.dedup();
+        let base = match set.as_slice() {
+            [] => None,
+            &[only] => Some(only),
+            several => Some(if let Some(&id) = self.joins.get(several) {
+                id
+            } else {
+                let id = self.join(several, &[]);
+                self.joins.insert(several.to_vec(), id);
+                id
+            }),
+        };
+        self.set = set;
+        match base {
+            Some(id) if self.holds(id, members) => id,
+            _ => self.join(base.as_slice(), members),
+        }
+    }
+
+    /// The two doubled-ground-set elements a node relates.
+    fn elements(&self, node: u32) -> (usize, usize) {
+        let (u, v) = (node as usize / self.n, node as usize % self.n);
+        let side = if u < v { 0 } else { self.n };
+        (side + u, side + v)
+    }
+
+    /// Whether closure `id` already relates every member's pair.
+    fn holds(&self, id: u32, members: &[u32]) -> bool {
+        let labels = &self.labels[id as usize];
+        members.iter().all(|&m| {
+            let (a, b) = self.elements(m);
+            labels[a] == labels[b]
+        })
+    }
+
+    /// Interns the join of closures `ids` with the pairs of `members`.
+    fn join(&mut self, ids: &[u32], members: &[u32]) -> u32 {
+        let n = self.n;
+        self.dsu.reset(2 * n);
+        for &id in ids {
+            let labels = &self.labels[id as usize];
+            for side in [0, n] {
+                let mut blocks = 0;
+                for x in side..side + n {
+                    let l = labels[x] as usize;
+                    if l == blocks {
+                        self.first[l] = x;
+                        blocks += 1;
+                    } else {
+                        self.dsu.union(self.first[l], x);
+                    }
+                }
+            }
+        }
+        for &m in members {
+            let (a, b) = self.elements(m);
+            self.dsu.union(a, b);
+        }
+        let mut key = Vec::with_capacity(2 * n);
+        for side in [0, n] {
+            let mut blocks = 0;
+            for x in side..side + n {
+                let root = self.dsu.find(x);
+                if self.root_label[root] == NONE {
+                    self.root_label[root] = blocks;
+                    blocks += 1;
+                }
+                key.push(self.root_label[root]);
+            }
+        }
+        for x in 0..2 * n {
+            self.root_label[self.dsu.find(x)] = NONE;
+        }
+        if let Some(&id) = self.ids.get(key.as_slice()) {
+            return id;
+        }
+        let id = u32::try_from(self.labels.len()).expect("closure ids fit in u32");
+        let key: std::rc::Rc<[u32]> = key.into();
+        self.labels.push(key.clone());
+        self.ids.insert(key, id);
+        id
+    }
+}
+
+/// The partition of one side's canonical closure labels.
+fn half_partition(labels: &[u32]) -> Partition {
+    let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+    Partition::from_labels(&labels)
 }
 
 /// The string sort key of a basis element: byte-identical to

@@ -1,6 +1,6 @@
 //! Property-based tests for the partition lattice and the `m`/`M` operators.
 
-use crate::lattice::{enumerate_partitions, symmetric_pair_closure};
+use crate::lattice::{enumerate_partitions, symmetric_basis, symmetric_pair_closure};
 use crate::packed::{meets_within, EdgeJoin, JoinEdges, PackedPartition, PackedScratch};
 use crate::pairs::{big_m_operator, is_partition_pair, m_operator, pair_identifying, Transitions};
 use crate::partition::Partition;
@@ -68,6 +68,26 @@ fn closure_fixpoint<T: Transitions>(delta: &T, s: usize, t: usize) -> (Partition
         pi = next_pi;
         tau = next_tau;
     }
+}
+
+/// The basis as the per-pair closures define it: the closure of every state
+/// pair `s < t` and its mirror, deduplicated and in `symmetric_basis` order
+/// (total blocks, then the `Display` rendering).
+fn basis_of_pair_closures<T: Transitions>(delta: &T) -> Vec<(Partition, Partition)> {
+    let n = delta.num_states();
+    let mut basis: Vec<(Partition, Partition)> = Vec::new();
+    for s in 0..n {
+        for t in (s + 1)..n {
+            let (pi, tau) = symmetric_pair_closure(delta, s, t);
+            for pair in [(pi.clone(), tau.clone()), (tau, pi)] {
+                if !basis.contains(&pair) {
+                    basis.push(pair);
+                }
+            }
+        }
+    }
+    basis.sort_by_key(|(pi, tau)| (pi.num_blocks() + tau.num_blocks(), format!("{pi}|{tau}")));
+    basis
 }
 
 /// Partitions of `1..=130` elements (crossing the 64-element word
@@ -240,6 +260,18 @@ proptest! {
     }
 
     #[test]
+    fn symmetric_basis_is_the_deduplicated_pair_closures(machine in arb_machine(9, 5)) {
+        prop_assert_eq!(symmetric_basis(&machine), basis_of_pair_closures(&machine));
+    }
+
+    #[test]
+    fn symmetric_basis_is_the_deduplicated_pair_closures_with_duplicate_columns(
+        machine in arb_duplicate_column_machine(),
+    ) {
+        prop_assert_eq!(symmetric_basis(&machine), basis_of_pair_closures(&machine));
+    }
+
+    #[test]
     fn packed_refinement_agrees_with_refines(labels_a in arb_labels(9), labels_b in arb_labels(9)) {
         let a = Partition::from_labels(&labels_a);
         let b = Partition::from_labels(&labels_b);
@@ -321,5 +353,25 @@ fn universal_closures_match_the_fixpoint() {
         let closure = symmetric_pair_closure(&machine, s, t);
         assert!(closure.0.is_universal() && closure.1.is_universal());
         assert_eq!(closure, closure_fixpoint(&machine, s, t));
+    }
+}
+
+/// Every machine with one or two states and one or two inputs: the pair
+/// graph has no node, or the two sides of `{0, 1}`, which lead to each
+/// other or nowhere.
+#[test]
+fn symmetric_basis_matches_the_pair_closures_on_every_tiny_machine() {
+    for n in 1usize..=2 {
+        for k in 1..=2 {
+            for code in 0..n.pow((n * k) as u32) {
+                let table = (0..n * k).map(|at| code / n.pow(at as u32) % n).collect();
+                let machine = TableMachine { n, k, table };
+                assert_eq!(
+                    symmetric_basis(&machine),
+                    basis_of_pair_closures(&machine),
+                    "{machine:?}"
+                );
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Frozen OSTR search statistics for the embedded suite.
 //!
 //! The search engine is tuned for speed (edge joins counted before they are
-//! materialised, a pairwise Lemma 1 prefilter, lazy basis closures), and
-//! every such change must be invisible: same node order, same prunes, same
-//! solution.  This test pins, for every embedded machine, the full
+//! materialised, a pairwise Lemma 1 prefilter, a basis closed once per
+//! pair-graph component), and every such change must be invisible: same
+//! node order, same prunes, same solution.  This test pins, for every embedded machine, the full
 //! [`SearchStats`] except the wall clock and a digest of the best `(π, τ)`
 //! under {branch and bound on, off} × {`stop_at_lower_bound` on, off}, plus
 //! a few budget-limited and Lemma-1-off runs, each at one and two solver
@@ -11,7 +11,8 @@
 //! optimisations; `tests/golden/search_stats.json` pins only the default
 //! configuration.
 
-use stc::fsm::benchmarks;
+use stc::fsm::{benchmarks, planted_decomposable, Mealy, PlantedSpec};
+use stc::partition::{symmetric_basis, symmetric_pair_closure, Partition};
 use stc::synth::{OstrOutcome, OstrSolver, PreparedOstr, SolverConfig};
 
 /// One pinned search: the configuration and its expected outcome.
@@ -189,5 +190,57 @@ fn search_statistics_match_the_frozen_values() {
                 assert_eq!(pair_digest(&outcome), r.digest, "{context}");
             }
         }
+    }
+}
+
+/// The basis as the per-pair closures define it: the closure of every state
+/// pair `s < t` and its mirror, deduplicated and in `symmetric_basis` order
+/// (total blocks, then the `Display` rendering).
+fn basis_of_pair_closures(machine: &Mealy) -> Vec<(Partition, Partition)> {
+    let n = machine.num_states();
+    let mut basis: Vec<(Partition, Partition)> = Vec::new();
+    for s in 0..n {
+        for t in (s + 1)..n {
+            let (pi, tau) = symmetric_pair_closure(machine, s, t);
+            for pair in [(pi.clone(), tau.clone()), (tau, pi)] {
+                if !basis.contains(&pair) {
+                    basis.push(pair);
+                }
+            }
+        }
+    }
+    basis.sort_by_key(|(pi, tau)| (pi.num_blocks() + tau.num_blocks(), format!("{pi}|{tau}")));
+    basis
+}
+
+/// `symmetric_basis` closes each pair-graph component once instead of each
+/// state pair; its output must be the per-pair closures' basis, element for
+/// element and in order, on every embedded machine and on the `scale_s`
+/// planted machine (107 states, 5,671 pair closures, 33 elements).
+#[test]
+fn the_basis_is_the_deduplicated_pair_closures() {
+    let scale_s = PlantedSpec {
+        rows: 13,
+        cols: 12,
+        states: 156,
+        inputs: 4,
+        outputs: 2,
+        map_pairs: 2,
+        seed: 1,
+        max_attempts: 50,
+    };
+    let scale_s = planted_decomposable("scale_s", scale_s).0;
+    assert_eq!(scale_s.num_states(), 107);
+    assert_eq!(symmetric_basis(&scale_s).len(), 33);
+    let mut machines: Vec<Mealy> = benchmarks::suite().into_iter().map(|b| b.machine).collect();
+    assert_eq!(machines.len(), 13, "every embedded machine is covered");
+    machines.push(scale_s);
+    for machine in &machines {
+        assert_eq!(
+            symmetric_basis(machine),
+            basis_of_pair_closures(machine),
+            "{}",
+            machine.name()
+        );
     }
 }
