@@ -4,7 +4,8 @@
 //!   deterministic pipeline configuration: branch and bound on the hardest
 //!   embedded machines, the no-bound ablation, parallel subtree
 //!   exploration, the symmetric-basis construction that dominates setup
-//!   for machines with many inputs, and the realization of the best pair.
+//!   for machines with many inputs, the serial search alone on the
+//!   prepared `scale_s` tier, and the realization of the best pair.
 //! * `ostr_solver/*` — end-to-end solves of the small embedded machines
 //!   under a 50,000-node / 5 s budget (the workload behind Table 1 of the
 //!   paper).
@@ -15,10 +16,10 @@
 //!   enumeration of all partition pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stc_bench::scale::{scale_machine, scale_tiers};
+use stc_bench::scale::{scale_machine, scale_solver_config, scale_tiers};
 use stc_fsm::{benchmarks, paper_example, random_machine, Mealy};
 use stc_partition::symmetric_basis;
-use stc_synth::{solve, solve_naive, OstrSolver, SolverConfig};
+use stc_synth::{solve, solve_naive, OstrSolver, PreparedOstr, SolverConfig};
 use std::time::Duration;
 
 fn machine(name: &str) -> Mealy {
@@ -97,6 +98,17 @@ fn ostr_solver_v2(c: &mut Criterion) {
             b.iter(|| symmetric_basis(m));
         });
     }
+    // The search alone, serial, on scale_s's prepared basis: the 465,737
+    // nodes behind perfbench's `solver_scale` workload.
+    let (_, scale_s_machine) = &bases[3];
+    let serial = OstrSolver::new(scale_solver_config(&scale_s, 1));
+    group.bench_with_input(
+        BenchmarkId::new("search", "scale_s"),
+        &PreparedOstr::new(scale_s_machine),
+        |b, prepared| {
+            b.iter(|| serial.solve_prepared(prepared));
+        },
+    );
     // Theorem 1 realization plus its Definition 3 check, from a solved
     // pair: ex1's 20 × 20 product over 512 inputs is the case the table
     // representation exists for, tbk (11 × 11, 64 inputs) a mid-sized one.

@@ -22,7 +22,7 @@
 //!
 //! `scale_s` is the workload of the `scale` bench target (the CI scale
 //! gate) and of perfbench's `solver_scale`; all three tiers are frozen by
-//! the nightly `tests/solver_oracle.rs`.  The planted grid, the seed and the
+//! `tests/solver_oracle.rs`, which CI runs in release.  The planted grid, the seed and the
 //! node budget together determine each workload byte for byte.
 
 use stc_fsm::{planted_decomposable, Mealy, PlantedSpec};
@@ -130,7 +130,7 @@ mod tests {
     use stc_synth::PreparedOstr;
 
     /// Every solver tier's shape is pinned: the CI scale gate, perfbench's
-    /// `solver_scale` and the nightly solver oracle assume these exact
+    /// `solver_scale` and the solver oracle assume these exact
     /// workloads.
     #[test]
     fn solver_tier_shapes_are_pinned() {

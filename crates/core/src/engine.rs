@@ -1,15 +1,20 @@
 //! The iterative branch-and-bound search core behind [`crate::OstrSolver`].
 //!
 //! The paper's depth-first search over subsets of the symmetric-pair basis is
-//! implemented here as an *explicit-stack* loop over an arena of packed
-//! κ-pairs (`stc_partition::PackedPair`), so the hot path performs no
-//! recursion and no per-node allocation.  A child `κ ∨ basis[k]` is decided
-//! before any label is written: the edge join (`stc_partition::PairJoin`)
-//! unions the parent's block ids along `basis[k]`'s precomputed generator
-//! edges, so zero merges on both sides identifies a duplicate and the
-//! parent's block counts minus the merges feed the bound check.  Only a
-//! child that survives those checks and the pairwise Lemma 1 prefilter is
-//! materialised into its arena slot, in one relabelling pass per side.
+//! implemented here as an *explicit-stack* loop over one κ-pair per worker,
+//! joined in place and taken back with an undo trail
+//! (`stc_partition::TrailedPair`), so the hot path performs no recursion and
+//! no per-node allocation.  A frame holds the trail mark at which the pair
+//! is its κ; a child `κ ∨ basis[k]` is decided before anything is written:
+//! `merges` unions κ's blocks along `basis[k]`'s precomputed generator edges
+//! in scratch, so zero merges on both sides identifies a duplicate and κ's
+//! block counts minus the merges feed the bound check.  Only a child that
+//! survives those checks and the pairwise Lemma 1 prefilter is applied,
+//! relabelling just the smaller block of each merge, and judged by
+//! `meets_since` on the merged blocks alone — the full Lemma 1 check,
+//! because a κ that is expanded with `lemma1_pruning` on met it, and a κ
+//! that did not (pruning off) passes its verdict down.  The next child
+//! first undoes back to its parent's mark.
 //!
 //! Four layers sit on top of the faithful Lemma 1 search:
 //!
@@ -17,8 +22,8 @@
 //!   If `basis[j] ∨ basis[k]` already fails `π ∩ τ ⊆ ε` for some `j` on the
 //!   DFS path, or for `j = k`, the child `κ ∨ basis[k] ≥ basis[j] ∨
 //!   basis[k]` fails too — the intersection only grows under joins — so it
-//!   is counted and pruned exactly as a materialised failing child would
-//!   be, without being materialised.  [`PairVerdicts`] caches the pairwise
+//!   is counted and pruned exactly as an applied failing child would be,
+//!   without being applied.  [`PairVerdicts`] caches the pairwise
 //!   verdicts per worker.
 //! * **Branch and bound** (`SolverConfig::branch_and_bound`).  Joins only
 //!   coarsen, so every descendant of a node with block counts `(c1, c2)` has
@@ -38,7 +43,8 @@
 //!   a subtree's outcome is a pure function of `(machine, config, index,
 //!   node budget)`.
 //! * **Parallel subtree exploration** (`SolverConfig::parallel_subtrees`).
-//!   Workers claim top-level subtree indices from one atomic counter, search
+//!   Workers (the calling thread and `jobs - 1` scoped threads) claim
+//!   top-level subtree indices from one atomic counter, search
 //!   each whole subtree speculatively with the full node budget and publish
 //!   the outcome into a per-index slot.  Workers share the incumbent through
 //!   an atomic best-cost word used for work-skipping and cancellation only.
@@ -53,9 +59,7 @@
 use crate::cost::Cost;
 use crate::observe::{SearchObserver, PROGRESS_INTERVAL};
 use crate::solver::{OstrSolution, SolverConfig};
-use stc_partition::{
-    meets_within, PackedPair, PackedPartition, PackedScratch, PairEdges, PairJoin, Partition,
-};
+use stc_partition::{JoinEdges, PackedPartition, Partition, Side, TrailedPair};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -79,10 +83,9 @@ pub(crate) struct SearchProblem<'a> {
     n: usize,
     /// The state-equivalence partition ε, packed.
     eps: PackedPartition,
-    /// The symmetric-pair basis, packed (same order as `general_basis`).
-    basis: Vec<PackedPair>,
-    /// The generator edges of each basis element (same order as `basis`).
-    edges: Vec<PairEdges>,
+    /// The symmetric-pair basis as the search uses it (same order as
+    /// `general_basis`).
+    basis: Vec<Element>,
     /// The basis in its general representation (for reporting solutions).
     general_basis: &'a [(Partition, Partition)],
     config: SolverConfig,
@@ -150,6 +153,23 @@ impl BoundTable {
     }
 }
 
+/// A basis element as the search uses it.
+struct Element {
+    /// The generator edges of `π` and of `τ`.
+    edges: [JoinEdges; 2],
+    /// The block counts of `π` and of `τ`.
+    blocks: [usize; 2],
+    /// Whether the element meets `π ∩ τ ⊆ ε` on its own.
+    meets: bool,
+}
+
+/// Joins `elem` into both sides of `pair`.
+fn apply(pair: &mut TrailedPair, elem: &Element) {
+    for side in Side::BOTH {
+        pair.apply(side, &elem.edges[side as usize]);
+    }
+}
+
 /// The orientation-normalized cost of a factor-size pair: the solver may use
 /// a symmetric pair in either orientation and picks the better one.
 fn normalized_cost(c1: usize, c2: usize) -> Cost {
@@ -166,20 +186,31 @@ impl<'a> SearchProblem<'a> {
         observer: &'a dyn SearchObserver,
     ) -> Self {
         let eps_packed = PackedPartition::from_partition(eps);
-        let packed: Vec<PackedPair> = basis
+        // The identity pair meets Lemma 1, so each element's own verdict is
+        // `meets_since(0)` after joining it into the identity.
+        let mut pair = TrailedPair::new(n);
+        let elements: Vec<Element> = basis
             .iter()
-            .map(|(pi, tau)| PackedPair::from_pair(pi, tau))
+            .map(|(pi, tau)| {
+                let mut elem = Element {
+                    edges: [pi, tau].map(|p| JoinEdges::of(&PackedPartition::from_partition(p))),
+                    blocks: [pi.num_blocks(), tau.num_blocks()],
+                    meets: false,
+                };
+                apply(&mut pair, &elem);
+                elem.meets = pair.meets_since(0, &eps_packed);
+                pair.undo_to(0);
+                elem
+            })
             .collect();
         let (bound, seeds) = if config.branch_and_bound {
             let bound = BoundTable::new(n, eps.num_blocks());
-            let mut scratch = PackedScratch::new();
             let mut current = Cost::trivial(n);
-            let seeds = packed
+            let seeds = elements
                 .iter()
-                .map(|pair| {
-                    if meets_within(&pair.pi, &pair.tau, &eps_packed, &mut scratch) {
-                        current = current
-                            .min(normalized_cost(pair.pi.num_blocks(), pair.tau.num_blocks()));
+                .map(|elem| {
+                    if elem.meets {
+                        current = current.min(normalized_cost(elem.blocks[0], elem.blocks[1]));
                     }
                     current
                 })
@@ -191,8 +222,7 @@ impl<'a> SearchProblem<'a> {
         Self {
             n,
             eps: eps_packed,
-            edges: packed.iter().map(PairEdges::of).collect(),
-            basis: packed,
+            basis: elements,
             general_basis: basis,
             config,
             deadline,
@@ -213,13 +243,15 @@ impl<'a> SearchProblem<'a> {
     }
 }
 
-/// One explicit-stack frame: the arena depth of its κ, the basis index
-/// that was joined last to reach it, and the next basis index to try as a
-/// child.  The frame stack is exactly the current DFS path, so the `elem`s
-/// of the frames are the basis elements κ is the join of.
+/// One explicit-stack frame: the trail mark at which the worker's pair is
+/// its κ, whether κ meets Lemma 1, the basis index that was joined last to
+/// reach it, and the next basis index to try as a child.  The frame stack
+/// is exactly the current DFS path, so the `elem`s of the frames are the
+/// basis elements κ is the join of.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    depth: u32,
+    mark: u32,
+    meets: bool,
     elem: u32,
     next: u32,
 }
@@ -236,36 +268,30 @@ const EMPTY_VERDICT: u64 = u64::MAX;
 /// Direct-mapped on the key `j·B + k` with the full key as its tag, so a
 /// collision only costs a recompute.  The table has the next power of two
 /// at or above `B²` slots, capped at [`MAX_VERDICT_SLOTS`], and is
-/// allocated on the first lookup, so a search that never prefilters pays
-/// nothing and a small basis gets a small table.
+/// allocated with its pair on the first lookup, so a search that never
+/// prefilters pays nothing and a small basis gets a small table.
 struct PairVerdicts {
     /// `key << 1 | fails`, or [`EMPTY_VERDICT`].
     slots: Vec<u64>,
-    join: PairJoin,
-    joined: PackedPair,
+    /// The identity pair between verdicts.
+    pair: TrailedPair,
 }
 
 impl PairVerdicts {
-    fn new(n: usize) -> Self {
+    fn new() -> Self {
         Self {
             slots: Vec::new(),
-            join: PairJoin::new(),
-            joined: PackedPair::identity(n),
+            pair: TrailedPair::new(0),
         }
     }
 
     /// `true` iff `basis[j] ∨ basis[k]` fails `π ∩ τ ⊆ ε`.
-    fn fails(
-        &mut self,
-        p: &SearchProblem<'_>,
-        j: usize,
-        k: usize,
-        scratch: &mut PackedScratch,
-    ) -> bool {
+    fn fails(&mut self, p: &SearchProblem<'_>, j: usize, k: usize) -> bool {
         let b = p.basis.len();
         if self.slots.is_empty() {
             let slots = (b * b).next_power_of_two().min(MAX_VERDICT_SLOTS);
             self.slots = vec![EMPTY_VERDICT; slots];
+            self.pair = TrailedPair::new(p.n);
         }
         let key = (j * b + k) as u64;
         let slot = key as usize & (self.slots.len() - 1);
@@ -273,62 +299,31 @@ impl PairVerdicts {
         if entry != EMPTY_VERDICT && entry >> 1 == key {
             return entry & 1 == 1;
         }
-        self.join.merge(&p.basis[j], &p.edges[k]);
-        self.join.write_into(&p.basis[j], &mut self.joined);
-        let fails = !meets_within(&self.joined.pi, &self.joined.tau, &p.eps, scratch);
+        apply(&mut self.pair, &p.basis[j]);
+        apply(&mut self.pair, &p.basis[k]);
+        let fails = !self.pair.meets_since(0, &p.eps);
+        self.pair.undo_to(0);
         self.slots[slot] = key << 1 | u64::from(fails);
         fails
     }
 }
 
-/// The best solution found so far within one subtree, kept packed so
-/// acceptance is two label-array copies.
-struct BestSlot {
-    cost: Cost,
-    has: bool,
-    pi: PackedPartition,
-    tau: PackedPartition,
-}
-
-/// Per-thread reusable search state: the κ arena, the DFS frame stack, the
-/// child join kernel, the pairwise verdict cache and the partition scratch.
-/// All growth is high-water-marked, so steady-state subtree searches
-/// allocate nothing.
+/// Per-thread reusable search state: the in-place κ with its undo trail,
+/// the DFS frame stack and the pairwise verdict cache.  All growth is
+/// high-water-marked, so steady-state subtree searches allocate nothing
+/// but the write-out of a new incumbent.
 pub(crate) struct Workspace {
-    scratch: PackedScratch,
-    join: PairJoin,
+    pair: TrailedPair,
     verdicts: PairVerdicts,
-    arena: Vec<PackedPair>,
     frames: Vec<Frame>,
-    best: BestSlot,
 }
 
 impl Workspace {
     pub(crate) fn new(n: usize) -> Self {
         Self {
-            scratch: PackedScratch::new(),
-            join: PairJoin::new(),
-            verdicts: PairVerdicts::new(n),
-            arena: Vec::new(),
+            pair: TrailedPair::new(n),
+            verdicts: PairVerdicts::new(),
             frames: Vec::new(),
-            best: BestSlot {
-                cost: Cost::trivial(n.max(1)),
-                has: false,
-                pi: PackedPartition::identity(n),
-                tau: PackedPartition::identity(n),
-            },
-        }
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.frames.clear();
-        self.best.cost = Cost::trivial(n.max(1));
-        self.best.has = false;
-    }
-
-    fn ensure_depth(&mut self, depth: usize, n: usize) {
-        while self.arena.len() <= depth {
-            self.arena.push(PackedPair::identity(n));
         }
     }
 }
@@ -378,9 +373,9 @@ impl CancelState {
     fn skips(&self, p: &SearchProblem<'_>, k0: usize) -> bool {
         self.discards(k0)
             || p.bound.as_ref().is_some_and(|bound| {
-                let pair = &p.basis[k0];
+                let [c1, c2] = p.basis[k0].blocks;
                 bound
-                    .lower(pair.pi.num_blocks(), pair.tau.num_blocks())
+                    .lower(c1, c2)
                     .is_none_or(|lb| lb.register_bits() > self.best_bits.load(Ordering::Relaxed))
             })
     }
@@ -451,22 +446,20 @@ fn flush_progress(p: &SearchProblem<'_>, nodes: u64, mark: u64) {
     }
 }
 
-/// Evaluates the candidate κ: counts it if it is a solution (`π ∩ τ ⊆ ε`)
-/// and accepts it into `best` on strict improvement.  Returns the Lemma 1
-/// criterion (`true` iff the intersection condition held).
+/// Evaluates the candidate κ (the worker's pair) given its Lemma 1
+/// verdict: counts it if it is a solution (`π ∩ τ ⊆ ε`) and writes it out
+/// into `out.best` on strict improvement.
 fn eval_candidate(
     p: &SearchProblem<'_>,
-    pair: &PackedPair,
-    scratch: &mut PackedScratch,
-    best: &mut BestSlot,
-    stats: &mut EngineStats,
-    lb_hit: &mut bool,
-) -> bool {
-    if !meets_within(&pair.pi, &pair.tau, &p.eps, scratch) {
-        return false;
+    pair: &TrailedPair,
+    meets: bool,
+    out: &mut SubtreeOutcome,
+) {
+    if !meets {
+        return;
     }
-    stats.solutions += 1;
-    let (c1, c2) = (pair.pi.num_blocks(), pair.tau.num_blocks());
+    out.stats.solutions += 1;
+    let (c1, c2) = (pair.num_blocks(Side::Pi), pair.num_blocks(Side::Tau));
     let forward = Cost::new(c1, c2);
     let backward = Cost::new(c2, c1);
     let (cost, swapped) = if forward <= backward {
@@ -474,22 +467,22 @@ fn eval_candidate(
     } else {
         (backward, true)
     };
-    if cost < best.cost {
-        best.cost = cost;
-        best.has = true;
-        if swapped {
-            best.pi.copy_from(&pair.tau);
-            best.tau.copy_from(&pair.pi);
+    let incumbent = out
+        .best
+        .as_ref()
+        .map_or(Cost::trivial(p.n.max(1)), |best| best.0);
+    if cost < incumbent {
+        let (pi, tau) = (pair.partition(Side::Pi), pair.partition(Side::Tau));
+        out.best = Some(if swapped {
+            (cost, tau, pi)
         } else {
-            best.pi.copy_from(&pair.pi);
-            best.tau.copy_from(&pair.tau);
-        }
+            (cost, pi, tau)
+        });
         p.observer.on_incumbent(cost);
         if c1 * c2 == p.n && cost.register_bits() == stc_fsm::ceil_log2(p.n) {
-            *lb_hit = true;
+            out.lb_hit = true;
         }
     }
-    true
 }
 
 /// Searches the subtree rooted at the root's child `κ = basis[k0]`, visiting
@@ -505,7 +498,8 @@ fn search_subtree(
     let cfg = &p.config;
     let mut out = SubtreeOutcome::default();
     let mut progress_mark = 0u64;
-    ws.reset(p.n);
+    ws.frames.clear();
+    ws.pair.undo_to(0);
     let prune_seed = if p.bound.is_some() {
         p.seeds[k0]
     } else {
@@ -516,18 +510,11 @@ fn search_subtree(
         out.stats.exhausted = true;
         return Some(out);
     }
-    ws.ensure_depth(0, p.n);
-    ws.arena[0].copy_from(&p.basis[k0]);
+    let root = &p.basis[k0];
+    apply(&mut ws.pair, root);
     out.stats.nodes = 1;
-    let meets = eval_candidate(
-        p,
-        &ws.arena[0],
-        &mut ws.scratch,
-        &mut ws.best,
-        &mut out.stats,
-        &mut out.lb_hit,
-    );
-    let expand = if cfg.lemma1_pruning && !meets {
+    eval_candidate(p, &ws.pair, root.meets, &mut out);
+    let expand = if cfg.lemma1_pruning && !root.meets {
         out.stats.pruned += 1;
         false
     } else {
@@ -535,24 +522,24 @@ fn search_subtree(
     };
     if expand {
         ws.frames.push(Frame {
-            depth: 0,
+            mark: ws.pair.mark() as u32,
+            meets: root.meets,
             elem: k0 as u32,
             next: (k0 + 1) as u32,
         });
     }
 
     let b_len = p.basis.len() as u32;
-    while !ws.frames.is_empty() {
-        let (depth, k) = {
-            let frame = ws.frames.last_mut().expect("non-empty");
-            if frame.next >= b_len {
-                ws.frames.pop();
-                continue;
-            }
-            let k = frame.next;
-            frame.next += 1;
-            (frame.depth as usize, k as usize)
-        };
+    while let Some(frame) = ws.frames.last_mut() {
+        if frame.next >= b_len {
+            ws.frames.pop();
+            continue;
+        }
+        let k = frame.next as usize;
+        frame.next += 1;
+        let (mark, parent_meets) = (frame.mark as usize, frame.meets);
+        // Take back the previous child and any finished descendants.
+        ws.pair.undo_to(mark);
         if out_of_budget(p, &mut out.stats, budget, &mut progress_mark) {
             break;
         }
@@ -561,19 +548,20 @@ fn search_subtree(
                 return None; // this subtree will be discarded — stop early
             }
         }
-        let (merges_pi, merges_tau) = ws.join.merge(&ws.arena[depth], &p.edges[k]);
+        let elem = &p.basis[k];
+        let merges_pi = ws.pair.merges(Side::Pi, &elem.edges[0]);
+        let merges_tau = ws.pair.merges(Side::Tau, &elem.edges[1]);
         if merges_pi == 0 && merges_tau == 0 {
             // The basis element is already below κ; the child duplicates it.
             continue;
         }
-        let c1 = ws.arena[depth].pi.num_blocks() - merges_pi;
-        let c2 = ws.arena[depth].tau.num_blocks() - merges_tau;
+        let c1 = ws.pair.num_blocks(Side::Pi) - merges_pi;
+        let c2 = ws.pair.num_blocks(Side::Tau) - merges_tau;
         if let Some(bound) = &p.bound {
-            let incumbent = if ws.best.has && ws.best.cost < prune_seed {
-                ws.best.cost
-            } else {
-                prune_seed
-            };
+            let incumbent = out
+                .best
+                .as_ref()
+                .map_or(prune_seed, |best| best.0.min(prune_seed));
             let beatable = bound.lower(c1, c2).is_some_and(|lb| lb < incumbent);
             if !beatable {
                 out.stats.bound_pruned += 1;
@@ -581,38 +569,29 @@ fn search_subtree(
             }
         }
         out.stats.nodes += 1;
-        let child = depth + 1;
-        ws.ensure_depth(child, p.n);
-        let (head, tail) = ws.arena.split_at_mut(child);
         if cfg.lemma1_pruning
             && std::iter::once(k)
                 .chain(ws.frames.iter().map(|f| f.elem as usize))
-                .any(|j| ws.verdicts.fails(p, j, k, &mut ws.scratch))
+                .any(|j| ws.verdicts.fails(p, j, k))
         {
             if cfg!(debug_assertions) {
-                ws.join.write_into(&head[depth], &mut tail[0]);
+                apply(&mut ws.pair, elem);
                 debug_assert!(
-                    !meets_within(&tail[0].pi, &tail[0].tau, &p.eps, &mut ws.scratch),
+                    !(parent_meets && ws.pair.meets_since(mark, &p.eps)),
                     "a pairwise-prefiltered child must fail Lemma 1"
                 );
             }
             out.stats.pruned += 1;
             continue;
         }
-        ws.join.write_into(&head[depth], &mut tail[0]);
+        apply(&mut ws.pair, elem);
         debug_assert_eq!(
-            (tail[0].pi.num_blocks(), tail[0].tau.num_blocks()),
+            (ws.pair.num_blocks(Side::Pi), ws.pair.num_blocks(Side::Tau)),
             (c1, c2),
-            "edge-derived block counts must match the materialised child"
+            "counted merges must match the applied join"
         );
-        let meets = eval_candidate(
-            p,
-            &tail[0],
-            &mut ws.scratch,
-            &mut ws.best,
-            &mut out.stats,
-            &mut out.lb_hit,
-        );
+        let meets = parent_meets && ws.pair.meets_since(mark, &p.eps);
+        eval_candidate(p, &ws.pair, meets, &mut out);
         if cfg.lemma1_pruning && !meets {
             out.stats.pruned += 1;
             continue;
@@ -621,20 +600,14 @@ fn search_subtree(
             continue;
         }
         ws.frames.push(Frame {
-            depth: child as u32,
+            mark: ws.pair.mark() as u32,
+            meets,
             elem: k as u32,
             next: (k + 1) as u32,
         });
     }
 
     flush_progress(p, out.stats.nodes, progress_mark);
-    if ws.best.has {
-        out.best = Some((
-            ws.best.cost,
-            ws.best.pi.to_partition(),
-            ws.best.tau.to_partition(),
-        ));
-    }
     Some(out)
 }
 
@@ -711,10 +684,10 @@ fn merge_subtrees(
         if tail_mode {
             stats.nodes += 1;
             unflushed += 1;
-            let pair = &p.basis[k];
-            if meets_within(&pair.pi, &pair.tau, &p.eps, &mut ws.scratch) {
+            let elem = &p.basis[k];
+            if elem.meets {
                 stats.solutions += 1;
-                let (c1, c2) = (pair.pi.num_blocks(), pair.tau.num_blocks());
+                let [c1, c2] = elem.blocks;
                 let cost = normalized_cost(c1, c2);
                 if cost < best.cost {
                     let (gp, gt) = &p.general_basis[k];
@@ -732,10 +705,8 @@ fn merge_subtrees(
             continue;
         }
         if let Some(bound) = &p.bound {
-            let pair = &p.basis[k];
-            let beatable = bound
-                .lower(pair.pi.num_blocks(), pair.tau.num_blocks())
-                .is_some_and(|lb| lb < best.cost);
+            let [c1, c2] = p.basis[k].blocks;
+            let beatable = bound.lower(c1, c2).is_some_and(|lb| lb < best.cost);
             if !beatable {
                 stats.bound_pruned += 1;
                 continue;
@@ -765,7 +736,8 @@ fn merge_subtrees(
 }
 
 /// Runs the full search: serial when `config.parallel_subtrees <= 1`,
-/// otherwise on scoped worker threads with the deterministic reduction.
+/// otherwise on the calling thread plus `jobs - 1` scoped worker threads,
+/// followed by the deterministic reduction.
 pub(crate) fn run_search(p: &SearchProblem<'_>) -> (OstrSolution, EngineStats) {
     let (best, mut stats) = run_search_inner(p);
     // A requested stop must be reflected even when the positive poll was
@@ -793,26 +765,26 @@ fn run_search_inner(p: &SearchProblem<'_>) -> (OstrSolution, EngineStats) {
         p.basis.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let cancel = CancelState::new(p.n);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut ws = Workspace::new(p.n);
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= p.basis.len() {
-                        break;
-                    }
-                    if cancel.skips(p, k) {
-                        continue;
-                    }
-                    let outcome = search_subtree(p, &mut ws, k, p.config.max_nodes, Some(&cancel));
-                    if let Some(outcome) = outcome {
-                        cancel.publish(p, k, &outcome);
-                        *slots[k].lock().expect("no panics while holding lock") = Some(outcome);
-                    }
-                }
-            });
+    let claim = |ws: &mut Workspace| loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= p.basis.len() {
+            break;
         }
+        if cancel.skips(p, k) {
+            continue;
+        }
+        let outcome = search_subtree(p, ws, k, p.config.max_nodes, Some(&cancel));
+        if let Some(outcome) = outcome {
+            cancel.publish(p, k, &outcome);
+            *slots[k].lock().expect("no panics while holding lock") = Some(outcome);
+        }
+    };
+    // The calling thread is one of the `jobs` workers.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(|| claim(&mut Workspace::new(p.n)));
+        }
+        claim(&mut ws);
     });
 
     merge_subtrees(p, &mut ws, |k, budget, ws| {

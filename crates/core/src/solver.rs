@@ -13,8 +13,9 @@
 //! the intersection only grows along tree edges.
 //!
 //! The search core (see the `engine` module and `DESIGN.md` §5) is an
-//! iterative, explicit-stack branch-and-bound over an arena of packed
-//! κ-pairs: no recursion, no per-node allocation.  On top of Lemma 1 it
+//! iterative, explicit-stack branch-and-bound over one κ-pair per worker,
+//! joined in place and taken back along an undo trail: no recursion, no
+//! per-node allocation.  On top of Lemma 1 it
 //! prunes subtrees whose cost lower bound cannot beat the incumbent
 //! ([`SolverConfig::branch_and_bound`]) and can explore the root's subtrees
 //! on scoped worker threads ([`SolverConfig::parallel_subtrees`]) with a

@@ -28,11 +28,12 @@
 //!   `m(ρ_{s,t})` from which the whole Mm-lattice can be generated.
 //!
 //! For the solver hot path the crate additionally provides packed,
-//! allocation-free kernels — [`PackedPartition`], [`PackedPair`], the edge
-//! join ([`JoinEdges`], [`EdgeJoin`], [`PairEdges`], [`PairJoin`]) that
-//! counts a join's merges before writing any label, and [`meets_within`]
-//! with its [`PackedScratch`] — with `O(n)` refinement/ε-containment
-//! checks; see the `packed` module docs.
+//! allocation-free kernels: [`PackedPartition`], a partition's generator
+//! edges [`JoinEdges`], and [`TrailedPair`], a partition pair joined in
+//! place along those edges and taken back with an undo trail.  It counts a
+//! join's merges before writing anything, relabels only the blocks a join
+//! merges, and checks `π ∩ τ ⊆ ε` on those blocks alone; see the `packed`
+//! module docs.
 //!
 //! # Example
 //!
@@ -76,10 +77,7 @@ pub use lattice::{
     basis_partitions, enumerate_partitions, mm_pairs, symmetric_basis, symmetric_pair_closure,
     MmPair,
 };
-pub use packed::{
-    meets_within, EdgeJoin, JoinEdges, PackedPair, PackedPartition, PackedScratch, PairEdges,
-    PairJoin,
-};
+pub use packed::{JoinEdges, PackedPartition, Side, TrailedPair};
 pub use pairs::{
     big_m_operator, is_partition_pair, is_symmetric_pair, m_operator, pair_identifying, Transitions,
 };

@@ -11,97 +11,41 @@
 //!
 //! * [`PackedPartition`] — a partition stored as one canonical label per
 //!   element (`u32` labels, numbered in order of each block's smallest
-//!   element, exactly like [`crate::Partition`]'s block ids);
-//! * [`PackedPair`] — a partition pair `(π, τ)`, the κ of a search node;
-//! * [`JoinEdges`] and [`EdgeJoin`] — the one join kernel.  A partition `p`
-//!   is generated by its *edges* `(first, x)`, one per non-first member `x`
-//!   of each block; `base ∨ p` is `base` with its blocks unioned along those
-//!   edges.  [`EdgeJoin::merge`] runs that union–find over `base`'s block
-//!   ids only and returns the number of merges — the join's block count is
-//!   `base.num_blocks() - merges`, and zero merges means `p` refines `base`
-//!   — without writing a label.  [`EdgeJoin::write_into`] then materialises
-//!   the join in one first-occurrence relabelling pass.  The search counts
-//!   and bound-checks a child from the merge count alone and materialises
-//!   only the children it keeps;
-//! * [`PackedScratch`] — the reusable workspace of [`meets_within`] and
-//!   [`PackedPartition::is_refinement_of`] (stamped label maps and chains).
+//!   element, exactly like [`crate::Partition`]'s block ids); the search
+//!   keeps ε in this form;
+//! * [`JoinEdges`] — a partition's generator edges `(first, x)`, one per
+//!   non-first member `x` of each block: `κ ∨ p` is κ with its blocks
+//!   unioned along `p`'s edges;
+//! * [`TrailedPair`] — the one join kernel: a partition pair `(π, τ)`, the κ
+//!   of a search node, joined *in place* and taken back with an undo trail
+//!   (union–find with backtracking; Westbrook and Tarjan, SIAM J. Comput.,
+//!   1989).  Each side keeps every element's block representative, a
+//!   circular ring through each block's members and each block's size, so a
+//!   union relabels only the smaller block and an undo relabels it back.
+//!   [`TrailedPair::merges`] counts a join before anything is written,
+//!   [`TrailedPair::apply`] performs it, [`TrailedPair::undo_to`] reverts
+//!   it, and [`TrailedPair::meets_since`] checks Lemma 1 (`π ∩ τ ⊆ ε`) on
+//!   the blocks merged since a trail mark only — the full check whenever
+//!   the pair at that mark met it.
 //!
 //! All operations are loops over flat `u32` words — no hashing, no per-call
-//! `Vec`s — and allocation-free once their scratch has reached the
-//! ground-set size.  The semantics are pinned to the general implementation
-//! by the property tests in `proptests.rs` ([`EdgeJoin`] ⇔
-//! [`crate::Partition::join`], [`PackedPartition::is_refinement_of`] ⇔
-//! [`crate::Partition::refines`], [`meets_within`] ⇔
-//! [`crate::Partition::intersection_within`]).
+//! `Vec`s — and allocation-free once their state has reached the ground-set
+//! size, except the canonical write-out [`TrailedPair::partition`].  The
+//! semantics are pinned to the general implementation by the property tests
+//! in `proptests.rs` ([`TrailedPair::apply`] ⇔ [`crate::Partition::join`],
+//! [`TrailedPair::undo_to`] ⇔ the state at the mark,
+//! [`TrailedPair::meets_since`] ⇔ [`crate::Partition::intersection_within`]).
 //!
 //! # Why these kernels are not SIMD-wide
 //!
 //! Unlike the bit-packed logic/BIST evaluators (which carry 64 independent
 //! patterns per word and widen further to `[u64; 4]` groups), the partition
-//! kernels chase *labels through memory*: union–find parent updates in
-//! [`EdgeJoin::merge`] and the stamp-dedup chains in [`meets_within`] have a
-//! loop-carried data dependence (one edge's or element's outcome feeds the
-//! state the next one reads), so they cannot process several elements per
-//! step.  What *can* be straightened is the read-only refinement check:
-//! [`PackedPartition::is_refinement_of`] exploits the canonical
-//! first-occurrence labelling to replace the per-element bitset probe with
-//! an integer compare and accumulates mismatches branch-free in 64-element
-//! chunks, which is the unroll-friendly form of the same test.
+//! kernels chase *labels through memory*: union–find parent updates, ring
+//! walks and stamp-dedup maps have a loop-carried data dependence (one
+//! edge's or element's outcome feeds the state the next one reads), so they
+//! cannot process several elements per step.
 
 use crate::partition::Partition;
-
-/// Reusable scratch space for [`meets_within`] and
-/// [`PackedPartition::is_refinement_of`].
-///
-/// One scratch serves any number of partitions; it grows to the largest
-/// ground set it has seen and every operation is allocation-free once the
-/// high-water mark is reached.  A scratch is cheap to create and is *not*
-/// tied to a particular partition.
-#[derive(Debug, Default, Clone)]
-pub struct PackedScratch {
-    /// First `other`-label witnessed per block for `is_refinement_of`.
-    relabel: Vec<u32>,
-    /// Chain heads per π-block for [`meets_within`].
-    head: Vec<u32>,
-    /// Chain links per element for [`meets_within`].
-    next: Vec<u32>,
-    /// Stamp per τ-label (validity of `tau_first`).
-    tau_stamp: Vec<u32>,
-    /// First `within`-label seen for a τ-label inside the current π-block.
-    tau_first: Vec<u32>,
-    /// Current stamp epoch for `tau_stamp`.
-    epoch: u32,
-}
-
-impl PackedScratch {
-    /// Creates an empty scratch; storage grows on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.relabel.len() < n {
-            self.relabel.resize(n, 0);
-            self.head.resize(n, 0);
-            self.next.resize(n, 0);
-            self.tau_stamp.resize(n, 0);
-            self.tau_first.resize(n, 0);
-        }
-    }
-
-    /// Advances the τ-label stamp epoch, clearing the stamps on wrap-around.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            for s in &mut self.tau_stamp {
-                *s = 0;
-            }
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-}
 
 /// A partition of `{0, …, n-1}` packed as one canonical `u32` label per
 /// element.
@@ -118,16 +62,6 @@ pub struct PackedPartition {
 }
 
 impl PackedPartition {
-    /// The identity (all-singleton) partition.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        Self {
-            n: n as u32,
-            num_blocks: n as u32,
-            labels: (0..n as u32).collect(),
-        }
-    }
-
     /// Packs a general [`Partition`].
     #[must_use]
     pub fn from_partition(p: &Partition) -> Self {
@@ -167,143 +101,6 @@ impl PackedPartition {
     pub fn label(&self, x: usize) -> u32 {
         self.labels[x]
     }
-
-    /// Overwrites `self` with a copy of `other` (same ground set), reusing
-    /// the existing label storage.
-    pub fn copy_from(&mut self, other: &Self) {
-        debug_assert_eq!(self.n, other.n, "ground sets must match");
-        self.num_blocks = other.num_blocks;
-        self.labels.copy_from_slice(&other.labels);
-    }
-
-    /// Returns `true` if `self` refines `other` (`self ≤ other`): every block
-    /// of `self` lies inside a block of `other`.  Allocation-free.
-    ///
-    /// Every `PackedPartition` carries canonical first-occurrence labels
-    /// (blocks numbered by smallest element — constructed that way and
-    /// preserved by [`EdgeJoin::write_into`]), so scanning left to right,
-    /// element `x` opens a new `self`-block iff its label equals the count
-    /// of blocks seen so far.  That turns the "first sighting of this
-    /// block" test into one integer compare — no bitset probe, no clearing
-    /// pass — and lets the loop accumulate mismatches branch-free,
-    /// early-exiting once per 64-element chunk instead of per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) if the ground sets differ.
-    pub fn is_refinement_of(&self, other: &Self, scratch: &mut PackedScratch) -> bool {
-        debug_assert_eq!(self.n, other.n, "ground sets must match");
-        let n = self.n as usize;
-        scratch.ensure(n);
-        // `relabel[b]` caches the `other`-label witnessed by block `b`'s
-        // first element; `self` refines `other` iff every later element of
-        // the block sees the same witness.
-        let mut fresh = 0u32;
-        for chunk_start in (0..n).step_by(64) {
-            let end = (chunk_start + 64).min(n);
-            let mut mismatch = false;
-            for x in chunk_start..end {
-                let l = self.labels[x];
-                let o = other.labels[x];
-                if l == fresh {
-                    scratch.relabel[l as usize] = o;
-                    fresh += 1;
-                }
-                mismatch |= scratch.relabel[l as usize] != o;
-            }
-            if mismatch {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Returns `true` if `π ∩ τ ⊆ within` — the Theorem 1 / Lemma 1 criterion
-/// `π ∩ τ ⊆ ε` of the paper — without materialising the meet.
-///
-/// Equivalent to `pi.meet(&tau)?.refines(within)` on the general
-/// representation: elements sharing both a π-block and a τ-block must share a
-/// `within`-block.  Runs in `O(n)` and is allocation-free once `scratch` has
-/// reached the ground-set size.
-///
-/// # Panics
-///
-/// Panics (debug assertion) if the ground sets differ.
-pub fn meets_within(
-    pi: &PackedPartition,
-    tau: &PackedPartition,
-    within: &PackedPartition,
-    scratch: &mut PackedScratch,
-) -> bool {
-    debug_assert_eq!(pi.n, tau.n, "ground sets must match");
-    debug_assert_eq!(pi.n, within.n, "ground sets must match");
-    let n = pi.n as usize;
-    scratch.ensure(n);
-    const NONE: u32 = u32::MAX;
-    let blocks = pi.num_blocks as usize;
-    scratch.head[..blocks].fill(NONE);
-    // Thread the elements of each π-block onto a chain (ascending order).
-    for x in (0..n).rev() {
-        let b = pi.labels[x] as usize;
-        scratch.next[x] = scratch.head[b];
-        scratch.head[b] = x as u32;
-    }
-    for b in 0..blocks {
-        let epoch = scratch.next_epoch();
-        let mut x = scratch.head[b];
-        while x != NONE {
-            let tl = tau.labels[x as usize] as usize;
-            let wl = within.labels[x as usize];
-            if scratch.tau_stamp[tl] == epoch {
-                // Another element of this π-block shares the τ-block; the
-                // meet relates them, so they must share a `within`-block.
-                if scratch.tau_first[tl] != wl {
-                    return false;
-                }
-            } else {
-                scratch.tau_stamp[tl] = epoch;
-                scratch.tau_first[tl] = wl;
-            }
-            x = scratch.next[x as usize];
-        }
-    }
-    true
-}
-
-/// A packed partition pair `(π, τ)` — the κ of an OSTR search node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedPair {
-    /// The first component `π`.
-    pub pi: PackedPartition,
-    /// The second component `τ`.
-    pub tau: PackedPartition,
-}
-
-impl PackedPair {
-    /// The identity pair `(0, 0)` — the κ of the search root.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        Self {
-            pi: PackedPartition::identity(n),
-            tau: PackedPartition::identity(n),
-        }
-    }
-
-    /// Packs a general pair.
-    #[must_use]
-    pub fn from_pair(pi: &Partition, tau: &Partition) -> Self {
-        Self {
-            pi: PackedPartition::from_partition(pi),
-            tau: PackedPartition::from_partition(tau),
-        }
-    }
-
-    /// Overwrites `self` with a copy of `other` (same ground set).
-    pub fn copy_from(&mut self, other: &Self) {
-        self.pi.copy_from(&other.pi);
-        self.tau.copy_from(&other.tau);
-    }
 }
 
 /// The generator edges of a partition `p`: for every block, `(first, x)`
@@ -311,8 +108,8 @@ impl PackedPair {
 ///
 /// `p` is the finest partition relating the ends of every edge, so for any
 /// `base` over the same ground set, `base ∨ p` is `base` with its blocks
-/// unioned along these edges ([`EdgeJoin`]).  A partition with `b` blocks
-/// over `n` elements has `n - b` edges.
+/// unioned along these edges ([`TrailedPair::apply`]).  A partition with
+/// `b` blocks over `n` elements has `n - b` edges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinEdges {
     edges: Vec<[u32; 2]>,
@@ -337,55 +134,178 @@ impl JoinEdges {
     }
 }
 
-/// The join kernel: `base ∨ p` from `base`'s labels and `p`'s
-/// [`JoinEdges`], counted before it is materialised.
-///
-/// [`Self::merge`] runs a union–find over `base`'s *block ids*, initialised
-/// lazily: a block's slot is valid only when its stamp equals the current
-/// epoch, so starting a join costs one counter increment rather than a
-/// pass over the blocks.  [`Self::write_into`] then writes the canonical
-/// first-occurrence labels of the join.  Both are allocation-free once the
-/// state has grown to the largest block count seen.
-#[derive(Debug, Clone, Default)]
-pub struct EdgeJoin {
-    /// Union–find parent per `base` block id (valid when stamped).
-    parent: Vec<u32>,
-    /// Epoch stamp per block id: validity of `parent`.
-    stamp: Vec<u32>,
-    /// Output label per union–find root (valid when `relabel_stamp`ed).
-    relabel: Vec<u32>,
-    /// Epoch stamp per root: validity of `relabel`.
-    relabel_stamp: Vec<u32>,
-    epoch: u32,
-    /// Merges of the last [`Self::merge`].
-    merges: usize,
+/// A component of a [`TrailedPair`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The first component `π`.
+    Pi = 0,
+    /// The second component `τ`.
+    Tau = 1,
 }
 
-impl EdgeJoin {
-    /// Creates an empty kernel; storage grows on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+impl Side {
+    /// Both components, `π` first.
+    pub const BOTH: [Side; 2] = [Side::Pi, Side::Tau];
+
+    fn other(self) -> Self {
+        match self {
+            Side::Pi => Side::Tau,
+            Side::Tau => Side::Pi,
+        }
+    }
+}
+
+/// One element's slot in one component of a [`TrailedPair`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    /// The element's block representative.
+    rep: u32,
+    /// The next member of the element's block, circularly.
+    ring: u32,
+    /// The block's size, meaningful while the element represents it.
+    size: u32,
+}
+
+/// One component of a [`TrailedPair`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Blocks {
+    slots: Vec<Slot>,
+    /// Number of blocks.
+    count: u32,
+}
+
+impl Blocks {
+    fn identity(n: usize) -> Self {
+        Self {
+            slots: (0..n as u32)
+                .map(|x| Slot {
+                    rep: x,
+                    ring: x,
+                    size: 1,
+                })
+                .collect(),
+            count: n as u32,
+        }
     }
 
-    /// Unions `base`'s blocks along `edges` and returns the number of
-    /// merges: `base ∨ p` has `base.num_blocks() - merges` blocks, and zero
-    /// merges means `p` refines `base`.  Writes no labels.
+    fn rep(&self, x: u32) -> u32 {
+        self.slots[x as usize].rep
+    }
+
+    /// Sets the representative of every member of `r`'s ring to `to`.
+    fn relabel_ring(&mut self, r: u32, to: u32) {
+        let mut x = r;
+        loop {
+            let slot = &mut self.slots[x as usize];
+            slot.rep = to;
+            x = slot.ring;
+            if x == r {
+                return;
+            }
+        }
+    }
+
+    /// Splices (or, repeated, splits) the rings of `a` and `b` by swapping
+    /// their successors.
+    fn swap_successors(&mut self, a: u32, b: u32) {
+        let next_a = self.slots[a as usize].ring;
+        self.slots[a as usize].ring = self.slots[b as usize].ring;
+        self.slots[b as usize].ring = next_a;
+    }
+}
+
+/// Epoch-stamped scratch per element id; every id read is a representative.
+#[derive(Debug, Clone, Copy, Default)]
+struct Scratch {
+    /// Union–find parent for [`TrailedPair::merges`], valid when
+    /// `parent_stamp` is the current epoch.
+    parent: u32,
+    parent_stamp: u32,
+    /// Per side, the walk epoch in which [`TrailedPair::meets_since`] last
+    /// walked this final block.
+    walked: [u32; 2],
+    /// The first ε-label seen for this partner-side block in the block
+    /// being walked, valid when `eps_stamp` is that block's epoch.
+    eps_first: u32,
+    eps_stamp: u32,
+}
+
+/// One union of [`TrailedPair::apply`]: on `side`, the block of
+/// representative `absorbed` joined the block of representative `kept`.
+#[derive(Debug, Clone, Copy)]
+struct Union {
+    side: Side,
+    kept: u32,
+    absorbed: u32,
+}
+
+/// A partition pair `(π, τ)` joined in place, with an undo trail — the κ of
+/// a depth-first search, advanced to a child by [`Self::apply`] and taken
+/// back to an ancestor by [`Self::undo_to`].
+///
+/// Union by size keeps every representative map exact (no `find` chains):
+/// a union relabels the smaller block's ring, splices the two rings by
+/// swapping their representatives' successors, and pushes
+/// `(side, kept, absorbed)` on the trail, which both sides share.  Undoing
+/// the newest union swaps the same two successors back — in LIFO order the
+/// rings are exactly as the union left them — and relabels the absorbed
+/// ring, so [`Self::undo_to`] restores every representative, ring, size and
+/// block count exactly.  Scratch (the counting union–find and
+/// [`Self::meets_since`]'s maps) is epoch-stamped, so starting an operation
+/// costs one counter increment.
+#[derive(Debug, Clone)]
+pub struct TrailedPair {
+    sides: [Blocks; 2],
+    trail: Vec<Union>,
+    scratch: Vec<Scratch>,
+    epoch: u32,
+}
+
+impl TrailedPair {
+    /// The identity pair `(0, 0)` over `n` elements, with an empty trail.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            sides: [Blocks::identity(n), Blocks::identity(n)],
+            // Each side can merge at most `n - 1` times.
+            trail: Vec::with_capacity(2 * n),
+            scratch: vec![Scratch::default(); n],
+            epoch: 0,
+        }
+    }
+
+    /// Number of blocks of `side`.
+    #[must_use]
+    pub fn num_blocks(&self, side: Side) -> usize {
+        self.sides[side as usize].count as usize
+    }
+
+    /// The current trail length: the mark [`Self::undo_to`] returns to.
+    #[must_use]
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// The number of merges of `side ∨ p` for `p` with generator `edges`:
+    /// the join has `num_blocks(side) - merges` blocks, and zero merges
+    /// means `p` refines `side`.  Writes nothing to the pair.
     ///
     /// # Panics
     ///
-    /// Panics if an edge lies outside `base`'s ground set.
-    pub fn merge(&mut self, base: &PackedPartition, edges: &JoinEdges) -> usize {
-        self.begin(base.num_blocks());
+    /// Panics if an edge lies outside the ground set.
+    pub fn merges(&mut self, side: Side, edges: &JoinEdges) -> usize {
+        let epoch = self.next_epoch();
+        let blocks = &self.sides[side as usize];
         // Once everything is one block no later edge can merge.
-        let max_merges = base.num_blocks().saturating_sub(1);
+        let max_merges = (blocks.count as usize).saturating_sub(1);
         let mut merges = 0;
         for &[a, x] in &edges.edges {
-            let (la, lx) = (base.labels[a as usize], base.labels[x as usize]);
-            if la != lx {
-                let (ra, rx) = (self.root(la), self.root(lx));
+            let (ra, rx) = (blocks.rep(a), blocks.rep(x));
+            if ra != rx {
+                let ra = root(&mut self.scratch, epoch, ra);
+                let rx = root(&mut self.scratch, epoch, rx);
                 if ra != rx {
-                    self.parent[ra as usize] = rx;
+                    self.scratch[ra as usize].parent = rx;
                     merges += 1;
                     if merges == max_merges {
                         break;
@@ -393,122 +313,175 @@ impl EdgeJoin {
                 }
             }
         }
-        self.merges = merges;
         merges
     }
 
-    /// Writes the join of the last [`Self::merge`] into `out`: the canonical
-    /// first-occurrence relabelling of `base` through the union–find, one
-    /// pass over the elements (a plain copy when nothing merged).
+    /// Joins `side` with the partition of generator `edges` in place and
+    /// returns the number of merges (as [`Self::merges`]).
     ///
     /// # Panics
     ///
-    /// Panics (debug assertion) if `base` is not the partition of the last
-    /// `merge` or the ground sets differ.
-    pub fn write_into(&mut self, base: &PackedPartition, out: &mut PackedPartition) {
-        debug_assert_eq!(base.n, out.n, "ground sets must match");
-        if self.merges == 0 {
-            out.copy_from(base);
-            return;
-        }
-        let epoch = self.epoch;
-        let mut next = 0u32;
-        for (slot, &l) in out.labels.iter_mut().zip(&base.labels) {
-            let r = self.root(l) as usize;
-            if self.relabel_stamp[r] != epoch {
-                self.relabel_stamp[r] = epoch;
-                self.relabel[r] = next;
-                next += 1;
+    /// Panics if an edge lies outside the ground set.
+    pub fn apply(&mut self, side: Side, edges: &JoinEdges) -> usize {
+        let blocks = &mut self.sides[side as usize];
+        let before = self.trail.len();
+        for &[a, x] in &edges.edges {
+            if blocks.count == 1 {
+                break;
             }
-            *slot = self.relabel[r];
+            let (ra, rx) = (blocks.rep(a), blocks.rep(x));
+            if ra == rx {
+                continue;
+            }
+            let (size_a, size_x) = (
+                blocks.slots[ra as usize].size,
+                blocks.slots[rx as usize].size,
+            );
+            let (kept, absorbed) = if size_a >= size_x { (ra, rx) } else { (rx, ra) };
+            blocks.relabel_ring(absorbed, kept);
+            blocks.swap_successors(kept, absorbed);
+            blocks.slots[kept as usize].size = size_a + size_x;
+            blocks.count -= 1;
+            self.trail.push(Union {
+                side,
+                kept,
+                absorbed,
+            });
         }
-        out.num_blocks = next;
+        self.trail.len() - before
     }
 
-    /// Starts a join over `blocks` block ids: a new epoch invalidates every
-    /// slot at once (stamps are cleared only when the epoch wraps).
-    fn begin(&mut self, blocks: usize) {
-        if self.parent.len() < blocks {
-            self.parent.resize(blocks, 0);
-            self.stamp.resize(blocks, 0);
-            self.relabel.resize(blocks, 0);
-            self.relabel_stamp.resize(blocks, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.relabel_stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Union–find `find` with path halving; an unstamped id is a singleton.
-    fn root(&mut self, mut b: u32) -> u32 {
-        let epoch = self.epoch;
-        loop {
-            let i = b as usize;
-            if self.stamp[i] != epoch {
-                self.stamp[i] = epoch;
-                self.parent[i] = b;
-                return b;
-            }
-            let p = self.parent[i];
-            if p == b {
-                return b;
-            }
-            // Parents are always stamped roots or interior ids of this epoch.
-            let grand = self.parent[p as usize];
-            self.parent[i] = grand;
-            b = grand;
+    /// Undoes every union after `mark` (a [`Self::mark`] taken earlier),
+    /// newest first, restoring the pair exactly as it was at the mark.
+    pub fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let Union {
+                side,
+                kept,
+                absorbed,
+            } = self.trail.pop().expect("longer than the mark");
+            let blocks = &mut self.sides[side as usize];
+            blocks.swap_successors(kept, absorbed);
+            blocks.slots[kept as usize].size -= blocks.slots[absorbed as usize].size;
+            blocks.count += 1;
+            blocks.relabel_ring(absorbed, absorbed);
         }
     }
-}
 
-/// The [`JoinEdges`] of both components of a pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PairEdges {
-    pi: JoinEdges,
-    tau: JoinEdges,
-}
+    /// Returns `true` if no two elements share a π-block and a τ-block
+    /// without sharing an `eps`-block, *looking only at the blocks merged
+    /// since `mark`*: every final block of a union on the trail after the
+    /// mark is walked, and its members that share a block on the other side
+    /// must share an `eps`-block.
+    ///
+    /// This is the full `π ∩ τ ⊆ ε` check whenever the pair at `mark` met
+    /// it: a pair of elements related by the current `π ∩ τ` but not at the
+    /// mark became related on at least one side since, so both lie in a
+    /// block merged on that side.  A pair that did not meet at the mark
+    /// cannot meet now (joins only grow `π ∩ τ`), so the caller combines the
+    /// two: `parent_meets && meets_since(mark, eps)`.  The identity pair
+    /// always meets, so from a mark-0 identity this is the whole check.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if `eps` has another ground set.
+    pub fn meets_since(&mut self, mark: usize, eps: &PackedPartition) -> bool {
+        debug_assert_eq!(eps.ground_set_size(), self.scratch.len());
+        // One epoch for the walk plus at most one per trail entry.
+        self.reserve_epochs(self.trail.len() - mark + 1);
+        self.epoch += 1;
+        let walk = self.epoch;
+        for i in mark..self.trail.len() {
+            let Union { side, kept, .. } = self.trail[i];
+            let (own, partner) = (
+                &self.sides[side as usize],
+                &self.sides[side.other() as usize],
+            );
+            let r = own.rep(kept);
+            let walked = &mut self.scratch[r as usize].walked[side as usize];
+            if *walked == walk {
+                continue;
+            }
+            *walked = walk;
+            self.epoch += 1;
+            let block = self.epoch;
+            let mut x = r;
+            loop {
+                let slot = &own.slots[x as usize];
+                let seen = &mut self.scratch[partner.rep(x) as usize];
+                let w = eps.labels[x as usize];
+                if seen.eps_stamp == block {
+                    // Another member of this block shares x's partner
+                    // block; the meet relates them, so they must share an
+                    // ε-block.
+                    if seen.eps_first != w {
+                        return false;
+                    }
+                } else {
+                    seen.eps_stamp = block;
+                    seen.eps_first = w;
+                }
+                x = slot.ring;
+                if x == r {
+                    break;
+                }
+            }
+        }
+        true
+    }
 
-impl PairEdges {
-    /// The generator edges of both components of `pair`.
+    /// The current partition of `side`, canonical.
     #[must_use]
-    pub fn of(pair: &PackedPair) -> Self {
-        Self {
-            pi: JoinEdges::of(&pair.pi),
-            tau: JoinEdges::of(&pair.tau),
+    pub fn partition(&self, side: Side) -> Partition {
+        let labels: Vec<usize> = self.sides[side as usize]
+            .slots
+            .iter()
+            .map(|slot| slot.rep as usize)
+            .collect();
+        Partition::from_labels(&labels)
+    }
+
+    /// Both sides' representatives, rings, sizes and block counts.
+    #[cfg(test)]
+    pub(crate) fn sides(&self) -> &[Blocks; 2] {
+        &self.sides
+    }
+
+    /// Advances the stamp epoch.
+    fn next_epoch(&mut self) -> u32 {
+        self.reserve_epochs(1);
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Makes room for `k` more epochs before the counter wraps, clearing
+    /// every stamp and restarting the count when there is none.
+    fn reserve_epochs(&mut self, k: usize) {
+        if ((u32::MAX - self.epoch) as usize) < k {
+            self.scratch.fill(Scratch::default());
+            self.epoch = 0;
         }
     }
 }
 
-/// The component-wise [`EdgeJoin`] of pairs.
-#[derive(Debug, Clone, Default)]
-pub struct PairJoin {
-    pi: EdgeJoin,
-    tau: EdgeJoin,
-}
-
-impl PairJoin {
-    /// Creates an empty kernel; storage grows on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`EdgeJoin::merge`] per component: the merges of `base.pi ∨ p.pi`
-    /// and `base.tau ∨ p.tau`.  `(0, 0)` means `p ≤ base`.
-    pub fn merge(&mut self, base: &PackedPair, edges: &PairEdges) -> (usize, usize) {
-        (
-            self.pi.merge(&base.pi, &edges.pi),
-            self.tau.merge(&base.tau, &edges.tau),
-        )
-    }
-
-    /// [`EdgeJoin::write_into`] per component.
-    pub fn write_into(&mut self, base: &PackedPair, out: &mut PackedPair) {
-        self.pi.write_into(&base.pi, &mut out.pi);
-        self.tau.write_into(&base.tau, &mut out.tau);
+/// Union–find `find` with path halving over `epoch`-stamped slots; an
+/// unstamped id is a singleton.
+fn root(scratch: &mut [Scratch], epoch: u32, mut b: u32) -> u32 {
+    loop {
+        let i = b as usize;
+        if scratch[i].parent_stamp != epoch {
+            scratch[i].parent_stamp = epoch;
+            scratch[i].parent = b;
+            return b;
+        }
+        let p = scratch[i].parent;
+        if p == b {
+            return b;
+        }
+        // Parents are always stamped roots or interior ids of this epoch.
+        let grand = scratch[p as usize].parent;
+        scratch[i].parent = grand;
+        b = grand;
     }
 }
 
@@ -518,6 +491,10 @@ mod tests {
 
     fn parts(blocks: &[&[usize]], n: usize) -> Partition {
         Partition::from_blocks(n, &blocks.iter().map(|b| b.to_vec()).collect::<Vec<_>>()).unwrap()
+    }
+
+    fn edges(p: &Partition) -> JoinEdges {
+        JoinEdges::of(&PackedPartition::from_partition(p))
     }
 
     #[test]
@@ -531,74 +508,68 @@ mod tests {
         assert_eq!(packed.to_partition(), p);
     }
 
-    /// `base ∨ other` through the edge kernel: (merges, joined partition).
-    fn edge_join(base: &Partition, other: &Partition) -> (usize, Partition) {
-        let base = PackedPartition::from_partition(base);
-        let edges = JoinEdges::of(&PackedPartition::from_partition(other));
-        let mut join = EdgeJoin::new();
-        let merges = join.merge(&base, &edges);
-        let mut out = PackedPartition::identity(base.ground_set_size());
-        join.write_into(&base, &mut out);
-        (merges, out.to_partition())
-    }
-
     #[test]
     fn generator_edges_link_each_member_to_its_block_head() {
         let p = PackedPartition::from_partition(&parts(&[&[0, 2, 3], &[1, 4], &[5]], 6));
         assert_eq!(JoinEdges::of(&p).edges, vec![[0, 2], [0, 3], [1, 4]]);
-        assert!(JoinEdges::of(&PackedPartition::identity(4))
-            .edges
-            .is_empty());
+        assert!(edges(&Partition::identity(4)).edges.is_empty());
     }
 
     #[test]
-    fn edge_join_matches_the_general_join() {
+    fn apply_matches_the_general_join_and_undo_restores_it() {
         let a = parts(&[&[0, 1], &[2], &[3], &[4]], 5);
         let b = parts(&[&[1, 2], &[0], &[3, 4]], 5);
-        let (merges, joined) = edge_join(&a, &b);
-        assert_eq!(merges, 2);
-        assert_eq!(joined, a.join(&b).unwrap());
+        let mut pair = TrailedPair::new(5);
+        assert_eq!(pair.apply(Side::Pi, &edges(&a)), 1);
+        let mark = pair.mark();
+        let at_mark = pair.sides().clone();
+        assert_eq!(pair.merges(Side::Pi, &edges(&b)), 2);
+        assert_eq!(pair.apply(Side::Pi, &edges(&b)), 2);
+        assert_eq!(pair.partition(Side::Pi), a.join(&b).unwrap());
+        assert_eq!(pair.partition(Side::Tau), Partition::identity(5));
+        // A refinement of the current side merges nothing.
+        assert_eq!(pair.merges(Side::Pi, &edges(&a)), 0);
+        pair.undo_to(mark);
+        assert_eq!(pair.sides(), &at_mark);
+        assert_eq!(pair.partition(Side::Pi), a);
     }
 
     #[test]
-    fn edge_join_reports_no_merge_for_refinements() {
-        let coarse = parts(&[&[0, 1, 2], &[3]], 4);
-        let fine = parts(&[&[0, 1], &[2], &[3]], 4);
-        assert_eq!(edge_join(&coarse, &fine), (0, coarse));
-    }
-
-    #[test]
-    fn refinement_matches_the_general_order() {
-        let fine = parts(&[&[0, 1], &[2], &[3]], 4);
-        let coarse = parts(&[&[0, 1, 2], &[3]], 4);
-        let other = parts(&[&[0, 3], &[1, 2]], 4);
-        let mut scratch = PackedScratch::new();
-        let pf = PackedPartition::from_partition(&fine);
-        let pc = PackedPartition::from_partition(&coarse);
-        let po = PackedPartition::from_partition(&other);
-        assert!(pf.is_refinement_of(&pc, &mut scratch));
-        assert!(!pc.is_refinement_of(&pf, &mut scratch));
-        assert!(!pf.is_refinement_of(&po, &mut scratch));
-        assert!(pf.is_refinement_of(&pf.clone(), &mut scratch));
-    }
-
-    #[test]
-    fn meets_within_matches_intersection_within() {
+    fn meets_since_from_the_identity_is_the_lemma_1_check() {
         let pi = parts(&[&[0, 1], &[2, 3]], 4);
         let tau = parts(&[&[0, 3], &[1, 2]], 4);
-        let eps = Partition::identity(4);
-        let mut scratch = PackedScratch::new();
-        let (ppi, ptau, peps) = (
-            PackedPartition::from_partition(&pi),
-            PackedPartition::from_partition(&tau),
-            PackedPartition::from_partition(&eps),
-        );
-        assert!(meets_within(&ppi, &ptau, &peps, &mut scratch));
-        // π ∩ π = π ⊄ identity.
-        assert!(!meets_within(&ppi, &ppi, &peps, &mut scratch));
-        // Everything is contained in the universal relation.
-        let uni = PackedPartition::from_partition(&Partition::universal(4));
-        assert!(meets_within(&ppi, &ppi, &uni, &mut scratch));
+        let eps = PackedPartition::from_partition(&Partition::identity(4));
+        let mut pair = TrailedPair::new(4);
+        pair.apply(Side::Pi, &edges(&pi));
+        pair.apply(Side::Tau, &edges(&tau));
+        assert!(pair.meets_since(0, &eps));
+        pair.undo_to(0);
+        // π ∩ π = π ⊄ identity, but everything lies in the universal relation.
+        pair.apply(Side::Pi, &edges(&pi));
+        pair.apply(Side::Tau, &edges(&pi));
+        assert!(!pair.meets_since(0, &eps));
+        let universal = PackedPartition::from_partition(&Partition::universal(4));
+        assert!(pair.meets_since(0, &universal));
+    }
+
+    /// `meets_since` looks only at the blocks merged since the mark, so it
+    /// is the full check only when the pair at the mark met: here the
+    /// parent already fails in a block the child leaves alone.
+    #[test]
+    fn meets_since_a_failing_parent_sees_only_the_new_blocks() {
+        let eps = PackedPartition::from_partition(&Partition::identity(4));
+        let mut pair = TrailedPair::new(4);
+        let both = edges(&parts(&[&[0, 1], &[2], &[3]], 4));
+        pair.apply(Side::Pi, &both);
+        pair.apply(Side::Tau, &both);
+        assert!(!pair.meets_since(0, &eps), "0 and 1 share both blocks");
+        let mark = pair.mark();
+        pair.apply(Side::Pi, &edges(&parts(&[&[2, 3], &[0], &[1]], 4)));
+        assert!(pair.meets_since(mark, &eps), "{{2, 3}} alone meets");
+        let (pi, tau) = (pair.partition(Side::Pi), pair.partition(Side::Tau));
+        assert!(!pi
+            .intersection_within(&tau, &Partition::identity(4))
+            .unwrap());
     }
 
     #[test]
@@ -608,46 +579,30 @@ mod tests {
         let mod3: Vec<usize> = (0..n).map(|x| x % 3).collect();
         let a = Partition::from_labels(&even_odd);
         let b = Partition::from_labels(&mod3);
-        let (merges, joined) = edge_join(&a, &b);
-        assert_eq!(merges, 1);
-        assert_eq!(joined, a.join(&b).unwrap());
-        assert!(joined.is_universal());
-    }
-
-    #[test]
-    fn pair_join_and_copy() {
-        let n = 4;
-        let b1 = PackedPair::from_pair(
-            &parts(&[&[0, 1], &[2], &[3]], n),
-            &parts(&[&[2, 3], &[0], &[1]], n),
-        );
-        let edges = PairEdges::of(&b1);
-        let kappa = PackedPair::identity(n);
-        let mut join = PairJoin::new();
-        assert_eq!(join.merge(&kappa, &edges), (1, 1));
-        let mut joined = PackedPair::identity(n);
-        join.write_into(&kappa, &mut joined);
-        assert_eq!(joined, b1);
-        assert_eq!(join.merge(&joined, &edges), (0, 0));
-        let mut copy = PackedPair::identity(n);
-        copy.copy_from(&joined);
-        assert_eq!(copy, joined);
+        let mut pair = TrailedPair::new(n);
+        pair.apply(Side::Tau, &edges(&a));
+        assert_eq!(pair.merges(Side::Tau, &edges(&b)), 1);
+        assert_eq!(pair.apply(Side::Tau, &edges(&b)), 1);
+        assert!(pair.partition(Side::Tau).is_universal());
+        pair.undo_to(0);
+        assert_eq!(pair.sides(), TrailedPair::new(n).sides());
     }
 
     #[test]
     fn epochs_survive_wrap_around() {
-        let a = PackedPartition::from_partition(&parts(&[&[0, 1], &[2], &[3]], 4));
-        let edges = JoinEdges::of(&PackedPartition::from_partition(&parts(
-            &[&[1, 2], &[0], &[3]],
-            4,
-        )));
-        let mut join = EdgeJoin::new();
-        join.epoch = u32::MAX - 1;
-        let mut out = PackedPartition::identity(4);
+        let a = parts(&[&[0, 1], &[2], &[3]], 4);
+        let b = edges(&parts(&[&[1, 2], &[0], &[3]], 4));
+        let eps = PackedPartition::from_partition(&Partition::identity(4));
+        let mut pair = TrailedPair::new(4);
+        pair.apply(Side::Pi, &edges(&a));
+        pair.epoch = u32::MAX - 2;
         for _ in 0..4 {
-            assert_eq!(join.merge(&a, &edges), 1);
-            join.write_into(&a, &mut out);
-            assert_eq!(out.to_partition(), parts(&[&[0, 1, 2], &[3]], 4));
+            assert_eq!(pair.merges(Side::Pi, &b), 1);
+            let mark = pair.mark();
+            pair.apply(Side::Pi, &b);
+            assert!(pair.meets_since(mark, &eps));
+            assert_eq!(pair.partition(Side::Pi), parts(&[&[0, 1, 2], &[3]], 4));
+            pair.undo_to(mark);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the partition lattice and the `m`/`M` operators.
 
 use crate::lattice::{enumerate_partitions, symmetric_basis, symmetric_pair_closure};
-use crate::packed::{meets_within, EdgeJoin, JoinEdges, PackedPartition, PackedScratch};
+use crate::packed::{JoinEdges, PackedPartition, Side, TrailedPair};
 use crate::pairs::{big_m_operator, is_partition_pair, m_operator, pair_identifying, Transitions};
 use crate::partition::Partition;
 use proptest::prelude::*;
@@ -90,19 +90,36 @@ fn basis_of_pair_closures<T: Transitions>(delta: &T) -> Vec<(Partition, Partitio
     basis
 }
 
-/// Partitions of `1..=130` elements (crossing the 64-element word
-/// boundaries) with anywhere from one block to all singletons.
-fn arb_labels_pair() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
-    (1usize..=130, 1usize..=130).prop_flat_map(|(n, m)| {
+fn arb_labels(n: usize) -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0..n, n)
+}
+
+/// Labels over one ground set: a base pair `(π, τ)`, an ε, and a sequence
+/// of joins, each into π (`false`) or τ (`true`).
+type TrailCase = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<(bool, Vec<usize>)>);
+
+/// A [`TrailCase`] over 1..=40 elements.
+fn arb_trail_case() -> impl Strategy<Value = TrailCase> {
+    (1usize..=40).prop_flat_map(|n| {
         (
-            proptest::collection::vec(0..m, n),
-            proptest::collection::vec(0..m, n),
+            arb_labels(n),
+            arb_labels(n),
+            arb_labels(n),
+            proptest::collection::vec((any::<bool>(), arb_labels(n)), 1..6),
         )
     })
 }
 
-fn arb_labels(n: usize) -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0..n, n)
+fn side_of(tau: bool) -> Side {
+    if tau {
+        Side::Tau
+    } else {
+        Side::Pi
+    }
+}
+
+fn edges_of(p: &Partition) -> JoinEdges {
+    JoinEdges::of(&PackedPartition::from_partition(p))
 }
 
 proptest! {
@@ -221,25 +238,66 @@ proptest! {
         prop_assert!(big_m_operator(&machine, &pi).refines(&big_m_operator(&machine, &coarser)));
     }
 
+    /// After each `apply` the pair is the general join and `merges` (taken
+    /// before it) is the block-count drop; `undo_to` then restores every
+    /// representative, ring, size and count of each mark, newest first.
     #[test]
-    fn edge_join_agrees_with_the_general_join((labels_a, labels_b) in arb_labels_pair()) {
-        let a = Partition::from_labels(&labels_a);
-        let b = Partition::from_labels(&labels_b);
-        let (pa, pb) = (PackedPartition::from_partition(&a), PackedPartition::from_partition(&b));
-        // One kernel and one output buffer serve both directions, so the
-        // second join also checks that a new epoch forgets the first.
-        let mut join = EdgeJoin::new();
-        let mut out = PackedPartition::identity(a.ground_set_size());
-        for (base, other, pbase, pother) in [(&a, &b, &pa, &pb), (&b, &a, &pb, &pa)] {
-            let joined = base.join(other).unwrap();
-            let merges = join.merge(pbase, &JoinEdges::of(pother));
-            prop_assert_eq!(merges, base.num_blocks() - joined.num_blocks());
-            prop_assert_eq!(merges == 0, other.refines(base));
-            join.write_into(pbase, &mut out);
-            prop_assert_eq!(out.num_blocks(), joined.num_blocks());
-            for x in 0..joined.ground_set_size() {
-                prop_assert_eq!(out.label(x) as usize, joined.block_of(x));
+    fn trailed_pair_joins_like_the_general_join_and_undoes_exactly(
+        (pi, tau, _, joins) in arb_trail_case(),
+    ) {
+        let n = pi.len();
+        let mut pair = TrailedPair::new(n);
+        let mut current = [Partition::identity(n), Partition::identity(n)];
+        let mut marks = Vec::new();
+        for (tau_side, labels) in [(false, pi), (true, tau)].into_iter().chain(joins) {
+            let (side, s) = (side_of(tau_side), usize::from(tau_side));
+            let p = Partition::from_labels(&labels);
+            let edges = edges_of(&p);
+            marks.push((pair.mark(), pair.sides().clone()));
+            let joined = current[s].join(&p).unwrap();
+            let drop = current[s].num_blocks() - joined.num_blocks();
+            prop_assert_eq!(pair.merges(side, &edges), drop);
+            prop_assert_eq!(pair.apply(side, &edges), drop);
+            prop_assert_eq!(pair.num_blocks(side), joined.num_blocks());
+            current[s] = joined;
+            prop_assert_eq!(&pair.partition(Side::Pi), &current[0]);
+            prop_assert_eq!(&pair.partition(Side::Tau), &current[1]);
+        }
+        for (mark, sides) in marks.into_iter().rev() {
+            pair.undo_to(mark);
+            prop_assert_eq!(pair.sides(), &sides);
+        }
+    }
+
+    /// `meets_since(mark)` is `intersection_within` whenever the pair at the
+    /// mark met it, and `parent_meets && meets_since(mark)` always is.
+    #[test]
+    fn meets_since_a_meeting_mark_is_intersection_within(
+        (pi, tau, eps, joins) in arb_trail_case(),
+    ) {
+        let n = pi.len();
+        let eps = Partition::from_labels(&eps);
+        let packed_eps = PackedPartition::from_partition(&eps);
+        let mut current = [Partition::from_labels(&pi), Partition::from_labels(&tau)];
+        let mut pair = TrailedPair::new(n);
+        pair.apply(Side::Pi, &edges_of(&current[0]));
+        pair.apply(Side::Tau, &edges_of(&current[1]));
+        // The identity pair meets, so mark 0 is always a meeting mark.
+        let mut meets = pair.meets_since(0, &packed_eps);
+        prop_assert_eq!(meets, current[0].intersection_within(&current[1], &eps).unwrap());
+        for (tau_side, labels) in joins {
+            let s = usize::from(tau_side);
+            let p = Partition::from_labels(&labels);
+            let mark = pair.mark();
+            pair.apply(side_of(tau_side), &edges_of(&p));
+            current[s] = current[s].join(&p).unwrap();
+            let truth = current[0].intersection_within(&current[1], &eps).unwrap();
+            let since = pair.meets_since(mark, &packed_eps);
+            if meets {
+                prop_assert_eq!(since, truth);
             }
+            prop_assert_eq!(meets && since, truth);
+            meets = truth;
         }
     }
 
@@ -269,57 +327,6 @@ proptest! {
         machine in arb_duplicate_column_machine(),
     ) {
         prop_assert_eq!(symmetric_basis(&machine), basis_of_pair_closures(&machine));
-    }
-
-    #[test]
-    fn packed_refinement_agrees_with_refines(labels_a in arb_labels(9), labels_b in arb_labels(9)) {
-        let a = Partition::from_labels(&labels_a);
-        let b = Partition::from_labels(&labels_b);
-        let mut scratch = PackedScratch::new();
-        let pa = PackedPartition::from_partition(&a);
-        let pb = PackedPartition::from_partition(&b);
-        prop_assert_eq!(pa.is_refinement_of(&pb, &mut scratch), a.refines(&b));
-        prop_assert_eq!(pb.is_refinement_of(&pa, &mut scratch), b.refines(&a));
-    }
-
-    /// Ground sets past 64 elements exercise the chunked branch-free form of
-    /// `is_refinement_of` (one early-exit per 64-element chunk) and its
-    /// reliance on canonical first-occurrence labels on larger inputs.
-    #[test]
-    fn packed_refinement_agrees_with_refines_across_chunk_boundaries(
-        labels_a in proptest::collection::vec(0usize..12, 150..=150),
-        labels_b in proptest::collection::vec(0usize..12, 150..=150),
-    ) {
-        let a = Partition::from_labels(&labels_a);
-        let b = Partition::from_labels(&labels_b);
-        let joined = a.join(&b).unwrap();
-        let mut scratch = PackedScratch::new();
-        let pa = PackedPartition::from_partition(&a);
-        let pb = PackedPartition::from_partition(&b);
-        let pj = PackedPartition::from_partition(&joined);
-        prop_assert_eq!(pa.is_refinement_of(&pb, &mut scratch), a.refines(&b));
-        prop_assert!(pa.is_refinement_of(&pj, &mut scratch));
-        prop_assert!(pb.is_refinement_of(&pj, &mut scratch));
-        prop_assert_eq!(pj.is_refinement_of(&pa, &mut scratch), joined.refines(&a));
-    }
-
-    #[test]
-    fn packed_meets_within_agrees_with_intersection_within(
-        labels_pi in arb_labels(8),
-        labels_tau in arb_labels(8),
-        labels_eps in arb_labels(8),
-    ) {
-        let pi = Partition::from_labels(&labels_pi);
-        let tau = Partition::from_labels(&labels_tau);
-        let eps = Partition::from_labels(&labels_eps);
-        let mut scratch = PackedScratch::new();
-        let packed = meets_within(
-            &PackedPartition::from_partition(&pi),
-            &PackedPartition::from_partition(&tau),
-            &PackedPartition::from_partition(&eps),
-            &mut scratch,
-        );
-        prop_assert_eq!(packed, pi.intersection_within(&tau, &eps).unwrap());
     }
 
     #[test]

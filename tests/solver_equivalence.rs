@@ -1,9 +1,11 @@
 //! Frozen OSTR search statistics for the embedded suite.
 //!
-//! The search engine is tuned for speed (edge joins counted before they are
-//! materialised, a pairwise Lemma 1 prefilter, a basis closed once per
-//! pair-graph component), and every such change must be invisible: same
-//! node order, same prunes, same solution.  This test pins, for every embedded machine, the full
+//! The search engine is tuned for speed (joins counted before they are
+//! applied, one κ per worker joined in place and undone along a trail,
+//! Lemma 1 checked on the merged blocks only, a pairwise Lemma 1 prefilter,
+//! a basis closed once per pair-graph component), and every such change
+//! must be invisible: same node order, same prunes, same solution.  This
+//! test pins, for every embedded machine, the full
 //! [`SearchStats`] except the wall clock and a digest of the best `(π, τ)`
 //! under {branch and bound on, off} × {`stop_at_lower_bound` on, off}, plus
 //! a few budget-limited and Lemma-1-off runs, each at one and two solver

@@ -3,8 +3,9 @@
 //! The pre-refactor solver recursed once per search-tree level and cloned
 //! two `Vec<Vec<usize>>` partitions into every frame, so a machine with a
 //! large symmetric-pair basis (deep strict-coarsening chains) could blow a
-//! small thread stack.  The iterative engine keeps the whole κ chain in a
-//! heap arena and must complete the same search inside a minimal stack.
+//! small thread stack.  The iterative engine keeps the whole DFS path on
+//! the heap, as a frame stack over one κ-pair and its undo trail, and must
+//! complete the same search inside a minimal stack.
 
 use stc::partition::symmetric_basis;
 use stc::prelude::*;
